@@ -9,10 +9,10 @@ ultrafilter extensions, and literal ultraproducts over finite index sets.
 from __future__ import annotations
 
 import itertools
-import os
 import re
 from dataclasses import dataclass
 
+from .caps import env_limit
 from .errors import DefectError, InputError, ResourceError
 from .frame import Frame
 from .ultra import Ultrafilter, build_ue
@@ -285,7 +285,7 @@ class _EFGame:
         self.f1 = f1
         self.f2 = f2
         self.memo: dict[tuple[int, Pairing], bool] = {}
-        self.limit = int(os.environ.get(EF_MEMO_LIMIT_ENV, DEFAULT_EF_MEMO_LIMIT))
+        self.limit = env_limit(EF_MEMO_LIMIT_ENV, DEFAULT_EF_MEMO_LIMIT)
 
     def duplicator_wins(self, pairs: Pairing, k: int) -> bool:
         if not _partial_iso(self.f1, self.f2, pairs):

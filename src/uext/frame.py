@@ -56,6 +56,16 @@ class Frame:
             out[b].add(a)
         return {v: frozenset(s) for v, s in out.items()}
 
+    @cached_property
+    def succ_mask(self) -> tuple[int, ...]:
+        """Successor sets as int bitmasks over load order (bit i is vertices[i])."""
+        return tuple(sum(1 << self.index[s] for s in self.succ[v]) for v in self.vertices)
+
+    @cached_property
+    def pred_mask(self) -> tuple[int, ...]:
+        """Predecessor sets as int bitmasks over load order."""
+        return tuple(sum(1 << self.index[s] for s in self.pred[v]) for v in self.vertices)
+
     def has_edge(self, a: str, b: str) -> bool:
         return (a, b) in self.edges
 

@@ -9,11 +9,11 @@ with the empty set.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
 
+from .caps import env_limit
 from .errors import InputError, ResourceError
 from .frame import Frame
 from .ultra import UEFrame, build_ue
@@ -267,7 +267,7 @@ def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", s
     """
     ls = sorted(letters(phi))
     n = len(frame.vertices)
-    limit = int(os.environ.get(VALUATION_LIMIT_ENV, DEFAULT_VALUATION_LIMIT))
+    limit = env_limit(VALUATION_LIMIT_ENV, DEFAULT_VALUATION_LIMIT)
     total = 2 ** (len(ls) * n)
     if total > limit:
         raise ResourceError(
@@ -347,7 +347,7 @@ def _bisim(m1, w1, m2, w2, k, ls, memo) -> bool:
     key = (w1, w2, k)
     if key in memo:
         return memo[key]
-    limit = int(os.environ.get(GAME_LIMIT_ENV, DEFAULT_GAME_LIMIT))
+    limit = env_limit(GAME_LIMIT_ENV, DEFAULT_GAME_LIMIT)
     if len(memo) > limit:
         raise ResourceError(f"bisimulation memo exceeded cap {limit} (set {GAME_LIMIT_ENV})")
     memo[key] = True  # harmless placeholder; the game is bounded so no real cycles

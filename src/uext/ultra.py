@@ -2,27 +2,25 @@
 
 Over a finite carrier every ultrafilter is principal, so an ultrafilter is
 stored as its principal point and membership is O(1).  The extension relation
-is still computed by full powerset enumeration against all three definitional
-modes, cross-checked pairwise; the construction refuses to proceed past a
-configurable carrier size rather than silently approximate.
+is still computed by literal powerset enumeration: one sweep over all 2^n
+subsets, as int bitmasks over load order, evaluates all three definitional
+modes for every pair, and any disagreement between them is a defect.  The
+construction refuses to proceed past a configurable carrier size rather than
+silently approximate.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
+from .caps import env_limit
 from .errors import DefectError, InputError, ResourceError
 from .frame import Frame, relation_image
 
 POWERSET_LIMIT_ENV = "UEXT_POWERSET_LIMIT"
-DEFAULT_POWERSET_LIMIT = 12
-
-
-def _powerset_limit() -> int:
-    return int(os.environ.get(POWERSET_LIMIT_ENV, DEFAULT_POWERSET_LIMIT))
+DEFAULT_POWERSET_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -49,12 +47,50 @@ def enumerate_ultrafilters(frame: Frame) -> list[Ultrafilter]:
     return [Ultrafilter(frame, w) for w in frame.vertices]
 
 
-def _subsets(vertices, must_contain=None):
-    rest = [v for v in vertices if v != must_contain]
-    base = frozenset() if must_contain is None else frozenset([must_contain])
-    for k in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, k):
-            yield base | frozenset(combo)
+def _mode_rows(frame: Frame) -> dict[str, list[int]]:
+    """R^ue under each definitional mode, as one target bitmask per source point.
+
+    One sweep over every subset X of W (an int bitmask) folds all three modes:
+
+    mode A: u R v iff R-(X) in u for every X in v, so the sources of v are
+            the intersection of R-(X) over all X containing v
+    mode B: u R v iff every Y with l_R(Y) in u is in v, so the targets of u
+            are the intersection of all Y with u in l_R(Y)
+    mode C: u R v iff R+(X) in v for every X in u, so the targets of u are
+            the intersection of R+(X) over all X containing u
+
+    Images follow the prefix recurrence img[X] = img[X - {i}] | R(i) for the
+    lowest point i of X; l_R(Y) is tested point by point, not derived from R-.
+    """
+    n = len(frame.vertices)
+    limit = env_limit(POWERSET_LIMIT_ENV, DEFAULT_POWERSET_LIMIT)
+    if n > limit:
+        raise ResourceError(
+            f"powerset enumeration capped at |W| <= {limit} "
+            f"(set {POWERSET_LIMIT_ENV} to raise); got |W| = {n}"
+        )
+    succ, pred = frame.succ_mask, frame.pred_mask
+    full = (1 << n) - 1
+    sources_a, targets_b, targets_c = [full] * n, [full] * n, [full] * n
+    points = tuple((w, 1 << w, succ[w]) for w in range(n))
+    for w, _, s in points:
+        if not s:  # w in l_R(empty set)
+            targets_b[w] = 0
+    # one 64-bit slot per subset: no int object is kept per entry
+    fwd, bwd = array("Q", [0]) * (1 << n), array("Q", [0]) * (1 << n)
+    for x in range(1, 1 << n):
+        low = x & -x
+        i = low.bit_length() - 1
+        f = fwd[x] = fwd[x ^ low] | succ[i]
+        b = bwd[x] = bwd[x ^ low] | pred[i]
+        for w, bit, s in points:
+            if x & bit:
+                sources_a[w] &= b
+                targets_c[w] &= f
+            if s & x == s:
+                targets_b[w] &= x
+    targets_a = [sum(1 << v for v in range(n) if sources_a[v] >> u & 1) for u in range(n)]
+    return {"A": targets_a, "B": targets_b, "C": targets_c}
 
 
 def ue_related(u: Ultrafilter, v: Ultrafilter, mode: str) -> bool:
@@ -66,30 +102,10 @@ def ue_related(u: Ultrafilter, v: Ultrafilter, mode: str) -> bool:
     """
     if u.frame != v.frame:
         raise InputError("ue_related: ultrafilters live over different carriers")
-    frame = u.frame
-    limit = _powerset_limit()
-    if len(frame.vertices) > limit:
-        raise ResourceError(
-            f"powerset enumeration capped at |W| <= {limit} "
-            f"(set {POWERSET_LIMIT_ENV} to raise); got |W| = {len(frame.vertices)}"
-        )
-    if mode == "A":
-        return all(
-            u.member(relation_image(frame, x, "backward"))
-            for x in _subsets(frame.vertices, v.point)
-        )
-    if mode == "B":
-        return all(
-            v.member(y)
-            for y in _subsets(frame.vertices)
-            if u.member(relation_image(frame, y, "box"))
-        )
-    if mode == "C":
-        return all(
-            v.member(relation_image(frame, x, "forward"))
-            for x in _subsets(frame.vertices, u.point)
-        )
-    raise InputError(f"unknown ue_related mode {mode!r}")
+    if mode not in ("A", "B", "C"):
+        raise InputError(f"unknown ue_related mode {mode!r}")
+    index = u.frame.index
+    return bool(_mode_rows(u.frame)[mode][index[u.point]] >> index[v.point] & 1)
 
 
 @dataclass(frozen=True)
@@ -115,13 +131,12 @@ def build_ue(frame: Frame) -> UEFrame:
 
     Raises DefectError if the modes ever disagree; this must never fire.
     """
+    rows = _mode_rows(frame)
     ufs = enumerate_ultrafilters(frame)
     edges = set()
-    for u in ufs:
-        for v in ufs:
-            a = ue_related(u, v, "A")
-            b = ue_related(u, v, "B")
-            c = ue_related(u, v, "C")
+    for i, u in enumerate(ufs):
+        for j, v in enumerate(ufs):
+            a, b, c = (bool(rows[m][i] >> j & 1) for m in "ABC")
             if not (a == b == c):
                 raise DefectError(
                     f"ue_related modes disagree at ({u.name}, {v.name}): A={a} B={b} C={c}"

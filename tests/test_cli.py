@@ -132,3 +132,22 @@ def test_unbounded_census_is_input_error(capsys, tmp_path):
     p = tmp_path / "natlt.json"
     p.write_text(json.dumps({"generator": {"name": "nat_lt"}}))
     assert main(["census", str(p), "--depth", "1"]) == 1
+
+
+CAP_COMMANDS = {
+    "UEXT_POWERSET_LIMIT": lambda tri, model: ["ue", "build", tri],
+    "UEXT_VALUATION_LIMIT": lambda tri, model: ["modal", "valid", tri, "[]p0 -> p0"],
+    "UEXT_GAME_LIMIT": lambda tri, model: ["bisim", model, model, "--at1", "b", "--at2", "c",
+                                           "--depth", "1"],
+    "UEXT_EF_MEMO_LIMIT": lambda tri, model: ["fo", "ef", tri, tri],
+}
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+@pytest.mark.parametrize("var", sorted(CAP_COMMANDS))
+def test_malformed_cap_is_input_error(capsys, monkeypatch, tri, tri_model, var, value):
+    monkeypatch.setenv(var, value)
+    assert main(CAP_COMMANDS[var](tri, tri_model)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {var} must be a nonnegative integer, got {value!r}\n"
