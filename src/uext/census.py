@@ -12,15 +12,15 @@ generators only ever yield lower bounds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InputError
-from .frame import Frame, boundedness, frame_from_dict, frame_to_dict
+from .frame import Frame, boundedness, frame_from_dict, frame_to_dict, json_array, json_pair, read_json
 from .hulls import RootedGraph, canonical_form, hull
 
 OMEGA = "w"
+GENERATOR_BUDGET = 16  # generator components expanded for a census's lower bounds
 
 
 # ---------------------------------------------------------------------------
@@ -105,27 +105,32 @@ class FamilyPresentation:
 
 
 def family_from_dict(doc: dict) -> FamilyPresentation:
-    base = frame_from_dict(doc["base"]) if doc.get("base") else Frame((), frozenset())
-    templates = tuple(frame_from_dict(t) for t in doc.get("omega_templates", []))
-    rays = tuple(
-        Ray(
-            frame_from_dict(r["period"]),
-            tuple((str(a), str(b)) for a, b in r.get("seam", [])),
-            r.get("kind", "ray"),
-        )
-        for r in doc.get("rays", [])
-    )
-    gen = Generator(doc["generator"]["name"]) if doc.get("generator") else None
+    """Build a presentation from its JSON document; every field is optional."""
+    if not isinstance(doc, dict):
+        raise InputError("family document must be a JSON object")
+    base = frame_from_dict(doc["base"]) if "base" in doc else Frame((), frozenset())
+    templates = json_array(doc.get("omega_templates", []), '"omega_templates"')
+    templates = tuple(frame_from_dict(t) for t in templates)
+    rays = tuple(_ray_from_dict(r) for r in json_array(doc.get("rays", []), '"rays"'))
+    gen = None
+    if "generator" in doc:
+        spec = doc["generator"]
+        if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
+            raise InputError('"generator" must be an object with a "name" string')
+        gen = Generator(spec["name"])
     return FamilyPresentation(base, templates, rays, gen)
 
 
+def _ray_from_dict(doc) -> Ray:
+    if not isinstance(doc, dict) or "period" not in doc:
+        raise InputError('ray entry must be an object with a "period" frame')
+    period = frame_from_dict(doc["period"])
+    seam = tuple(json_pair(pair, "seam") for pair in json_array(doc.get("seam", []), '"seam"'))
+    return Ray(period, seam, doc.get("kind", "ray"))
+
+
 def load_family(path: str) -> FamilyPresentation:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read family file {path}: {exc}") from exc
-    return family_from_dict(doc)
+    return family_from_dict(read_json(path, "family"))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +225,7 @@ def _census_of_frame(census: HullCensus, frame: Frame, n: int, count) -> None:
         census.add(hull(frame, w, n), count)
 
 
-def hull_census(fam: FamilyPresentation, n: int, generator_budget: int = 16) -> HullCensus:
+def hull_census(fam: FamilyPresentation, n: int) -> HullCensus:
     """Multiplicity map over depth-n rooted hull types of the presented family."""
     if n < 0:
         raise InputError("census depth must be nonnegative")
@@ -233,7 +238,7 @@ def hull_census(fam: FamilyPresentation, n: int, generator_budget: int = 16) -> 
     for ri, ray in enumerate(fam.rays):
         _census_ray(census, ray, n, f"r{ri}")
     if fam.generator is not None:
-        _census_generator(census, fam.generator, n, generator_budget)
+        _census_generator(census, fam.generator, n, GENERATOR_BUDGET)
     return census
 
 
@@ -335,15 +340,11 @@ def ue_skeleton(fam: FamilyPresentation, n: int, budget: int | None = None) -> U
 # Coloring and clique bounds
 
 
-def greedy_coloring(frame: Frame, ignore_loops: bool = True) -> dict[str, int]:
+def greedy_coloring(frame: Frame) -> dict[str, int]:
     """Proper coloring on non-loop edges, <= maxdeg+1 colors, load-order greedy."""
     colors: dict[str, int] = {}
     for v in frame.vertices:
-        taken = {
-            colors[w]
-            for w in (frame.succ[v] | frame.pred[v])
-            if w in colors and (ignore_loops or w != v) and w != v
-        }
+        taken = {colors[w] for w in (frame.succ[v] | frame.pred[v]) if w in colors and w != v}
         c = 0
         while c in taken:
             c += 1

@@ -1,7 +1,7 @@
 """uext command line interface.
 
-Exit codes: 0 verdict computed (yes, no or unknown all count), 1 bad input,
-2 resource cap exceeded, 3 internal cross-check defect.
+Exit codes: 0 verdict computed (yes, no or unknown all count), 1 bad input
+(usage errors included), 2 resource cap exceeded, 3 internal cross-check defect.
 """
 
 from __future__ import annotations
@@ -13,20 +13,20 @@ import sys
 from . import census as census_mod
 from .errors import DefectError, InputError, ResourceError
 from .fo import eval_fo, ef_min_rounds, format_fo, los_like_check, parse_fo
-from .frame import frame_to_dict, frame_to_dot, load_frame
+from .frame import frame_from_dict, frame_to_dict, frame_to_dot, json_array, load_frame, read_json
 from .hulls import canonical_form, endpoints, hull, hull_formula
 from .modal import Model, eval_modal, frame_valid, n_bisimilar, parse_modal
 from .ultra import Ultrafilter, build_ue
 
 
 def _load_model(path: str) -> Model:
-    frame = load_frame(path)
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path, "frame")
+    frame = frame_from_dict(doc)
     val = doc.get("valuation", {})
     if not isinstance(val, dict):
         raise InputError("valuation must be an object mapping letters to vertex lists")
-    return Model.make(frame, {p: list(map(str, xs)) for p, xs in val.items()})
+    return Model.make(frame, {p: [str(x) for x in json_array(xs, f"valuation of {p!r}")]
+                              for p, xs in val.items()})
 
 
 def _emit(doc: dict) -> None:
@@ -163,11 +163,15 @@ def cmd_detect(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as bad input, like every other input error."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="uext", description="ultrafilter extension workbench")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker hint; results are deterministic regardless")
-    ap.add_argument("--seed", type=int, default=0, help="seed hint for reproducibility")
+    ap = _ArgumentParser(prog="uext", description="ultrafilter extension workbench")
     sub = ap.add_subparsers(dest="command", required=True)
 
     ue = sub.add_parser("ue", help="ultrafilter extension of a finite frame")
@@ -248,9 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

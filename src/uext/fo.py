@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from .caps import env_limit
 from .errors import DefectError, InputError, ResourceError
 from .frame import Frame
+from .syntax import Parser, fold
 from .ultra import Ultrafilter, build_ue
 
 EF_MEMO_LIMIT_ENV = "UEXT_EF_MEMO_LIMIT"
 DEFAULT_EF_MEMO_LIMIT = 2**22
+SENTENCE_LIMIT = 4000  # sentences_upto's hard count cap
 
 
 # ---------------------------------------------------------------------------
@@ -118,42 +120,11 @@ def _atomish(phi: FOFormula) -> str:
 # ---------------------------------------------------------------------------
 # Parser: quantifier scope extends maximally right; ~ > & > | > ->.
 
-_FO_TOKEN = re.compile(r"\s*(exists\b|forall\b|->|[~&|()=,.]|R\b|[A-Za-z_]\w*)")
 
-
-class _FOParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _FO_TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip() == "":
-                    break
-                raise InputError(f"FO syntax error at position {pos}: {text[pos:pos+10]!r}")
-            self.toks.append((m.group(1), m.start(1)))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
-
-    def take(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok[0]
-
-    def expect(self, tok: str):
-        if self.peek() != tok:
-            self.fail(repr(tok))
-        return self.take()
-
-    def fail(self, expected: str):
-        if self.i < len(self.toks):
-            t, pos = self.toks[self.i]
-            raise InputError(f"FO syntax error at position {pos}: expected {expected}, got {t!r}")
-        raise InputError(f"FO syntax error at end of input: expected {expected}")
+class _FOParser(Parser):
+    TOKEN = re.compile(r"\s*(exists\b|forall\b|->|[~&|()=,.]|R\b|[A-Za-z_]\w*)")
+    LABEL = "FO"
+    AND, OR, IMP = Conj, Disj, Impl
 
     def variable(self) -> str:
         tok = self.peek()
@@ -161,55 +132,20 @@ class _FOParser:
             self.fail("a variable name")
         return self.take()
 
-    def parse(self) -> FOFormula:
-        phi = self.expr()
-        if self.i < len(self.toks):
-            self.fail("end of input")
-        return phi
-
-    def expr(self) -> FOFormula:
-        # quantifiers sit at the lowest precedence: their scope runs maximally right
-        if self.peek() in ("exists", "forall"):
-            kind = self.take()
-            var = self.variable()
-            self.expect(".")
-            body = self.expr()
-            return Exists(var, body) if kind == "exists" else Forall(var, body)
-        return self.imp()
-
-    def imp(self) -> FOFormula:
-        left = self.disj()
-        if self.peek() == "->":
-            self.take()
-            return Impl(left, self.imp())
-        return left
-
-    def disj(self) -> FOFormula:
-        left = self.conj()
-        while self.peek() == "|":
-            self.take()
-            left = Disj(left, self.conj())
-        return left
-
-    def conj(self) -> FOFormula:
-        left = self.unary()
-        while self.peek() == "&":
-            self.take()
-            left = Conj(left, self.unary())
-        return left
-
     def unary(self) -> FOFormula:
         tok = self.peek()
         if tok == "~":
             self.take()
             return Neg(self.unary())
         if tok in ("exists", "forall"):
-            return self.expr()
-        if tok == "(":
+            # the body is a whole implication, so the scope runs maximally right
             self.take()
-            phi = self.expr()
-            self.expect(")")
-            return phi
+            var = self.variable()
+            self.expect(".")
+            body = self.imp()
+            return Exists(var, body) if tok == "exists" else Forall(var, body)
+        if tok == "(":
+            return self.group()
         if tok == "R":
             self.take()
             self.expect("(")
@@ -220,8 +156,7 @@ class _FOParser:
             return Rel(a, b)
         a = self.variable()
         self.expect("=")
-        b = self.variable()
-        return Eq(a, b)
+        return Eq(a, self.variable())
 
 
 def parse_fo(text: str) -> FOFormula:
@@ -319,6 +254,8 @@ def ef_equivalent(f1: Frame, f2: Frame, rounds: int) -> bool:
 
 def ef_min_rounds(f1: Frame, f2: Frame, max_rounds: int) -> int | None:
     """Smallest k <= max_rounds at which Spoiler wins, or None."""
+    if max_rounds < 0:
+        raise InputError("max_rounds must be nonnegative")
     for k in range(max_rounds + 1):
         if not ef_equivalent(f1, f2, k):
             return k
@@ -414,7 +351,7 @@ def _distinguish(game: _EFGame, ta: tuple, tb: tuple, k: int) -> FOFormula:
                 d = _distinguish(game, ta + (a,), tb + (b,), k - 1)
                 if d not in parts:
                     parts.append(d)
-            return Exists(var, _fold(Conj, parts, Eq(var, var)))
+            return Exists(var, fold(Conj, parts, Eq(var, var)))
     for b in f2.vertices:
         if not any(game.duplicator_wins(frozenset(zip(ta + (a,), tb + (b,))), k - 1) for a in f1.vertices):
             parts = []
@@ -422,24 +359,15 @@ def _distinguish(game: _EFGame, ta: tuple, tb: tuple, k: int) -> FOFormula:
                 d = _distinguish(game, ta + (a,), tb + (b,), k - 1)
                 if d not in parts:
                     parts.append(d)
-            return Forall(var, _fold(Disj, parts, Neg(Eq(var, var))))
+            return Forall(var, fold(Disj, parts, Neg(Eq(var, var))))
     raise DefectError("no winning spoiler move at a spoiler-won position")
-
-
-def _fold(op, parts: list[FOFormula], empty: FOFormula) -> FOFormula:
-    if not parts:
-        return empty
-    out = parts[0]
-    for p in parts[1:]:
-        out = op(out, p)
-    return out
 
 
 # ---------------------------------------------------------------------------
 # Bounded sentence enumeration (fixed normal form, reproducible oracle)
 
 
-def sentences_upto(max_rank: int, limit: int = 4000) -> list[FOFormula]:
+def sentences_upto(max_rank: int) -> list[FOFormula]:
     """Closed formulas of quantifier rank <= max_rank in a fixed normal form.
 
     Negation-normal form over a pool of max_rank variable names, built from
@@ -459,24 +387,24 @@ def sentences_upto(max_rank: int, limit: int = 4000) -> list[FOFormula]:
                     lits.append(Eq(a, b))
                     lits.append(Neg(Eq(a, b)))
         if rank == 0:
-            return lits[:limit]
+            return lits[:SENTENCE_LIMIT]
         inner = formulas(rank - 1, depth + 1)
         var = pool[depth]
         out: list[FOFormula] = list(lits)
         for body in inner:
             out.append(Exists(var, body))
             out.append(Forall(var, body))
-            if len(out) >= limit:
-                return out[:limit]
+            if len(out) >= SENTENCE_LIMIT:
+                return out[:SENTENCE_LIMIT]
         combos = [f for f in out if not isinstance(f, (Rel, Eq, Neg))]
         for f, g in itertools.combinations(combos[:40], 2):
             out.append(Conj(f, g))
             out.append(Disj(f, g))
-            if len(out) >= limit:
+            if len(out) >= SENTENCE_LIMIT:
                 break
-        return out[:limit]
+        return out[:SENTENCE_LIMIT]
 
-    return [phi for phi in formulas(max_rank, 0) if not free_vars(phi)][:limit]
+    return [phi for phi in formulas(max_rank, 0) if not free_vars(phi)][:SENTENCE_LIMIT]
 
 
 # ---------------------------------------------------------------------------

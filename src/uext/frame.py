@@ -154,13 +154,11 @@ def frame_from_dict(doc: dict) -> Frame:
     """
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise InputError('frame document must have "vertices" and "edges" fields')
-    vertices = tuple(str(v) for v in doc["vertices"])
+    vertices = tuple(str(v) for v in json_array(doc["vertices"], '"vertices"'))
     edges: list[Edge] = []
     seen: set[Edge] = set()
-    for pair in doc["edges"]:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise InputError(f"edge entry {pair!r} is not a [from, to] pair")
-        e = (str(pair[0]), str(pair[1]))
+    for pair in json_array(doc["edges"], '"edges"'):
+        e = json_pair(pair, "edge")
         if e in seen:
             raise InputError(f"duplicate edge [{e[0]!r}, {e[1]!r}] in input")
         seen.add(e)
@@ -175,17 +173,35 @@ def frame_to_dict(frame: Frame) -> dict:
     }
 
 
-def load_frame(path: str) -> Frame:
+def json_array(value, what: str) -> list:
+    """value, checked to be a JSON array; what names it in the error."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON array")
+    return value
+
+
+def json_pair(entry, what: str) -> Edge:
+    """A [from, to] entry as a pair of vertex ids; what names the entry kind in the error."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        raise InputError(f"{what} entry {entry!r} is not a [from, to] pair")
+    return str(entry[0]), str(entry[1])
+
+
+def read_json(path: str, what: str):
+    """The JSON document in file path; what names the file kind in the error."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read frame file {path}: {exc}") from exc
-    return frame_from_dict(doc)
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
 
 
-def frame_to_dot(frame: Frame, name: str = "frame") -> str:
-    lines = [f"digraph {json.dumps(name)} {{"]
+def load_frame(path: str) -> Frame:
+    return frame_from_dict(read_json(path, "frame"))
+
+
+def frame_to_dot(frame: Frame) -> str:
+    lines = ['digraph "frame" {']
     for v in frame.vertices:
         lines.append(f"  {json.dumps(v)};")
     for a, b in sorted(frame.edges, key=lambda e: (frame.index[e[0]], frame.index[e[1]])):

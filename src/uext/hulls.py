@@ -15,6 +15,7 @@ from functools import cached_property
 from .errors import InputError
 from .fo import Conj, Disj, Eq, Exists, FOFormula, Forall, Impl, Neg, Rel
 from .frame import Frame, induced_subframe, relation_image
+from .syntax import fold
 
 CERT_VERSION = b"HT1"
 
@@ -215,7 +216,7 @@ def hull_formula(h: RootedGraph) -> FOFormula:
 
     def closure() -> list[FOFormula]:
         clauses: list[FOFormula] = []
-        inside = _fold_or([Eq("z", names[v]) for v in ordered])
+        inside = fold(Disj, [Eq("z", names[v]) for v in ordered])
         for v in ordered:
             if h.layers[v] < h.depth:
                 clauses.append(Forall("z", Impl(Rel(names[v], "z"), inside)))
@@ -224,24 +225,11 @@ def hull_formula(h: RootedGraph) -> FOFormula:
 
     def build(i: int) -> FOFormula:
         if i == len(ordered):
-            return _fold_and(closure() + [Eq("x", "x")])
+            return fold(Conj, closure() + [Eq("x", "x")])
         v = ordered[i]
         lits = literals_for(v, ordered[:i])
-        body = _fold_and(lits + [build(i + 1)])
+        body = fold(Conj, lits + [build(i + 1)])
         return body if v == h.root else Exists(names[v], body)
 
     return build(0)
 
-
-def _fold_and(parts: list[FOFormula]) -> FOFormula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = Conj(out, p)
-    return out
-
-
-def _fold_or(parts: list[FOFormula]) -> FOFormula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = Disj(out, p)
-    return out

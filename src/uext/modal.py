@@ -16,6 +16,7 @@ from functools import cached_property
 from .caps import env_limit
 from .errors import InputError, ResourceError
 from .frame import Frame
+from .syntax import Parser, fold
 from .ultra import UEFrame, build_ue
 
 VALUATION_LIMIT_ENV = "UEXT_VALUATION_LIMIT"
@@ -113,90 +114,22 @@ def format_modal(phi: ModalFormula) -> str:
 # ---------------------------------------------------------------------------
 # Parser: unary (~, <>, []) > & > | > ->, with -> right-associative.
 
-_MODAL_TOKEN = re.compile(r"\s*(p\d+|->|<>|\[\]|[~&|()])")
 
-
-def _tokenize_modal(text: str) -> list[tuple[str, int]]:
-    toks, pos = [], 0
-    while pos < len(text):
-        m = _MODAL_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise InputError(f"modal syntax error at position {pos}: {text[pos:pos+10]!r}")
-        toks.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return toks
-
-
-class _ModalParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize_modal(text)
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
-
-    def take(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, expected: str):
-        if self.i < len(self.toks):
-            tok, pos = self.toks[self.i]
-            raise InputError(f"modal syntax error at position {pos}: expected {expected}, got {tok!r}")
-        raise InputError(f"modal syntax error at end of input: expected {expected}")
-
-    def parse(self) -> ModalFormula:
-        phi = self.imp()
-        if self.i < len(self.toks):
-            self.fail("end of input")
-        return phi
-
-    def imp(self) -> ModalFormula:
-        left = self.disj()
-        if self.peek() == "->":
-            self.take()
-            return Imp(left, self.imp())
-        return left
-
-    def disj(self) -> ModalFormula:
-        left = self.conj()
-        while self.peek() == "|":
-            self.take()
-            left = Or(left, self.conj())
-        return left
-
-    def conj(self) -> ModalFormula:
-        left = self.unary()
-        while self.peek() == "&":
-            self.take()
-            left = And(left, self.unary())
-        return left
+class _ModalParser(Parser):
+    TOKEN = re.compile(r"\s*(p\d+|->|<>|\[\]|[~&|()])")
+    LABEL = "modal"
+    AND, OR, IMP = And, Or, Imp
+    UNARY = {"~": Not, "<>": Dia, "[]": Box}
 
     def unary(self) -> ModalFormula:
         tok = self.peek()
-        if tok == "~":
+        if tok in self.UNARY:
             self.take()
-            return Not(self.unary())
-        if tok == "<>":
-            self.take()
-            return Dia(self.unary())
-        if tok == "[]":
-            self.take()
-            return Box(self.unary())
+            return self.UNARY[tok](self.unary())
         if tok == "(":
-            self.take()
-            phi = self.imp()
-            if self.peek() != ")":
-                self.fail("')'")
-            self.take()
-            return phi
+            return self.group()
         if tok is not None and tok.startswith("p"):
-            self.take()
-            return Prop(tok)
+            return Prop(self.take())
         self.fail("a formula")
 
 
@@ -330,38 +263,41 @@ GAME_LIMIT_ENV = "UEXT_GAME_LIMIT"
 DEFAULT_GAME_LIMIT = 2**20
 
 
-def _game_letters(m1: Model, m2: Model) -> frozenset[str]:
-    return frozenset(m1.val) | frozenset(m2.val)
-
-
 def n_bisimilar(m1: Model, w1: str, m2: Model, w2: str, n: int) -> bool:
     """Exact n-round back-and-forth between two pointed models."""
     if n < 0:
         raise InputError("n must be nonnegative")
-    ls = _game_letters(m1, m2)
-    memo: dict = {}
-    return _bisim(m1, w1, m2, w2, n, ls, memo)
+    return _BisimGame(m1, m2, frozenset(m1.val) | frozenset(m2.val)).wins(w1, w2, n)
 
 
-def _bisim(m1, w1, m2, w2, k, ls, memo) -> bool:
-    key = (w1, w2, k)
-    if key in memo:
-        return memo[key]
-    limit = env_limit(GAME_LIMIT_ENV, DEFAULT_GAME_LIMIT)
-    if len(memo) > limit:
-        raise ResourceError(f"bisimulation memo exceeded cap {limit} (set {GAME_LIMIT_ENV})")
-    memo[key] = True  # harmless placeholder; the game is bounded so no real cycles
-    ok = all(m1.holds(p, w1) == m2.holds(p, w2) for p in ls)
-    if ok and k > 0:
-        ok = all(
-            any(_bisim(m1, v1, m2, v2, k - 1, ls, memo) for v2 in m2.frame.succ[w2])
-            for v1 in m1.frame.succ[w1]
-        ) and all(
-            any(_bisim(m1, v1, m2, v2, k - 1, ls, memo) for v1 in m1.frame.succ[w1])
-            for v2 in m2.frame.succ[w2]
-        )
-    memo[key] = ok
-    return ok
+class _BisimGame:
+    """Memoized bounded bisimulation game; the memo cap is read once per game."""
+
+    def __init__(self, m1: Model, m2: Model, ls):
+        self.m1, self.m2, self.ls = m1, m2, ls
+        self.memo: dict[tuple[str, str, int], bool] = {}
+        self.limit = env_limit(GAME_LIMIT_ENV, DEFAULT_GAME_LIMIT)
+
+    def wins(self, w1: str, w2: str, k: int) -> bool:
+        """Whether Duplicator survives k rounds from (w1, w2)."""
+        memo, m1, m2 = self.memo, self.m1, self.m2
+        key = (w1, w2, k)
+        if key in memo:
+            return memo[key]
+        if len(memo) > self.limit:
+            raise ResourceError(f"bisimulation memo exceeded cap {self.limit} (set {GAME_LIMIT_ENV})")
+        memo[key] = True  # harmless placeholder; the game is bounded so no real cycles
+        ok = all(m1.holds(p, w1) == m2.holds(p, w2) for p in self.ls)
+        if ok and k > 0:
+            ok = all(
+                any(self.wins(v1, v2, k - 1) for v2 in m2.frame.succ[w2])
+                for v1 in m1.frame.succ[w1]
+            ) and all(
+                any(self.wins(v1, v2, k - 1) for v1 in m1.frame.succ[w1])
+                for v2 in m2.frame.succ[w2]
+            )
+        memo[key] = ok
+        return ok
 
 
 def distinguishing_formula(m1: Model, w1: str, m2: Model, w2: str, n: int, ls) -> ModalFormula | None:
@@ -374,36 +310,26 @@ def distinguishing_formula(m1: Model, w1: str, m2: Model, w2: str, n: int, ls) -
             return Not(Prop(p))
     if n == 0:
         return None
-    memo: dict = {}
-    lsf = frozenset(ls)
+    game = _BisimGame(m1, m2, frozenset(ls))
     # forth failure: some successor of w1 that no successor of w2 matches
     for v1 in m1.frame.sort(m1.frame.succ[w1]):
-        if not any(_bisim(m1, v1, m2, v2, n - 1, lsf, memo) for v2 in m2.frame.succ[w2]):
+        if not any(game.wins(v1, v2, n - 1) for v2 in m2.frame.succ[w2]):
             parts = []
             for v2 in m2.frame.sort(m2.frame.succ[w2]):
                 d = distinguishing_formula(m1, v1, m2, v2, n - 1, ls)
                 if d is not None and d not in parts:
                     parts.append(d)
-            return Dia(_conj(parts))
+            return Dia(fold(And, parts, TOP))
     # back failure, mirrored: negate the distinguisher built from m2's side
     for v2 in m2.frame.sort(m2.frame.succ[w2]):
-        if not any(_bisim(m1, v1, m2, v2, n - 1, lsf, memo) for v1 in m1.frame.succ[w1]):
+        if not any(game.wins(v1, v2, n - 1) for v1 in m1.frame.succ[w1]):
             parts = []
             for v1 in m1.frame.sort(m1.frame.succ[w1]):
                 d = distinguishing_formula(m2, v2, m1, v1, n - 1, ls)
                 if d is not None and d not in parts:
                     parts.append(d)
-            return Not(Dia(_conj(parts)))
+            return Not(Dia(fold(And, parts, TOP)))
     return None
-
-
-def _conj(parts: list[ModalFormula]) -> ModalFormula:
-    if not parts:
-        return TOP
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
 
 
 def modally_equivalent_upto(
@@ -416,8 +342,7 @@ def modally_equivalent_upto(
     a distinguishing witness formula is synthesized from the failing round.
     """
     lsf = frozenset(ls)
-    memo: dict = {}
-    if _bisim(m1, w1, m2, w2, n, lsf, memo):
+    if _BisimGame(m1, m2, lsf).wins(w1, w2, n):
         return True, None
     witness = distinguishing_formula(m1, w1, m2, w2, n, lsf)
     if witness is None:

@@ -1,0 +1,90 @@
+"""Surface syntax shared by the modal and first-order languages.
+
+Both logics write the connectives ~ & | -> with parentheses, bind unary
+operators tightest, then &, then |, then -> (right-associative), and report
+syntax errors by character position.  A logic supplies its token pattern, its
+error label, its three binary constructors and its ``unary`` method.
+"""
+
+from __future__ import annotations
+
+import re
+from functools import reduce
+
+from .errors import InputError
+
+
+class Parser:
+    TOKEN: re.Pattern  # one token, optionally preceded by whitespace, in group 1
+    LABEL: str  # names the logic in error messages
+    AND = OR = IMP = None  # the binary constructors, set by each logic
+
+    def __init__(self, text: str):
+        self.toks: list[tuple[str, int]] = []
+        pos = 0
+        while pos < len(text):
+            m = self.TOKEN.match(text, pos)
+            if not m:
+                if text[pos:].strip() == "":
+                    break
+                raise InputError(f"{self.LABEL} syntax error at position {pos}: {text[pos:pos+10]!r}")
+            self.toks.append((m.group(1), m.start(1)))
+            pos = m.end()
+        self.i = 0
+
+    def peek(self) -> str | None:
+        return self.toks[self.i][0] if self.i < len(self.toks) else None
+
+    def take(self) -> str:
+        self.i += 1
+        return self.toks[self.i - 1][0]
+
+    def expect(self, tok: str) -> str:
+        if self.peek() != tok:
+            self.fail(repr(tok))
+        return self.take()
+
+    def fail(self, expected: str):
+        if self.i < len(self.toks):
+            tok, pos = self.toks[self.i]
+            raise InputError(f"{self.LABEL} syntax error at position {pos}: expected {expected}, got {tok!r}")
+        raise InputError(f"{self.LABEL} syntax error at end of input: expected {expected}")
+
+    def parse(self):
+        phi = self.imp()
+        if self.i < len(self.toks):
+            self.fail("end of input")
+        return phi
+
+    def imp(self):
+        left = self.disj()
+        if self.peek() == "->":
+            self.take()
+            return self.IMP(left, self.imp())
+        return left
+
+    def disj(self):
+        left = self.conj()
+        while self.peek() == "|":
+            self.take()
+            left = self.OR(left, self.conj())
+        return left
+
+    def conj(self):
+        left = self.unary()
+        while self.peek() == "&":
+            self.take()
+            left = self.AND(left, self.unary())
+        return left
+
+    def group(self):
+        """A parenthesised formula, the opening '(' not yet taken."""
+        self.take()
+        phi = self.imp()
+        self.expect(")")
+        return phi
+
+
+def fold(op, parts: list, empty=None):
+    """Left fold of parts under the binary constructor op; empty when there are none."""
+    return reduce(op, parts) if parts else empty

@@ -1,0 +1,161 @@
+"""Record the golden files in this directory from the uext on the import path.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/golden/record.py
+
+cli.json holds exit code, stdout and stderr of each subcommand on fixtures/;
+modal_parse.jsonl and fo_parse.jsonl hold seeded token strings, valid and
+invalid, each with its formatted parse or its error line.  Re-record only when
+a change means to alter these outputs.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+
+from helpers import CAP_VARS, cli_outcome, parse_outcome  # noqa: E402
+
+CORPUS_SEED = 20240527
+CORPUS_SIZE = 1000
+
+T, M = "fixtures/triangle.json", "fixtures/triangle_model.json"
+SUCC, LT, CHAINS = "fixtures/nat_succ.json", "fixtures/nat_lt.json", "fixtures/chains_lt.json"
+
+CLI_ARGV = [
+    ["ue", "build", T],
+    ["ue", "build", T, "--dot"],
+    ["ue", "build", M],
+    ["ue", "build", "fixtures/missing.json"],
+    ["ue", "cross-check", T],
+    ["modal", "eval", M, "<>p0 & []p0", "--at", "a"],
+    ["modal", "eval", M, "[]p0 -> p0", "--at", "c"],
+    ["modal", "eval", M, "<>(p0 | ~p1) -> []<>p0", "--at", "b"],
+    ["modal", "eval", M, "p0 &", "--at", "a"],
+    ["modal", "eval", M, "p0 $ p1", "--at", "a"],
+    ["modal", "eval", M, "p0", "--at", "z"],
+    ["modal", "valid", T, "[]p0 -> p0"],
+    ["modal", "valid", T, "[]p0 -> [][]p0"],
+    ["modal", "valid", T, "<>p0 -> <>p1"],
+    ["bisim", M, M, "--at1", "b", "--at2", "c", "--depth", "1"],
+    ["bisim", M, M, "--at1", "a", "--at2", "a", "--depth", "3"],
+    ["bisim", M, M, "--at1", "a", "--at2", "b", "--depth", "-1"],
+    ["fo", "eval", T, "forall x. ~R(x,x)"],
+    ["fo", "eval", T, "R(x,y)", "--let", "x=a", "--let", "y=b"],
+    ["fo", "eval", T, "exists x. forall y. (R(x,y) | x=y)"],
+    ["fo", "eval", T, "R(x,y)"],
+    ["fo", "eval", T, "exists x R(x,x)"],
+    ["fo", "eval", T, "R(x,x)", "--let", "x"],
+    ["fo", "ef", T, M],
+    ["fo", "ef", T, M, "--max-rounds", "0"],
+    ["fo", "los-like", T, "exists y. R(x,y)", "--at", "a"],
+    ["fo", "los-like", T, "R(x,x)", "--at", "b"],
+    ["fo", "los-like", T, "R(x,y)", "--at", "a"],
+    ["hull", T, "--at", "a", "--depth", "0"],
+    ["hull", T, "--at", "a", "--depth", "1", "--formula"],
+    ["hull", T, "--at", "b", "--depth", "2", "--formula"],
+    ["hull", T, "--at", "a", "--depth", "-1"],
+    ["census", SUCC, "--depth", "1"],
+    ["census", SUCC, "--depth", "2"],
+    ["census", LT, "--depth", "1"],
+    ["census", CHAINS, "--depth", "1"],
+    ["skeleton", SUCC, "--depth", "1"],
+    ["skeleton", SUCC, "--depth", "2", "--budget", "3"],
+    ["detect", "reflexive", SUCC],
+    ["detect", "reflexive", SUCC, "--chi-threshold", "1"],
+    ["detect", "reflexive", LT],
+    ["detect", "reflexive", CHAINS],
+    ["detect", "generated", SUCC],
+    ["detect", "generated", LT],
+    ["detect", "generated", CHAINS],
+    ["detect", "modal", SUCC, "--depth", "2"],
+    ["detect", "modal", SUCC, "--depth", "1", "--budget", "2"],
+    ["detect", "modal", LT],
+]
+
+# Grammar tokens and near misses; pieces are joined with random spacing, so
+# adjacent pieces can also merge into one token or into a different one.
+MODAL_NOISE = ["p", "q", "P0", "1", "-", "<", ">", "[", "]", "!", "$", "p0p1", "(", ")", "&&"]
+FO_VARS = ["x", "y", "z1", "_v", "xR"]
+FO_NOISE = ["R", "exists", "forall", "Rx", "existsx", "1", "!", "==", "=>", "-", ".", ",", "(", ")",
+            "#", "x.", "R(", "forall.", "E"]
+SPACES = ["", " ", " ", " ", "  ", "\t"]
+
+
+def modal_tokens(rng: random.Random, depth: int) -> list[str]:
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return [rng.choice(["p0", "p1", "p23"])]
+    if r < 0.5:
+        return [rng.choice(["~", "<>", "[]"])] + modal_tokens(rng, depth - 1)
+    toks = modal_tokens(rng, depth - 1) + [rng.choice(["&", "|", "->"])] + modal_tokens(rng, depth - 1)
+    return ["(", *toks, ")"] if rng.random() < 0.5 else toks
+
+
+def fo_tokens(rng: random.Random, depth: int) -> list[str]:
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        a, b = rng.choice(FO_VARS), rng.choice(FO_VARS)
+        return ["R", "(", a, ",", b, ")"] if rng.random() < 0.6 else [a, "=", b]
+    if r < 0.4:
+        return ["~"] + fo_tokens(rng, depth - 1)
+    if r < 0.6:
+        return [rng.choice(["exists", "forall"]), rng.choice(FO_VARS), "."] + fo_tokens(rng, depth - 1)
+    toks = fo_tokens(rng, depth - 1) + [rng.choice(["&", "|", "->"])] + fo_tokens(rng, depth - 1)
+    return ["(", *toks, ")"] if rng.random() < 0.5 else toks
+
+
+LOGICS = {
+    "modal": (modal_tokens, MODAL_NOISE + ["~", "<>", "[]", "&", "|", "->", "p0"]),
+    "fo": (fo_tokens, FO_NOISE + FO_VARS + ["~", "&", "|", "->", "="]),
+}
+
+
+def corpus(logic: str, seed: int, size: int) -> list[str]:
+    """size strings: a third well formed, a third mutated, a third token soup."""
+    grow, pieces = LOGICS[logic]
+    rng = random.Random(f"{logic}:{seed}")
+    out = ["", " ", "\t "]
+    while len(out) < size:
+        kind = len(out) % 3
+        if kind == 2:
+            toks = [rng.choice(pieces) for _ in range(rng.randint(1, 8))]
+        else:
+            toks = grow(rng, rng.randint(0, 4))
+            if kind == 1:
+                for _ in range(rng.randint(1, 2)):
+                    i = rng.randrange(len(toks) + 1)
+                    op = rng.randrange(3)
+                    if op == 0 and toks:
+                        del toks[min(i, len(toks) - 1)]
+                    elif op == 1:
+                        toks.insert(i, rng.choice(pieces))
+                    else:
+                        toks = toks[:i]
+        text = "".join(tok + rng.choice(SPACES) for tok in toks)
+        out.append(rng.choice(SPACES) + text)
+    return out[:size]
+
+
+def main() -> None:
+    if not Path("fixtures").is_dir():
+        sys.exit("run from the repository root")
+    for var in CAP_VARS:
+        if var in os.environ:
+            sys.exit(f"unset {var} before recording")
+    cases = [cli_outcome(argv) for argv in CLI_ARGV]
+    (HERE / "cli.json").write_text(json.dumps(cases, indent=1) + "\n")
+    for logic in LOGICS:
+        lines = [json.dumps([t, parse_outcome(logic, t)]) for t in corpus(logic, CORPUS_SEED, CORPUS_SIZE)]
+        (HERE / f"{logic}_parse.jsonl").write_text("\n".join(lines) + "\n")
+
+
+if __name__ == "__main__":
+    main()

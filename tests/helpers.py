@@ -1,9 +1,33 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and output capture for the test suite."""
 
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
-from uext import Frame
-from uext.modal import And, Box, Dia, Falsum, Imp, Not, Or, Prop
+from uext import Frame, InputError
+from uext.cli import main
+from uext.fo import format_fo, parse_fo
+from uext.modal import And, Box, Dia, Falsum, Imp, Not, Or, Prop, format_modal, parse_modal
+
+CAP_VARS = ("UEXT_POWERSET_LIMIT", "UEXT_VALUATION_LIMIT", "UEXT_GAME_LIMIT", "UEXT_EF_MEMO_LIMIT")
+PARSERS = {"modal": (parse_modal, format_modal), "fo": (parse_fo, format_fo)}
+
+
+def cli_outcome(argv: list[str]) -> dict:
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def parse_outcome(logic: str, text: str) -> str:
+    """The formatted parse of text in logic "modal" or "fo", or the CLI's error line."""
+    parse, fmt = PARSERS[logic]
+    try:
+        return fmt(parse(text))
+    except InputError as exc:
+        return f"error: {exc}"
 
 
 def random_frame(rng: random.Random, max_n: int = 6, edge_p: float = 0.35) -> Frame:

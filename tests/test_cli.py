@@ -151,3 +151,57 @@ def test_malformed_cap_is_input_error(capsys, monkeypatch, tri, tri_model, var, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {var} must be a nonnegative integer, got {value!r}\n"
+
+
+def test_negative_max_rounds_is_input_error(capsys, tri):
+    assert main(["fo", "ef", tri, tri, "--max-rounds", "-3"]) == 1
+    assert capsys.readouterr() == ("", "error: max_rounds must be nonnegative\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bisim", "m.json", "m.json", "--at1", "a", "--at2", "b", "--depth", "abc"],
+     "uext bisim: argument --depth: invalid int value: 'abc'"),
+    (["ue"], "uext ue: the following arguments are required: ue_command"),
+])
+def test_usage_error_is_input_error(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ue", "-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: uext ue")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"generator": {}}, '"generator" must be an object with a "name" string'),
+    ([SUCC], "family document must be a JSON object"),
+    ({"omega_templates": 5}, '"omega_templates" must be a JSON array'),
+    ({"rays": [{"period": {"vertices": ["a"], "edges": []}, "seam": [["a"]]}]},
+     "seam entry ['a'] is not a [from, to] pair"),
+])
+def test_malformed_family_is_input_error(capsys, tmp_path, doc, message):
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps(doc))
+    assert main(["census", str(p), "--depth", "1"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"vertices": "ab", "edges": []}, '"vertices" must be a JSON array'),
+    ({**TRI, "valuation": {"p0": "ab"}}, "valuation of 'p0' must be a JSON array"),
+    ({**TRI, "valuation": {"p0": 5}}, "valuation of 'p0' must be a JSON array"),
+])
+def test_non_array_frame_or_model_is_input_error(capsys, tmp_path, doc, message):
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    assert main(["modal", "eval", str(p), "p0", "--at", "a"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_undecodable_file_is_input_error(capsys, tmp_path):
+    p = tmp_path / "family.json"
+    p.write_bytes(b"\xff\xfe")
+    assert main(["census", str(p), "--depth", "1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read family file {p}: ")

@@ -1,0 +1,34 @@
+"""Golden outputs: the CLI on fixtures/ and both parsers on a seeded corpus.
+
+The files under tests/golden/ pin stdout, stderr and exit code byte for byte.
+A change that means to alter one of them re-records it with
+``PYTHONPATH=src python tests/golden/record.py`` and says so.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from helpers import CAP_VARS, PARSERS, cli_outcome, parse_outcome
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+CLI_CASES = json.loads((GOLDEN / "cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=[" ".join(c["argv"]) for c in CLI_CASES])
+def test_cli_golden(case, monkeypatch):
+    monkeypatch.chdir(ROOT)  # outputs name the fixture paths as given
+    for var in CAP_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert cli_outcome(case["argv"]) == case
+
+
+@pytest.mark.parametrize("logic", sorted(PARSERS))
+def test_parser_corpus(logic):
+    lines = (GOLDEN / f"{logic}_parse.jsonl").read_text().splitlines()
+    assert len(lines) >= 1000
+    for line in lines:
+        text, expected = json.loads(line)
+        assert parse_outcome(logic, text) == expected, text
