@@ -105,9 +105,10 @@ class FamilyPresentation:
 
 
 def family_from_dict(doc: dict) -> FamilyPresentation:
-    """Build a presentation from its JSON document; every field is optional."""
+    """Build a presentation from its JSON document; every field is optional, none unknown."""
     if not isinstance(doc, dict):
         raise InputError("family document must be a JSON object")
+    _known_fields(doc, ("base", "omega_templates", "rays", "generator"), "family document")
     base = frame_from_dict(doc["base"]) if "base" in doc else Frame((), frozenset())
     templates = json_array(doc.get("omega_templates", []), '"omega_templates"')
     templates = tuple(frame_from_dict(t) for t in templates)
@@ -117,6 +118,7 @@ def family_from_dict(doc: dict) -> FamilyPresentation:
         spec = doc["generator"]
         if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
             raise InputError('"generator" must be an object with a "name" string')
+        _known_fields(spec, ("name",), '"generator"')
         gen = Generator(spec["name"])
     return FamilyPresentation(base, templates, rays, gen)
 
@@ -124,9 +126,16 @@ def family_from_dict(doc: dict) -> FamilyPresentation:
 def _ray_from_dict(doc) -> Ray:
     if not isinstance(doc, dict) or "period" not in doc:
         raise InputError('ray entry must be an object with a "period" frame')
+    _known_fields(doc, ("period", "seam", "kind"), "ray entry")
     period = frame_from_dict(doc["period"])
     seam = tuple(json_pair(pair, "seam") for pair in json_array(doc.get("seam", []), '"seam"'))
     return Ray(period, seam, doc.get("kind", "ray"))
+
+
+def _known_fields(doc: dict, known: tuple[str, ...], what: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise InputError(f"{what} has unknown field {unknown[0]!r} (known: {', '.join(known)})")
 
 
 def load_family(path: str) -> FamilyPresentation:
@@ -253,12 +262,11 @@ def _census_ray(census: HullCensus, ray: Ray, n: int, tag: str) -> None:
     # scan copies outward until two consecutive copies carry the same types
     window = _ray_unroll(ray, range(0, 2 * n + 3), tag)
 
-    def copy_sig(k: int) -> tuple[str, ...]:
-        return tuple(canonical_form(hull(window, f"{tag}.{k}:{v}", n)).hex for v in ray.period.vertices)
-
+    sigs = [tuple(canonical_form(hull(window, f"{tag}.{k}:{v}", n)).hex for v in ray.period.vertices)
+            for k in range(n + 1)]
     stab = n
     for k in range(n):
-        if all(copy_sig(j) == copy_sig(n) for j in range(k, n + 1)):
+        if all(sig == sigs[n] for sig in sigs[k:]):
             stab = k
             break
     for k in range(stab):

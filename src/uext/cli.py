@@ -13,7 +13,8 @@ import sys
 from . import census as census_mod
 from .errors import DefectError, InputError, ResourceError
 from .fo import eval_fo, ef_min_rounds, format_fo, los_like_check, parse_fo
-from .frame import frame_from_dict, frame_to_dict, frame_to_dot, json_array, load_frame, read_json
+from .frame import (frame_from_dict, frame_to_dict, frame_to_dot, json_array, load_frame, read_json,
+                    vertex_id)
 from .hulls import canonical_form, endpoints, hull, hull_formula
 from .modal import Model, eval_modal, frame_valid, n_bisimilar, parse_modal
 from .ultra import Ultrafilter, build_ue
@@ -25,7 +26,7 @@ def _load_model(path: str) -> Model:
     val = doc.get("valuation", {})
     if not isinstance(val, dict):
         raise InputError("valuation must be an object mapping letters to vertex lists")
-    return Model.make(frame, {p: [str(x) for x in json_array(xs, f"valuation of {p!r}")]
+    return Model.make(frame, {p: [vertex_id(x) for x in json_array(xs, f"valuation of {p!r}")]
                               for p, xs in val.items()})
 
 

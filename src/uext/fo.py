@@ -12,9 +12,9 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .caps import env_limit
-from .errors import DefectError, InputError, ResourceError
+from .errors import DefectError, InputError
 from .frame import Frame
+from .games import Game
 from .syntax import Parser, fold
 from .ultra import Ultrafilter, build_ue
 
@@ -132,7 +132,7 @@ class _FOParser(Parser):
             self.fail("a variable name")
         return self.take()
 
-    def unary(self) -> FOFormula:
+    def operand(self) -> FOFormula:
         tok = self.peek()
         if tok == "~":
             self.take()
@@ -202,54 +202,54 @@ def _eval_fo(frame: Frame, phi: FOFormula, asg: dict[str, str]) -> bool:
 # ---------------------------------------------------------------------------
 # Ehrenfeucht-Fraisse games
 
-Pairing = frozenset[tuple[str, str]]
 
+class _EFGame(Game):
+    """Positions are the pairs played so far, in order; the memo keys on the unordered pairing."""
 
-def _partial_iso(f1: Frame, f2: Frame, pairs: Pairing) -> bool:
-    for a, b in pairs:
-        for a2, b2 in pairs:
-            if (a == a2) != (b == b2):
-                return False
-            if f1.has_edge(a, a2) != f2.has_edge(b, b2):
-                return False
-    return True
-
-
-class _EFGame:
     def __init__(self, f1: Frame, f2: Frame):
-        self.f1 = f1
-        self.f2 = f2
-        self.memo: dict[tuple[int, Pairing], bool] = {}
-        self.limit = env_limit(EF_MEMO_LIMIT_ENV, DEFAULT_EF_MEMO_LIMIT)
+        super().__init__(EF_MEMO_LIMIT_ENV, DEFAULT_EF_MEMO_LIMIT, "EF memo table")
+        self.frames, self.edges = (f1, f2), (f1.edges, f2.edges)
 
-    def duplicator_wins(self, pairs: Pairing, k: int) -> bool:
-        if not _partial_iso(self.f1, self.f2, pairs):
-            return False
-        if k == 0:
-            return True
-        key = (k, pairs)
-        if key in self.memo:
-            return self.memo[key]
-        if len(self.memo) > self.limit:
-            raise ResourceError(
-                f"EF memo table exceeded cap {self.limit} (set {EF_MEMO_LIMIT_ENV})"
-            )
-        win = all(
-            any(self.duplicator_wins(pairs | {(a, b)}, k - 1) for b in self.f2.vertices)
-            for a in self.f1.vertices
-        ) and all(
-            any(self.duplicator_wins(pairs | {(a, b)}, k - 1) for a in self.f1.vertices)
-            for b in self.f2.vertices
-        )
-        self.memo[key] = win
-        return win
+    def key(self, pos) -> frozenset[tuple[str, str]]:
+        return frozenset(pos)
+
+    def check(self, pos) -> bool:
+        """Whether the last pair keeps the map a partial isomorphism; the others were checked."""
+        if pos:
+            (a, b), (e1, e2) = pos[-1], self.edges
+            for a2, b2 in pos:
+                if ((a == a2) != (b == b2) or ((a, a2) in e1) != ((b, b2) in e2)
+                        or ((a2, a) in e1) != ((b2, b) in e2)):
+                    return False
+        return True
+
+    def moves(self, pos, board: int) -> tuple[str, ...]:
+        return self.frames[board - 1].vertices
+
+    def step(self, pos, a: str, b: str):
+        return pos + ((a, b),)
+
+    def literal(self, pos) -> FOFormula:
+        e1, e2 = self.edges
+        for i, (a, b) in enumerate(pos):
+            for j, (a2, b2) in enumerate(pos):
+                for atom, t1, t2 in ((Eq(f"x{i}", f"x{j}"), a == a2, b == b2),
+                                     (Rel(f"x{i}", f"x{j}"), (a, a2) in e1, (b, b2) in e2)):
+                    if t1 != t2:
+                        return atom if t1 else Neg(atom)
+        raise DefectError("no distinguishing literal at a non-isomorphic position")
+
+    def quantify(self, board: int, pos, parts: list) -> FOFormula:
+        var = f"x{len(pos)}"
+        return (Exists(var, fold(Conj, parts, Eq(var, var))) if board == 1
+                else Forall(var, fold(Disj, parts, Neg(Eq(var, var)))))
 
 
 def ef_equivalent(f1: Frame, f2: Frame, rounds: int) -> bool:
     """True iff Duplicator wins the k-round EF game between the two frames."""
     if rounds < 0:
         raise InputError("rounds must be nonnegative")
-    return _EFGame(f1, f2).duplicator_wins(frozenset(), rounds)
+    return _EFGame(f1, f2).wins((), rounds)
 
 
 def ef_min_rounds(f1: Frame, f2: Frame, max_rounds: int) -> int | None:
@@ -263,104 +263,31 @@ def ef_min_rounds(f1: Frame, f2: Frame, max_rounds: int) -> int | None:
 
 
 def spoiler_line(f1: Frame, f2: Frame, rounds: int) -> list[str]:
-    """One optimal Spoiler line (with Duplicator's replies) when Spoiler wins."""
-    game = _EFGame(f1, f2)
-    if game.duplicator_wins(frozenset(), rounds):
-        return []
-    line: list[str] = []
-    pairs: Pairing = frozenset()
-    k = rounds
-    while k > 0 and _partial_iso(f1, f2, pairs):
-        move = None
-        for side, frame in (("1", f1), ("2", f2)):
-            for elem in frame.vertices:
-                if side == "1":
-                    responses = [b for b in f2.vertices if game.duplicator_wins(pairs | {(elem, b)}, k - 1)]
-                else:
-                    responses = [a for a in f1.vertices if game.duplicator_wins(pairs | {(a, elem)}, k - 1)]
-                if not responses:
-                    move = (side, elem)
-                    break
-            if move:
-                break
-        if move is None:
-            raise DefectError("spoiler_line: no winning spoiler move at a losing position")
-        side, elem = move
-        line.append(f"S:{side}:{elem}")
+    """One optimal Spoiler line (with Duplicator's replies) when Spoiler wins.
 
-        # Duplicator is lost whatever it answers, but report its most
-        # stubborn reply: the one that stays alive for the most rounds.
-        def survival(p: Pairing) -> int:
-            for j in range(k - 1, -1, -1):
-                if game.duplicator_wins(p, j):
-                    return j
-            return -1
-
-        if side == "1":
-            replies = f2.vertices
-            mk = lambda b: pairs | {(elem, b)}
-            reply_side = "2"
-        else:
-            replies = f1.vertices
-            mk = lambda a: pairs | {(a, elem)}
-            reply_side = "1"
-        if not replies:
-            return line
-        reply = max(replies, key=lambda c: survival(mk(c)))
-        pairs = mk(reply)
-        line.append(f"D:{reply_side}:{reply}")
-        k -= 1
+    Duplicator is lost whatever it answers, but the line reports its most
+    stubborn reply: the one that stays alive for the most rounds.
+    """
+    game, pos, line = _EFGame(f1, f2), (), []
+    for k in range(rounds, 0, -1):
+        if game.wins(pos, k) or not game.check(pos):
+            break
+        board, move = game.spoiler_move(pos, k)
+        line.append(f"S:{board}:{move}")
+        after = {r: game.play(pos, board, move, r) for r in game.moves(pos, 3 - board)}
+        if not after:
+            break
+        survives = {r: next((j for j in range(k - 1, -1, -1) if game.wins(p, j)), -1) for r, p in after.items()}
+        reply = max(after, key=survives.__getitem__)
+        pos = after[reply]
+        line.append(f"D:{3 - board}:{reply}")
     return line
 
 
 def distinguishing_sentence(f1: Frame, f2: Frame, rounds: int) -> FOFormula | None:
     """A sentence of rank <= rounds true in f1 and false in f2, from the game tree."""
     game = _EFGame(f1, f2)
-    if game.duplicator_wins(frozenset(), rounds):
-        return None
-    return _distinguish(game, (), (), rounds)
-
-
-def _literal_distinguisher(f1, f2, ta, tb, names) -> FOFormula:
-    for i in range(len(ta)):
-        for j in range(len(ta)):
-            if (ta[i] == ta[j]) and not (tb[i] == tb[j]):
-                return Eq(names[i], names[j])
-            if (tb[i] == tb[j]) and not (ta[i] == ta[j]):
-                return Neg(Eq(names[i], names[j]))
-            if f1.has_edge(ta[i], ta[j]) and not f2.has_edge(tb[i], tb[j]):
-                return Rel(names[i], names[j])
-            if f2.has_edge(tb[i], tb[j]) and not f1.has_edge(ta[i], ta[j]):
-                return Neg(Rel(names[i], names[j]))
-    raise DefectError("no distinguishing literal at a non-isomorphic position")
-
-
-def _distinguish(game: _EFGame, ta: tuple, tb: tuple, k: int) -> FOFormula:
-    f1, f2 = game.f1, game.f2
-    names = [f"x{i}" for i in range(len(ta) + 1)]
-    if not _partial_iso(f1, f2, frozenset(zip(ta, tb))):
-        return _literal_distinguisher(f1, f2, ta, tb, names)
-    if k == 0:
-        raise DefectError("distinguishing sentence requested at a duplicator-won position")
-    var = f"x{len(ta)}"
-    # a spoiler move in f1 yields an existential; in f2 a universal
-    for a in f1.vertices:
-        if not any(game.duplicator_wins(frozenset(zip(ta + (a,), tb + (b,))), k - 1) for b in f2.vertices):
-            parts: list[FOFormula] = []
-            for b in f2.vertices:
-                d = _distinguish(game, ta + (a,), tb + (b,), k - 1)
-                if d not in parts:
-                    parts.append(d)
-            return Exists(var, fold(Conj, parts, Eq(var, var)))
-    for b in f2.vertices:
-        if not any(game.duplicator_wins(frozenset(zip(ta + (a,), tb + (b,))), k - 1) for a in f1.vertices):
-            parts = []
-            for a in f1.vertices:
-                d = _distinguish(game, ta + (a,), tb + (b,), k - 1)
-                if d not in parts:
-                    parts.append(d)
-            return Forall(var, fold(Disj, parts, Neg(Eq(var, var))))
-    raise DefectError("no winning spoiler move at a spoiler-won position")
+    return None if game.wins((), rounds) else game.distinguish((), rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def frame_from_dict(doc: dict) -> Frame:
     """
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise InputError('frame document must have "vertices" and "edges" fields')
-    vertices = tuple(str(v) for v in json_array(doc["vertices"], '"vertices"'))
+    vertices = tuple(vertex_id(v) for v in json_array(doc["vertices"], '"vertices"'))
     edges: list[Edge] = []
     seen: set[Edge] = set()
     for pair in json_array(doc["edges"], '"edges"'):
@@ -184,7 +184,14 @@ def json_pair(entry, what: str) -> Edge:
     """A [from, to] entry as a pair of vertex ids; what names the entry kind in the error."""
     if not isinstance(entry, (list, tuple)) or len(entry) != 2:
         raise InputError(f"{what} entry {entry!r} is not a [from, to] pair")
-    return str(entry[0]), str(entry[1])
+    return vertex_id(entry[0]), vertex_id(entry[1])
+
+
+def vertex_id(value) -> str:
+    """A JSON vertex id, a string or an integer, as the string that names the vertex."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
+    raise InputError(f"vertex id {json.dumps(value)} is not a string or an integer")
 
 
 def read_json(path: str, what: str):

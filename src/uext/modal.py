@@ -16,6 +16,7 @@ from functools import cached_property
 from .caps import env_limit
 from .errors import InputError, ResourceError
 from .frame import Frame
+from .games import Game
 from .syntax import Parser, fold
 from .ultra import UEFrame, build_ue
 
@@ -121,7 +122,7 @@ class _ModalParser(Parser):
     AND, OR, IMP = And, Or, Imp
     UNARY = {"~": Not, "<>": Dia, "[]": Box}
 
-    def unary(self) -> ModalFormula:
+    def operand(self) -> ModalFormula:
         tok = self.peek()
         if tok in self.UNARY:
             self.take()
@@ -263,89 +264,50 @@ GAME_LIMIT_ENV = "UEXT_GAME_LIMIT"
 DEFAULT_GAME_LIMIT = 2**20
 
 
+class _BisimGame(Game):
+    """Positions are world pairs that must agree on the letters; moves go to successors."""
+
+    def __init__(self, m1: Model, m2: Model, ls):
+        super().__init__(GAME_LIMIT_ENV, DEFAULT_GAME_LIMIT, "bisimulation memo")
+        self.ls = sorted(ls)
+        self.labels = [{w: tuple(m.holds(p, w) for p in self.ls) for w in m.frame.vertices} for m in (m1, m2)]
+        self.succ = [{w: m.frame.sort(m.frame.succ[w]) for w in m.frame.vertices} for m in (m1, m2)]
+
+    def check(self, pos) -> bool:
+        return self.labels[0][pos[0]] == self.labels[1][pos[1]]
+
+    def moves(self, pos, board: int) -> list[str]:
+        return self.succ[board - 1][pos[board - 1]]
+
+    def step(self, pos, v1: str, v2: str):
+        return v1, v2
+
+    def literal(self, pos) -> ModalFormula:
+        l1, l2 = self.labels[0][pos[0]], self.labels[1][pos[1]]
+        i = next(i for i in range(len(self.ls)) if l1[i] != l2[i])
+        return Prop(self.ls[i]) if l1[i] else Not(Prop(self.ls[i]))
+
+    def quantify(self, board: int, pos, parts: list) -> ModalFormula:
+        return Dia(fold(And, parts, TOP)) if board == 1 else Box(fold(Or, parts, Falsum()))
+
+
 def n_bisimilar(m1: Model, w1: str, m2: Model, w2: str, n: int) -> bool:
     """Exact n-round back-and-forth between two pointed models."""
     if n < 0:
         raise InputError("n must be nonnegative")
-    return _BisimGame(m1, m2, frozenset(m1.val) | frozenset(m2.val)).wins(w1, w2, n)
-
-
-class _BisimGame:
-    """Memoized bounded bisimulation game; the memo cap is read once per game."""
-
-    def __init__(self, m1: Model, m2: Model, ls):
-        self.m1, self.m2, self.ls = m1, m2, ls
-        self.memo: dict[tuple[str, str, int], bool] = {}
-        self.limit = env_limit(GAME_LIMIT_ENV, DEFAULT_GAME_LIMIT)
-
-    def wins(self, w1: str, w2: str, k: int) -> bool:
-        """Whether Duplicator survives k rounds from (w1, w2)."""
-        memo, m1, m2 = self.memo, self.m1, self.m2
-        key = (w1, w2, k)
-        if key in memo:
-            return memo[key]
-        if len(memo) > self.limit:
-            raise ResourceError(f"bisimulation memo exceeded cap {self.limit} (set {GAME_LIMIT_ENV})")
-        memo[key] = True  # harmless placeholder; the game is bounded so no real cycles
-        ok = all(m1.holds(p, w1) == m2.holds(p, w2) for p in self.ls)
-        if ok and k > 0:
-            ok = all(
-                any(self.wins(v1, v2, k - 1) for v2 in m2.frame.succ[w2])
-                for v1 in m1.frame.succ[w1]
-            ) and all(
-                any(self.wins(v1, v2, k - 1) for v1 in m1.frame.succ[w1])
-                for v2 in m2.frame.succ[w2]
-            )
-        memo[key] = ok
-        return ok
+    return _BisimGame(m1, m2, frozenset(m1.val) | frozenset(m2.val)).wins((w1, w2), n)
 
 
 def distinguishing_formula(m1: Model, w1: str, m2: Model, w2: str, n: int, ls) -> ModalFormula | None:
     """A formula of depth <= n true at (m1, w1) and false at (m2, w2), if one exists."""
-    ls = sorted(ls)
-    for p in ls:
-        if m1.holds(p, w1) and not m2.holds(p, w2):
-            return Prop(p)
-        if m2.holds(p, w2) and not m1.holds(p, w1):
-            return Not(Prop(p))
-    if n == 0:
-        return None
-    game = _BisimGame(m1, m2, frozenset(ls))
-    # forth failure: some successor of w1 that no successor of w2 matches
-    for v1 in m1.frame.sort(m1.frame.succ[w1]):
-        if not any(game.wins(v1, v2, n - 1) for v2 in m2.frame.succ[w2]):
-            parts = []
-            for v2 in m2.frame.sort(m2.frame.succ[w2]):
-                d = distinguishing_formula(m1, v1, m2, v2, n - 1, ls)
-                if d is not None and d not in parts:
-                    parts.append(d)
-            return Dia(fold(And, parts, TOP))
-    # back failure, mirrored: negate the distinguisher built from m2's side
-    for v2 in m2.frame.sort(m2.frame.succ[w2]):
-        if not any(game.wins(v1, v2, n - 1) for v1 in m1.frame.succ[w1]):
-            parts = []
-            for v1 in m1.frame.sort(m1.frame.succ[w1]):
-                d = distinguishing_formula(m2, v2, m1, v1, n - 1, ls)
-                if d is not None and d not in parts:
-                    parts.append(d)
-            return Not(Dia(fold(And, parts, TOP)))
-    return None
+    if n < 0:
+        raise InputError("n must be nonnegative")
+    game = _BisimGame(m1, m2, ls)
+    return None if game.wins((w1, w2), n) else game.distinguish((w1, w2), n)
 
 
-def modally_equivalent_upto(
-    m1: Model, w1: str, m2: Model, w2: str, n: int, ls
-) -> tuple[bool, ModalFormula | None]:
-    """Agreement on all formulas of depth <= n over the given letters.
-
-    For finite (hence image-finite) models this coincides with n-bisimilarity
-    by the Hennessy-Milner property, so the verdict is the exact game fixpoint;
-    a distinguishing witness formula is synthesized from the failing round.
-    """
-    lsf = frozenset(ls)
-    if _BisimGame(m1, m2, lsf).wins(w1, w2, n):
-        return True, None
-    witness = distinguishing_formula(m1, w1, m2, w2, n, lsf)
-    if witness is None:
-        witness = distinguishing_formula(m2, w2, m1, w1, n, lsf)
-        witness = Not(witness) if witness is not None else None
-    return False, witness
+def modally_equivalent_upto(m1: Model, w1: str, m2: Model, w2: str, n: int,
+                            ls) -> tuple[bool, ModalFormula | None]:
+    """Agreement on all formulas of depth <= n over ls (n-bisimilarity, by Hennessy-Milner), else a witness."""
+    witness = distinguishing_formula(m1, w1, m2, w2, n, ls)
+    return witness is None, witness

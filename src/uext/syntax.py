@@ -3,7 +3,12 @@
 Both logics write the connectives ~ & | -> with parentheses, bind unary
 operators tightest, then &, then |, then -> (right-associative), and report
 syntax errors by character position.  A logic supplies its token pattern, its
-error label, its three binary constructors and its ``unary`` method.
+error label, its three binary constructors and its ``operand`` method.
+
+A formula is refused when its tree is more than MAX_DEPTH nodes deep or when
+its operands (prefix operators, quantifiers and parenthesised groups) nest
+more than MAX_DEPTH deep, so that parsing, formatting and evaluating it, all
+recursive, stay well inside Python's default recursion limit.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import re
 from functools import reduce
 
 from .errors import InputError
+
+MAX_DEPTH = 100  # deepest formula tree, and deepest operand nesting, that parse accepts
 
 
 class Parser:
@@ -31,6 +38,7 @@ class Parser:
             self.toks.append((m.group(1), m.start(1)))
             pos = m.end()
         self.i = 0
+        self.level = 0  # operands open on the parse stack
 
     def peek(self) -> str | None:
         return self.toks[self.i][0] if self.i < len(self.toks) else None
@@ -50,18 +58,23 @@ class Parser:
             raise InputError(f"{self.LABEL} syntax error at position {pos}: expected {expected}, got {tok!r}")
         raise InputError(f"{self.LABEL} syntax error at end of input: expected {expected}")
 
+    def too_deep(self):
+        raise InputError(f"{self.LABEL} formula nested deeper than {MAX_DEPTH} levels")
+
     def parse(self):
         phi = self.imp()
         if self.i < len(self.toks):
             self.fail("end of input")
+        if depth(phi) > MAX_DEPTH:
+            self.too_deep()
         return phi
 
     def imp(self):
-        left = self.disj()
-        if self.peek() == "->":
+        parts = [self.disj()]
+        while self.peek() == "->":
             self.take()
-            return self.IMP(left, self.imp())
-        return left
+            parts.append(self.disj())
+        return reduce(lambda right, left: self.IMP(left, right), reversed(parts))
 
     def disj(self):
         left = self.conj()
@@ -77,12 +90,31 @@ class Parser:
             left = self.AND(left, self.unary())
         return left
 
+    def unary(self):
+        """One operand of the logic, refused once operands nest past MAX_DEPTH."""
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            self.too_deep()
+        phi = self.operand()
+        self.level -= 1
+        return phi
+
     def group(self):
         """A parenthesised formula, the opening '(' not yet taken."""
         self.take()
         phi = self.imp()
         self.expect(")")
         return phi
+
+
+def depth(phi) -> int:
+    """Nodes on the longest root-to-leaf path of a formula tree, found without recursion."""
+    deepest, todo = 0, [(phi, 1)]
+    while todo:
+        node, d = todo.pop()
+        deepest = max(deepest, d)
+        todo.extend((sub, d + 1) for sub in vars(node).values() if not isinstance(sub, str))
+    return deepest
 
 
 def fold(op, parts: list, empty=None):

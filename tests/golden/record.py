@@ -6,8 +6,9 @@ Run from the repository root:
 
 cli.json holds exit code, stdout and stderr of each subcommand on fixtures/;
 modal_parse.jsonl and fo_parse.jsonl hold seeded token strings, valid and
-invalid, each with its formatted parse or its error line.  Re-record only when
-a change means to alter these outputs.
+invalid, each with its formatted parse or its error line; games.jsonl holds
+seeded EF frame pairs and pointed model pairs with their game outputs.
+Re-record only when a change means to alter these outputs.
 """
 
 from __future__ import annotations
@@ -21,10 +22,13 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from helpers import CAP_VARS, cli_outcome, parse_outcome  # noqa: E402
+from helpers import (CAP_VARS, cli_outcome, game_outcome, model_doc, parse_outcome,  # noqa: E402
+                     random_frame, random_valuation)
+from uext import Model, frame_to_dict  # noqa: E402
 
 CORPUS_SEED = 20240527
 CORPUS_SIZE = 1000
+GAME_EF_PAIRS, GAME_MODAL_PAIRS = 200, 400
 
 T, M = "fixtures/triangle.json", "fixtures/triangle_model.json"
 SUCC, LT, CHAINS = "fixtures/nat_succ.json", "fixtures/nat_lt.json", "fixtures/chains_lt.json"
@@ -144,6 +148,22 @@ def corpus(logic: str, seed: int, size: int) -> list[str]:
     return out[:size]
 
 
+def game_cases(seed: int, ef_pairs: int, modal_pairs: int) -> list[dict]:
+    """EF pairs of frames with at most 5 points and pointed model pairs over p0, p1."""
+    rng = random.Random(f"games:{seed}")
+    cases = []
+    for _ in range(ef_pairs):
+        f1, f2 = random_frame(rng, 5), random_frame(rng, 5)
+        cases.append({"frames": [frame_to_dict(f1), frame_to_dict(f2)], "rounds": rng.randint(0, 3)})
+    for _ in range(modal_pairs):
+        m1, m2 = (Model.make(f, random_valuation(rng, f, ["p0", "p1"]))
+                  for f in (random_frame(rng, 5), random_frame(rng, 5)))
+        cases.append({"models": [model_doc(m1), model_doc(m2)],
+                      "at": [rng.choice(m1.frame.vertices), rng.choice(m2.frame.vertices)],
+                      "depth": rng.randint(0, 4), "letters": ["p0", "p1"][:rng.randint(0, 2)]})
+    return cases
+
+
 def main() -> None:
     if not Path("fixtures").is_dir():
         sys.exit("run from the repository root")
@@ -155,6 +175,8 @@ def main() -> None:
     for logic in LOGICS:
         lines = [json.dumps([t, parse_outcome(logic, t)]) for t in corpus(logic, CORPUS_SEED, CORPUS_SIZE)]
         (HERE / f"{logic}_parse.jsonl").write_text("\n".join(lines) + "\n")
+    lines = [json.dumps(game_outcome(case)) for case in game_cases(CORPUS_SEED, GAME_EF_PAIRS, GAME_MODAL_PAIRS)]
+    (HERE / "games.jsonl").write_text("\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

@@ -4,10 +4,11 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
-from uext import Frame, InputError
+from uext import Frame, InputError, Model, frame_from_dict, frame_to_dict
 from uext.cli import main
-from uext.fo import format_fo, parse_fo
-from uext.modal import And, Box, Dia, Falsum, Imp, Not, Or, Prop, format_modal, parse_modal
+from uext.fo import distinguishing_sentence, ef_min_rounds, format_fo, parse_fo, spoiler_line
+from uext.modal import (And, Box, Dia, Falsum, Imp, Not, Or, Prop, format_modal, modally_equivalent_upto,
+                        n_bisimilar, parse_modal)
 
 CAP_VARS = ("UEXT_POWERSET_LIMIT", "UEXT_VALUATION_LIMIT", "UEXT_GAME_LIMIT", "UEXT_EF_MEMO_LIMIT")
 PARSERS = {"modal": (parse_modal, format_modal), "fo": (parse_fo, format_fo)}
@@ -28,6 +29,34 @@ def parse_outcome(logic: str, text: str) -> str:
         return fmt(parse(text))
     except InputError as exc:
         return f"error: {exc}"
+
+
+def game_outcome(case: dict) -> dict:
+    """The case with the game outputs on its EF frame pair or its pointed model pair.
+
+    A modal witness is pinned only when none of its rounds is a back move
+    (Spoiler moving in the second model): a back move is written "[]...", and
+    was written "~<>..." by the build that recorded games.jsonl.
+    """
+    out = dict(case)
+    if "frames" in case:
+        f1, f2 = (frame_from_dict(doc) for doc in case["frames"])
+        k = case["rounds"]
+        phi = distinguishing_sentence(f1, f2, k)
+        out.update(min_rounds=ef_min_rounds(f1, f2, k), spoiler_line=spoiler_line(f1, f2, k),
+                   sentence=None if phi is None else format_fo(phi))
+        return out
+    m1, m2 = (Model.make(frame_from_dict(doc), doc["valuation"]) for doc in case["models"])
+    (w1, w2), n = case["at"], case["depth"]
+    _, phi = modally_equivalent_upto(m1, w1, m2, w2, n, case["letters"])
+    text = None if phi is None else format_modal(phi)
+    out.update(bisimilar=n_bisimilar(m1, w1, m2, w2, n),
+               witness=None if text is None or "~<>" in text or "[]" in text else text)
+    return out
+
+
+def model_doc(model: Model) -> dict:
+    return {**frame_to_dict(model.frame), "valuation": {p: model.frame.sort(xs) for p, xs in model.valuation}}
 
 
 def random_frame(rng: random.Random, max_n: int = 6, edge_p: float = 0.35) -> Frame:

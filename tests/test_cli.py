@@ -153,6 +153,18 @@ def test_malformed_cap_is_input_error(capsys, monkeypatch, tri, tri_model, var, 
     assert err == f"error: {var} must be a nonnegative integer, got {value!r}\n"
 
 
+@pytest.mark.parametrize("var, memo", [("UEXT_GAME_LIMIT", "bisimulation memo"),
+                                       ("UEXT_EF_MEMO_LIMIT", "EF memo table")])
+def test_game_memo_cap_is_resource_error(capsys, monkeypatch, tri, tri_model, var, memo):
+    argv = {"UEXT_GAME_LIMIT": ["bisim", tri_model, tri_model, "--at1", "a", "--at2", "a", "--depth", "2"],
+            "UEXT_EF_MEMO_LIMIT": ["fo", "ef", tri, tri_model]}[var]
+    monkeypatch.setenv(var, "1")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"resource limit: {memo} exceeded cap 1 (set {var})\n")
+    monkeypatch.setenv(var, "100")
+    assert main(argv) == 0
+
+
 def test_negative_max_rounds_is_input_error(capsys, tri):
     assert main(["fo", "ef", tri, tri, "--max-rounds", "-3"]) == 1
     assert capsys.readouterr() == ("", "error: max_rounds must be nonnegative\n")
@@ -205,3 +217,62 @@ def test_undecodable_file_is_input_error(capsys, tmp_path):
     p.write_bytes(b"\xff\xfe")
     assert main(["census", str(p), "--depth", "1"]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot read family file {p}: ")
+
+
+RAY = {"period": {"vertices": ["v"], "edges": []}, "seam": [["v", "v"]]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (TRI, "family document has unknown field 'edges' (known: base, omega_templates, rays, generator)"),
+    ({"rays": [RAY], "ray": []}, "family document has unknown field 'ray' (known: base, omega_templates, rays, "
+                                 "generator)"),
+    ({"rays": [{**RAY, "kinds": "line"}]}, "ray entry has unknown field 'kinds' (known: period, seam, kind)"),
+    ({"generator": {"name": "nat_succ", "budget": 3}}, '"generator" has unknown field \'budget\' (known: name)'),
+])
+def test_unknown_family_field_is_input_error(capsys, tmp_path, doc, message):
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps(doc))
+    assert main(["census", str(p), "--depth", "1"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("bad", [None, True, 1.5, ["a"], {"a": 1}])
+@pytest.mark.parametrize("where", ["vertices", "edges", "valuation"])
+def test_vertex_id_must_be_string_or_integer(capsys, tmp_path, where, bad):
+    doc = {"vertices": ["a", 0], "edges": [["a", 0]], "valuation": {"p0": [0]}}
+    if where == "vertices":
+        doc["vertices"].append(bad)
+    elif where == "edges":
+        doc["edges"].append(["a", bad])
+    else:
+        doc["valuation"]["p0"].append(bad)
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    assert main(["modal", "eval", str(p), "<>p0", "--at", "a"]) == 1
+    assert capsys.readouterr() == ("", f"error: vertex id {json.dumps(bad)} is not a string or an integer\n")
+
+
+def test_integer_vertex_ids_still_load(capsys, tmp_path):
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps({"vertices": ["a", 0], "edges": [["a", 0]], "valuation": {"p0": [0]}}))
+    assert run(capsys, "modal", "eval", str(p), "<>p0", "--at", "a") == (0, '{\n  "holds": true\n}\n')
+
+
+def test_seam_vertex_id_must_be_string_or_integer(capsys, tmp_path):
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps({"rays": [{**RAY, "seam": [["v", None]]}]}))
+    assert main(["census", str(p), "--depth", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: vertex id null is not a string or an integer\n")
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["modal", "eval", "fixtures/triangle_model.json", "~" * 3000 + "p0", "--at", "a"], "modal"),
+    (["modal", "eval", "fixtures/triangle_model.json", " & ".join(["p0"] * 3000), "--at", "a"], "modal"),
+    (["modal", "valid", "fixtures/triangle.json", " -> ".join(["p0"] * 3000)], "modal"),
+    (["modal", "eval", "fixtures/triangle_model.json", "(" * 3000 + "p0" + ")" * 3000, "--at", "a"], "modal"),
+    (["fo", "eval", "fixtures/triangle.json", "~" * 3000 + "x=x", "--let", "x=a"], "FO"),
+    (["fo", "eval", "fixtures/triangle.json", "exists x. " * 3000 + "x=x"], "FO"),
+])
+def test_deep_formula_is_input_error(capsys, argv, label):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {label} formula nested deeper than 100 levels\n")

@@ -1,4 +1,4 @@
-"""Golden outputs: the CLI on fixtures/ and both parsers on a seeded corpus.
+"""Golden outputs: the CLI on fixtures/, both parsers and both games on seeded corpora.
 
 The files under tests/golden/ pin stdout, stderr and exit code byte for byte.
 A change that means to alter one of them re-records it with
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import CAP_VARS, PARSERS, cli_outcome, parse_outcome
+from helpers import CAP_VARS, PARSERS, cli_outcome, game_outcome, parse_outcome
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -32,3 +32,12 @@ def test_parser_corpus(logic):
     for line in lines:
         text, expected = json.loads(line)
         assert parse_outcome(logic, text) == expected, text
+
+
+def test_game_corpus(monkeypatch):
+    for var in CAP_VARS:
+        monkeypatch.delenv(var, raising=False)
+    cases = [json.loads(line) for line in (GOLDEN / "games.jsonl").read_text().splitlines()]
+    assert len(cases) >= 600
+    for case in cases:
+        assert game_outcome(case) == case

@@ -18,8 +18,9 @@ from uext import (
     truth_membership_check,
     truth_set,
 )
-from uext.modal import And, Box, Dia, Imp, Not, Or, Prop, distinguishing_formula
+from uext.modal import And, Box, Dia, Falsum, Imp, Not, Or, Prop, distinguishing_formula
 
+import bisim_oracle
 from helpers import random_frame, random_modal, random_valuation
 
 TRI = Frame(("a", "b", "c"), frozenset([("a", "b"), ("a", "c"), ("b", "c")]))
@@ -125,14 +126,36 @@ def test_distinguishing_formula_witnesses():
 
 def test_equivalent_upto_agrees_with_game():
     rng = random.Random(23)
-    for _ in range(40):
+    verdicts = set()
+    for _ in range(400):
         f1, f2 = random_frame(rng, 4), random_frame(rng, 4)
-        m1 = Model.make(f1, random_valuation(rng, f1, ["p0"]))
-        m2 = Model.make(f2, random_valuation(rng, f2, ["p0"]))
-        w1, w2 = f1.vertices[0], f2.vertices[0]
+        letters = ["p0", "p1"]
+        m1 = Model.make(f1, random_valuation(rng, f1, letters))
+        m2 = Model.make(f2, random_valuation(rng, f2, letters))
+        w1, w2 = rng.choice(f1.vertices), rng.choice(f2.vertices)
         n = rng.randint(0, 3)
-        eq, phi = modally_equivalent_upto(m1, w1, m2, w2, n, ["p0"])
-        assert eq == n_bisimilar(m1, w1, m2, w2, n)
+        truth = bisim_oracle.n_bisimilar((f1.succ, m1.val), w1, (f2.succ, m2.val), w2, n, letters)
+        verdicts.add(truth)
+        assert n_bisimilar(m1, w1, m2, w2, n) == truth
+        eq, phi = modally_equivalent_upto(m1, w1, m2, w2, n, letters)
+        assert eq == truth
         if not eq:
             assert modal_depth(phi) <= n
-            assert eval_modal(m1, w1, phi) != eval_modal(m2, w2, phi)
+            assert eval_modal(m1, w1, phi) and not eval_modal(m2, w2, phi)
+    assert verdicts == {True, False}
+
+
+def test_back_failure_witness_is_a_box():
+    # Spoiler wins only by moving in the second model: its world has a successor
+    dead_end = Model.make(Frame(("a",), frozenset()), {})
+    one_step = Model.make(Frame(("x", "y"), frozenset([("x", "y")])), {})
+    for n in (1, 2):
+        eq, phi = modally_equivalent_upto(dead_end, "a", one_step, "x", n, [])
+        assert not eq and isinstance(phi, Box)
+        assert eval_modal(dead_end, "a", phi) and not eval_modal(one_step, "x", phi)
+    assert distinguishing_formula(one_step, "x", dead_end, "a", 1, []) == Dia(Not(Falsum()))
+    # every successor of a is matched, but x's successor z matches neither: p0 | p1 under the box
+    fork = Model.make(Frame(("a", "b", "c"), frozenset([("a", "b"), ("a", "c")])), {"p0": ["b"], "p1": ["c"]})
+    wide = Model.make(Frame(("x", "y", "u", "z"), frozenset([("x", "y"), ("x", "u"), ("x", "z")])),
+                      {"p0": ["y"], "p1": ["u"]})
+    assert modally_equivalent_upto(fork, "a", wide, "x", 1, ["p0", "p1"]) == (False, Box(Or(Prop("p0"), Prop("p1"))))
