@@ -12,7 +12,8 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .errors import DefectError, InputError
+from .caps import env_limit
+from .errors import DefectError, InputError, ResourceError
 from .frame import Frame
 from .games import Game
 from .syntax import Parser, fold
@@ -20,6 +21,8 @@ from .ultra import Ultrafilter, build_ue
 
 EF_MEMO_LIMIT_ENV = "UEXT_EF_MEMO_LIMIT"
 DEFAULT_EF_MEMO_LIMIT = 2**22
+ASSIGNMENT_LIMIT_ENV = "UEXT_ASSIGNMENT_LIMIT"
+DEFAULT_ASSIGNMENT_LIMIT = 2**22
 SENTENCE_LIMIT = 4000  # sentences_upto's hard count cap
 
 
@@ -169,34 +172,49 @@ def parse_fo(text: str) -> FOFormula:
 
 
 def eval_fo(frame: Frame, phi: FOFormula, asg: dict[str, str] | None = None) -> bool:
-    """Tarskian truth by exhaustive quantification over the finite vertex set."""
+    """Tarskian truth by exhaustive quantification over the finite vertex set.
+
+    Every assignment a quantifier tries counts toward UEXT_ASSIGNMENT_LIMIT; one
+    past it raises ResourceError.  Short-circuited assignments are never tried.
+    """
     asg = dict(asg or {})
     missing = free_vars(phi) - set(asg)
     if missing:
         raise InputError(f"unbound free variable {min(missing)!r}")
     for v in asg.values():
         frame.check_vertices([v])
-    return _eval_fo(frame, phi, asg)
+    limit = env_limit(ASSIGNMENT_LIMIT_ENV, DEFAULT_ASSIGNMENT_LIMIT)
+    tried = 0
 
+    def extend(asg: dict[str, str], var: str):
+        nonlocal tried
+        for w in frame.vertices:
+            tried += 1
+            if tried > limit:
+                raise ResourceError(f"FO evaluation tried more than {limit} assignments "
+                                    f"(set {ASSIGNMENT_LIMIT_ENV} to raise)")
+            yield {**asg, var: w}
 
-def _eval_fo(frame: Frame, phi: FOFormula, asg: dict[str, str]) -> bool:
-    if isinstance(phi, Rel):
-        return frame.has_edge(asg[phi.left], asg[phi.right])
-    if isinstance(phi, Eq):
-        return asg[phi.left] == asg[phi.right]
-    if isinstance(phi, Neg):
-        return not _eval_fo(frame, phi.sub, asg)
-    if isinstance(phi, Conj):
-        return _eval_fo(frame, phi.left, asg) and _eval_fo(frame, phi.right, asg)
-    if isinstance(phi, Disj):
-        return _eval_fo(frame, phi.left, asg) or _eval_fo(frame, phi.right, asg)
-    if isinstance(phi, Impl):
-        return (not _eval_fo(frame, phi.left, asg)) or _eval_fo(frame, phi.right, asg)
-    if isinstance(phi, Exists):
-        return any(_eval_fo(frame, phi.body, {**asg, phi.var: w}) for w in frame.vertices)
-    if isinstance(phi, Forall):
-        return all(_eval_fo(frame, phi.body, {**asg, phi.var: w}) for w in frame.vertices)
-    raise InputError(f"unknown formula node {phi!r}")
+    def holds(phi: FOFormula, asg: dict[str, str]) -> bool:
+        if isinstance(phi, Rel):
+            return frame.has_edge(asg[phi.left], asg[phi.right])
+        if isinstance(phi, Eq):
+            return asg[phi.left] == asg[phi.right]
+        if isinstance(phi, Neg):
+            return not holds(phi.sub, asg)
+        if isinstance(phi, Conj):
+            return holds(phi.left, asg) and holds(phi.right, asg)
+        if isinstance(phi, Disj):
+            return holds(phi.left, asg) or holds(phi.right, asg)
+        if isinstance(phi, Impl):
+            return (not holds(phi.left, asg)) or holds(phi.right, asg)
+        if isinstance(phi, Exists):
+            return any(holds(phi.body, a) for a in extend(asg, phi.var))
+        if isinstance(phi, Forall):
+            return all(holds(phi.body, a) for a in extend(asg, phi.var))
+        raise InputError(f"unknown formula node {phi!r}")
+
+    return holds(phi, asg)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,26 @@ class Frame:
         """Predecessor sets as int bitmasks over load order."""
         return tuple(sum(1 << self.index[s] for s in self.pred[v]) for v in self.vertices)
 
+    @cached_property
+    def _preimage_tables(self) -> tuple[list[int], ...]:
+        """One table per 8 points from bit 8c: entry b is the union of the pred_masks
+        of the points that b picks out of those 8, built by a prefix recurrence."""
+        pred, n, tables = self.pred_mask, len(self.vertices), []
+        for lo in range(0, n, 8):
+            table = [0] * (1 << min(8, n - lo))
+            for b in range(1, len(table)):
+                low = b & -b
+                table[b] = table[b ^ low] | pred[lo + low.bit_length() - 1]
+            tables.append(table)
+        return tuple(tables)
+
+    def preimage(self, x: int) -> int:
+        """R-(X) for the bitmask x: the points with a successor in X, one lookup per 8 points."""
+        out = 0
+        for c, table in enumerate(self._preimage_tables):
+            out |= table[x >> 8 * c & 0xFF]
+        return out
+
     def has_edge(self, a: str, b: str) -> bool:
         return (a, b) in self.edges
 

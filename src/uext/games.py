@@ -9,8 +9,15 @@ passed check, so check may test just what the last step added.
 
 from __future__ import annotations
 
+import sys
+
 from .caps import env_limit
 from .errors import ResourceError
+
+# wins -> spoiler_move -> its any() generator -> wins, and any()'s resumption of
+# the generator counts once more toward the recursion limit
+FRAMES_PER_ROUND = 4
+STACK_RESERVE = 200  # interpreter frames left to the callers below a game
 
 
 class Game:
@@ -18,6 +25,14 @@ class Game:
         self.memo: dict = {}
         self.limit = env_limit(limit_env, default_limit)
         self.cap_message = f"{memo_name} exceeded cap {self.limit} (set {limit_env})"
+
+    def rounds(self, k: int) -> int:
+        """k, refused before play when a k-round game would recurse past the interpreter's stack."""
+        limit = sys.getrecursionlimit()
+        if FRAMES_PER_ROUND * k + STACK_RESERVE > limit:
+            raise ResourceError(f"a {k}-round game would recurse past the interpreter's stack "
+                                f"(recursion limit {limit})")
+        return k
 
     def key(self, pos):
         return pos

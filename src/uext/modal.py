@@ -1,10 +1,10 @@
 """The basic modal language: parsing, truth, frame validity, n-bisimulation,
 and the truth-membership cross-check on ultrafilter-extension models.
 
-Box is derived (eval treats [] phi as ~<>~phi) so the diamond clause stays the
-single semantic clause.  Unknown proposition letters evaluate as false
-everywhere, which is observationally the same as extending the valuation
-with the empty set.
+Truth sets are computed bottom-up as int bitmasks over the frame's load order,
+each subformula once; [] phi is read as ~<>~phi, so R-(X) is the one modal
+step.  Unknown proposition letters evaluate as false everywhere, which is
+observationally the same as extending the valuation with the empty set.
 """
 
 from __future__ import annotations
@@ -159,45 +159,87 @@ class Model:
     def val(self) -> dict[str, frozenset[str]]:
         return dict(self.valuation)
 
+    @cached_property
+    def masks(self) -> dict[str, int]:
+        """Each letter's extension as a bitmask over the frame's load order."""
+        index = self.frame.index
+        return {p: sum(1 << index[w] for w in xs) for p, xs in self.valuation}
+
     def holds(self, p: str, w: str) -> bool:
         return w in self.val.get(p, frozenset())
 
 
+def _labeller(frame: Frame, phi: ModalFormula):
+    """phi's truth mask on frame as a function of the letters' masks.
+
+    Bottom-up labelling (Clarke, Emerson and Sistla 1986): each distinct
+    subformula gets one step, in post-order, that computes its truth set as a
+    bitmask from its operands' sets.  <>X is R-(X) and []X is W - R-(W - X); a
+    letter missing from the masks, like falsum, is false everywhere.
+    """
+    full = (1 << len(frame.vertices)) - 1
+    pre = frame.preimage
+    slots: dict[ModalFormula, int] = {}
+    steps = []
+
+    def visit(f: ModalFormula) -> int:  # recursion bounded by syntax.MAX_DEPTH
+        if f in slots:
+            return slots[f]
+        if isinstance(f, Prop):
+            name = f.name
+            step = lambda v, m: m.get(name, 0)  # noqa: E731
+        elif isinstance(f, Falsum):
+            step = lambda v, m: 0  # noqa: E731
+        elif isinstance(f, (Not, Dia, Box)):
+            a = visit(f.sub)
+            step = {Not: lambda v, m: full ^ v[a],
+                    Dia: lambda v, m: pre(v[a]),
+                    Box: lambda v, m: full ^ pre(full ^ v[a])}[type(f)]
+        elif isinstance(f, (And, Or, Imp)):
+            a, b = visit(f.left), visit(f.right)
+            step = {And: lambda v, m: v[a] & v[b],
+                    Or: lambda v, m: v[a] | v[b],
+                    Imp: lambda v, m: (full ^ v[a]) | v[b]}[type(f)]
+        else:
+            raise InputError(f"unknown formula node {f!r}")
+        slots[f] = len(steps)
+        steps.append(step)
+        return slots[f]
+
+    visit(phi)
+
+    def label(masks: dict[str, int]) -> int:
+        v: list[int] = []
+        for step in steps:
+            v.append(step(v, masks))
+        return v[-1]
+
+    return label
+
+
+def truth_mask(frame: Frame, letter_masks: dict[str, int], phi: ModalFormula) -> int:
+    """The set of worlds where phi holds, as a bitmask over load order."""
+    return _labeller(frame, phi)(letter_masks)
+
+
 def eval_modal(model: Model, w: str, phi: ModalFormula) -> bool:
-    """Standard recursive truth at a world."""
+    """Truth at a world, read off phi's truth mask."""
     model.frame.check_vertices([w])
-    return _eval(model, w, phi)
-
-
-def _eval(model: Model, w: str, phi: ModalFormula) -> bool:
-    if isinstance(phi, Prop):
-        return model.holds(phi.name, w)
-    if isinstance(phi, Falsum):
-        return False
-    if isinstance(phi, Not):
-        return not _eval(model, w, phi.sub)
-    if isinstance(phi, And):
-        return _eval(model, w, phi.left) and _eval(model, w, phi.right)
-    if isinstance(phi, Or):
-        return _eval(model, w, phi.left) or _eval(model, w, phi.right)
-    if isinstance(phi, Imp):
-        return (not _eval(model, w, phi.left)) or _eval(model, w, phi.right)
-    if isinstance(phi, Dia):
-        return any(_eval(model, v, phi.sub) for v in model.frame.succ[w])
-    if isinstance(phi, Box):
-        return not _eval(model, w, Dia(Not(phi.sub)))
-    raise InputError(f"unknown formula node {phi!r}")
+    return bool(truth_mask(model.frame, model.masks, phi) >> model.frame.index[w] & 1)
 
 
 def truth_set(model: Model, phi: ModalFormula) -> frozenset[str]:
-    return frozenset(w for w in model.frame.vertices if _eval(model, w, phi))
+    mask = truth_mask(model.frame, model.masks, phi)
+    return frozenset(w for i, w in enumerate(model.frame.vertices) if mask >> i & 1)
 
 
 def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", str] | None]:
     """Whether phi holds at every world under every valuation of its letters.
 
     Returns (valid, counterexample), the counterexample being a refuting
-    (model, world) pair or None.
+    (model, world) pair or None: the first valuation in binary order (bits
+    j*n .. j*n + n - 1 give the j-th letter in sorted order) whose truth mask
+    is not full, at its first world in load order outside that mask.
     """
     ls = sorted(letters(phi))
     n = len(frame.vertices)
@@ -208,16 +250,13 @@ def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", s
             f"frame_valid would enumerate {total} valuations, over the cap {limit} "
             f"(set {VALUATION_LIMIT_ENV} to raise)"
         )
-    verts = frame.vertices
-    for mask in range(total):
-        val = {}
-        for j, p in enumerate(ls):
-            bits = (mask >> (j * n)) & ((1 << n) - 1)
-            val[p] = frozenset(verts[i] for i in range(n) if bits & (1 << i))
-        model = Model.make(frame, val)
-        for w in verts:
-            if not _eval(model, w, phi):
-                return False, (model, w)
+    label, full, verts = _labeller(frame, phi), (1 << n) - 1, frame.vertices
+    for bits in range(total):
+        masks = {p: bits >> (j * n) & full for j, p in enumerate(ls)}
+        missed = full ^ label(masks)
+        if missed:
+            val = {p: frozenset(verts[i] for i in range(n) if m >> i & 1) for p, m in masks.items()}
+            return False, (Model.make(frame, val), verts[(missed & -missed).bit_length() - 1])
     return True, None
 
 
@@ -251,10 +290,8 @@ def truth_membership_check(ue_model: UEModel, phi: ModalFormula) -> bool:
     A false return is a defect detector, not an expected outcome.
     """
     base_truth = truth_set(ue_model.base_model, phi)
-    for u in ue_model.ue_frame.ultrafilters:
-        if _eval(ue_model.model, u.name, phi) != u.member(base_truth):
-            return False
-    return True
+    ue_truth = truth_set(ue_model.model, phi)
+    return all((u.name in ue_truth) == u.member(base_truth) for u in ue_model.ue_frame.ultrafilters)
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +328,26 @@ class _BisimGame(Game):
         return Dia(fold(And, parts, TOP)) if board == 1 else Box(fold(Or, parts, Falsum()))
 
 
-def n_bisimilar(m1: Model, w1: str, m2: Model, w2: str, n: int) -> bool:
-    """Exact n-round back-and-forth between two pointed models."""
+def _bisim_rounds(game: _BisimGame, m1: Model, m2: Model, n: int) -> int:
+    """n clipped to |W1| + |W2|: the k-bisimulation partition of the disjoint union
+    has at most that many classes, so it is stable from there on and every
+    n-bisimulation verdict past it is the same."""
     if n < 0:
         raise InputError("n must be nonnegative")
-    return _BisimGame(m1, m2, frozenset(m1.val) | frozenset(m2.val)).wins((w1, w2), n)
+    return game.rounds(min(n, len(m1.frame.vertices) + len(m2.frame.vertices)))
+
+
+def n_bisimilar(m1: Model, w1: str, m2: Model, w2: str, n: int) -> bool:
+    """Exact n-round back-and-forth between two pointed models."""
+    game = _BisimGame(m1, m2, frozenset(m1.val) | frozenset(m2.val))
+    return game.wins((w1, w2), _bisim_rounds(game, m1, m2, n))
 
 
 def distinguishing_formula(m1: Model, w1: str, m2: Model, w2: str, n: int, ls) -> ModalFormula | None:
     """A formula of depth <= n true at (m1, w1) and false at (m2, w2), if one exists."""
-    if n < 0:
-        raise InputError("n must be nonnegative")
     game = _BisimGame(m1, m2, ls)
-    return None if game.wins((w1, w2), n) else game.distinguish((w1, w2), n)
+    k = _bisim_rounds(game, m1, m2, n)
+    return None if game.wins((w1, w2), k) else game.distinguish((w1, w2), k)
 
 
 def modally_equivalent_upto(m1: Model, w1: str, m2: Model, w2: str, n: int,

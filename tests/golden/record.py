@@ -7,7 +7,10 @@ Run from the repository root:
 cli.json holds exit code, stdout and stderr of each subcommand on fixtures/;
 modal_parse.jsonl and fo_parse.jsonl hold seeded token strings, valid and
 invalid, each with its formatted parse or its error line; games.jsonl holds
-seeded EF frame pairs and pointed model pairs with their game outputs.
+seeded EF frame pairs and pointed model pairs with their game outputs;
+modal_truth.jsonl holds seeded models with a formula's truth set and its truth
+at one world, and seeded frames with a formula's validity verdict and
+counterexample.
 Re-record only when a change means to alter these outputs.
 """
 
@@ -22,13 +25,14 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from helpers import (CAP_VARS, cli_outcome, game_outcome, model_doc, parse_outcome,  # noqa: E402
-                     random_frame, random_valuation)
-from uext import Model, frame_to_dict  # noqa: E402
+from helpers import (CAP_VARS, cli_outcome, game_outcome, modal_truth_outcome, model_doc,  # noqa: E402
+                     parse_outcome, random_frame, random_modal, random_valuation)
+from uext import Model, format_modal, frame_to_dict  # noqa: E402
 
 CORPUS_SEED = 20240527
 CORPUS_SIZE = 1000
 GAME_EF_PAIRS, GAME_MODAL_PAIRS = 200, 400
+TRUTH_MODELS, VALIDITY_FRAMES = 400, 200
 
 T, M = "fixtures/triangle.json", "fixtures/triangle_model.json"
 SUCC, LT, CHAINS = "fixtures/nat_succ.json", "fixtures/nat_lt.json", "fixtures/chains_lt.json"
@@ -164,6 +168,24 @@ def game_cases(seed: int, ef_pairs: int, modal_pairs: int) -> list[dict]:
     return cases
 
 
+def modal_truth_cases(seed: int, models: int, frames: int) -> list[dict]:
+    """Models of at most 7 points with 0-2 letters and formulas of depth 0-5, then frames of
+    at most 5 points with formulas over at most 2 letters.  Formulas are kept as the text
+    the parser reads back; one over no letters is written with p0, unknown to its model."""
+    rng = random.Random(f"modal_truth:{seed}")
+    cases = []
+    for _ in range(models):
+        f = random_frame(rng, 7)
+        m = Model.make(f, random_valuation(rng, f, ["p0", "p1"][:rng.randint(0, 2)]))
+        phi = random_modal(rng, rng.randint(0, 5), ["p0", "p1", "p2"][:rng.randint(0, 3)], rng.randint(1, 16))
+        cases.append({"model": model_doc(m), "formula": format_modal(phi), "at": rng.choice(f.vertices)})
+    for _ in range(frames):
+        f = random_frame(rng, 5)
+        phi = random_modal(rng, rng.randint(0, 3), ["p0", "p1"][:rng.randint(0, 2)], rng.randint(1, 12))
+        cases.append({"frame": frame_to_dict(f), "formula": format_modal(phi)})
+    return cases
+
+
 def main() -> None:
     if not Path("fixtures").is_dir():
         sys.exit("run from the repository root")
@@ -177,6 +199,9 @@ def main() -> None:
         (HERE / f"{logic}_parse.jsonl").write_text("\n".join(lines) + "\n")
     lines = [json.dumps(game_outcome(case)) for case in game_cases(CORPUS_SEED, GAME_EF_PAIRS, GAME_MODAL_PAIRS)]
     (HERE / "games.jsonl").write_text("\n".join(lines) + "\n")
+    lines = [json.dumps(modal_truth_outcome(case))
+             for case in modal_truth_cases(CORPUS_SEED, TRUTH_MODELS, VALIDITY_FRAMES)]
+    (HERE / "modal_truth.jsonl").write_text("\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

@@ -7,10 +7,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from uext import Frame, InputError, Model, frame_from_dict, frame_to_dict
 from uext.cli import main
 from uext.fo import distinguishing_sentence, ef_min_rounds, format_fo, parse_fo, spoiler_line
-from uext.modal import (And, Box, Dia, Falsum, Imp, Not, Or, Prop, format_modal, modally_equivalent_upto,
-                        n_bisimilar, parse_modal)
+from uext.modal import (And, Box, Dia, Falsum, Imp, Not, Or, Prop, eval_modal, format_modal, frame_valid,
+                        modally_equivalent_upto, n_bisimilar, parse_modal, truth_set)
 
-CAP_VARS = ("UEXT_POWERSET_LIMIT", "UEXT_VALUATION_LIMIT", "UEXT_GAME_LIMIT", "UEXT_EF_MEMO_LIMIT")
+CAP_VARS = ("UEXT_POWERSET_LIMIT", "UEXT_VALUATION_LIMIT", "UEXT_GAME_LIMIT", "UEXT_EF_MEMO_LIMIT",
+            "UEXT_ASSIGNMENT_LIMIT")
 PARSERS = {"modal": (parse_modal, format_modal), "fo": (parse_fo, format_fo)}
 
 
@@ -52,6 +53,27 @@ def game_outcome(case: dict) -> dict:
     text = None if phi is None else format_modal(phi)
     out.update(bisimilar=n_bisimilar(m1, w1, m2, w2, n),
                witness=None if text is None or "~<>" in text or "[]" in text else text)
+    return out
+
+
+def modal_truth_outcome(case: dict) -> dict:
+    """The case with its truth set and truth at one world, or its frame validity verdict.
+
+    A counterexample is written as the CLI writes it: the refuting world and
+    each letter's sorted extension.
+    """
+    out = dict(case)
+    phi = parse_modal(case["formula"])
+    if "model" in case:
+        doc = case["model"]
+        m = Model.make(frame_from_dict(doc), doc["valuation"])
+        out.update(truth_set=m.frame.sort(truth_set(m, phi)), holds=eval_modal(m, case["at"], phi))
+        return out
+    ok, counter = frame_valid(frame_from_dict(case["frame"]), phi)
+    out.update(valid=ok, counter_world=None, counter_valuation=None)
+    if counter is not None:
+        cm, cw = counter
+        out.update(counter_world=cw, counter_valuation={p: sorted(xs) for p, xs in cm.valuation})
     return out
 
 

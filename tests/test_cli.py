@@ -140,6 +140,7 @@ CAP_COMMANDS = {
     "UEXT_GAME_LIMIT": lambda tri, model: ["bisim", model, model, "--at1", "b", "--at2", "c",
                                            "--depth", "1"],
     "UEXT_EF_MEMO_LIMIT": lambda tri, model: ["fo", "ef", tri, tri],
+    "UEXT_ASSIGNMENT_LIMIT": lambda tri, model: ["fo", "eval", tri, "forall x. ~R(x,x)"],
 }
 
 
@@ -163,6 +164,44 @@ def test_game_memo_cap_is_resource_error(capsys, monkeypatch, tri, tri_model, va
     assert capsys.readouterr() == ("", f"resource limit: {memo} exceeded cap 1 (set {var})\n")
     monkeypatch.setenv(var, "100")
     assert main(argv) == 0
+
+
+def test_deep_bisim_on_a_loop_is_clipped(capsys, tmp_path):
+    # the game used to recurse once per requested round and end in a RecursionError
+    p = tmp_path / "loop.json"
+    p.write_text(json.dumps({"vertices": ["a"], "edges": [["a", "a"]], "valuation": {}}))
+    assert main(["bisim", str(p), str(p), "--at1", "a", "--at2", "a", "--depth", "3000"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"bisimilar": True, "depth": 3000} and err == ""
+
+
+def cycle_model(tmp_path, n: int) -> str:
+    verts = [f"v{i}" for i in range(n)]
+    p = tmp_path / f"cycle{n}.json"
+    p.write_text(json.dumps({"vertices": verts, "edges": [[v, verts[(i + 1) % n]] for i, v in enumerate(verts)]}))
+    return str(p)
+
+
+def test_bisim_at_the_stack_bound(capsys, tmp_path):
+    # on a cycle every round recurses once more; two 100-cycles clip 3000 rounds to 200, the most allowed
+    p = cycle_model(tmp_path, 100)
+    assert main(["bisim", p, p, "--at1", "v0", "--at2", "v0", "--depth", "3000"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"bisimilar": True, "depth": 3000}
+    p = cycle_model(tmp_path, 101)
+    assert main(["bisim", p, p, "--at1", "v0", "--at2", "v0", "--depth", "3000"]) == 2
+    assert capsys.readouterr() == ("", "resource limit: a 202-round game would recurse past the interpreter's "
+                                       "stack (recursion limit 1000)\n")
+
+
+def test_fo_eval_assignment_cap(capsys, monkeypatch):
+    argv = ["fo", "eval", "fixtures/triangle.json", "exists x. " * 30 + "~x=x"]
+    monkeypatch.setenv("UEXT_ASSIGNMENT_LIMIT", "1000")
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "resource limit: FO evaluation tried more than 1000 assignments (set UEXT_ASSIGNMENT_LIMIT to raise)\n")
+    # only the assignments tried count: ~x=x fails at once, x=x after one assignment per quantifier
+    monkeypatch.setenv("UEXT_ASSIGNMENT_LIMIT", "30")
+    assert main(["fo", "eval", "fixtures/triangle.json", "exists x. " * 30 + "x=x"]) == 0
 
 
 def test_negative_max_rounds_is_input_error(capsys, tri):

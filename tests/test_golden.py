@@ -1,4 +1,4 @@
-"""Golden outputs: the CLI on fixtures/, both parsers and both games on seeded corpora.
+"""Golden outputs: the CLI on fixtures/, both parsers, both games and modal truth on seeded corpora.
 
 The files under tests/golden/ pin stdout, stderr and exit code byte for byte.
 A change that means to alter one of them re-records it with
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import CAP_VARS, PARSERS, cli_outcome, game_outcome, parse_outcome
+from helpers import CAP_VARS, PARSERS, cli_outcome, game_outcome, modal_truth_outcome, parse_outcome
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -41,3 +41,12 @@ def test_game_corpus(monkeypatch):
     assert len(cases) >= 600
     for case in cases:
         assert game_outcome(case) == case
+
+
+def test_modal_truth_corpus(monkeypatch):
+    for var in CAP_VARS:
+        monkeypatch.delenv(var, raising=False)
+    cases = [json.loads(line) for line in (GOLDEN / "modal_truth.jsonl").read_text().splitlines()]
+    assert sum("model" in case for case in cases) == 400 and sum("frame" in case for case in cases) == 200
+    for case in cases:
+        assert modal_truth_outcome(case) == case

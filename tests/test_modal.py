@@ -18,10 +18,11 @@ from uext import (
     truth_membership_check,
     truth_set,
 )
-from uext.modal import And, Box, Dia, Falsum, Imp, Not, Or, Prop, distinguishing_formula
+from uext.modal import TOP, And, Box, Dia, Falsum, Imp, Not, Or, Prop, distinguishing_formula, truth_mask
 
 import bisim_oracle
-from helpers import random_frame, random_modal, random_valuation
+import modal_oracle
+from helpers import all_3vertex_frames, random_frame, random_modal, random_valuation
 
 TRI = Frame(("a", "b", "c"), frozenset([("a", "b"), ("a", "c"), ("b", "c")]))
 
@@ -100,6 +101,80 @@ def test_truth_membership_on_random_models():
             assert truth_membership_check(uem, random_modal(rng, 3, ["p0", "p1"]))
 
 
+def points(frame, mask):
+    return frozenset(w for i, w in enumerate(frame.vertices) if mask >> i & 1)
+
+
+def test_truth_mask_matches_oracle():
+    rng = random.Random(31)
+    for _ in range(500):
+        f = random_frame(rng, 7)
+        m = Model.make(f, random_valuation(rng, f, ["p0", "p1"][:rng.randint(0, 2)]))
+        phi = random_modal(rng, rng.randint(0, 5), ["p0", "p1", "p2"], rng.randint(1, 20))
+        want = modal_oracle.truth_set(f.vertices, f.succ, m.val, phi)
+        assert points(f, truth_mask(f, m.masks, phi)) == want
+        assert truth_set(m, phi) == want
+        w = rng.choice(f.vertices)
+        assert eval_modal(m, w, phi) == (w in want)
+
+
+AXIOMS = ["[]p0 -> p0", "[]p0 -> [][]p0", "p0 -> []<>p0", "[]p0 -> <>p0", "(<>p0 & <>p1) -> <>(p0 & p1)"]
+
+
+@pytest.mark.parametrize("text", AXIOMS)
+def test_frame_valid_matches_oracle_on_all_3_point_frames(text):
+    phi = parse_modal(text)
+    verdicts = set()
+    for f in all_3vertex_frames():
+        ok, counter = frame_valid(f, phi)
+        want_ok, want_counter = modal_oracle.frame_valid(f.vertices, f.succ, phi)
+        verdicts.add(ok)
+        assert ok == want_ok
+        if counter is None:
+            assert want_counter is None
+        else:
+            model, w = counter
+            assert (model.val, w) == want_counter
+    assert verdicts == {True, False}
+
+
+def test_truth_mask_edge_cases():
+    empty = Frame((), frozenset())
+    assert truth_mask(empty, {}, parse_modal("<>p0 | ~p0")) == 0
+    assert truth_set(Model.make(empty, {}), TOP) == frozenset()
+    assert frame_valid(empty, parse_modal("p0 & ~p0")) == (True, None)
+    # an unknown letter and falsum are false everywhere, their negations true everywhere
+    assert truth_mask(TRI, {"p0": 0b110}, Prop("p9")) == 0
+    assert truth_mask(TRI, {"p0": 0b110}, Not(Prop("p9"))) == 0b111
+    assert truth_mask(TRI, {}, Falsum()) == 0
+    assert truth_mask(TRI, {}, TOP) == 0b111
+    # c is a dead end: every box holds there, no diamond does
+    assert truth_mask(TRI, {}, Box(Falsum())) == 0b100
+    assert truth_mask(TRI, {}, Dia(TOP)) == 0b011
+    # b's one successor is c; a sees b and c
+    assert truth_mask(TRI, {"p0": 0b100}, Box(Prop("p0"))) == 0b110
+
+
+def test_preimage_over_several_tables():
+    # 20 points need three preimage tables (8 + 8 + 4 points)
+    rng = random.Random(5)
+    verts = tuple(f"v{i}" for i in range(20))
+    f = Frame(verts, frozenset((a, b) for a in verts for b in verts if rng.random() < 0.1))
+    for _ in range(200):
+        x = rng.getrandbits(20)
+        xs = points(f, x)
+        assert points(f, f.preimage(x)) == {a for a, b in f.edges if b in xs}
+
+
+def test_corrupted_pred_mask_fails_truth_membership():
+    m = Model.make(TRI, {"p0": ["c"]})
+    phi = parse_modal("<>p0")
+    assert truth_membership_check(extend_model(m), phi)
+    uem = extend_model(m)
+    uem.model.frame.__dict__["pred_mask"] = (0,) * len(TRI.vertices)  # no point has a successor
+    assert not truth_membership_check(uem, phi)
+
+
 def test_n_bisimilar_reflexive_vs_two_cycle():
     loop = Model.make(Frame(("x",), frozenset([("x", "x")])), {})
     two = Model.make(Frame(("a", "b"), frozenset([("a", "b"), ("b", "a")])), {})
@@ -143,6 +218,23 @@ def test_equivalent_upto_agrees_with_game():
             assert modal_depth(phi) <= n
             assert eval_modal(m1, w1, phi) and not eval_modal(m2, w2, phi)
     assert verdicts == {True, False}
+
+
+def test_n_bisimilar_past_the_clip_matches_oracle():
+    # rounds are clipped to |W1| + |W2|; the oracle refines the full n rounds
+    rng = random.Random(41)
+    for _ in range(100):
+        f1, f2 = random_frame(rng, 3), random_frame(rng, 3)
+        m1 = Model.make(f1, random_valuation(rng, f1, ["p0"]))
+        m2 = Model.make(f2, random_valuation(rng, f2, ["p0"]))
+        w1, w2 = rng.choice(f1.vertices), rng.choice(f2.vertices)
+        for n in range(len(f1.vertices) + len(f2.vertices) + 4):
+            truth = bisim_oracle.n_bisimilar((f1.succ, m1.val), w1, (f2.succ, m2.val), w2, n, ["p0"])
+            assert n_bisimilar(m1, w1, m2, w2, n) == truth
+            phi = distinguishing_formula(m1, w1, m2, w2, n, ["p0"])
+            assert (phi is None) == truth
+            if phi is not None:
+                assert eval_modal(m1, w1, phi) and not eval_modal(m2, w2, phi)
 
 
 def test_back_failure_witness_is_a_box():
