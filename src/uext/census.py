@@ -12,12 +12,13 @@ generators only ever yield lower bounds.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InputError
-from .frame import Frame, boundedness, frame_from_dict, frame_to_dict, json_array, json_pair, read_json
-from .hulls import RootedGraph, canonical_form, hull
+from .frame import Frame, bits, frame_from_dict, frame_to_dict, json_array, json_pair, read_json
+from .hulls import RootedGraph, canonical_form, hull, rings
 
 OMEGA = "w"
 GENERATOR_BUDGET = 16  # generator components expanded for a census's lower bounds
@@ -64,11 +65,11 @@ def _gen_nat_succ(i: int) -> Frame:
     return Frame((str(i - 1), str(i)), frozenset([(str(i - 1), str(i))]))
 
 
-# builtin name -> (component function, declared degree bound or None)
+# builtin name -> (component function, declared degree bound, declared finite out-degree); None: undeclared
 GENERATORS = {
-    "chains_lt": (_gen_chains_lt, None),
-    "nat_lt": (_gen_nat_lt, None),
-    "nat_succ": (_gen_nat_succ, 2),
+    "chains_lt": (_gen_chains_lt, None, True),  # disjoint finite chains
+    "nat_lt": (_gen_nat_lt, None, None),
+    "nat_succ": (_gen_nat_succ, 2, True),
 }
 
 
@@ -83,6 +84,10 @@ class Generator:
     @property
     def degree_bound(self) -> int | None:
         return GENERATORS[self.name][1]
+
+    @property
+    def finite_out_degree(self) -> bool | None:
+        return GENERATORS[self.name][2]
 
     def component(self, i: int) -> Frame:
         return GENERATORS[self.name][0](i)
@@ -264,16 +269,10 @@ def _census_ray(census: HullCensus, ray: Ray, n: int, tag: str) -> None:
 
     sigs = [tuple(canonical_form(hull(window, f"{tag}.{k}:{v}", n)).hex for v in ray.period.vertices)
             for k in range(n + 1)]
-    stab = n
-    for k in range(n):
-        if all(sig == sigs[n] for sig in sigs[k:]):
-            stab = k
-            break
-    for k in range(stab):
+    stab = next(k for k in range(n + 1) if all(sig == sigs[n] for sig in sigs[k:]))
+    for k in range(stab + 1):  # copies before stab are counted once, copy stab stands for the rest
         for v in ray.period.vertices:
-            census.add(hull(window, f"{tag}.{k}:{v}", n), 1)
-    for v in ray.period.vertices:
-        census.add(hull(window, f"{tag}.{stab}:{v}", n), OMEGA)
+            census.add(hull(window, f"{tag}.{k}:{v}", n), OMEGA if k == stab else 1)
 
 
 def _census_generator(census: HullCensus, gen: Generator, n: int, budget: int) -> None:
@@ -282,22 +281,15 @@ def _census_generator(census: HullCensus, gen: Generator, n: int, budget: int) -
     small = _merge([gen.component(i) for i in range(budget)])
     large = _merge([gen.component(i) for i in range(budget + n + 1)])
     census.exact = False
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     for v in small.vertices:
-        c_small = canonical_form(hull(small, v, n)).hex
-        c_large = canonical_form(hull(large, v, n)).hex
-        if c_small == c_large:
-            census.add(hull(small, v, n), 1)
-            counts[c_small] = counts.get(c_small, 0) + 1
+        h = hull(small, v, n)
+        if canonical_form(h).hex == canonical_form(hull(large, v, n)).hex:
+            counts[census.add(h, 1)] += 1
     # types still being produced at the frontier are suspected unbounded
     half = _merge([gen.component(i) for i in range(max(1, budget // 2))])
-    half_counts: dict[str, int] = {}
-    for v in half.vertices:
-        half_counts_key = canonical_form(hull(half, v, n)).hex
-        half_counts[half_counts_key] = half_counts.get(half_counts_key, 0) + 1
-    for cert, cnt in counts.items():
-        if cnt > half_counts.get(cert, 0):
-            census.unbounded_suspected.add(cert)
+    half_counts = Counter(canonical_form(hull(half, v, n)).hex for v in half.vertices)
+    census.unbounded_suspected.update(c for c, k in counts.items() if k > half_counts[c])
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +304,9 @@ class UESkeleton:
 
 
 def _template_diameter(fam: FamilyPresentation) -> int:
-    best = 0
-    for tpl in fam.omega_templates:
-        for w in tpl.vertices:
-            best = max(best, max(hull(tpl, w, len(tpl.vertices)).layers.values(), default=0))
-    return best
+    """The largest number of undirected steps from a template vertex to one it reaches."""
+    ecc = [len(rings(t, i, len(t.vertices))) - 1 for t in fam.omega_templates for i in range(len(t.vertices))]
+    return max(ecc, default=0)
 
 
 def default_budget(fam: FamilyPresentation, n: int) -> int:
@@ -348,30 +338,34 @@ def ue_skeleton(fam: FamilyPresentation, n: int, budget: int | None = None) -> U
 # Coloring and clique bounds
 
 
+def _neighbours(frame: Frame) -> list[int]:
+    """Each vertex's neighbours in the underlying undirected graph, loops dropped, as bitmasks."""
+    return [(s | p) & ~(1 << i) for i, (s, p) in enumerate(zip(frame.succ_mask, frame.pred_mask))]
+
+
 def greedy_coloring(frame: Frame) -> dict[str, int]:
     """Proper coloring on non-loop edges, <= maxdeg+1 colors, load-order greedy."""
-    colors: dict[str, int] = {}
-    for v in frame.vertices:
-        taken = {colors[w] for w in (frame.succ[v] | frame.pred[v]) if w in colors and w != v}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-    return colors
+    colors: list[int] = []
+    for i, adj in enumerate(_neighbours(frame)):
+        taken = {colors[j] for j in bits(adj & ((1 << i) - 1))}  # the neighbours already coloured
+        colors.append(min(set(range(len(taken) + 1)) - taken))
+    return dict(zip(frame.vertices, colors))
 
 
 def clique_lower_bound(frame: Frame) -> tuple[int, list[str]]:
     """A greedy clique in the underlying undirected graph (chromatic lower bound)."""
-    adj = {v: (frame.succ[v] | frame.pred[v]) - {v} for v in frame.vertices}
-    best: list[str] = []
-    for seed in frame.vertices:
-        clique = [seed]
-        for v in frame.vertices:
-            if v != seed and all(v in adj[u] for u in clique):
-                clique.append(v)
+    adj = _neighbours(frame)
+    best: list[int] = []
+    for seed in range(len(adj)):
+        # take, in load order, each vertex adjacent to the whole clique so far
+        clique, common = [seed], adj[seed]
+        while common:
+            v = (common & -common).bit_length() - 1
+            clique.append(v)
+            common &= adj[v]
         if len(clique) > len(best):
             best = clique
-    return len(best), best
+    return len(best), [frame.vertices[i] for i in best]
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +383,7 @@ INEQUIVALENCE_SENTENCES = ("forall x. ~R(x,x)", "exists x. R(x,x)")
 
 
 def _loops(frame: Frame) -> list[str]:
-    return [v for v in frame.vertices if frame.has_edge(v, v)]
+    return [v for i, (v, row) in enumerate(zip(frame.vertices, frame.succ_mask)) if row >> i & 1]
 
 
 def reflexive_point_in_ue(fam: FamilyPresentation, chi_threshold: int) -> Verdict:
@@ -490,14 +484,14 @@ def generated_substructure_verdict(fam: FamilyPresentation) -> Verdict:
     Yes exactly when every vertex provably has finite out-degree; a vertex
     whose out-degree grows without bound across expansions is a No witness.
     """
-    if fam.generator is None or fam.generator.degree_bound is not None:
+    if fam.generator is None or fam.generator.finite_out_degree:
         return Verdict("yes", "presentation guarantees finite out-degree everywhere")
     budgets = [4, 8, 16, 32]
     degs: dict[str, list[int]] = {}
     for b in budgets:
         expansion = _merge([fam.generator.component(i) for i in range(b)])
-        for v in expansion.vertices:
-            degs.setdefault(v, []).append(len(expansion.succ[v]))
+        for v, row in zip(expansion.vertices, expansion.succ_mask):
+            degs.setdefault(v, []).append(row.bit_count())
     for v in sorted(degs, key=lambda x: (len(x), x)):
         series = degs[v]
         if len(series) == len(budgets) and all(a < b for a, b in zip(series, series[1:])):
@@ -517,16 +511,11 @@ def modal_logic_coincides(fam: FamilyPresentation, n: int, budget: int | None = 
         budget = default_budget(fam, n)
     census = hull_census(fam, n)
     expansion = expand(fam, budget)
-    hull_certs = {v: canonical_form(hull(expansion, v, n)).hex for v in expansion.vertices}
-    matches: dict[str, str] = {}
-    unmatched: list[str] = []
-    for cert in census.omega_types():
-        for v in expansion.vertices:
-            if hull_certs[v] == cert:
-                matches[cert] = v
-                break
-        else:
-            unmatched.append(cert)
+    first: dict[str, str] = {}  # each hull type's first vertex in load order
+    for v in expansion.vertices:
+        first.setdefault(canonical_form(hull(expansion, v, n)).hex, v)
+    matches = {cert: first[cert] for cert in census.omega_types() if cert in first}
+    unmatched = [cert for cert in census.omega_types() if cert not in first]
     report = {"depth": n, "budget": budget, "matches": matches, "unmatched": unmatched}
     return not unmatched, report
 

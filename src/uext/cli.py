@@ -55,7 +55,6 @@ def cmd_ue_cross_check(args) -> int:
 def cmd_modal_eval(args) -> int:
     model = _load_model(args.model)
     phi = parse_modal(args.formula)
-    model.frame.check_vertices([args.at])
     _emit({"holds": eval_modal(model, args.at, phi)})
     return 0
 
@@ -75,8 +74,6 @@ def cmd_modal_valid(args) -> int:
 
 def cmd_bisim(args) -> int:
     m1, m2 = _load_model(args.model1), _load_model(args.model2)
-    m1.frame.check_vertices([args.at1])
-    m2.frame.check_vertices([args.at2])
     _emit({"bisimilar": n_bisimilar(m1, args.at1, m2, args.at2, args.depth),
            "depth": args.depth})
     return 0
@@ -115,7 +112,6 @@ def cmd_fo_los_like(args) -> int:
 
 def cmd_hull(args) -> int:
     frame = load_frame(args.frame)
-    frame.check_vertices([args.at])
     h = hull(frame, args.at, args.depth)
     doc = {
         "root": h.root,
@@ -152,15 +148,13 @@ def cmd_skeleton(args) -> int:
 
 def cmd_detect(args) -> int:
     fam = census_mod.load_family(args.family)
-    if args.property == "reflexive":
-        v = census_mod.reflexive_point_in_ue(fam, args.chi_threshold)
-        _emit({"verdict": v.kind, "evidence": v.evidence, "data": v.data})
-    elif args.property == "generated":
-        v = census_mod.generated_substructure_verdict(fam)
-        _emit({"verdict": v.kind, "evidence": v.evidence, "data": v.data})
-    else:  # modal
+    if args.property == "modal":
         ok, report = census_mod.modal_logic_coincides(fam, args.depth, args.budget)
         _emit({"coincides": ok, "report": report})
+        return 0
+    v = (census_mod.reflexive_point_in_ue(fam, args.chi_threshold) if args.property == "reflexive"
+         else census_mod.generated_substructure_verdict(fam))
+    _emit({"verdict": v.kind, "evidence": v.evidence, "data": v.data})
     return 0
 
 

@@ -174,30 +174,30 @@ def parse_fo(text: str) -> FOFormula:
 def eval_fo(frame: Frame, phi: FOFormula, asg: dict[str, str] | None = None) -> bool:
     """Tarskian truth by exhaustive quantification over the finite vertex set.
 
-    Every assignment a quantifier tries counts toward UEXT_ASSIGNMENT_LIMIT; one
-    past it raises ResourceError.  Short-circuited assignments are never tried.
+    Variables are bound to vertex indices and atoms read off succ_mask.  Every
+    assignment a quantifier tries counts toward UEXT_ASSIGNMENT_LIMIT; one past
+    it raises ResourceError.  Short-circuited assignments are never tried.
     """
-    asg = dict(asg or {})
+    asg = asg or {}
     missing = free_vars(phi) - set(asg)
     if missing:
         raise InputError(f"unbound free variable {min(missing)!r}")
-    for v in asg.values():
-        frame.check_vertices([v])
+    asg = {var: frame.position(v) for var, v in asg.items()}
     limit = env_limit(ASSIGNMENT_LIMIT_ENV, DEFAULT_ASSIGNMENT_LIMIT)
-    tried = 0
+    succ, tried = frame.succ_mask, 0
 
-    def extend(asg: dict[str, str], var: str):
+    def extend(asg: dict[str, int], var: str):
         nonlocal tried
-        for w in frame.vertices:
+        for w in range(len(succ)):
             tried += 1
             if tried > limit:
                 raise ResourceError(f"FO evaluation tried more than {limit} assignments "
                                     f"(set {ASSIGNMENT_LIMIT_ENV} to raise)")
             yield {**asg, var: w}
 
-    def holds(phi: FOFormula, asg: dict[str, str]) -> bool:
+    def holds(phi: FOFormula, asg: dict[str, int]) -> bool:
         if isinstance(phi, Rel):
-            return frame.has_edge(asg[phi.left], asg[phi.right])
+            return bool(succ[asg[phi.left]] >> asg[phi.right] & 1)
         if isinstance(phi, Eq):
             return asg[phi.left] == asg[phi.right]
         if isinstance(phi, Neg):
@@ -222,37 +222,38 @@ def eval_fo(frame: Frame, phi: FOFormula, asg: dict[str, str] | None = None) -> 
 
 
 class _EFGame(Game):
-    """Positions are the pairs played so far, in order; the memo keys on the unordered pairing."""
+    """Positions are the pairs of vertex indices played so far, in order; the memo keys on
+    the unordered pairing."""
 
     def __init__(self, f1: Frame, f2: Frame):
         super().__init__(EF_MEMO_LIMIT_ENV, DEFAULT_EF_MEMO_LIMIT, "EF memo table")
-        self.frames, self.edges = (f1, f2), (f1.edges, f2.edges)
+        self.frames, self.rows = (f1, f2), (f1.succ_mask, f2.succ_mask)
 
-    def key(self, pos) -> frozenset[tuple[str, str]]:
+    def key(self, pos) -> frozenset[tuple[int, int]]:
         return frozenset(pos)
 
     def check(self, pos) -> bool:
         """Whether the last pair keeps the map a partial isomorphism; the others were checked."""
         if pos:
-            (a, b), (e1, e2) = pos[-1], self.edges
+            (a, b), (s1, s2) = pos[-1], self.rows
             for a2, b2 in pos:
-                if ((a == a2) != (b == b2) or ((a, a2) in e1) != ((b, b2) in e2)
-                        or ((a2, a) in e1) != ((b2, b) in e2)):
+                if ((a == a2) != (b == b2) or (s1[a] >> a2 & 1) != (s2[b] >> b2 & 1)
+                        or (s1[a2] >> a & 1) != (s2[b2] >> b & 1)):
                     return False
         return True
 
-    def moves(self, pos, board: int) -> tuple[str, ...]:
-        return self.frames[board - 1].vertices
+    def moves(self, pos, board: int) -> range:
+        return range(len(self.rows[board - 1]))
 
-    def step(self, pos, a: str, b: str):
+    def step(self, pos, a: int, b: int):
         return pos + ((a, b),)
 
     def literal(self, pos) -> FOFormula:
-        e1, e2 = self.edges
+        s1, s2 = self.rows
         for i, (a, b) in enumerate(pos):
             for j, (a2, b2) in enumerate(pos):
                 for atom, t1, t2 in ((Eq(f"x{i}", f"x{j}"), a == a2, b == b2),
-                                     (Rel(f"x{i}", f"x{j}"), (a, a2) in e1, (b, b2) in e2)):
+                                     (Rel(f"x{i}", f"x{j}"), s1[a] >> a2 & 1, s2[b] >> b2 & 1)):
                     if t1 != t2:
                         return atom if t1 else Neg(atom)
         raise DefectError("no distinguishing literal at a non-isomorphic position")
@@ -263,21 +264,32 @@ class _EFGame(Game):
                 else Forall(var, fold(Disj, parts, Neg(Eq(var, var)))))
 
 
-def ef_equivalent(f1: Frame, f2: Frame, rounds: int) -> bool:
-    """True iff Duplicator wins the k-round EF game between the two frames."""
+def _clipped(f1: Frame, f2: Frame, rounds: int) -> int:
+    """rounds clipped to max(|F1|, |F2|) + 1: a sentence of that rank pins a frame of at most
+    max(|F1|, |F2|) points up to isomorphism, so no verdict changes past it."""
     if rounds < 0:
         raise InputError("rounds must be nonnegative")
-    return _EFGame(f1, f2).wins((), rounds)
+    return min(rounds, max(len(f1.vertices), len(f2.vertices)) + 1)
+
+
+def _ef_game(f1: Frame, f2: Frame, rounds: int) -> tuple[_EFGame, int]:
+    """A game between the frames and its clipped rounds, refused before play if they would
+    recurse past the interpreter's stack."""
+    game = _EFGame(f1, f2)
+    return game, game.rounds(_clipped(f1, f2, rounds))
+
+
+def ef_equivalent(f1: Frame, f2: Frame, rounds: int) -> bool:
+    """True iff Duplicator wins the k-round EF game between the two frames."""
+    game, k = _ef_game(f1, f2, rounds)
+    return game.wins((), k)
 
 
 def ef_min_rounds(f1: Frame, f2: Frame, max_rounds: int) -> int | None:
     """Smallest k <= max_rounds at which Spoiler wins, or None."""
     if max_rounds < 0:
         raise InputError("max_rounds must be nonnegative")
-    for k in range(max_rounds + 1):
-        if not ef_equivalent(f1, f2, k):
-            return k
-    return None
+    return next((k for k in range(_clipped(f1, f2, max_rounds) + 1) if not ef_equivalent(f1, f2, k)), None)
 
 
 def spoiler_line(f1: Frame, f2: Frame, rounds: int) -> list[str]:
@@ -286,26 +298,26 @@ def spoiler_line(f1: Frame, f2: Frame, rounds: int) -> list[str]:
     Duplicator is lost whatever it answers, but the line reports its most
     stubborn reply: the one that stays alive for the most rounds.
     """
-    game, pos, line = _EFGame(f1, f2), (), []
+    (game, rounds), pos, line = _ef_game(f1, f2, rounds), (), []
     for k in range(rounds, 0, -1):
         if game.wins(pos, k) or not game.check(pos):
             break
         board, move = game.spoiler_move(pos, k)
-        line.append(f"S:{board}:{move}")
+        line.append(f"S:{board}:{game.frames[board - 1].vertices[move]}")
         after = {r: game.play(pos, board, move, r) for r in game.moves(pos, 3 - board)}
         if not after:
             break
         survives = {r: next((j for j in range(k - 1, -1, -1) if game.wins(p, j)), -1) for r, p in after.items()}
         reply = max(after, key=survives.__getitem__)
         pos = after[reply]
-        line.append(f"D:{3 - board}:{reply}")
+        line.append(f"D:{3 - board}:{game.frames[2 - board].vertices[reply]}")
     return line
 
 
 def distinguishing_sentence(f1: Frame, f2: Frame, rounds: int) -> FOFormula | None:
     """A sentence of rank <= rounds true in f1 and false in f2, from the game tree."""
-    game = _EFGame(f1, f2)
-    return None if game.wins((), rounds) else game.distinguish((), rounds)
+    game, k = _ef_game(f1, f2, rounds)
+    return None if game.wins((), k) else game.distinguish((), k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Finite directed graphs and the powerset operations everything else builds on.
 
-Vertices are opaque string ids.  The vertex tuple fixes the load order; every
-set-valued result is reported sorted by that order so outputs are
-deterministic and diff-stable.
+Vertex ids are strings only at the I/O boundary: loaders, JSON and DOT output,
+and the names in witnesses.  Below it a vertex is its index in the vertex
+tuple (the load order) and a set of vertices is an int bitmask whose bit i is
+vertices[i]; successor and predecessor sets are the rows succ_mask and
+pred_mask, built once from the edges.  Every set-valued result is reported in
+load order, so outputs are deterministic and diff-stable.
 """
 
 from __future__ import annotations
@@ -10,11 +13,32 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InputError
 
 Edge = tuple[str, str]
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The indices of mask's set bits, lowest (first in load order) first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _byte_tables(rows: tuple[int, ...]) -> tuple[list[int], ...]:
+    """One table per 8 points from bit 8c: entry b is the union of the rows of the
+    points that b picks out of those 8, built by a prefix recurrence."""
+    n, tables = len(rows), []
+    for lo in range(0, n, 8):
+        table = [0] * (1 << min(8, n - lo))
+        for b in range(1, len(table)):
+            low = b & -b
+            table[b] = table[b ^ low] | rows[lo + low.bit_length() - 1]
+        tables.append(table)
+    return tuple(tables)
 
 
 @dataclass(frozen=True)
@@ -35,70 +59,68 @@ class Frame:
                 raise InputError(f"edge ({a!r}, {b!r}) has an endpoint outside the vertex set")
 
     @cached_property
-    def vertex_set(self) -> frozenset[str]:
-        return frozenset(self.vertices)
-
-    @cached_property
     def index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    @cached_property
-    def succ(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            out[a].add(b)
-        return {v: frozenset(s) for v, s in out.items()}
-
-    @cached_property
-    def pred(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            out[b].add(a)
-        return {v: frozenset(s) for v, s in out.items()}
+    def _rows(self, end: int) -> tuple[int, ...]:
+        rows, index = [0] * len(self.vertices), self.index
+        for e in self.edges:
+            rows[index[e[end]]] |= 1 << index[e[1 - end]]
+        return tuple(rows)
 
     @cached_property
     def succ_mask(self) -> tuple[int, ...]:
         """Successor sets as int bitmasks over load order (bit i is vertices[i])."""
-        return tuple(sum(1 << self.index[s] for s in self.succ[v]) for v in self.vertices)
+        return self._rows(0)
 
     @cached_property
     def pred_mask(self) -> tuple[int, ...]:
         """Predecessor sets as int bitmasks over load order."""
-        return tuple(sum(1 << self.index[s] for s in self.pred[v]) for v in self.vertices)
+        return self._rows(1)
 
     @cached_property
-    def _preimage_tables(self) -> tuple[list[int], ...]:
-        """One table per 8 points from bit 8c: entry b is the union of the pred_masks
-        of the points that b picks out of those 8, built by a prefix recurrence."""
-        pred, n, tables = self.pred_mask, len(self.vertices), []
-        for lo in range(0, n, 8):
-            table = [0] * (1 << min(8, n - lo))
-            for b in range(1, len(table)):
-                low = b & -b
-                table[b] = table[b ^ low] | pred[lo + low.bit_length() - 1]
-            tables.append(table)
-        return tuple(tables)
+    def _image_tables(self) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
+        return _byte_tables(self.pred_mask), _byte_tables(self.succ_mask)
 
-    def preimage(self, x: int) -> int:
-        """R-(X) for the bitmask x: the points with a successor in X, one lookup per 8 points."""
+    def image(self, x: int, forward: bool) -> int:
+        """R+(X) if forward, else R-(X), for the bitmask x: one table lookup per 8 points."""
         out = 0
-        for c, table in enumerate(self._preimage_tables):
+        for c, table in enumerate(self._image_tables[forward]):
             out |= table[x >> 8 * c & 0xFF]
         return out
 
     def has_edge(self, a: str, b: str) -> bool:
         return (a, b) in self.edges
 
-    def sort(self, xs: Iterable[str]) -> list[str]:
-        """Sort vertices by load order (the canonical output order)."""
-        return sorted(xs, key=self.index.__getitem__)
-
     def check_vertices(self, xs: Iterable[str]) -> frozenset[str]:
         xs = frozenset(xs)
-        unknown = xs - self.vertex_set
+        unknown = [x for x in xs if x not in self.index]
         if unknown:
             raise InputError(f"unknown vertex {min(unknown)!r}")
         return xs
+
+    def position(self, w: str) -> int:
+        """The load-order index of vertex w; an unknown name is an InputError."""
+        if w not in self.index:
+            raise InputError(f"unknown vertex {w!r}")
+        return self.index[w]
+
+    def mask(self, xs: Iterable[str]) -> int:
+        """The bitmask of a set of vertex names; an unknown name is an InputError."""
+        return sum(1 << self.index[x] for x in self.check_vertices(xs))
+
+    def names(self, mask: int) -> list[str]:
+        """The vertices in a bitmask, in load order."""
+        return [self.vertices[i] for i in bits(mask)]
+
+    def sorted_edges(self, mask: int = -1) -> list[Edge]:
+        """The edges between the vertices in a bitmask (all by default), in load order."""
+        verts, succ, full = self.vertices, self.succ_mask, (1 << len(self.vertices)) - 1
+        return [(verts[i], verts[j]) for i in bits(mask & full) for j in bits(succ[i] & mask)]
+
+    def restrict(self, mask: int) -> Frame:
+        """The subframe induced by a bitmask, its vertices in load order."""
+        return Frame(tuple(self.names(mask)), frozenset(self.sorted_edges(mask)))
 
 
 @dataclass(frozen=True)
@@ -124,36 +146,32 @@ def relation_image(frame: Frame, x: Iterable[str], mode: str) -> frozenset[str]:
     mode 'forward'  -> R+(X) = {s : exists w in X with Rws}
     mode 'backward' -> R-(X) = {w : exists s in X with Rws}
     mode 'both'     -> R-(X) | R+(X)
-    mode 'box'      -> l_R(X) = {w : every successor of w lies in X}
+    mode 'box'      -> l_R(X) = {w : every successor of w lies in X} = W - R-(W - X)
     """
-    xs = frame.check_vertices(x)
+    xs, full = frame.mask(x), (1 << len(frame.vertices)) - 1
     if mode == "forward":
-        return frozenset().union(*(frame.succ[w] for w in xs)) if xs else frozenset()
-    if mode == "backward":
-        return frozenset().union(*(frame.pred[s] for s in xs)) if xs else frozenset()
-    if mode == "both":
-        return relation_image(frame, xs, "backward") | relation_image(frame, xs, "forward")
-    if mode == "box":
-        return frozenset(w for w in frame.vertices if frame.succ[w] <= xs)
-    raise InputError(f"unknown relation_image mode {mode!r}")
+        out = frame.image(xs, True)
+    elif mode == "backward":
+        out = frame.image(xs, False)
+    elif mode == "both":
+        out = frame.image(xs, True) | frame.image(xs, False)
+    elif mode == "box":
+        out = full ^ frame.image(full ^ xs, False)
+    else:
+        raise InputError(f"unknown relation_image mode {mode!r}")
+    return frozenset(frame.names(out))
 
 
 def degree(frame: Frame, w: str) -> DegreeReport:
     """Out/in degree of a vertex; a self-loop counts once in each direction."""
-    frame.check_vertices([w])
-    return DegreeReport(len(frame.succ[w]), len(frame.pred[w]))
+    i = frame.position(w)
+    return DegreeReport(frame.succ_mask[i].bit_count(), frame.pred_mask[i].bit_count())
 
 
 def boundedness(frame: Frame) -> Boundedness:
     """Per-frame degree maxima; all zero on the empty frame."""
-    reports = [degree(frame, w) for w in frame.vertices]
-    if not reports:
-        return Boundedness(0, 0, 0)
-    return Boundedness(
-        max(r.deg_plus for r in reports),
-        max(r.deg_minus for r in reports),
-        max(r.deg for r in reports),
-    )
+    outs, ins = [r.bit_count() for r in frame.succ_mask], [r.bit_count() for r in frame.pred_mask]
+    return Boundedness(max(outs, default=0), max(ins, default=0), max(map(sum, zip(outs, ins)), default=0))
 
 
 def reverse(frame: Frame) -> Frame:
@@ -162,9 +180,7 @@ def reverse(frame: Frame) -> Frame:
 
 
 def induced_subframe(frame: Frame, xs: Iterable[str]) -> Frame:
-    xs = frame.check_vertices(xs)
-    verts = tuple(v for v in frame.vertices if v in xs)
-    return Frame(verts, frozenset((a, b) for a, b in frame.edges if a in xs and b in xs))
+    return frame.restrict(frame.mask(xs))
 
 
 def frame_from_dict(doc: dict) -> Frame:
@@ -189,7 +205,7 @@ def frame_from_dict(doc: dict) -> Frame:
 def frame_to_dict(frame: Frame) -> dict:
     return {
         "vertices": list(frame.vertices),
-        "edges": [[a, b] for a, b in sorted(frame.edges, key=lambda e: (frame.index[e[0]], frame.index[e[1]]))],
+        "edges": [[a, b] for a, b in frame.sorted_edges()],
     }
 
 
@@ -231,7 +247,7 @@ def frame_to_dot(frame: Frame) -> str:
     lines = ['digraph "frame" {']
     for v in frame.vertices:
         lines.append(f"  {json.dumps(v)};")
-    for a, b in sorted(frame.edges, key=lambda e: (frame.index[e[0]], frame.index[e[1]])):
+    for a, b in frame.sorted_edges():
         lines.append(f"  {json.dumps(a)} -> {json.dumps(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,10 +14,28 @@ from functools import cached_property
 
 from .errors import InputError
 from .fo import Conj, Disj, Eq, Exists, FOFormula, Forall, Impl, Neg, Rel
-from .frame import Frame, induced_subframe, relation_image
+from .frame import Frame, bits
 from .syntax import fold
 
 CERT_VERSION = b"HT1"
+
+
+def rings(g: Frame, root: int, n: int) -> list[int]:
+    """Undirected BFS from vertex index root for at most n steps, as one bitmask per
+    distance from 0 up; it stops as soon as a step reaches nothing new."""
+    succ, pred = g.succ_mask, g.pred_mask
+    seen = frontier = 1 << root
+    out = [frontier]
+    for _ in range(n):
+        nxt = 0
+        for i in bits(frontier):
+            nxt |= succ[i] | pred[i]
+        frontier = nxt & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+        out.append(frontier)
+    return out
 
 
 @dataclass(frozen=True)
@@ -34,17 +52,15 @@ class RootedGraph:
     @cached_property
     def layers(self) -> dict[str, int]:
         """Undirected BFS distance from the root within the hull."""
-        dist = {self.root: 0}
-        frontier = [self.root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in self.graph.succ[v] | self.graph.pred[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        return dist
+        g = self.graph
+        by_distance = rings(g, g.index[self.root], len(g.vertices))
+        return {v: d for d, ring in enumerate(by_distance) for v in g.names(ring)}
+
+    @cached_property
+    def order(self) -> list[int]:
+        """Vertex indices by distance from the root, then load order; unreached vertices last."""
+        n = len(self.graph.vertices)
+        return sorted(range(n), key=lambda i: (self.layers.get(self.graph.vertices[i], n), i))
 
 
 @dataclass(frozen=True)
@@ -59,14 +75,11 @@ class HullType:
 
 
 def hull(frame: Frame, w: str, n: int) -> RootedGraph:
-    """The n-Hull of w: iterate the both-direction neighborhood n times from {w}."""
-    frame.check_vertices([w])
+    """The n-Hull of w: the points within n undirected steps of w, and the edges among them."""
+    root = frame.position(w)
     if n < 0:
         raise InputError("hull depth must be nonnegative")
-    reach = frozenset([w])
-    for _ in range(n):
-        reach = reach | relation_image(frame, reach, "both")
-    return RootedGraph(induced_subframe(frame, reach), w, n)
+    return RootedGraph(frame.restrict(sum(rings(frame, root, n))), w, n)  # the rings are disjoint
 
 
 def endpoints(h: RootedGraph) -> frozenset[str]:
@@ -76,55 +89,46 @@ def endpoints(h: RootedGraph) -> frozenset[str]:
     return frozenset(v for v, d in h.layers.items() if d == h.depth)
 
 
-def _initial_colors(h: RootedGraph) -> dict[str, int]:
-    g = h.graph
-    sig = {
-        v: (v == h.root, len(g.succ[v]), len(g.pred[v]), g.has_edge(v, v))
-        for v in g.vertices
-    }
-    ranks = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-    return {v: ranks[sig[v]] for v in g.vertices}
+def _adjacency(g: Frame) -> tuple[list[list[int]], list[list[int]]]:
+    """Successor and predecessor index lists, read once per labelling."""
+    return [list(bits(row)) for row in g.succ_mask], [list(bits(row)) for row in g.pred_mask]
 
 
-def _refine(g: Frame, colors: dict[str, int]) -> dict[str, int]:
+def _initial_colors(h: RootedGraph, adj) -> list[int]:
+    (succ, pred), root = adj, h.graph.index[h.root]
+    sig = [(i == root, len(succ[i]), len(pred[i]), i in succ[i]) for i in range(len(succ))]
+    ranks = {s: c for c, s in enumerate(sorted(set(sig)))}
+    return [ranks[s] for s in sig]
+
+
+def _refine(adj, colors: list[int]) -> list[int]:
+    succ, pred = adj
     while True:
-        sig = {
-            v: (
-                colors[v],
-                tuple(sorted(colors[w] for w in g.succ[v])),
-                tuple(sorted(colors[w] for w in g.pred[v])),
-            )
-            for v in g.vertices
-        }
-        ranks = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {v: ranks[sig[v]] for v in g.vertices}
-        if len(set(new.values())) == len(set(colors.values())):
+        sig = [(colors[i], tuple(sorted([colors[j] for j in s])), tuple(sorted([colors[j] for j in p])))
+               for i, (s, p) in enumerate(zip(succ, pred))]
+        ranks = {s: c for c, s in enumerate(sorted(set(sig)))}
+        new = [ranks[s] for s in sig]
+        if len(ranks) == len(set(colors)):
             return new
         colors = new
 
 
-def _canonical_bytes(h: RootedGraph, colors: dict[str, int]) -> bytes:
-    g = h.graph
-    cells: dict[int, list[str]] = {}
-    for v in g.vertices:
-        cells.setdefault(colors[v], []).append(v)
-    target = None
-    for c in sorted(cells):
-        if len(cells[c]) > 1:
-            target = cells[c]
-            break
+def _canonical_bytes(h: RootedGraph, adj, colors: list[int]) -> bytes:
+    cells: dict[int, list[int]] = {}
+    for i, c in enumerate(colors):
+        cells.setdefault(c, []).append(i)
+    target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
     if target is None:
-        order = sorted(g.vertices, key=colors.__getitem__)
-        pos = {v: i for i, v in enumerate(order)}
-        edges = sorted((pos[a], pos[b]) for a, b in g.edges)
-        body = f"n={len(order)};root={pos[h.root]};edges={edges}"
+        # refined colours are ranks 0..n-1, so a discrete colouring is the vertex order
+        edges = sorted((colors[a], colors[b]) for a, row in enumerate(adj[0]) for b in row)
+        body = f"n={len(colors)};root={colors[h.graph.index[h.root]]};edges={edges}"
         return CERT_VERSION + b"|" + body.encode()
     best = None
-    fresh = max(colors.values()) + 1
-    for v in target:
-        branched = dict(colors)
-        branched[v] = fresh
-        cert = _canonical_bytes(h, _refine(g, branched))
+    fresh = max(colors) + 1
+    for i in target:
+        branched = list(colors)
+        branched[i] = fresh
+        cert = _canonical_bytes(h, adj, _refine(adj, branched))
         if best is None or cert < best:
             best = cert
     return best
@@ -132,50 +136,47 @@ def _canonical_bytes(h: RootedGraph, colors: dict[str, int]) -> bytes:
 
 def canonical_form(h: RootedGraph) -> HullType:
     """Deterministic certificate; equal certificates iff rooted isomorphism."""
-    colors = _refine(h.graph, _initial_colors(h))
-    return HullType(_canonical_bytes(h, colors), len(h.graph.vertices), h.depth)
+    adj = _adjacency(h.graph)
+    colors = _refine(adj, _initial_colors(h, adj))
+    return HullType(_canonical_bytes(h, adj, colors), len(h.graph.vertices), h.depth)
 
 
 def rooted_iso(h1: RootedGraph, h2: RootedGraph) -> tuple[bool, dict[str, str] | None]:
     """Exact root-preserving digraph isomorphism with a witness mapping."""
     g1, g2 = h1.graph, h2.graph
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+    n = len(g1.vertices)
+    if n != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False, None
-    c1 = _refine(g1, _initial_colors(h1))
-    c2 = _refine(g2, _initial_colors(h2))
-    if sorted(c1.values()) != sorted(c2.values()):
+    a1, a2 = _adjacency(g1), _adjacency(g2)
+    c1, c2 = _refine(a1, _initial_colors(h1, a1)), _refine(a2, _initial_colors(h2, a2))
+    if sorted(c1) != sorted(c2):
         return False, None
+    s1, s2, r1, r2 = g1.succ_mask, g2.succ_mask, g1.index[h1.root], g2.index[h2.root]
 
-    # map in BFS-from-root order so each new vertex is constrained immediately
-    order = sorted(g1.vertices, key=lambda v: (h1.layers.get(v, len(g1.vertices)), g1.index[v]))
+    def fits(a: int, b: int, mapping: dict[int, int]) -> bool:
+        """Whether a -> b keeps every edge to, from and between the mapped vertices."""
+        return (s1[a] >> a & 1) == (s2[b] >> b & 1) and all(
+            (s1[a] >> a2 & 1) == (s2[b] >> b2 & 1) and (s1[a2] >> a & 1) == (s2[b2] >> b & 1)
+            for a2, b2 in mapping.items())
 
-    def backtrack(i: int, mapping: dict[str, str], used: set[str]):
-        if i == len(order):
+    def backtrack(i: int, mapping: dict[int, int], used: int):
+        if i == n:
             return dict(mapping)
-        a = order[i]
-        candidates = [h2.root] if a == h1.root else [
-            b for b in g2.vertices if b not in used and c2[b] == c1[a] and (b == h2.root) == (a == h1.root)
-        ]
+        a = h1.order[i]  # BFS from the root, so each new vertex is constrained at once
+        candidates = [r2] if a == r1 else [b for b in range(n) if c2[b] == c1[a] and b != r2]
         for b in candidates:
-            if b in used:
-                continue
-            ok = True
-            for a2, b2 in mapping.items():
-                if g1.has_edge(a, a2) != g2.has_edge(b, b2) or g1.has_edge(a2, a) != g2.has_edge(b2, b):
-                    ok = False
-                    break
-            if ok and g1.has_edge(a, a) == g2.has_edge(b, b):
+            if not used >> b & 1 and fits(a, b, mapping):
                 mapping[a] = b
-                used.add(b)
-                res = backtrack(i + 1, mapping, used)
+                res = backtrack(i + 1, mapping, used | 1 << b)
                 if res is not None:
                     return res
                 del mapping[a]
-                used.discard(b)
         return None
 
-    witness = backtrack(0, {}, set())
-    return (witness is not None), witness
+    witness = backtrack(0, {}, 0)
+    if witness is None:
+        return False, None
+    return True, {g1.vertices[a]: g2.vertices[b] for a, b in witness.items()}
 
 
 def hull_formula(h: RootedGraph) -> FOFormula:
@@ -188,14 +189,8 @@ def hull_formula(h: RootedGraph) -> FOFormula:
     the quantified set; outside-neighbors of layer-n vertices stay free.
     """
     g = h.graph
-    others = sorted(
-        (v for v in g.vertices if v != h.root),
-        key=lambda v: (h.layers.get(v, len(g.vertices)), g.index[v]),
-    )
-    names = {h.root: "x"}
-    for i, v in enumerate(others):
-        names[v] = f"y{i + 1}"
-    ordered = [h.root] + others
+    ordered = [g.vertices[i] for i in h.order]  # the root first
+    names = {v: f"y{i}" if i else "x" for i, v in enumerate(ordered)}
 
     def literals_for(v: str, prior: list[str]) -> list[FOFormula]:
         lits: list[FOFormula] = []

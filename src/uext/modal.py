@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .caps import env_limit
 from .errors import InputError, ResourceError
-from .frame import Frame
+from .frame import Frame, bits
 from .games import Game
 from .syntax import Parser, fold
 from .ultra import UEFrame, build_ue
@@ -165,9 +165,6 @@ class Model:
         index = self.frame.index
         return {p: sum(1 << index[w] for w in xs) for p, xs in self.valuation}
 
-    def holds(self, p: str, w: str) -> bool:
-        return w in self.val.get(p, frozenset())
-
 
 def _labeller(frame: Frame, phi: ModalFormula):
     """phi's truth mask on frame as a function of the letters' masks.
@@ -178,7 +175,7 @@ def _labeller(frame: Frame, phi: ModalFormula):
     letter missing from the masks, like falsum, is false everywhere.
     """
     full = (1 << len(frame.vertices)) - 1
-    pre = frame.preimage
+    image = frame.image
     slots: dict[ModalFormula, int] = {}
     steps = []
 
@@ -193,8 +190,8 @@ def _labeller(frame: Frame, phi: ModalFormula):
         elif isinstance(f, (Not, Dia, Box)):
             a = visit(f.sub)
             step = {Not: lambda v, m: full ^ v[a],
-                    Dia: lambda v, m: pre(v[a]),
-                    Box: lambda v, m: full ^ pre(full ^ v[a])}[type(f)]
+                    Dia: lambda v, m: image(v[a], False),
+                    Box: lambda v, m: full ^ image(full ^ v[a], False)}[type(f)]
         elif isinstance(f, (And, Or, Imp)):
             a, b = visit(f.left), visit(f.right)
             step = {And: lambda v, m: v[a] & v[b],
@@ -224,13 +221,11 @@ def truth_mask(frame: Frame, letter_masks: dict[str, int], phi: ModalFormula) ->
 
 def eval_modal(model: Model, w: str, phi: ModalFormula) -> bool:
     """Truth at a world, read off phi's truth mask."""
-    model.frame.check_vertices([w])
-    return bool(truth_mask(model.frame, model.masks, phi) >> model.frame.index[w] & 1)
+    return bool(truth_mask(model.frame, model.masks, phi) >> model.frame.position(w) & 1)
 
 
 def truth_set(model: Model, phi: ModalFormula) -> frozenset[str]:
-    mask = truth_mask(model.frame, model.masks, phi)
-    return frozenset(w for i, w in enumerate(model.frame.vertices) if mask >> i & 1)
+    return frozenset(model.frame.names(truth_mask(model.frame, model.masks, phi)))
 
 
 def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", str] | None]:
@@ -251,11 +246,11 @@ def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", s
             f"(set {VALUATION_LIMIT_ENV} to raise)"
         )
     label, full, verts = _labeller(frame, phi), (1 << n) - 1, frame.vertices
-    for bits in range(total):
-        masks = {p: bits >> (j * n) & full for j, p in enumerate(ls)}
+    for code in range(total):
+        masks = {p: code >> (j * n) & full for j, p in enumerate(ls)}
         missed = full ^ label(masks)
         if missed:
-            val = {p: frozenset(verts[i] for i in range(n) if m >> i & 1) for p, m in masks.items()}
+            val = {p: frame.names(m) for p, m in masks.items()}
             return False, (Model.make(frame, val), verts[(missed & -missed).bit_length() - 1])
     return True, None
 
@@ -302,21 +297,23 @@ DEFAULT_GAME_LIMIT = 2**20
 
 
 class _BisimGame(Game):
-    """Positions are world pairs that must agree on the letters; moves go to successors."""
+    """Positions are pairs of world indices that must agree on the letters; moves go to
+    successors, in load order."""
 
     def __init__(self, m1: Model, m2: Model, ls):
         super().__init__(GAME_LIMIT_ENV, DEFAULT_GAME_LIMIT, "bisimulation memo")
         self.ls = sorted(ls)
-        self.labels = [{w: tuple(m.holds(p, w) for p in self.ls) for w in m.frame.vertices} for m in (m1, m2)]
-        self.succ = [{w: m.frame.sort(m.frame.succ[w]) for w in m.frame.vertices} for m in (m1, m2)]
+        self.labels = [[tuple(bool(m.masks.get(p, 0) >> i & 1) for p in self.ls)
+                        for i in range(len(m.frame.vertices))] for m in (m1, m2)]
+        self.successors = [[list(bits(row)) for row in m.frame.succ_mask] for m in (m1, m2)]
 
     def check(self, pos) -> bool:
         return self.labels[0][pos[0]] == self.labels[1][pos[1]]
 
-    def moves(self, pos, board: int) -> list[str]:
-        return self.succ[board - 1][pos[board - 1]]
+    def moves(self, pos, board: int) -> list[int]:
+        return self.successors[board - 1][pos[board - 1]]
 
-    def step(self, pos, v1: str, v2: str):
+    def step(self, pos, v1: int, v2: int):
         return v1, v2
 
     def literal(self, pos) -> ModalFormula:
@@ -328,26 +325,27 @@ class _BisimGame(Game):
         return Dia(fold(And, parts, TOP)) if board == 1 else Box(fold(Or, parts, Falsum()))
 
 
-def _bisim_rounds(game: _BisimGame, m1: Model, m2: Model, n: int) -> int:
-    """n clipped to |W1| + |W2|: the k-bisimulation partition of the disjoint union
-    has at most that many classes, so it is stable from there on and every
-    n-bisimulation verdict past it is the same."""
+def _bisim_start(game, m1: Model, w1: str, m2: Model, w2: str, n: int) -> tuple[tuple[int, int], int]:
+    """The position of the two worlds, and n clipped to |W1| + |W2|: the k-bisimulation
+    partition of the disjoint union has at most that many classes, so it is stable from
+    there on and every n-bisimulation verdict past it is the same."""
+    pos = (m1.frame.position(w1), m2.frame.position(w2))
     if n < 0:
         raise InputError("n must be nonnegative")
-    return game.rounds(min(n, len(m1.frame.vertices) + len(m2.frame.vertices)))
+    return pos, game.rounds(min(n, len(m1.frame.vertices) + len(m2.frame.vertices)))
 
 
 def n_bisimilar(m1: Model, w1: str, m2: Model, w2: str, n: int) -> bool:
     """Exact n-round back-and-forth between two pointed models."""
     game = _BisimGame(m1, m2, frozenset(m1.val) | frozenset(m2.val))
-    return game.wins((w1, w2), _bisim_rounds(game, m1, m2, n))
+    return game.wins(*_bisim_start(game, m1, w1, m2, w2, n))
 
 
 def distinguishing_formula(m1: Model, w1: str, m2: Model, w2: str, n: int, ls) -> ModalFormula | None:
     """A formula of depth <= n true at (m1, w1) and false at (m2, w2), if one exists."""
     game = _BisimGame(m1, m2, ls)
-    k = _bisim_rounds(game, m1, m2, n)
-    return None if game.wins((w1, w2), k) else game.distinguish((w1, w2), k)
+    pos, k = _bisim_start(game, m1, w1, m2, w2, n)
+    return None if game.wins(pos, k) else game.distinguish(pos, k)
 
 
 def modally_equivalent_upto(m1: Model, w1: str, m2: Model, w2: str, n: int,

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .caps import env_limit
 from .errors import DefectError, InputError, ResourceError
-from .frame import Frame, relation_image
+from .frame import Frame
 
 POWERSET_LIMIT_ENV = "UEXT_POWERSET_LIMIT"
 DEFAULT_POWERSET_LIMIT = 16
@@ -120,10 +120,6 @@ class UEFrame:
     def frame(self) -> Frame:
         """The extension viewed as a plain Frame over ids ``pi:<original id>``."""
         return Frame(tuple(u.name for u in self.ultrafilters), self.ue_edges)
-
-    def by_point(self, w: str) -> Ultrafilter:
-        self.base.check_vertices([w])
-        return Ultrafilter(self.base, w)
 
 
 def build_ue(frame: Frame) -> UEFrame:
@@ -239,11 +235,10 @@ def ultrafilter_road_delta(
     if not first.member(x):
         raise InputError("base set X must belong to the first waypoint ultrafilter")
     frame = first.frame
-    delta = frame.check_vertices(x)
+    delta = frame.mask(x)
     for i, direction in enumerate(road.directions):
-        mode = "forward" if direction == "R" else "backward"
-        delta = relation_image(frame, delta, mode) & distinguishers[i + 1]
-    return delta
+        delta = frame.image(delta, direction == "R") & frame.mask(distinguishers[i + 1] & frame.index.keys())
+    return frozenset(frame.names(delta))
 
 
 def length_zero_delta(x: frozenset[str]) -> frozenset[str]:

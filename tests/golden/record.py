@@ -10,7 +10,11 @@ invalid, each with its formatted parse or its error line; games.jsonl holds
 seeded EF frame pairs and pointed model pairs with their game outputs;
 modal_truth.jsonl holds seeded models with a formula's truth set and its truth
 at one world, and seeded frames with a formula's validity verdict and
-counterexample.
+counterexample; hulls.jsonl holds seeded frames, stars and K_mm+root shapes
+with a hull's certificate, layers, endpoints and formula, the four relation
+images of a subset, a colouring and a clique, then pairs of hulls (relabelled
+copies among them) with their rooted isomorphism, then seeded families with
+census, skeleton and the three detector outputs.
 Re-record only when a change means to alter these outputs.
 """
 
@@ -25,14 +29,16 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from helpers import (CAP_VARS, cli_outcome, game_outcome, modal_truth_outcome, model_doc,  # noqa: E402
-                     parse_outcome, random_frame, random_modal, random_valuation)
-from uext import Model, format_modal, frame_to_dict  # noqa: E402
+from helpers import (CAP_VARS, cli_outcome, game_outcome, hull_outcome, modal_truth_outcome,  # noqa: E402
+                     model_doc, parse_outcome, random_bounded_frame, random_frame, random_modal,
+                     random_valuation)
+from uext import Frame, Model, format_modal, frame_to_dict  # noqa: E402
 
 CORPUS_SEED = 20240527
 CORPUS_SIZE = 1000
 GAME_EF_PAIRS, GAME_MODAL_PAIRS = 200, 400
 TRUTH_MODELS, VALIDITY_FRAMES = 400, 200
+HULL_FRAMES, HULL_PAIRS, HULL_FAMILIES = 150, 100, 60
 
 T, M = "fixtures/triangle.json", "fixtures/triangle_model.json"
 SUCC, LT, CHAINS = "fixtures/nat_succ.json", "fixtures/nat_lt.json", "fixtures/chains_lt.json"
@@ -186,6 +192,73 @@ def modal_truth_cases(seed: int, models: int, frames: int) -> list[dict]:
     return cases
 
 
+def star(k: int) -> Frame:
+    return Frame(("c",) + tuple(f"l{i}" for i in range(k)), frozenset(("c", f"l{i}") for i in range(k)))
+
+
+def kmm_root(m: int) -> Frame:
+    a, b = [f"a{i}" for i in range(m)], [f"b{i}" for i in range(m)]
+    return Frame(tuple(["r"] + a + b), frozenset([("r", x) for x in a] + [(x, y) for x in a for y in b]))
+
+
+def relabelled(rng: random.Random, f: Frame) -> tuple[Frame, dict[str, str]]:
+    """f under fresh names in a shuffled load order, and the renaming."""
+    names = dict(zip(f.vertices, rng.sample([f"u{i}" for i in range(len(f.vertices))], len(f.vertices))))
+    order = rng.sample(list(f.vertices), len(f.vertices))
+    return Frame(tuple(names[v] for v in order), frozenset((names[a], names[b]) for a, b in f.edges)), names
+
+
+def loop_free(f: Frame) -> Frame:
+    return Frame(f.vertices, frozenset((a, b) for a, b in f.edges if a != b))
+
+
+def small_ray(rng: random.Random) -> dict:
+    period = loop_free(random_frame(rng, 3, 0.3))
+    verts = period.vertices
+    seam = sorted({(rng.choice(verts), rng.choice(verts)) for _ in range(rng.randint(1, 2))})
+    return {"period": frame_to_dict(period), "seam": [list(e) for e in seam], "kind": rng.choice(["ray", "line"])}
+
+
+def hull_cases(seed: int, frames: int, pairs: int, families: int) -> list[dict]:
+    """Frames of at most 9 points, stars with 1-6 leaves and K_mm+root with m <= 4, each with a
+    root, a depth of 0-3 and a subset; then pairs of hulls; then families, mostly loop-free.  The families' builtin
+    generators are nat_succ and nat_lt: chains_lt's verdicts are pinned by cli.json."""
+    rng = random.Random(f"hulls:{seed}")
+    shapes = [star(k) for k in range(1, 7)] + [kmm_root(m) for m in range(1, 5)]
+    cases = []
+    for i in range(frames):
+        f = shapes[i] if i < len(shapes) else (
+            random_bounded_frame(rng, 9, 3) if i % 2 else random_frame(rng, 9, rng.choice([0.1, 0.2, 0.3])))
+        cases.append({"frame": frame_to_dict(f), "root": rng.choice(f.vertices), "depth": rng.choice([0, 1, 2, 2, 3]),
+                      "subset": [v for v in f.vertices if rng.random() < 0.4]})
+    for i in range(pairs):
+        f1 = shapes[i] if i < len(shapes) else random_bounded_frame(rng, 8, 3)
+        r1 = rng.choice(f1.vertices)
+        kind = i % 3
+        if kind == 0:  # a relabelled copy: isomorphic
+            f2, names = relabelled(rng, f1)
+            r2 = names[r1]
+        elif kind == 1:  # the same frame at another root
+            f2, r2 = f1, rng.choice(f1.vertices)
+        else:  # an unrelated frame
+            f2 = random_bounded_frame(rng, 8, 3)
+            r2 = rng.choice(f2.vertices)
+        cases.append({"pair": [frame_to_dict(f1), frame_to_dict(f2)], "roots": [r1, r2],
+                      "depth": rng.randint(0, 3)})
+    for _ in range(families):
+        doc: dict = {}
+        part = lambda f: frame_to_dict(f if rng.random() < 0.3 else loop_free(f))  # noqa: E731
+        if rng.random() < 0.6:
+            doc["base"] = part(random_bounded_frame(rng, 5, 2))
+        doc["omega_templates"] = [part(random_bounded_frame(rng, 4, 2)) for _ in range(rng.randint(0, 2))]
+        doc["rays"] = [small_ray(rng) for _ in range(rng.randint(0, 2))]
+        gen = rng.choice([None, None, "nat_succ", "nat_lt"])
+        if gen is not None:
+            doc["generator"] = {"name": gen}
+        cases.append({"family": doc, "depth": rng.randint(0, 2), "chi_threshold": rng.randint(1, 10)})
+    return cases
+
+
 def main() -> None:
     if not Path("fixtures").is_dir():
         sys.exit("run from the repository root")
@@ -202,6 +275,8 @@ def main() -> None:
     lines = [json.dumps(modal_truth_outcome(case))
              for case in modal_truth_cases(CORPUS_SEED, TRUTH_MODELS, VALIDITY_FRAMES)]
     (HERE / "modal_truth.jsonl").write_text("\n".join(lines) + "\n")
+    lines = [json.dumps(hull_outcome(case)) for case in hull_cases(CORPUS_SEED, HULL_FRAMES, HULL_PAIRS, HULL_FAMILIES)]
+    (HERE / "hulls.jsonl").write_text("\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,12 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
-from uext import Frame, InputError, Model, frame_from_dict, frame_to_dict
+import json
+
+from uext import (Frame, InputError, Model, canonical_form, endpoints, family_from_dict, frame_from_dict,
+                  frame_to_dict, generated_substructure_verdict, greedy_coloring, hull, hull_census, hull_formula,
+                  modal_logic_coincides, reflexive_point_in_ue, relation_image, rooted_iso, ue_skeleton)
+from uext.census import census_to_dict, clique_lower_bound
 from uext.cli import main
 from uext.fo import distinguishing_sentence, ef_min_rounds, format_fo, parse_fo, spoiler_line
 from uext.modal import (And, Box, Dia, Falsum, Imp, Not, Or, Prop, eval_modal, format_modal, frame_valid,
@@ -67,7 +72,7 @@ def modal_truth_outcome(case: dict) -> dict:
     if "model" in case:
         doc = case["model"]
         m = Model.make(frame_from_dict(doc), doc["valuation"])
-        out.update(truth_set=m.frame.sort(truth_set(m, phi)), holds=eval_modal(m, case["at"], phi))
+        out.update(truth_set=in_load_order(m.frame, truth_set(m, phi)), holds=eval_modal(m, case["at"], phi))
         return out
     ok, counter = frame_valid(frame_from_dict(case["frame"]), phi)
     out.update(valid=ok, counter_world=None, counter_valuation=None)
@@ -77,8 +82,66 @@ def modal_truth_outcome(case: dict) -> dict:
     return out
 
 
+def successors(frame: Frame) -> dict[str, frozenset[str]]:
+    """Each vertex's successor set, read off the edges (the shape the oracles take)."""
+    out: dict[str, set[str]] = {v: set() for v in frame.vertices}
+    for a, b in frame.edges:
+        out[a].add(b)
+    return {v: frozenset(s) for v, s in out.items()}
+
+
+def in_load_order(frame: Frame, xs) -> list[str]:
+    return [v for v in frame.vertices if v in xs]
+
+
+def hull_outcome(case: dict) -> dict:
+    """The case with what the hull and census layers say about its frame, hull pair or family.
+
+    Sets are written in load order and maps keyed in load order, so the record
+    does not depend on string-hash order.  An input error is written as its line.
+    """
+    out = dict(case)
+    if "frame" in case:
+        f = frame_from_dict(case["frame"])
+        h = hull(f, case["root"], case["depth"])
+        order = lambda xs: [v for v in h.graph.vertices if v in xs]  # noqa: E731
+        out.update(certificate=canonical_form(h).hex, layers={v: h.layers[v] for v in order(h.layers)},
+                   endpoints=order(endpoints(h)) if h.depth >= 1 else None,
+                   formula=format_fo(hull_formula(h)),
+                   images={mode: [v for v in f.vertices if v in relation_image(f, case["subset"], mode)]
+                           for mode in ("forward", "backward", "both", "box")},
+                   coloring=greedy_coloring(f), clique=list(clique_lower_bound(f)))
+    elif "pair" in case:
+        (f1, f2), (r1, r2), n = (frame_from_dict(d) for d in case["pair"]), case["roots"], case["depth"]
+        h1, h2 = hull(f1, r1, n), hull(f2, r2, n)
+        iso, witness = rooted_iso(h1, h2)
+        out.update(iso=iso, witness=None if witness is None else {v: witness[v] for v in h1.graph.vertices})
+    else:
+        fam, n = family_from_dict(case["family"]), case["depth"]
+
+        def attempt(fn):
+            try:
+                return fn()
+            except InputError as exc:
+                return f"error: {exc}"
+
+        def skeleton():
+            sk = ue_skeleton(fam, n)
+            return {"frame": frame_to_dict(sk.frame), "provenance": sk.provenance,
+                    "census": census_to_dict(sk.census)}
+
+        def verdict(v):
+            return {"verdict": v.kind, "evidence": v.evidence, "data": v.data}
+
+        out.update(census=attempt(lambda: census_to_dict(hull_census(fam, n))), skeleton=attempt(skeleton),
+                   reflexive=attempt(lambda: verdict(reflexive_point_in_ue(fam, case["chi_threshold"]))),
+                   generated=attempt(lambda: verdict(generated_substructure_verdict(fam))),
+                   modal=attempt(lambda: dict(zip(("coincides", "report"), modal_logic_coincides(fam, n)))))
+    return json.loads(json.dumps(out))
+
+
 def model_doc(model: Model) -> dict:
-    return {**frame_to_dict(model.frame), "valuation": {p: model.frame.sort(xs) for p, xs in model.valuation}}
+    return {**frame_to_dict(model.frame), "valuation": {p: in_load_order(model.frame, xs) for p, xs in model.valuation}}
 
 
 def random_frame(rng: random.Random, max_n: int = 6, edge_p: float = 0.35) -> Frame:

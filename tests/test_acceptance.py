@@ -51,6 +51,7 @@ from helpers import (
     random_frame,
     random_modal,
     random_valuation,
+    successors,
 )
 
 SUCC_RAY = FamilyPresentation(
@@ -116,7 +117,7 @@ def test_04_degree_transfer_and_exactness():
     frames = list(all_3vertex_frames()) + [random_frame(rng, 6) for _ in range(120)]
     for f in frames:
         ue = build_ue(f)
-        bound = max((len(f.succ[w]) for w in f.vertices), default=0)
+        bound = max((len(s) for s in successors(f).values()), default=0)
         for w in f.vertices:
             d_ue = degree(ue.frame, f"pi:{w}")
             assert d_ue.deg_plus <= bound

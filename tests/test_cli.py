@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -315,3 +316,29 @@ def test_seam_vertex_id_must_be_string_or_integer(capsys, tmp_path):
 def test_deep_formula_is_input_error(capsys, argv, label):
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {label} formula nested deeper than 100 levels\n")
+
+
+def test_deep_ef_on_one_point_is_clipped(capsys, tmp_path):
+    # the EF game used to recurse once per requested round and end in a RecursionError
+    p = tmp_path / "one.json"
+    p.write_text(json.dumps({"vertices": ["a"], "edges": []}))
+    assert main(["fo", "ef", str(p), str(p), "--max-rounds", "3000"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"min_spoiler_rounds": None, "equivalent_up_to": 3000} and err == ""
+
+
+def test_hull_stops_at_saturation(capsys, tri):
+    t0 = time.perf_counter()
+    code, deep = run(capsys, "hull", tri, "--at", "a", "--depth", str(10**9), "--formula")
+    assert code == 0 and time.perf_counter() - t0 < 1
+    code, shallow = run(capsys, "hull", tri, "--at", "a", "--depth", "3", "--formula")
+    deep, shallow = json.loads(deep), json.loads(shallow)
+    assert deep.pop("depth") == 10**9 and shallow.pop("depth") == 3
+    assert deep == shallow
+
+
+def test_detect_generated_on_chains_is_yes(capsys, tmp_path):
+    p = tmp_path / "chains.json"
+    p.write_text(json.dumps({"generator": {"name": "chains_lt"}}))
+    code, out = run(capsys, "detect", "generated", str(p))
+    assert code == 0 and json.loads(out)["verdict"] == "yes"

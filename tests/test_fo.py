@@ -6,6 +6,7 @@ import pytest
 from uext import (
     Frame,
     InputError,
+    ResourceError,
     Ultrafilter,
     distinguishing_sentence,
     ef_equivalent,
@@ -20,7 +21,7 @@ from uext import (
     spoiler_line,
     ultraproduct,
 )
-from uext.fo import Eq, Exists, Forall, Impl, Neg, Rel, free_vars
+from uext.fo import Eq, Exists, Forall, Impl, Neg, Rel, _EFGame, free_vars
 
 from helpers import random_frame
 
@@ -169,3 +170,27 @@ def test_ultraproduct_diagonal_embeds_chosen_factor():
     up = ultraproduct(factors, d)
     for a, b in itertools.product(factors[0].vertices, repeat=2):
         assert up.frame.has_edge(up.diagonal(a), up.diagonal(b)) == factors[0].has_edge(a, b)
+
+
+def test_ef_rounds_clip_at_isomorphism_bound():
+    # past max(|F1|, |F2|) + 1 rounds the verdict is isomorphism: the unclipped game agrees
+    rng = random.Random(61)
+    for _ in range(60):
+        f1, f2 = random_frame(rng, 3), random_frame(rng, 3)
+        bound = max(len(f1.vertices), len(f2.vertices)) + 1
+        game = _EFGame(f1, f2)
+        assert {game.wins((), k) for k in range(bound, bound + 3)} == {ef_equivalent(f1, f2, bound + 5)}
+        assert ef_min_rounds(f1, f2, bound + 5) == ef_min_rounds(f1, f2, bound)
+        phi = distinguishing_sentence(f1, f2, bound + 5)
+        if phi is not None:  # read off the clipped game: rank <= bound, true in f1, false in f2
+            assert quantifier_rank(phi) <= bound and eval_fo(f1, phi) and not eval_fo(f2, phi)
+            assert spoiler_line(f1, f2, bound + 5)
+
+
+def test_ef_clip_past_the_stack_is_refused_before_play():
+    # 300 rounds clip to 251, and 251 rounds would recurse past Python's default stack
+    edgeless = Frame(tuple(f"v{i}" for i in range(250)), frozenset())
+    with pytest.raises(ResourceError, match="a 251-round game would recurse past the interpreter's stack"):
+        ef_equivalent(edgeless, edgeless, 300)
+    # ef_min_rounds plays, and so checks, only the rounds it needs: a loop settles it in one
+    assert ef_min_rounds(edgeless, Frame(edgeless.vertices, frozenset([("v0", "v0")])), 300) == 1

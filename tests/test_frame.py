@@ -56,7 +56,7 @@ def frames(draw):
 @given(frames(), st.data())
 def test_box_is_dual_of_backward_image(f, data):
     xs = frozenset(data.draw(st.lists(st.sampled_from(f.vertices), max_size=5)))
-    w = f.vertex_set
+    w = frozenset(f.vertices)
     assert relation_image(f, xs, "box") == w - relation_image(f, w - xs, "backward")
 
 

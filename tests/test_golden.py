@@ -1,4 +1,4 @@
-"""Golden outputs: the CLI on fixtures/, both parsers, both games and modal truth on seeded corpora.
+"""Golden outputs: the CLI on fixtures/, both parsers, both games, modal truth and hulls on seeded corpora.
 
 The files under tests/golden/ pin stdout, stderr and exit code byte for byte.
 A change that means to alter one of them re-records it with
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import CAP_VARS, PARSERS, cli_outcome, game_outcome, modal_truth_outcome, parse_outcome
+from helpers import CAP_VARS, PARSERS, cli_outcome, game_outcome, hull_outcome, modal_truth_outcome, parse_outcome
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -50,3 +50,12 @@ def test_modal_truth_corpus(monkeypatch):
     assert sum("model" in case for case in cases) == 400 and sum("frame" in case for case in cases) == 200
     for case in cases:
         assert modal_truth_outcome(case) == case
+
+
+def test_hull_corpus(monkeypatch):
+    for var in CAP_VARS:
+        monkeypatch.delenv(var, raising=False)
+    cases = [json.loads(line) for line in (GOLDEN / "hulls.jsonl").read_text().splitlines()]
+    assert [sum(kind in case for case in cases) for kind in ("frame", "pair", "family")] == [150, 100, 60]
+    for case in cases:
+        assert hull_outcome(case) == case

@@ -73,6 +73,31 @@ def test_rooted_iso_witness_is_checked():
         assert h2.graph.has_edge(mapping[a], mapping[b])
 
 
+def derangement(rng: random.Random, vs: list[str]) -> list[str]:
+    while True:
+        p = rng.sample(vs, len(vs))
+        if all(a != b for a, b in zip(vs, p)):
+            return p
+
+
+def test_rooted_iso_beyond_colour_refinement():
+    # a root over a fixed-point-free permutation: every other point has in-degree 2 and
+    # out-degree 1, so colour refinement cannot tell two such hulls apart; the verdict must
+    # agree with the certificates, and a witness must map edges onto edges
+    rng = random.Random(23)
+    verdicts = set()
+    for _ in range(150):
+        vs = [f"a{i}" for i in range(rng.randint(3, 5))]
+        h1, h2 = (hull(Frame(("r", *vs), frozenset([("r", v) for v in vs] + list(zip(vs, derangement(rng, vs))))),
+                       "r", 1) for _ in range(2))
+        ok, mapping = rooted_iso(h1, h2)
+        assert ok == (canonical_form(h1) == canonical_form(h2))
+        if ok:
+            assert {(mapping[a], mapping[b]) for a, b in h1.graph.edges} == h2.graph.edges
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
 def test_rooted_iso_rejects_different_shapes():
     ok, mapping = rooted_iso(hull(TRI, "a", 1), hull(PATH4, "p1", 1))
     assert not ok and mapping is None

@@ -22,7 +22,7 @@ from uext.modal import TOP, And, Box, Dia, Falsum, Imp, Not, Or, Prop, distingui
 
 import bisim_oracle
 import modal_oracle
-from helpers import all_3vertex_frames, random_frame, random_modal, random_valuation
+from helpers import all_3vertex_frames, random_frame, random_modal, random_valuation, successors
 
 TRI = Frame(("a", "b", "c"), frozenset([("a", "b"), ("a", "c"), ("b", "c")]))
 
@@ -111,7 +111,7 @@ def test_truth_mask_matches_oracle():
         f = random_frame(rng, 7)
         m = Model.make(f, random_valuation(rng, f, ["p0", "p1"][:rng.randint(0, 2)]))
         phi = random_modal(rng, rng.randint(0, 5), ["p0", "p1", "p2"], rng.randint(1, 20))
-        want = modal_oracle.truth_set(f.vertices, f.succ, m.val, phi)
+        want = modal_oracle.truth_set(f.vertices, successors(f), m.val, phi)
         assert points(f, truth_mask(f, m.masks, phi)) == want
         assert truth_set(m, phi) == want
         w = rng.choice(f.vertices)
@@ -127,7 +127,7 @@ def test_frame_valid_matches_oracle_on_all_3_point_frames(text):
     verdicts = set()
     for f in all_3vertex_frames():
         ok, counter = frame_valid(f, phi)
-        want_ok, want_counter = modal_oracle.frame_valid(f.vertices, f.succ, phi)
+        want_ok, want_counter = modal_oracle.frame_valid(f.vertices, successors(f), phi)
         verdicts.add(ok)
         assert ok == want_ok
         if counter is None:
@@ -156,14 +156,15 @@ def test_truth_mask_edge_cases():
 
 
 def test_preimage_over_several_tables():
-    # 20 points need three preimage tables (8 + 8 + 4 points)
+    # 20 points need three image tables per direction (8 + 8 + 4 points)
     rng = random.Random(5)
     verts = tuple(f"v{i}" for i in range(20))
     f = Frame(verts, frozenset((a, b) for a in verts for b in verts if rng.random() < 0.1))
     for _ in range(200):
         x = rng.getrandbits(20)
         xs = points(f, x)
-        assert points(f, f.preimage(x)) == {a for a, b in f.edges if b in xs}
+        assert points(f, f.image(x, False)) == {a for a, b in f.edges if b in xs}
+        assert points(f, f.image(x, True)) == {b for a, b in f.edges if a in xs}
 
 
 def test_corrupted_pred_mask_fails_truth_membership():
@@ -209,7 +210,7 @@ def test_equivalent_upto_agrees_with_game():
         m2 = Model.make(f2, random_valuation(rng, f2, letters))
         w1, w2 = rng.choice(f1.vertices), rng.choice(f2.vertices)
         n = rng.randint(0, 3)
-        truth = bisim_oracle.n_bisimilar((f1.succ, m1.val), w1, (f2.succ, m2.val), w2, n, letters)
+        truth = bisim_oracle.n_bisimilar((successors(f1), m1.val), w1, (successors(f2), m2.val), w2, n, letters)
         verdicts.add(truth)
         assert n_bisimilar(m1, w1, m2, w2, n) == truth
         eq, phi = modally_equivalent_upto(m1, w1, m2, w2, n, letters)
@@ -229,7 +230,7 @@ def test_n_bisimilar_past_the_clip_matches_oracle():
         m2 = Model.make(f2, random_valuation(rng, f2, ["p0"]))
         w1, w2 = rng.choice(f1.vertices), rng.choice(f2.vertices)
         for n in range(len(f1.vertices) + len(f2.vertices) + 4):
-            truth = bisim_oracle.n_bisimilar((f1.succ, m1.val), w1, (f2.succ, m2.val), w2, n, ["p0"])
+            truth = bisim_oracle.n_bisimilar((successors(f1), m1.val), w1, (successors(f2), m2.val), w2, n, ["p0"])
             assert n_bisimilar(m1, w1, m2, w2, n) == truth
             phi = distinguishing_formula(m1, w1, m2, w2, n, ["p0"])
             assert (phi is None) == truth

@@ -137,3 +137,22 @@ def test_road_delta_requires_start_membership():
 
 def test_length_zero_delta_identity():
     assert length_zero_delta(frozenset({"a"})) == frozenset({"a"})
+
+
+def test_road_delta_matches_set_recursion():
+    # each step is the forward or backward image intersected with the next distinguishing element
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(60):
+        f = random_frame(rng, 6, 0.5)
+        s, t = rng.sample(f.vertices, 2) if len(f.vertices) > 1 else (f.vertices[0], f.vertices[0])
+        for road in roads_between(f, s, t, 3):
+            ufs = [Ultrafilter(f, w) for w in road.waypoints]
+            ds = [frozenset(rng.sample(f.vertices, rng.randint(1, len(f.vertices)))) | {u.point} for u in ufs]
+            x = frozenset(v for v in f.vertices if rng.random() < 0.5) | {s}
+            want = x
+            for d, step in zip(ds[1:], road.directions):
+                want = frozenset(b if step == "R" else a for a, b in f.edges if (a if step == "R" else b) in want) & d
+            assert ultrafilter_road_delta(x, Road(tuple(ufs), road.directions), ds) == want
+            checked += 1
+    assert checked > 50
