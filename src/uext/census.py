@@ -8,6 +8,12 @@ periodic rays/lines, and an optional builtin generator.  "Infinitely realized"
 is always computed, never assumed: templates carry declared omega
 multiplicity, ray interiors get omega after stabilization detection, and
 generators only ever yield lower bounds.
+
+Every renamed copy a presentation needs (template copies, ray unrollings, the
+period-doubled ray quotient, skeleton representatives) is built by `_copies`,
+and every union of parts by `_union`.  A census certifies each distinct hull
+it meets once, and `detect modal` reads its census and expansion off the
+skeleton.
 """
 
 from __future__ import annotations
@@ -92,6 +98,10 @@ class Generator:
     def component(self, i: int) -> Frame:
         return GENERATORS[self.name][0](i)
 
+    def expansion(self, count: int) -> Frame:
+        """The union of components 0..count-1 (they may overlap)."""
+        return _union([self.component(i) for i in range(count)])
+
 
 @dataclass(frozen=True)
 class FamilyPresentation:
@@ -151,30 +161,23 @@ def load_family(path: str) -> FamilyPresentation:
 # Expansion
 
 
-def _merge(parts: list[Frame]) -> Frame:
-    verts: list[str] = []
-    seen: set[str] = set()
-    edges: set[tuple[str, str]] = set()
-    for p in parts:
-        for v in p.vertices:
-            if v not in seen:
-                seen.add(v)
-                verts.append(v)
-        edges |= p.edges
-    return Frame(tuple(verts), frozenset(edges))
+def _union(parts: list[Frame]) -> Frame:
+    """The parts' vertices in first-seen order and the union of their edges."""
+    verts = dict.fromkeys(v for p in parts for v in p.vertices)
+    return Frame(tuple(verts), frozenset(e for p in parts for e in p.edges))
+
+
+def _copies(frame: Frame, copies, name, seam=(), nxt=None) -> Frame:
+    """Copies of frame, vertex v of copy k renamed name(k, v), copy by copy; each
+    seam edge (a, b) runs from a in copy k to b in copy nxt(k) where that copy exists."""
+    verts = tuple(name(k, v) for k in copies for v in frame.vertices)
+    edges = {(name(k, a), name(k, b)) for k in copies for a, b in frame.edges}
+    edges.update((name(k, a), name(nxt(k), b)) for k in copies for a, b in seam if nxt(k) in copies)
+    return Frame(verts, frozenset(edges))
 
 
 def _ray_unroll(ray: Ray, copies: range, tag: str) -> Frame:
-    name = lambda k, v: f"{tag}.{k}:{v}"
-    verts = tuple(name(k, v) for k in copies for v in ray.period.vertices)
-    edges = set()
-    for k in copies:
-        for a, b in ray.period.edges:
-            edges.add((name(k, a), name(k, b)))
-        if k + 1 in copies:
-            for a, b in ray.seam:
-                edges.add((name(k, a), name(k + 1, b)))
-    return Frame(verts, frozenset(edges))
+    return _copies(ray.period, copies, lambda k, v: f"{tag}.{k}:{v}", ray.seam, lambda k: k + 1)
 
 
 def expand(fam: FamilyPresentation, budget: int) -> Frame:
@@ -183,11 +186,7 @@ def expand(fam: FamilyPresentation, budget: int) -> Frame:
         raise InputError("budget must be nonnegative")
     parts = [fam.base]
     for ti, tpl in enumerate(fam.omega_templates):
-        for k in range(budget):
-            parts.append(Frame(
-                tuple(f"t{ti}.{k}:{v}" for v in tpl.vertices),
-                frozenset((f"t{ti}.{k}:{a}", f"t{ti}.{k}:{b}") for a, b in tpl.edges),
-            ))
+        parts.append(_copies(tpl, range(budget), lambda k, v: f"t{ti}.{k}:{v}"))
     for ri, ray in enumerate(fam.rays):
         copies = range(budget) if ray.kind == "ray" else range(-budget, budget + 1)
         parts.append(_ray_unroll(ray, copies, f"r{ri}"))
@@ -200,12 +199,12 @@ def expand(fam: FamilyPresentation, budget: int) -> Frame:
     if fam.generator is not None:
         # generator components may overlap each other (monotone union) but
         # must stay clear of the rest of the family
-        gen = _merge([fam.generator.component(i) for i in range(budget)])
+        gen = fam.generator.expansion(budget)
         dup = seen & set(gen.vertices)
         if dup:
             raise InputError(f"generator vertex ids collide with family parts: {sorted(dup)[0]!r}")
         parts.append(gen)
-    return _merge(parts)
+    return _union(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -219,24 +218,22 @@ class HullCensus:
     representatives: dict[str, RootedGraph] = field(default_factory=dict)
     exact: bool = True
     unbounded_suspected: set[str] = field(default_factory=set)
+    # each distinct hull is certified once: hull -> certificate hex
+    certificates: dict[RootedGraph, str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def add(self, h: RootedGraph, count) -> str:
-        cert = canonical_form(h).hex
+    def certify(self, h: RootedGraph) -> str:
+        if h not in self.certificates:
+            self.certificates[h] = canonical_form(h).hex
+        return self.certificates[h]
+
+    def add(self, h: RootedGraph, count) -> None:
+        cert = self.certify(h)
         self.representatives.setdefault(cert, h)
         prev = self.entries.get(cert, 0)
-        if count == OMEGA or prev == OMEGA:
-            self.entries[cert] = OMEGA
-        else:
-            self.entries[cert] = prev + count
-        return cert
+        self.entries[cert] = OMEGA if OMEGA in (count, prev) else prev + count
 
     def omega_types(self) -> list[str]:
         return sorted(c for c, m in self.entries.items() if m == OMEGA)
-
-
-def _census_of_frame(census: HullCensus, frame: Frame, n: int, count) -> None:
-    for w in frame.vertices:
-        census.add(hull(frame, w, n), count)
 
 
 def hull_census(fam: FamilyPresentation, n: int) -> HullCensus:
@@ -246,9 +243,9 @@ def hull_census(fam: FamilyPresentation, n: int) -> HullCensus:
     if not fam.degree_bounded:
         raise InputError("census requires bounded degree")
     census = HullCensus(depth=n)
-    _census_of_frame(census, fam.base, n, 1)
-    for tpl in fam.omega_templates:
-        _census_of_frame(census, tpl, n, OMEGA)
+    for frame, count in [(fam.base, 1), *((tpl, OMEGA) for tpl in fam.omega_templates)]:
+        for w in frame.vertices:
+            census.add(hull(frame, w, n), count)
     for ri, ray in enumerate(fam.rays):
         _census_ray(census, ray, n, f"r{ri}")
     if fam.generator is not None:
@@ -266,29 +263,29 @@ def _census_ray(census: HullCensus, ray: Ray, n: int, tag: str) -> None:
     # ray: hulls of copy k are exact within an unrolling of k+n+1 copies;
     # scan copies outward until two consecutive copies carry the same types
     window = _ray_unroll(ray, range(0, 2 * n + 3), tag)
-
-    sigs = [tuple(canonical_form(hull(window, f"{tag}.{k}:{v}", n)).hex for v in ray.period.vertices)
-            for k in range(n + 1)]
+    hulls = [[hull(window, f"{tag}.{k}:{v}", n) for v in ray.period.vertices] for k in range(n + 1)]
+    sigs = [[census.certify(h) for h in row] for row in hulls]
     stab = next(k for k in range(n + 1) if all(sig == sigs[n] for sig in sigs[k:]))
     for k in range(stab + 1):  # copies before stab are counted once, copy stab stands for the rest
-        for v in ray.period.vertices:
-            census.add(hull(window, f"{tag}.{k}:{v}", n), OMEGA if k == stab else 1)
+        for h in hulls[k]:
+            census.add(h, OMEGA if k == stab else 1)
 
 
 def _census_generator(census: HullCensus, gen: Generator, n: int, budget: int) -> None:
     # streaming lower bounds: a vertex is counted only once its hull has
     # settled between the budget and the margin-extended expansion
-    small = _merge([gen.component(i) for i in range(budget)])
-    large = _merge([gen.component(i) for i in range(budget + n + 1)])
+    small, large = gen.expansion(budget), gen.expansion(budget + n + 1)
     census.exact = False
     counts: Counter[str] = Counter()
     for v in small.vertices:
         h = hull(small, v, n)
-        if canonical_form(h).hex == canonical_form(hull(large, v, n)).hex:
-            counts[census.add(h, 1)] += 1
+        cert = census.certify(h)
+        if cert == census.certify(hull(large, v, n)):
+            census.add(h, 1)
+            counts[cert] += 1
     # types still being produced at the frontier are suspected unbounded
-    half = _merge([gen.component(i) for i in range(max(1, budget // 2))])
-    half_counts = Counter(canonical_form(hull(half, v, n)).hex for v in half.vertices)
+    half = gen.expansion(max(1, budget // 2))
+    half_counts = Counter(census.certify(hull(half, v, n)) for v in half.vertices)
     census.unbounded_suspected.update(c for c, k in counts.items() if k > half_counts[c])
 
 
@@ -301,6 +298,7 @@ class UESkeleton:
     frame: Frame
     provenance: dict[str, str]
     census: HullCensus
+    budget: int
 
 
 def _template_diameter(fam: FamilyPresentation) -> int:
@@ -323,15 +321,9 @@ def ue_skeleton(fam: FamilyPresentation, n: int, budget: int | None = None) -> U
     provenance = {v: "expansion" for v in expansion.vertices}
     parts = [expansion]
     for idx, cert in enumerate(census.omega_types()):
-        rep = census.representatives[cert]
-        renamed = Frame(
-            tuple(f"rep{idx}:{v}" for v in rep.graph.vertices),
-            frozenset((f"rep{idx}:{a}", f"rep{idx}:{b}") for a, b in rep.graph.edges),
-        )
-        parts.append(renamed)
-        for v in renamed.vertices:
-            provenance[v] = f"type:{cert}"
-    return UESkeleton(_merge(parts), provenance, census)
+        parts.append(_copies(census.representatives[cert].graph, (idx,), lambda k, v: f"rep{k}:{v}"))
+        provenance.update(dict.fromkeys(parts[-1].vertices, f"type:{cert}"))
+    return UESkeleton(_union(parts), provenance, census, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +424,7 @@ def reflexive_point_in_ue(fam: FamilyPresentation, chi_threshold: int) -> Verdic
         bound = fam.generator.degree_bound
         scan = max(chi_threshold + 2, 12)
         for i in range(1, scan + 1):
-            expansion = _merge([fam.generator.component(j) for j in range(i)])
-            lb, clique = clique_lower_bound(expansion)
+            lb, clique = clique_lower_bound(fam.generator.expansion(i))
             if lb > chi_threshold:
                 return Verdict(
                     "yes",
@@ -442,8 +433,7 @@ def reflexive_point_in_ue(fam: FamilyPresentation, chi_threshold: int) -> Verdic
                      "inequivalence_sentences": INEQUIVALENCE_SENTENCES},
                 )
         if bound is not None and bound + 1 <= chi_threshold:
-            expansion = _merge([fam.generator.component(j) for j in range(scan)])
-            colorings["generator"] = greedy_coloring(expansion)
+            colorings["generator"] = greedy_coloring(fam.generator.expansion(scan))
             # load-order greedy over a monotone presentation is a stabilizing
             # schema: later budgets only append vertices, never recolor
         else:
@@ -467,15 +457,7 @@ def _finite_parts(fam: FamilyPresentation):
 
 def _ray_quotient(ray: Ray) -> Frame:
     """Period x {even, odd} quotient; a proper coloring of it lifts periodically."""
-    name = lambda p, v: f"{v}@{p}"
-    verts = tuple(name(p, v) for p in (0, 1) for v in ray.period.vertices)
-    edges = set()
-    for p in (0, 1):
-        for a, b in ray.period.edges:
-            edges.add((name(p, a), name(p, b)))
-        for a, b in ray.seam:
-            edges.add((name(p, a), name(1 - p, b)))
-    return Frame(verts, frozenset(edges))
+    return _copies(ray.period, (0, 1), lambda p, v: f"{v}@{p}", ray.seam, lambda p: 1 - p)
 
 
 def generated_substructure_verdict(fam: FamilyPresentation) -> Verdict:
@@ -489,7 +471,7 @@ def generated_substructure_verdict(fam: FamilyPresentation) -> Verdict:
     budgets = [4, 8, 16, 32]
     degs: dict[str, list[int]] = {}
     for b in budgets:
-        expansion = _merge([fam.generator.component(i) for i in range(b)])
+        expansion = fam.generator.expansion(b)
         for v, row in zip(expansion.vertices, expansion.succ_mask):
             degs.setdefault(v, []).append(row.bit_count())
     for v in sorted(degs, key=lambda x: (len(x), x)):
@@ -501,22 +483,21 @@ def generated_substructure_verdict(fam: FamilyPresentation) -> Verdict:
 
 
 def modal_logic_coincides(fam: FamilyPresentation, n: int, budget: int | None = None) -> tuple[bool, dict]:
-    """Check every omega-type of the depth-n census is realized in the expansion.
+    """Check every omega-type of the skeleton's depth-n census is realized in its expansion.
 
     Rooted hull isomorphism implies n-bisimilarity of the roots, which is what
     equality of the modal logics needs at depth n.  An unmatched type would
     falsify the census, so a False return is a defect detector.
     """
-    if budget is None:
-        budget = default_budget(fam, n)
-    census = hull_census(fam, n)
-    expansion = expand(fam, budget)
-    first: dict[str, str] = {}  # each hull type's first vertex in load order
-    for v in expansion.vertices:
-        first.setdefault(canonical_form(hull(expansion, v, n)).hex, v)
-    matches = {cert: first[cert] for cert in census.omega_types() if cert in first}
-    unmatched = [cert for cert in census.omega_types() if cert not in first]
-    report = {"depth": n, "budget": budget, "matches": matches, "unmatched": unmatched}
+    sk = ue_skeleton(fam, n, budget)
+    first: dict[str, str] = {}  # each hull type's first expansion vertex in load order
+    for v, origin in sk.provenance.items():
+        if origin == "expansion":
+            first.setdefault(sk.census.certify(hull(sk.frame, v, n)), v)
+    omegas = sk.census.omega_types()
+    matches = {cert: first[cert] for cert in omegas if cert in first}
+    unmatched = [cert for cert in omegas if cert not in first]
+    report = {"depth": n, "budget": sk.budget, "matches": matches, "unmatched": unmatched}
     return not unmatched, report
 
 

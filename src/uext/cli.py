@@ -102,9 +102,8 @@ def cmd_fo_ef(args) -> int:
 
 def cmd_fo_los_like(args) -> int:
     frame = load_frame(args.frame)
-    frame.check_vertices([args.at])
+    u = Ultrafilter(frame, args.at)  # checks --at before the formula is parsed
     phi = parse_fo(args.formula)
-    u = Ultrafilter(frame, args.at)
     ok, lhs, rhs = los_like_check(frame, phi, u)
     _emit({"agrees": ok, "extension_side": lhs, "membership_side": rhs})
     return 0

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import uext.census as census_mod
 from uext import (
     FamilyPresentation,
     Frame,
@@ -18,9 +21,9 @@ from uext import (
     rooted_iso,
     ue_skeleton,
 )
-from uext.census import OMEGA, clique_lower_bound
+from uext.census import GENERATORS, OMEGA, clique_lower_bound
 
-from helpers import successors
+from helpers import random_bounded_frame, successors
 
 SUCC_RAY = FamilyPresentation(
     rays=(Ray(Frame(("v",), frozenset()), (("v", "v"),), "ray"),)
@@ -196,3 +199,59 @@ def test_modal_logic_coincides_on_ray():
         ok, report = modal_logic_coincides(SUCC_RAY, n)
         assert ok, report
         assert not report["unmatched"]
+
+
+def _family_corpus(seed: int, size: int) -> list[FamilyPresentation]:
+    """Seeded bases, templates, rays and lines (their vertex names overlap across parts), plus nat_succ."""
+    rng = random.Random(seed)
+    fams = [FamilyPresentation(generator=Generator("nat_succ"))]
+    for _ in range(size):
+        rays = []
+        for _ in range(rng.randint(0, 2)):
+            period = random_bounded_frame(rng, 3, 2)
+            seam = tuple((rng.choice(period.vertices), rng.choice(period.vertices)) for _ in range(rng.randint(1, 2)))
+            rays.append(Ray(period, seam, rng.choice(["ray", "line"])))
+        fams.append(FamilyPresentation(
+            base=random_bounded_frame(rng, 4, 2) if rng.random() < 0.6 else Frame((), frozenset()),
+            omega_templates=tuple(random_bounded_frame(rng, 4, 2) for _ in range(rng.randint(0, 2))),
+            rays=tuple(rays),
+            generator=Generator("nat_succ") if rng.random() < 0.3 else None,
+        ))
+    return fams
+
+
+def test_each_hull_is_certified_once_per_call(monkeypatch):
+    certified = []
+    real = census_mod.canonical_form
+
+    def counting(h):
+        certified.append((h.graph.vertices, h.graph.edges, h.root))
+        return real(h)
+
+    monkeypatch.setattr(census_mod, "canonical_form", counting)
+    total = 0
+    for fam in _family_corpus(seed=321, size=40):
+        for n in (1, 2, 3):
+            for call in (hull_census, ue_skeleton):
+                certified.clear()
+                call(fam, n)
+                distinct = len(set(certified))
+                assert len(certified) == distinct, \
+                    f"{call.__name__} at depth {n}: {len(certified)} certificates for {distinct} hulls of {fam}"
+                total += distinct
+    assert total  # the wrapper saw the census's certificates
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_generator_expansion_is_the_first_seen_union(name):
+    gen = Generator(name)
+    for k in range(21):
+        verts: list[str] = []
+        edges: set[tuple[str, str]] = set()
+        for i in range(k):
+            part = gen.component(i)
+            verts += [v for v in part.vertices if v not in verts]
+            edges |= part.edges
+        expansion = gen.expansion(k)
+        assert expansion.vertices == tuple(verts)
+        assert expansion.edges == edges
