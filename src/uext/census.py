@@ -27,7 +27,7 @@ from .frame import Frame, bits, frame_from_dict, frame_to_dict, json_array, json
 from .hulls import RootedGraph, canonical_form, hull, rings
 
 OMEGA = "w"
-GENERATOR_BUDGET = 16  # generator components expanded for a census's lower bounds
+GENERATOR_BUDGET = 16  # generator components expanded for a census's lower bounds and a colouring
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +71,13 @@ def _gen_nat_succ(i: int) -> Frame:
     return Frame((str(i - 1), str(i)), frozenset([(str(i - 1), str(i))]))
 
 
-# builtin name -> (component function, declared degree bound, declared finite out-degree); None: undeclared
+# builtin name -> (component function, degree bound, chromatic number, out-degree witness).
+# A None bound or chromatic number is unbounded; the witness is a vertex whose
+# out-degree grows without bound, None when every out-degree is finite.
 GENERATORS = {
-    "chains_lt": (_gen_chains_lt, None, True),  # disjoint finite chains
-    "nat_lt": (_gen_nat_lt, None, None),
-    "nat_succ": (_gen_nat_succ, 2, True),
+    "chains_lt": (_gen_chains_lt, None, None, None),  # disjoint finite chains; component i is K_{i+1}
+    "nat_lt": (_gen_nat_lt, None, None, "0"),  # the order on the naturals
+    "nat_succ": (_gen_nat_succ, 2, 2, None),
 }
 
 
@@ -92,8 +94,12 @@ class Generator:
         return GENERATORS[self.name][1]
 
     @property
-    def finite_out_degree(self) -> bool | None:
+    def chromatic_number(self) -> int | None:
         return GENERATORS[self.name][2]
+
+    @property
+    def out_degree_witness(self) -> str | None:
+        return GENERATORS[self.name][3]
 
     def component(self, i: int) -> Frame:
         return GENERATORS[self.name][0](i)
@@ -190,12 +196,7 @@ def expand(fam: FamilyPresentation, budget: int) -> Frame:
     for ri, ray in enumerate(fam.rays):
         copies = range(budget) if ray.kind == "ray" else range(-budget, budget + 1)
         parts.append(_ray_unroll(ray, copies, f"r{ri}"))
-    seen: set[str] = set()
-    for p in parts:
-        dup = seen & set(p.vertices)
-        if dup:
-            raise InputError(f"vertex ids collide across family parts: {sorted(dup)[0]!r}")
-        seen |= set(p.vertices)
+    seen = _disjoint(parts)
     if fam.generator is not None:
         # generator components may overlap each other (monotone union) but
         # must stay clear of the rest of the family
@@ -205,6 +206,17 @@ def expand(fam: FamilyPresentation, budget: int) -> Frame:
             raise InputError(f"generator vertex ids collide with family parts: {sorted(dup)[0]!r}")
         parts.append(gen)
     return _union(parts)
+
+
+def _disjoint(parts: list[Frame]) -> set[str]:
+    """The parts' vertex ids, refusing an id that two parts share."""
+    seen: set[str] = set()
+    for p in parts:
+        dup = seen & set(p.vertices)
+        if dup:
+            raise InputError(f"vertex ids collide across family parts: {sorted(dup)[0]!r}")
+        seen |= set(p.vertices)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +335,7 @@ def ue_skeleton(fam: FamilyPresentation, n: int, budget: int | None = None) -> U
     for idx, cert in enumerate(census.omega_types()):
         parts.append(_copies(census.representatives[cert].graph, (idx,), lambda k, v: f"rep{k}:{v}"))
         provenance.update(dict.fromkeys(parts[-1].vertices, f"type:{cert}"))
+    _disjoint(parts)  # a representative's name may not be an expansion vertex's
     return UESkeleton(_union(parts), provenance, census, budget)
 
 
@@ -366,7 +379,7 @@ def clique_lower_bound(frame: Frame) -> tuple[int, list[str]]:
 
 @dataclass
 class Verdict:
-    kind: str  # "yes" | "no" | "unknown"
+    kind: str  # "yes" | "no"
     evidence: str
     data: dict = field(default_factory=dict)
 
@@ -381,11 +394,15 @@ def _loops(frame: Frame) -> list[str]:
 def reflexive_point_in_ue(fam: FamilyPresentation, chi_threshold: int) -> Verdict:
     """Does the ultrafilter extension of the family have a reflexive point?
 
-    Any concrete reflexive point settles Yes via its principal ultrafilter.
-    On loop-free families a uniform <= threshold coloring schema certifies No;
-    a chromatic lower bound above the threshold certifies Yes by compactness
-    (the finite-intersection family over the color classes).
+    A loop settles Yes via its principal ultrafilter.  A loop-free frame's
+    extension has a reflexive point iff its chromatic number is infinite
+    (Goldblatt, Hodkinson and Venema, BSL 2004).  Bases, templates and periodic
+    rays are finitely coloured, which the colourings show; a builtin generator
+    declares its chromatic number.  The threshold decides nothing: it sets the
+    size, chi_threshold + 1, of the clique shown for an unbounded generator.
     """
+    if chi_threshold < 0:
+        raise InputError("chi threshold must be nonnegative")
     if fam.is_finite:
         loops = _loops(fam.base)
         if loops:
@@ -393,56 +410,27 @@ def reflexive_point_in_ue(fam: FamilyPresentation, chi_threshold: int) -> Verdic
         return Verdict("no", "finite loop-free frame; its extension is isomorphic to it",
                        {"coloring": greedy_coloring(fam.base)})
 
-    for part_name, frame in _finite_parts(fam):
+    parts = list(_finite_parts(fam))
+    for part_name, frame in parts:
         loops = _loops(frame)
         if loops:
             return Verdict("yes", f"reflexive point {loops[0]!r} in {part_name}")
-    if fam.generator is not None:
-        for i in range(max(chi_threshold + 2, 12)):
-            loops = _loops(fam.generator.component(i))
-            if loops:
-                return Verdict("yes", f"reflexive point {loops[0]!r} in generator component {i}")
-
-    # loop-free family: chromatic analysis
-    colorings: dict[str, dict[str, int]] = {}
-    unknown = None
-    for part_name, frame in _finite_parts(fam):
-        coloring = greedy_coloring(frame)
-        if frame.vertices and max(coloring.values()) + 1 > chi_threshold:
-            lb, clique = clique_lower_bound(frame)
-            if lb > chi_threshold:
-                return Verdict(
-                    "yes",
-                    f"chromatic lower bound {lb} > {chi_threshold} in {part_name}",
-                    {"clique": clique, "inequivalence_sentences": INEQUIVALENCE_SENTENCES},
-                )
-            unknown = f"{part_name} needs > {chi_threshold} colors greedily but no clique proof"
-        else:
-            colorings[part_name] = coloring
-
-    if fam.generator is not None:
-        bound = fam.generator.degree_bound
-        scan = max(chi_threshold + 2, 12)
-        for i in range(1, scan + 1):
-            lb, clique = clique_lower_bound(fam.generator.expansion(i))
-            if lb > chi_threshold:
-                return Verdict(
-                    "yes",
-                    f"chromatic lower bound {lb} > {chi_threshold} reached by component index {i - 1}",
-                    {"component_index": i - 1, "clique": clique,
-                     "inequivalence_sentences": INEQUIVALENCE_SENTENCES},
-                )
-        if bound is not None and bound + 1 <= chi_threshold:
-            colorings["generator"] = greedy_coloring(fam.generator.expansion(scan))
-            # load-order greedy over a monotone presentation is a stabilizing
-            # schema: later budgets only append vertices, never recolor
-        else:
-            return Verdict("unknown", f"chromatic scan exhausted at component index {scan - 1}")
-
-    if unknown:
-        return Verdict("unknown", unknown)
-    return Verdict("no", f"uniform coloring schema with <= {chi_threshold} colors",
-                   {"colorings": colorings})
+    gen = fam.generator
+    if gen is not None and gen.chromatic_number is None:
+        lb, clique = clique_lower_bound(gen.expansion(chi_threshold + 1))
+        return Verdict(
+            "yes",
+            f"chromatic lower bound {lb} > {chi_threshold} reached by component index {chi_threshold}",
+            {"component_index": chi_threshold, "clique": clique,
+             "inequivalence_sentences": INEQUIVALENCE_SENTENCES},
+        )
+    colorings = {part_name: greedy_coloring(frame) for part_name, frame in parts}
+    if gen is not None:
+        # load-order greedy over a monotone presentation is a stabilizing
+        # schema: later budgets only append vertices, never recolor
+        colorings["generator"] = greedy_coloring(gen.expansion(GENERATOR_BUDGET))
+    used = max((len(set(c.values())) for c in colorings.values()), default=0)
+    return Verdict("no", f"uniform coloring schema with <= {used} colors", {"colorings": colorings})
 
 
 def _finite_parts(fam: FamilyPresentation):
@@ -463,23 +451,20 @@ def _ray_quotient(ray: Ray) -> Frame:
 def generated_substructure_verdict(fam: FamilyPresentation) -> Verdict:
     """Is the family a generated substructure of its ultrafilter extension?
 
-    Yes exactly when every vertex provably has finite out-degree; a vertex
-    whose out-degree grows without bound across expansions is a No witness.
+    Yes exactly when every vertex has finite out-degree.  Bases, templates and
+    rays have it; a builtin generator declares a vertex whose out-degree grows
+    without bound, or none, and the No evidence is that vertex's out-degree
+    across expansions.
     """
-    if fam.generator is None or fam.generator.finite_out_degree:
+    witness = None if fam.generator is None else fam.generator.out_degree_witness
+    if witness is None:
         return Verdict("yes", "presentation guarantees finite out-degree everywhere")
-    budgets = [4, 8, 16, 32]
-    degs: dict[str, list[int]] = {}
-    for b in budgets:
+    degrees = {}
+    for b in (4, 8, 16, 32):
         expansion = fam.generator.expansion(b)
-        for v, row in zip(expansion.vertices, expansion.succ_mask):
-            degs.setdefault(v, []).append(row.bit_count())
-    for v in sorted(degs, key=lambda x: (len(x), x)):
-        series = degs[v]
-        if len(series) == len(budgets) and all(a < b for a, b in zip(series, series[1:])):
-            return Verdict("no", f"out-degree of vertex {v!r} grows without bound",
-                           {"witness": v, "degrees": dict(zip(budgets, series))})
-    return Verdict("unknown", "no growing-degree witness found within the scan")
+        degrees[b] = expansion.succ_mask[expansion.position(witness)].bit_count()
+    return Verdict("no", f"out-degree of vertex {witness!r} grows without bound",
+                   {"witness": witness, "degrees": degrees})
 
 
 def modal_logic_coincides(fam: FamilyPresentation, n: int, budget: int | None = None) -> tuple[bool, dict]:

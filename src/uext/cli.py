@@ -1,6 +1,6 @@
 """uext command line interface.
 
-Exit codes: 0 verdict computed (yes, no or unknown all count), 1 bad input
+Exit codes: 0 answer computed (a detector's verdict is yes or no), 1 bad input
 (usage errors included), 2 resource cap exceeded, 3 internal cross-check defect.
 """
 

@@ -235,7 +235,8 @@ def read_json(path: str, what: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+    # ValueError covers JSON and UTF-8 decoding, RecursionError JSON nested past the stack
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
 
 

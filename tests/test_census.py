@@ -82,6 +82,17 @@ def test_expand_rejects_id_collisions():
         expand(fam, 3)
 
 
+def test_skeleton_rejects_representative_id_collisions():
+    # the representative of the looped template's type is named rep0:t, like the
+    # base vertex; merging them used to give that base vertex a loop, silently
+    fam = family_from_dict({"base": {"vertices": ["rep0:t"], "edges": []},
+                            "omega_templates": [{"vertices": ["t"], "edges": [["t", "t"]]}]})
+    with pytest.raises(InputError, match="^vertex ids collide across family parts: 'rep0:t'$"):
+        ue_skeleton(fam, 1)
+    with pytest.raises(InputError, match="^vertex ids collide across family parts: 'rep0:t'$"):
+        modal_logic_coincides(fam, 1)
+
+
 def test_census_ray_depths_1_to_3():
     for n in (1, 2, 3):
         c = hull_census(SUCC_RAY, n)
@@ -177,6 +188,14 @@ def test_reflexive_verdicts():
     v = reflexive_point_in_ue(NAT_LT, 10)
     assert v.kind == "yes"
     assert v.data["inequivalence_sentences"] == ("forall x. ~R(x,x)", "exists x. R(x,x)")
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_builtin_components_are_loop_free(name):
+    # the reflexive detector reads no generator component for loops: it relies on this
+    gen = Generator(name)
+    for i in range(32):
+        assert not any(a == b for a, b in gen.component(i).edges), (name, i)
 
 
 def test_reflexive_template_loop_wins():

@@ -259,6 +259,16 @@ def test_undecodable_file_is_input_error(capsys, tmp_path):
     assert capsys.readouterr().err.startswith(f"error: cannot read family file {p}: ")
 
 
+def test_deeply_nested_file_is_input_error(capsys, tmp_path):
+    # the JSON decoder's RecursionError used to end in a traceback
+    p = tmp_path / "frame.json"
+    p.write_text("[" * 100000 + "]" * 100000)
+    assert main(["ue", "build", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot read frame file {p}: maximum recursion depth")
+    assert err.count("\n") == 1
+
+
 RAY = {"period": {"vertices": ["v"], "edges": []}, "seam": [["v", "v"]]}
 
 
@@ -342,3 +352,9 @@ def test_detect_generated_on_chains_is_yes(capsys, tmp_path):
     p.write_text(json.dumps({"generator": {"name": "chains_lt"}}))
     code, out = run(capsys, "detect", "generated", str(p))
     assert code == 0 and json.loads(out)["verdict"] == "yes"
+
+
+def test_negative_chi_threshold_is_input_error(capsys, succ):
+    # it used to answer "yes" on the successor ray, whose extension has no reflexive point
+    assert main(["detect", "reflexive", succ, "--chi-threshold", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: chi threshold must be nonnegative\n")
