@@ -72,8 +72,10 @@ def _gen_nat_succ(i: int) -> Frame:
 
 
 # builtin name -> (component function, degree bound, chromatic number, out-degree witness).
-# A None bound or chromatic number is unbounded; the witness is a vertex whose
-# out-degree grows without bound, None when every out-degree is finite.
+# A None bound or chromatic number is unbounded; an unbounded chromatic number is
+# shown by component i, whose vertices form an (i + 1)-clique in the union of
+# components 0..i.  The witness is a vertex whose out-degree grows without bound,
+# None when every out-degree is finite.
 GENERATORS = {
     "chains_lt": (_gen_chains_lt, None, None, None),  # disjoint finite chains; component i is K_{i+1}
     "nat_lt": (_gen_nat_lt, None, None, "0"),  # the order on the naturals
@@ -417,10 +419,11 @@ def reflexive_point_in_ue(fam: FamilyPresentation, chi_threshold: int) -> Verdic
             return Verdict("yes", f"reflexive point {loops[0]!r} in {part_name}")
     gen = fam.generator
     if gen is not None and gen.chromatic_number is None:
-        lb, clique = clique_lower_bound(gen.expansion(chi_threshold + 1))
+        clique = list(gen.component(chi_threshold).vertices)  # a clique, as GENERATORS declares
         return Verdict(
             "yes",
-            f"chromatic lower bound {lb} > {chi_threshold} reached by component index {chi_threshold}",
+            f"chromatic lower bound {len(clique)} > {chi_threshold} "
+            f"reached by component index {chi_threshold}",
             {"component_index": chi_threshold, "clique": clique,
              "inequivalence_sentences": INEQUIVALENCE_SENTENCES},
         )

@@ -30,36 +30,27 @@ def _load_model(path: str) -> Model:
                               for p, xs in val.items()})
 
 
-def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True, default=str)
-    sys.stdout.write("\n")
-
-
-def cmd_ue_build(args) -> int:
+def cmd_ue_build(args) -> dict | None:
     frame = load_frame(args.frame)
     ue = build_ue(frame)
-    if args.dot:
-        sys.stdout.write(frame_to_dot(ue.frame))
-    else:
-        _emit(frame_to_dict(ue.frame))
-    return 0
+    if not args.dot:
+        return frame_to_dict(ue.frame)
+    sys.stdout.write(frame_to_dot(ue.frame))
 
 
-def cmd_ue_cross_check(args) -> int:
+def cmd_ue_cross_check(args) -> dict:
     frame = load_frame(args.frame)
     build_ue(frame)  # raises DefectError if the three relation modes disagree
-    _emit({"frame": args.frame, "modes_agree": True})
-    return 0
+    return {"frame": args.frame, "modes_agree": True}
 
 
-def cmd_modal_eval(args) -> int:
+def cmd_modal_eval(args) -> dict:
     model = _load_model(args.model)
     phi = parse_modal(args.formula)
-    _emit({"holds": eval_modal(model, args.at, phi)})
-    return 0
+    return {"holds": eval_modal(model, args.at, phi)}
 
 
-def cmd_modal_valid(args) -> int:
+def cmd_modal_valid(args) -> dict:
     frame = load_frame(args.frame)
     phi = parse_modal(args.formula)
     ok, counter = frame_valid(frame, phi)
@@ -68,18 +59,15 @@ def cmd_modal_valid(args) -> int:
         cm, cw = counter
         doc["counter_world"] = cw
         doc["counter_valuation"] = {p: sorted(xs) for p, xs in cm.valuation}
-    _emit(doc)
-    return 0
+    return doc
 
 
-def cmd_bisim(args) -> int:
+def cmd_bisim(args) -> dict:
     m1, m2 = _load_model(args.model1), _load_model(args.model2)
-    _emit({"bisimilar": n_bisimilar(m1, args.at1, m2, args.at2, args.depth),
-           "depth": args.depth})
-    return 0
+    return {"bisimilar": n_bisimilar(m1, args.at1, m2, args.at2, args.depth), "depth": args.depth}
 
 
-def cmd_fo_eval(args) -> int:
+def cmd_fo_eval(args) -> dict:
     frame = load_frame(args.frame)
     phi = parse_fo(args.formula)
     assignment = {}
@@ -89,72 +77,66 @@ def cmd_fo_eval(args) -> int:
         var, vert = item.split("=", 1)
         frame.check_vertices([vert])
         assignment[var] = vert
-    _emit({"holds": eval_fo(frame, phi, assignment)})
-    return 0
+    return {"holds": eval_fo(frame, phi, assignment)}
 
 
-def cmd_fo_ef(args) -> int:
+def cmd_fo_ef(args) -> dict:
     f1, f2 = load_frame(args.frame1), load_frame(args.frame2)
     k = ef_min_rounds(f1, f2, args.max_rounds)
-    _emit({"min_spoiler_rounds": k, "equivalent_up_to": args.max_rounds if k is None else k - 1})
-    return 0
+    return {"min_spoiler_rounds": k, "equivalent_up_to": args.max_rounds if k is None else k - 1}
 
 
-def cmd_fo_los_like(args) -> int:
+def cmd_fo_los_like(args) -> dict:
     frame = load_frame(args.frame)
     u = Ultrafilter(frame, args.at)  # checks --at before the formula is parsed
     phi = parse_fo(args.formula)
     ok, lhs, rhs = los_like_check(frame, phi, u)
-    _emit({"agrees": ok, "extension_side": lhs, "membership_side": rhs})
-    return 0
+    return {"agrees": ok, "extension_side": lhs, "membership_side": rhs}
 
 
-def cmd_hull(args) -> int:
+def cmd_hull(args) -> dict:
     frame = load_frame(args.frame)
     h = hull(frame, args.at, args.depth)
-    doc = {
-        "root": h.root,
-        "depth": h.depth,
-        "size": len(h.graph.vertices),
-        "certificate": canonical_form(h).hex,
-        "frame": frame_to_dict(h.graph),
-    }
+    doc = {"root": h.root, "depth": h.depth, "size": len(h.graph.vertices),
+           "certificate": canonical_form(h).hex, "frame": frame_to_dict(h.graph)}
     if args.depth >= 1:
         doc["endpoints"] = sorted(endpoints(h))
     if args.formula:
         doc["formula"] = format_fo(hull_formula(h))
-    _emit(doc)
-    return 0
+    return doc
 
 
-def cmd_census(args) -> int:
+def cmd_census(args) -> dict:
     fam = census_mod.load_family(args.family)
     c = census_mod.hull_census(fam, args.depth)
-    _emit(census_mod.census_to_dict(c))
-    return 0
+    return census_mod.census_to_dict(c)
 
 
-def cmd_skeleton(args) -> int:
+def cmd_skeleton(args) -> dict:
     fam = census_mod.load_family(args.family)
     sk = census_mod.ue_skeleton(fam, args.depth, args.budget)
-    _emit({
-        "frame": frame_to_dict(sk.frame),
-        "provenance": sk.provenance,
-        "census": census_mod.census_to_dict(sk.census),
-    })
-    return 0
+    return {"frame": frame_to_dict(sk.frame), "provenance": sk.provenance,
+            "census": census_mod.census_to_dict(sk.census)}
 
 
-def cmd_detect(args) -> int:
+# each detect property's flags and their defaults; a flag of another property would do nothing
+DETECT_FLAGS = {"reflexive": {"chi_threshold": 10}, "generated": {}, "modal": {"depth": 2, "budget": None}}
+
+
+def cmd_detect(args) -> dict:
+    own = DETECT_FLAGS[args.property]
+    for name in ("chi_threshold", "depth", "budget"):
+        given = getattr(args, name)
+        if given is not None and name not in own:
+            raise InputError(f"uext: detect {args.property} does not take --{name.replace('_', '-')}")
+        setattr(args, name, own.get(name) if given is None else given)
     fam = census_mod.load_family(args.family)
     if args.property == "modal":
         ok, report = census_mod.modal_logic_coincides(fam, args.depth, args.budget)
-        _emit({"coincides": ok, "report": report})
-        return 0
+        return {"coincides": ok, "report": report}
     v = (census_mod.reflexive_point_in_ue(fam, args.chi_threshold) if args.property == "reflexive"
          else census_mod.generated_substructure_verdict(fam))
-    _emit({"verdict": v.kind, "evidence": v.evidence, "data": v.data})
-    return 0
+    return {"verdict": v.kind, "evidence": v.evidence, "data": v.data}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -235,11 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_skeleton)
 
     p = sub.add_parser("detect", help="verdicts about a family's extension")
-    p.add_argument("property", choices=["reflexive", "generated", "modal"])
+    p.add_argument("property", choices=list(DETECT_FLAGS))
     p.add_argument("family")
-    p.add_argument("--chi-threshold", type=int, default=10)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--chi-threshold", type=int, help="reflexive only (default 10)")
+    p.add_argument("--depth", type=int, help="modal only (default 2)")
+    p.add_argument("--budget", type=int, help="modal only")
     p.set_defaults(func=cmd_detect)
 
     return ap
@@ -248,7 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        doc = args.func(args)  # the JSON answer, or None when the command wrote its own output
+        if doc is not None:
+            json.dump(doc, sys.stdout, indent=2, sort_keys=True, default=str)
+            sys.stdout.write("\n")
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

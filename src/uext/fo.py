@@ -226,7 +226,10 @@ class _EFGame(Game):
     the unordered pairing."""
 
     def __init__(self, f1: Frame, f2: Frame):
-        super().__init__(EF_MEMO_LIMIT_ENV, DEFAULT_EF_MEMO_LIMIT, "EF memo table")
+        # a sentence of rank max(|F1|, |F2|) + 1 pins a frame of at most max(|F1|, |F2|)
+        # points up to isomorphism, so no verdict changes past it
+        super().__init__(EF_MEMO_LIMIT_ENV, DEFAULT_EF_MEMO_LIMIT, "EF memo table",
+                         max(len(f1.vertices), len(f2.vertices)) + 1)
         self.frames, self.rows = (f1, f2), (f1.succ_mask, f2.succ_mask)
 
     def key(self, pos) -> frozenset[tuple[int, int]]:
@@ -264,60 +267,42 @@ class _EFGame(Game):
                 else Forall(var, fold(Disj, parts, Neg(Eq(var, var)))))
 
 
-def _clipped(f1: Frame, f2: Frame, rounds: int) -> int:
-    """rounds clipped to max(|F1|, |F2|) + 1: a sentence of that rank pins a frame of at most
-    max(|F1|, |F2|) points up to isomorphism, so no verdict changes past it."""
-    if rounds < 0:
-        raise InputError("rounds must be nonnegative")
-    return min(rounds, max(len(f1.vertices), len(f2.vertices)) + 1)
-
-
-def _ef_game(f1: Frame, f2: Frame, rounds: int) -> tuple[_EFGame, int]:
-    """A game between the frames and its clipped rounds, refused before play if they would
-    recurse past the interpreter's stack."""
-    game = _EFGame(f1, f2)
-    return game, game.rounds(_clipped(f1, f2, rounds))
-
-
 def ef_equivalent(f1: Frame, f2: Frame, rounds: int) -> bool:
     """True iff Duplicator wins the k-round EF game between the two frames."""
-    game, k = _ef_game(f1, f2, rounds)
-    return game.wins((), k)
+    game = _EFGame(f1, f2)
+    return game.wins((), game.rounds(rounds))
 
 
 def ef_min_rounds(f1: Frame, f2: Frame, max_rounds: int) -> int | None:
     """Smallest k <= max_rounds at which Spoiler wins, or None."""
     if max_rounds < 0:
         raise InputError("max_rounds must be nonnegative")
-    return next((k for k in range(_clipped(f1, f2, max_rounds) + 1) if not ef_equivalent(f1, f2, k)), None)
+    return _EFGame(f1, f2).least((), max_rounds)
 
 
 def spoiler_line(f1: Frame, f2: Frame, rounds: int) -> list[str]:
-    """One optimal Spoiler line (with Duplicator's replies) when Spoiler wins.
-
-    Duplicator is lost whatever it answers, but the line reports its most
-    stubborn reply: the one that stays alive for the most rounds.
-    """
-    (game, rounds), pos, line = _ef_game(f1, f2, rounds), (), []
-    for k in range(rounds, 0, -1):
-        if game.wins(pos, k) or not game.check(pos):
-            break
+    """One optimal Spoiler line (with Duplicator's replies) when Spoiler wins: Spoiler plays at
+    the least winning round count, so the line holds ef_min_rounds Spoiler moves, and each
+    reply is Duplicator's most stubborn, the one Spoiler needs the most rounds to beat."""
+    game, pos, line = _EFGame(f1, f2), (), []
+    k = game.lost(pos, rounds) or 0
+    while k:
         board, move = game.spoiler_move(pos, k)
         line.append(f"S:{board}:{game.frames[board - 1].vertices[move]}")
-        after = {r: game.play(pos, board, move, r) for r in game.moves(pos, 3 - board)}
-        if not after:
+        left = {r: game.least(game.play(pos, board, move, r), k - 1) for r in game.moves(pos, 3 - board)}
+        if not left:
             break
-        survives = {r: next((j for j in range(k - 1, -1, -1) if game.wins(p, j)), -1) for r, p in after.items()}
-        reply = max(after, key=survives.__getitem__)
-        pos = after[reply]
+        reply = max(left, key=left.__getitem__)
+        pos, k = game.play(pos, board, move, reply), left[reply]
         line.append(f"D:{3 - board}:{game.frames[2 - board].vertices[reply]}")
     return line
 
 
 def distinguishing_sentence(f1: Frame, f2: Frame, rounds: int) -> FOFormula | None:
-    """A sentence of rank <= rounds true in f1 and false in f2, from the game tree."""
-    game, k = _ef_game(f1, f2, rounds)
-    return None if game.wins((), k) else game.distinguish((), k)
+    """A sentence of the least rank, at most rounds, true in f1 and false in f2, from the game tree."""
+    game = _EFGame(f1, f2)
+    k = game.lost((), rounds)
+    return None if k is None else game.distinguish((), k)
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +354,12 @@ def sentences_upto(max_rank: int) -> list[FOFormula]:
 
 
 def los_like_check(frame: Frame, phi: FOFormula, u: Ultrafilter) -> tuple[bool, bool, bool]:
-    """Truth of phi(u) on the extension iff {w : phi holds at eta(w)} belongs to u.
+    """Truth of phi at pi_u on the extension iff {w : phi holds at w on the frame} belongs to u.
 
     phi must have exactly one free variable.  Returns (agree, extension side,
-    membership side).  On finite frames disagreement is a defect (eta is an
-    isomorphism).
+    membership side).  The membership side is read on the frame, not through
+    the extension, so a broken extension shows as disagreement; on finite
+    frames disagreement is a defect (eta: w -> pi_w is an isomorphism).
     """
     fv = sorted(free_vars(phi))
     if len(fv) != 1:
@@ -381,9 +367,8 @@ def los_like_check(frame: Frame, phi: FOFormula, u: Ultrafilter) -> tuple[bool, 
     if u.frame != frame:
         raise InputError("ultrafilter is not over the given frame")
     x = fv[0]
-    ue = build_ue(frame).frame
-    lhs = eval_fo(ue, phi, {x: f"pi:{u.point}"})
-    truth = frozenset(w for w in frame.vertices if eval_fo(ue, phi, {x: f"pi:{w}"}))
+    lhs = eval_fo(build_ue(frame).frame, phi, {x: f"pi:{u.point}"})
+    truth = frozenset(w for w in frame.vertices if eval_fo(frame, phi, {x: w}))
     rhs = u.member(truth)
     return lhs == rhs, lhs, rhs
 

@@ -300,8 +300,13 @@ class _BisimGame(Game):
     """Positions are pairs of world indices that must agree on the letters; moves go to
     successors, in load order."""
 
+    ROUNDS = "n"
+
     def __init__(self, m1: Model, m2: Model, ls):
-        super().__init__(GAME_LIMIT_ENV, DEFAULT_GAME_LIMIT, "bisimulation memo")
+        # the k-bisimulation partition of the disjoint union has at most |W1| + |W2| classes,
+        # so it is stable from there on and no verdict changes past it
+        super().__init__(GAME_LIMIT_ENV, DEFAULT_GAME_LIMIT, "bisimulation memo",
+                         len(m1.frame.vertices) + len(m2.frame.vertices))
         self.ls = sorted(ls)
         self.labels = [[tuple(bool(m.masks.get(p, 0) >> i & 1) for p in self.ls)
                         for i in range(len(m.frame.vertices))] for m in (m1, m2)]
@@ -325,27 +330,19 @@ class _BisimGame(Game):
         return Dia(fold(And, parts, TOP)) if board == 1 else Box(fold(Or, parts, Falsum()))
 
 
-def _bisim_start(game, m1: Model, w1: str, m2: Model, w2: str, n: int) -> tuple[tuple[int, int], int]:
-    """The position of the two worlds, and n clipped to |W1| + |W2|: the k-bisimulation
-    partition of the disjoint union has at most that many classes, so it is stable from
-    there on and every n-bisimulation verdict past it is the same."""
-    pos = (m1.frame.position(w1), m2.frame.position(w2))
-    if n < 0:
-        raise InputError("n must be nonnegative")
-    return pos, game.rounds(min(n, len(m1.frame.vertices) + len(m2.frame.vertices)))
-
-
 def n_bisimilar(m1: Model, w1: str, m2: Model, w2: str, n: int) -> bool:
     """Exact n-round back-and-forth between two pointed models."""
     game = _BisimGame(m1, m2, frozenset(m1.val) | frozenset(m2.val))
-    return game.wins(*_bisim_start(game, m1, w1, m2, w2, n))
+    pos = m1.frame.position(w1), m2.frame.position(w2)
+    return game.wins(pos, game.rounds(n))
 
 
 def distinguishing_formula(m1: Model, w1: str, m2: Model, w2: str, n: int, ls) -> ModalFormula | None:
-    """A formula of depth <= n true at (m1, w1) and false at (m2, w2), if one exists."""
+    """A formula of the least depth, at most n, true at (m1, w1) and false at (m2, w2), if one exists."""
     game = _BisimGame(m1, m2, ls)
-    pos, k = _bisim_start(game, m1, w1, m2, w2, n)
-    return None if game.wins(pos, k) else game.distinguish(pos, k)
+    pos = m1.frame.position(w1), m2.frame.position(w2)
+    k = game.lost(pos, n)
+    return None if k is None else game.distinguish(pos, k)
 
 
 def modally_equivalent_upto(m1: Model, w1: str, m2: Model, w2: str, n: int,

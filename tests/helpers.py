@@ -38,12 +38,7 @@ def parse_outcome(logic: str, text: str) -> str:
 
 
 def game_outcome(case: dict) -> dict:
-    """The case with the game outputs on its EF frame pair or its pointed model pair.
-
-    A modal witness is pinned only when none of its rounds is a back move
-    (Spoiler moving in the second model): a back move is written "[]...", and
-    was written "~<>..." by the build that recorded games.jsonl.
-    """
+    """The case with the game outputs on its EF frame pair or its pointed model pair."""
     out = dict(case)
     if "frames" in case:
         f1, f2 = (frame_from_dict(doc) for doc in case["frames"])
@@ -55,9 +50,7 @@ def game_outcome(case: dict) -> dict:
     m1, m2 = (Model.make(frame_from_dict(doc), doc["valuation"]) for doc in case["models"])
     (w1, w2), n = case["at"], case["depth"]
     _, phi = modally_equivalent_upto(m1, w1, m2, w2, n, case["letters"])
-    text = None if phi is None else format_modal(phi)
-    out.update(bisimilar=n_bisimilar(m1, w1, m2, w2, n),
-               witness=None if text is None or "~<>" in text or "[]" in text else text)
+    out.update(bisimilar=n_bisimilar(m1, w1, m2, w2, n), witness=None if phi is None else format_modal(phi))
     return out
 
 

@@ -220,6 +220,16 @@ def test_usage_error_is_input_error(capsys, argv, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("prop, flag", [
+    ("generated", "--depth"), ("generated", "--budget"), ("generated", "--chi-threshold"),
+    ("reflexive", "--depth"), ("reflexive", "--budget"), ("modal", "--chi-threshold"),
+])
+def test_detect_flag_of_another_property_is_usage_error(capsys, prop, flag):
+    # each property parses only its own flags, so one that would do nothing is refused
+    assert main(["detect", prop, "fixtures/nat_succ.json", flag, "3"]) == 1
+    assert capsys.readouterr() == ("", f"error: uext: detect {prop} does not take {flag}\n")
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ue", "-h"])

@@ -3,6 +3,7 @@ checked by tests/evidence_oracle.py, which imports nothing from uext."""
 
 import copy
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,16 @@ def test_probe_families_are_no(tmp_path, name, fam, t):
     out = detect(tmp_path, fam, "reflexive", "--chi-threshold", str(t))
     assert out["verdict"] == "no", name
     check_reflexive(fam, t, out)
+
+
+@pytest.mark.parametrize("name", ["nat_lt", "chains_lt"])
+def test_large_threshold_clique_is_read_off_the_component(tmp_path, name):
+    # component t is the clique shown: no search over the 45,451 points of chains_lt at t = 300
+    fam = json.loads((ROOT / "fixtures" / f"{name}.json").read_text())
+    t0 = time.perf_counter()
+    out = detect(tmp_path, fam, "reflexive", "--chi-threshold", "300")
+    assert time.perf_counter() - t0 < 1
+    check_reflexive(fam, 300, out)
 
 
 def test_checker_rejects_wrong_evidence(tmp_path):

@@ -1,13 +1,16 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import uext.fo
 from uext import (
     Frame,
     InputError,
     ResourceError,
     Ultrafilter,
+    build_ue,
     distinguishing_sentence,
     ef_equivalent,
     ef_min_rounds,
@@ -147,6 +150,16 @@ def test_los_like_on_random_frames():
             assert ok
 
 
+def test_los_like_catches_a_broken_extension(monkeypatch):
+    # the membership side is read on the frame, so dropping pi_a's out-edges from the
+    # extension of a -> b -> c shows as disagreement
+    chain = Frame(("a", "b", "c"), frozenset([("a", "b"), ("b", "c")]))
+    ue = build_ue(chain).frame
+    broken = Frame(ue.vertices, frozenset((x, y) for x, y in ue.edges if x != "pi:a"))
+    monkeypatch.setattr(uext.fo, "build_ue", lambda frame: SimpleNamespace(frame=broken))
+    assert los_like_check(chain, parse_fo("exists y. R(x,y)"), Ultrafilter(chain, "a")) == (False, False, True)
+
+
 def test_los_like_needs_one_free_variable():
     with pytest.raises(InputError):
         los_like_check(TRI, parse_fo("forall x. ~R(x,x)"), Ultrafilter(TRI, "a"))
@@ -185,6 +198,48 @@ def test_ef_rounds_clip_at_isomorphism_bound():
         if phi is not None:  # read off the clipped game: rank <= bound, true in f1, false in f2
             assert quantifier_rank(phi) <= bound and eval_fo(f1, phi) and not eval_fo(f2, phi)
             assert spoiler_line(f1, f2, bound + 5)
+
+
+def test_line_and_sentence_are_read_at_the_least_round_count():
+    # a line holds exactly ef_min_rounds Spoiler moves, each answered on the other board, and
+    # the sentence has that rank (no sentence of lower rank separates the frames)
+    rng, lost = random.Random(73), 0
+    for _ in range(300):
+        f1, f2, rounds = random_frame(rng, 5), random_frame(rng, 5), rng.randint(0, 4)
+        k = ef_min_rounds(f1, f2, rounds)
+        line, phi = spoiler_line(f1, f2, rounds), distinguishing_sentence(f1, f2, rounds)
+        if k is None:
+            assert line == [] and phi is None
+            continue
+        lost += 1
+        assert [step[0] for step in line] == ["S", "D"] * k, line
+        assert all(int(s[2]) + int(d[2]) == 3 for s, d in zip(line[::2], line[1::2])), line
+        assert quantifier_rank(phi) == k and eval_fo(f1, phi) and not eval_fo(f2, phi)
+    assert lost >= 150
+
+
+def test_one_game_answers_every_round_count_as_fresh_games_do():
+    # the memo keeps one entry per position for all round counts; asked in any order, one
+    # game agrees with a fresh game per count
+    rng = random.Random(31)
+    for _ in range(150):
+        f1, f2 = random_frame(rng, 4), random_frame(rng, 4)
+        shared, counts = _EFGame(f1, f2), list(range(5))
+        rng.shuffle(counts)
+        for k in counts:
+            assert shared.wins((), k) == _EFGame(f1, f2).wins((), k), (f1, f2, k)
+
+
+def test_ef_min_rounds_builds_one_game(monkeypatch):
+    built, init = [], _EFGame.__init__
+
+    def counted(game, f1, f2):
+        built.append(game)
+        init(game, f1, f2)
+
+    monkeypatch.setattr(_EFGame, "__init__", counted)
+    assert ef_min_rounds(linear_order(3), linear_order(4, "w"), 5) == 3
+    assert len(built) == 1
 
 
 def test_ef_clip_past_the_stack_is_refused_before_play():

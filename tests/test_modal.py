@@ -238,6 +238,26 @@ def test_n_bisimilar_past_the_clip_matches_oracle():
                 assert eval_modal(m1, w1, phi) and not eval_modal(m2, w2, phi)
 
 
+def test_witness_has_the_least_separating_depth():
+    # the witness is read at the least n at which the oracle separates the worlds
+    rng, separated = random.Random(59), 0
+    for _ in range(300):
+        f1, f2 = random_frame(rng, 4), random_frame(rng, 4)
+        letters = ["p0", "p1"]
+        m1 = Model.make(f1, random_valuation(rng, f1, letters))
+        m2 = Model.make(f2, random_valuation(rng, f2, letters))
+        w1, w2, n = rng.choice(f1.vertices), rng.choice(f2.vertices), rng.randint(0, 4)
+        least = next((d for d in range(n + 1) if not bisim_oracle.n_bisimilar(
+            (successors(f1), m1.val), w1, (successors(f2), m2.val), w2, d, letters)), None)
+        phi = distinguishing_formula(m1, w1, m2, w2, n, letters)
+        assert (phi is None) == (least is None)
+        if phi is not None:
+            separated += 1
+            assert modal_depth(phi) == least
+            assert eval_modal(m1, w1, phi) and not eval_modal(m2, w2, phi)
+    assert separated >= 150
+
+
 def test_back_failure_witness_is_a_box():
     # Spoiler wins only by moving in the second model: its world has a successor
     dead_end = Model.make(Frame(("a",), frozenset()), {})
