@@ -470,14 +470,15 @@ def generated_substructure_verdict(fam: FamilyPresentation) -> Verdict:
                    {"witness": witness, "degrees": degrees})
 
 
-def modal_logic_coincides(fam: FamilyPresentation, n: int, budget: int | None = None) -> tuple[bool, dict]:
-    """Check every omega-type of the skeleton's depth-n census is realized in its expansion.
+def modal_logic_coincides(fam: FamilyPresentation, n: int) -> tuple[bool, dict]:
+    """Check every omega-type of the depth-n skeleton's census, at the default budget, is
+    realized in its expansion.
 
     Rooted hull isomorphism implies n-bisimilarity of the roots, which is what
     equality of the modal logics needs at depth n.  An unmatched type would
     falsify the census, so a False return is a defect detector.
     """
-    sk = ue_skeleton(fam, n, budget)
+    sk = ue_skeleton(fam, n)
     first: dict[str, str] = {}  # each hull type's first expansion vertex in load order
     for v, origin in sk.provenance.items():
         if origin == "expansion":

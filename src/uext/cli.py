@@ -75,6 +75,8 @@ def cmd_fo_eval(args) -> dict:
         if "=" not in item:
             raise InputError(f"--let expects var=vertex, got {item!r}")
         var, vert = item.split("=", 1)
+        if var in assignment:
+            raise InputError(f"--let binds {var!r} twice")
         frame.check_vertices([vert])
         assignment[var] = vert
     return {"holds": eval_fo(frame, phi, assignment)}
@@ -120,19 +122,19 @@ def cmd_skeleton(args) -> dict:
 
 
 # each detect property's flags and their defaults; a flag of another property would do nothing
-DETECT_FLAGS = {"reflexive": {"chi_threshold": 10}, "generated": {}, "modal": {"depth": 2, "budget": None}}
+DETECT_FLAGS = {"reflexive": {"chi_threshold": 10}, "generated": {}, "modal": {"depth": 2}}
 
 
 def cmd_detect(args) -> dict:
     own = DETECT_FLAGS[args.property]
-    for name in ("chi_threshold", "depth", "budget"):
+    for name in ("chi_threshold", "depth"):
         given = getattr(args, name)
         if given is not None and name not in own:
             raise InputError(f"uext: detect {args.property} does not take --{name.replace('_', '-')}")
         setattr(args, name, own.get(name) if given is None else given)
     fam = census_mod.load_family(args.family)
     if args.property == "modal":
-        ok, report = census_mod.modal_logic_coincides(fam, args.depth, args.budget)
+        ok, report = census_mod.modal_logic_coincides(fam, args.depth)
         return {"coincides": ok, "report": report}
     v = (census_mod.reflexive_point_in_ue(fam, args.chi_threshold) if args.property == "reflexive"
          else census_mod.generated_substructure_verdict(fam))
@@ -221,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family")
     p.add_argument("--chi-threshold", type=int, help="reflexive only (default 10)")
     p.add_argument("--depth", type=int, help="modal only (default 2)")
-    p.add_argument("--budget", type=int, help="modal only")
     p.set_defaults(func=cmd_detect)
 
     return ap

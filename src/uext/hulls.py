@@ -1,10 +1,12 @@
 """n-Hulls: rooted neighborhood subframes, exact rooted isomorphism, canonical
 certificates, and the first-order formulas pinning a hull's rooted type.
 
-Certificates come from root-seeded color refinement with full
-individualization backtracking, so certificate equality is exactly rooted
-isomorphism.  Hulls are small by construction (bounded degree, small depth),
-so no attempt is made to compete with general-purpose canonical labelers.
+Certificates come from root-seeded color refinement with individualization
+backtracking: the least leaf of the search tree is the certificate, so
+certificate equality is exactly rooted isomorphism, and that leaf's labelling
+gives `rooted_iso` its witness.  Each twin class (vertices with the same
+neighbours, adjacent or not) is branched on once, so stars and K_mm-like hulls
+cost a linear number of refinements; other symmetry is still searched in full.
 """
 
 from __future__ import annotations
@@ -89,18 +91,6 @@ def endpoints(h: RootedGraph) -> frozenset[str]:
     return frozenset(v for v, d in h.layers.items() if d == h.depth)
 
 
-def _adjacency(g: Frame) -> tuple[list[list[int]], list[list[int]]]:
-    """Successor and predecessor index lists, read once per labelling."""
-    return [list(bits(row)) for row in g.succ_mask], [list(bits(row)) for row in g.pred_mask]
-
-
-def _initial_colors(h: RootedGraph, adj) -> list[int]:
-    (succ, pred), root = adj, h.graph.index[h.root]
-    sig = [(i == root, len(succ[i]), len(pred[i]), i in succ[i]) for i in range(len(succ))]
-    ranks = {s: c for c, s in enumerate(sorted(set(sig)))}
-    return [ranks[s] for s in sig]
-
-
 def _refine(adj, colors: list[int]) -> list[int]:
     succ, pred = adj
     while True:
@@ -113,7 +103,8 @@ def _refine(adj, colors: list[int]) -> list[int]:
         colors = new
 
 
-def _canonical_bytes(h: RootedGraph, adj, colors: list[int]) -> bytes:
+def _canonical_bytes(h: RootedGraph, adj, twins, colors: list[int]) -> tuple[bytes, list[int]]:
+    """The least leaf below this colouring: its certificate and its labelling."""
     cells: dict[int, list[int]] = {}
     for i, c in enumerate(colors):
         cells.setdefault(c, []).append(i)
@@ -122,61 +113,55 @@ def _canonical_bytes(h: RootedGraph, adj, colors: list[int]) -> bytes:
         # refined colours are ranks 0..n-1, so a discrete colouring is the vertex order
         edges = sorted((colors[a], colors[b]) for a, row in enumerate(adj[0]) for b in row)
         body = f"n={len(colors)};root={colors[h.graph.index[h.root]]};edges={edges}"
-        return CERT_VERSION + b"|" + body.encode()
-    best = None
+        return CERT_VERSION + b"|" + body.encode(), colors
+    best, branched_keys = None, set()
     fresh = max(colors) + 1
     for i in target:
+        # swapping i with a twin already branched on fixes the root and every individualised
+        # vertex, so that branch's subtree has the same least leaf
+        if not branched_keys.isdisjoint(twins[i]):
+            continue
+        branched_keys.update(twins[i])
         branched = list(colors)
         branched[i] = fresh
-        cert = _canonical_bytes(h, adj, _refine(adj, branched))
-        if best is None or cert < best:
-            best = cert
+        leaf = _canonical_bytes(h, adj, twins, _refine(adj, branched))
+        if best is None or leaf[0] < best[0]:
+            best = leaf
     return best
+
+
+def _labelling(h: RootedGraph) -> tuple[bytes, list[int]]:
+    """The certificate of h and the labelling (vertex index -> rank) of the leaf it was read off."""
+    g, root = h.graph, h.graph.index[h.root]
+    adj = [list(bits(row)) for row in g.succ_mask], [list(bits(row)) for row in g.pred_mask]
+    sig = [(i == root, len(s), len(p), i in s) for i, (s, p) in enumerate(zip(*adj))]
+    ranks = {s: c for c, s in enumerate(sorted(set(sig)))}
+    # two vertices share the first key when they are non-adjacent twins and the second when
+    # they are adjacent ones (a key of one kind never equals one of the other); the loop bit
+    # is kept apart because the own bit is overwritten
+    twins = []
+    for i, (s, p) in enumerate(zip(g.succ_mask, g.pred_mask)):
+        own, loop = 1 << i, s >> i & 1
+        twins.append(((s & ~own, p & ~own, loop), (s | own, p | own, loop)))
+    return _canonical_bytes(h, adj, twins, _refine(adj, [ranks[s] for s in sig]))
 
 
 def canonical_form(h: RootedGraph) -> HullType:
     """Deterministic certificate; equal certificates iff rooted isomorphism."""
-    adj = _adjacency(h.graph)
-    colors = _refine(adj, _initial_colors(h, adj))
-    return HullType(_canonical_bytes(h, adj, colors), len(h.graph.vertices), h.depth)
+    return HullType(_labelling(h)[0], len(h.graph.vertices), h.depth)
 
 
 def rooted_iso(h1: RootedGraph, h2: RootedGraph) -> tuple[bool, dict[str, str] | None]:
-    """Exact root-preserving digraph isomorphism with a witness mapping."""
+    """Exact root-preserving digraph isomorphism; the witness maps each vertex of h1 to the
+    vertex of h2 with the same canonical label."""
     g1, g2 = h1.graph, h2.graph
-    n = len(g1.vertices)
-    if n != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False, None
-    a1, a2 = _adjacency(g1), _adjacency(g2)
-    c1, c2 = _refine(a1, _initial_colors(h1, a1)), _refine(a2, _initial_colors(h2, a2))
-    if sorted(c1) != sorted(c2):
+    (cert1, labels1), (cert2, labels2) = _labelling(h1), _labelling(h2)
+    if cert1 != cert2:
         return False, None
-    s1, s2, r1, r2 = g1.succ_mask, g2.succ_mask, g1.index[h1.root], g2.index[h2.root]
-
-    def fits(a: int, b: int, mapping: dict[int, int]) -> bool:
-        """Whether a -> b keeps every edge to, from and between the mapped vertices."""
-        return (s1[a] >> a & 1) == (s2[b] >> b & 1) and all(
-            (s1[a] >> a2 & 1) == (s2[b] >> b2 & 1) and (s1[a2] >> a & 1) == (s2[b2] >> b & 1)
-            for a2, b2 in mapping.items())
-
-    def backtrack(i: int, mapping: dict[int, int], used: int):
-        if i == n:
-            return dict(mapping)
-        a = h1.order[i]  # BFS from the root, so each new vertex is constrained at once
-        candidates = [r2] if a == r1 else [b for b in range(n) if c2[b] == c1[a] and b != r2]
-        for b in candidates:
-            if not used >> b & 1 and fits(a, b, mapping):
-                mapping[a] = b
-                res = backtrack(i + 1, mapping, used | 1 << b)
-                if res is not None:
-                    return res
-                del mapping[a]
-        return None
-
-    witness = backtrack(0, {}, 0)
-    if witness is None:
-        return False, None
-    return True, {g1.vertices[a]: g2.vertices[b] for a, b in witness.items()}
+    by_label = {c: g2.vertices[b] for b, c in enumerate(labels2)}
+    return True, {v: by_label[c] for v, c in zip(g1.vertices, labels1)}
 
 
 def hull_formula(h: RootedGraph) -> FOFormula:

@@ -30,8 +30,8 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
 from helpers import (CAP_VARS, cli_outcome, game_outcome, hull_outcome, modal_truth_outcome,  # noqa: E402
-                     model_doc, parse_outcome, random_bounded_frame, random_frame, random_modal,
-                     random_valuation)
+                     kmm_root, model_doc, parse_outcome, random_bounded_frame, random_frame, random_modal,
+                     random_valuation, star)
 from uext import Frame, Model, format_modal, frame_to_dict  # noqa: E402
 
 CORPUS_SEED = 20240527
@@ -190,15 +190,6 @@ def modal_truth_cases(seed: int, models: int, frames: int) -> list[dict]:
         phi = random_modal(rng, rng.randint(0, 3), ["p0", "p1"][:rng.randint(0, 2)], rng.randint(1, 12))
         cases.append({"frame": frame_to_dict(f), "formula": format_modal(phi)})
     return cases
-
-
-def star(k: int) -> Frame:
-    return Frame(("c",) + tuple(f"l{i}" for i in range(k)), frozenset(("c", f"l{i}") for i in range(k)))
-
-
-def kmm_root(m: int) -> Frame:
-    a, b = [f"a{i}" for i in range(m)], [f"b{i}" for i in range(m)]
-    return Frame(tuple(["r"] + a + b), frozenset([("r", x) for x in a] + [(x, y) for x in a for y in b]))
 
 
 def relabelled(rng: random.Random, f: Frame) -> tuple[Frame, dict[str, str]]:

@@ -198,3 +198,14 @@ def all_3vertex_frames():
     for mask in range(512):
         edges = frozenset(slots[i] for i in range(9) if mask & (1 << i))
         yield Frame(verts, edges)
+
+
+def star(k: int) -> Frame:
+    """Centre c over k leaves."""
+    return Frame(("c",) + tuple(f"l{i}" for i in range(k)), frozenset(("c", f"l{i}") for i in range(k)))
+
+
+def kmm_root(m: int) -> Frame:
+    """K_{m,m} with every edge from side a to side b, and a root r over side a."""
+    a, b = [f"a{i}" for i in range(m)], [f"b{i}" for i in range(m)]
+    return Frame(tuple(["r"] + a + b), frozenset([("r", x) for x in a] + [(x, y) for x in a for y in b]))

@@ -45,6 +45,7 @@ from uext import (
 from uext.census import OMEGA
 from uext.fo import free_vars
 
+import iso_oracle
 from helpers import (
     all_3vertex_frames,
     random_bounded_frame,
@@ -278,10 +279,11 @@ def test_12_hull_cross_oracle():
             continue
         by_cert = canonical_form(h1).certificate == canonical_form(h2).certificate
         by_iso = rooted_iso(h1, h2)[0]
+        by_oracle = iso_oracle.rooted_iso(*((h.graph.vertices, h.graph.edges, h.root) for h in (h1, h2)))[0]
         by_formula = eval_fo(f2, hull_formula(h1), {"x": w2})
-        assert by_cert == by_iso == by_formula
+        assert by_cert == by_iso == by_oracle == by_formula
         checked += 1
     assert checked >= 300
     elapsed = time.time() - t0
     assert elapsed < 120
-    report(f"criterion 12 hull certificate/iso/formula agreement on {checked} pairs: PASS ({elapsed:.1f}s)")
+    report(f"criterion 12 hull certificate/iso/backtracker/formula agreement on {checked} pairs: PASS ({elapsed:.1f}s)")

@@ -73,6 +73,12 @@ def test_fo_eval_with_assignment(capsys, tri):
     assert code == 0 and json.loads(out)["holds"]
 
 
+def test_fo_eval_refuses_a_variable_bound_twice(capsys, tri):
+    # a later --let must not silently override an earlier one
+    assert main(["fo", "eval", tri, "R(x,y)", "--let", "x=a", "--let", "y=b", "--let", "x=c"]) == 1
+    assert capsys.readouterr() == ("", "error: --let binds 'x' twice\n")
+
+
 def test_fo_ef(capsys, tmp_path, tri):
     other = tmp_path / "single.json"
     other.write_text(json.dumps({"vertices": ["z"], "edges": []}))
@@ -222,12 +228,14 @@ def test_usage_error_is_input_error(capsys, argv, message):
 
 @pytest.mark.parametrize("prop, flag", [
     ("generated", "--depth"), ("generated", "--budget"), ("generated", "--chi-threshold"),
-    ("reflexive", "--depth"), ("reflexive", "--budget"), ("modal", "--chi-threshold"),
+    ("reflexive", "--depth"), ("reflexive", "--budget"), ("modal", "--chi-threshold"), ("modal", "--budget"),
 ])
 def test_detect_flag_of_another_property_is_usage_error(capsys, prop, flag):
-    # each property parses only its own flags, so one that would do nothing is refused
+    # each property parses only its own flags, so one that would do nothing is refused; no
+    # property takes --budget, which could only turn a true modal verdict false
     assert main(["detect", prop, "fixtures/nat_succ.json", flag, "3"]) == 1
-    assert capsys.readouterr() == ("", f"error: uext: detect {prop} does not take {flag}\n")
+    message = "unrecognized arguments: --budget 3" if flag == "--budget" else f"detect {prop} does not take {flag}"
+    assert capsys.readouterr() == ("", f"error: uext: {message}\n")
 
 
 def test_help_still_exits_zero(capsys):
