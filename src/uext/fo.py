@@ -222,8 +222,8 @@ def eval_fo(frame: Frame, phi: FOFormula, asg: dict[str, str] | None = None) -> 
 
 
 class _EFGame(Game):
-    """Positions are the pairs of vertex indices played so far, in order; the memo keys on
-    the unordered pairing."""
+    """Positions are the pairs of vertex indices played so far, in order, and a board's state
+    its tuple of them; equal atoms at every step keep the map a partial isomorphism."""
 
     def __init__(self, f1: Frame, f2: Frame):
         # a sentence of rank max(|F1|, |F2|) + 1 pins a frame of at most max(|F1|, |F2|)
@@ -231,22 +231,27 @@ class _EFGame(Game):
         super().__init__(EF_MEMO_LIMIT_ENV, DEFAULT_EF_MEMO_LIMIT, "EF memo table",
                          max(len(f1.vertices), len(f2.vertices)) + 1)
         self.frames, self.rows = (f1, f2), (f1.succ_mask, f2.succ_mask)
-
-    def key(self, pos) -> frozenset[tuple[int, int]]:
-        return frozenset(pos)
-
-    def check(self, pos) -> bool:
-        """Whether the last pair keeps the map a partial isomorphism; the others were checked."""
-        if pos:
-            (a, b), (s1, s2) = pos[-1], self.rows
-            for a2, b2 in pos:
-                if ((a == a2) != (b == b2) or (s1[a] >> a2 & 1) != (s2[b] >> b2 & 1)
-                        or (s1[a2] >> a & 1) != (s2[b2] >> b & 1)):
-                    return False
-        return True
+        self.meets = [None] * len(f1.vertices), [None] * len(f2.vertices)  # per board, rows built on demand
 
     def moves(self, pos, board: int) -> range:
         return range(len(self.rows[board - 1]))
+
+    def sides(self, pos) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The tuples played, a pair played again left out: Duplicator's copy of it adds nothing."""
+        return tuple(zip(*dict.fromkeys(pos))) or ((), ())
+
+    def atom(self, board: int, t: tuple[int, ...]) -> tuple[int, ...]:
+        """How the last element a meets each x in t (a = x, a -> x, x -> a: three bits), from a's row."""
+        if not t:
+            return ()
+        r, a, meets = self.rows[board - 1], t[-1], self.meets[board - 1]
+        if meets[a] is None:
+            meets[a] = [(a == x) << 2 | (r[a] >> x & 1) << 1 | r[x] >> a & 1 for x in range(len(r))]
+        return tuple(map(meets[a].__getitem__, t))
+
+    def successors(self, board: int, t: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Each t + (a,) with a not in t: Duplicator answers a repeat with the same repeat."""
+        return [t + (a,) for a in range(len(self.rows[board - 1])) if a not in t]
 
     def step(self, pos, a: int, b: int):
         return pos + ((a, b),)
@@ -269,8 +274,7 @@ class _EFGame(Game):
 
 def ef_equivalent(f1: Frame, f2: Frame, rounds: int) -> bool:
     """True iff Duplicator wins the k-round EF game between the two frames."""
-    game = _EFGame(f1, f2)
-    return game.wins((), game.rounds(rounds))
+    return _EFGame(f1, f2).lost((), rounds) is None
 
 
 def ef_min_rounds(f1: Frame, f2: Frame, max_rounds: int) -> int | None:

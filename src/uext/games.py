@@ -2,23 +2,26 @@
 
 Each round Spoiler moves on board 1 or 2 and Duplicator answers on the other
 (Blackburn, de Rijke and Venema 2001, 2.2-2.3; Ebbinghaus and Flum 1995, ch. 2).
-A logic supplies check, moves, step, literal and quantify, and the round count
-from which no verdict changes; key may coarsen positions for the memo.  A
-position is only ever reached by play from one that passed check, so check may
-test just what the last step added.  Answers are read at the least losing round
-count, which is the least rank or depth of a separating formula.
+Duplicator survives k rounds exactly when the boards' states have the same
+rank-k type (Libkin 2004, ch. 3): a state's atom with the set of its
+successors' rank-(k - 1) types, interned for both boards.  Play goes on only
+from positions whose atoms agree, so an atom need only describe the last step.
+A logic supplies moves, step, literal and quantify for play, sides, atom and
+successors for typing, and the round count from which no verdict changes.
+Answers are read at the least losing round count, the least rank or depth of a
+separating formula.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 
 from .caps import env_limit
 from .errors import InputError, ResourceError
 
-# wins -> spoiler_move -> its any() generator -> wins, and any()'s resumption of
-# the generator counts once more toward the recursion limit
+# Typing recurses rank_type -> its comprehension -> rank_type, two frames per round; a witness
+# recurses distinguish -> its generator, resumed by dict.fromkeys -> distinguish, three, and types
+# what is left from spoiler_move -> any()'s generator -> wins.  One frame per round is spare.
 FRAMES_PER_ROUND = 4
 STACK_RESERVE = 200  # interpreter frames left to the callers below a game
 
@@ -27,7 +30,9 @@ class Game:
     ROUNDS = "rounds"  # the round count's name in error messages
 
     def __init__(self, limit_env: str, default_limit: int, memo_name: str, bound: int):
-        self.memo: dict = {}
+        self.types: dict = {}  # (atom, successor types) -> type, for both boards
+        self.memo: dict = {}  # (board, state, rounds) -> type
+        self.typed = 0  # states typed so far, the work the cap bounds
         self.limit = env_limit(limit_env, default_limit)
         self.cap_message = f"{memo_name} exceeded cap {self.limit} (set {limit_env})"
         self.bound = bound  # the round count from which no verdict changes
@@ -42,33 +47,33 @@ class Game:
                                 f"(recursion limit {limit})")
         return k
 
-    def key(self, pos):
-        return pos
-
     def play(self, pos, board: int, move, reply):
         """The position after Spoiler plays move on board and Duplicator answers reply."""
         return self.step(pos, move, reply) if board == 1 else self.step(pos, reply, move)
 
+    def sides(self, pos):
+        """The state on each board."""
+        return pos
+
     def wins(self, pos, k: int) -> bool:
-        """Whether Duplicator survives k more rounds from pos."""
-        if not self.check(pos):
-            return False
-        if k == 0:
-            return True
-        key = self.key(pos)
-        known = self.memo.get(key)
-        if known is None:
-            if len(self.memo) > self.limit:
-                raise ResourceError(self.cap_message)
-            # the most rounds Duplicator is known to survive from pos, and the fewest Spoiler is
-            # known to need: more rounds only help Spoiler, so one entry answers every k
-            known = self.memo[key] = [0, math.inf]
-        if known[0] < k < known[1]:
-            if self.spoiler_move(pos, k) is None:
-                known[0] = max(known[0], k)
-            else:
-                known[1] = min(known[1], k)
-        return k <= known[0]
+        """Whether Duplicator survives k more rounds from pos: its states' atoms and rank-k types agree."""
+        s1, s2 = self.sides(pos)
+        return self.atom(1, s1) == self.atom(2, s2) and (
+            not k or self.rank_type(1, s1, k) == self.rank_type(2, s2, k))
+
+    def rank_type(self, board: int, state, r: int):
+        """The rank-r type of state on board, remembered for r > 0; one typing past the cap raises."""
+        if r and (board, state, r) in self.memo:
+            return self.memo[board, state, r]
+        self.typed += 1
+        if self.typed > self.limit:
+            raise ResourceError(self.cap_message)
+        if r == 0:
+            return self.atom(board, state)
+        kids = frozenset([self.rank_type(board, s, r - 1) for s in self.successors(board, state)])
+        key = self.atom(board, state), kids
+        self.memo[board, state, r] = self.types.setdefault(key, len(self.types))
+        return self.memo[board, state, r]
 
     def least(self, pos, n: int) -> int | None:
         """The fewest rounds, at most n clipped to bound, within which Spoiler wins from pos, or
@@ -76,12 +81,13 @@ class Game:
         return next((k for k in range(min(n, self.bound) + 1) if not self.wins(pos, self.rounds(k))), None)
 
     def lost(self, pos, n: int) -> int | None:
-        """least(pos, n), or None after one wins at the clipped n when Duplicator survives it."""
-        return None if self.wins(pos, self.rounds(n)) else self.least(pos, n)
+        """least(pos, n), with a clipped n past the stack refused before play."""
+        self.rounds(n)
+        return self.least(pos, n)
 
     def spoiler_move(self, pos, k: int) -> tuple[int, object] | None:
         """The first (board, move), board 1 first, that no answer survives for k - 1 rounds.
-        wins is its absence, so a position that passes check and is lost always has one."""
+        wins is its absence, so a position won for 0 rounds and lost for k always has one."""
         for board in (1, 2):
             replies = self.moves(pos, 3 - board)
             for move in self.moves(pos, board):
@@ -91,7 +97,7 @@ class Game:
 
     def distinguish(self, pos, k: int):
         """A formula true on board 1 and false on board 2 at pos, lost within k rounds."""
-        if not self.check(pos):
+        if not self.wins(pos, 0):  # the atoms disagree at the last step
             return self.literal(pos)
         board, move = self.spoiler_move(pos, k)
         replies = self.moves(pos, 3 - board)

@@ -297,8 +297,8 @@ DEFAULT_GAME_LIMIT = 2**20
 
 
 class _BisimGame(Game):
-    """Positions are pairs of world indices that must agree on the letters; moves go to
-    successors, in load order."""
+    """Positions are pairs of worlds, each a board's state with its letters as atom (typing is
+    k-step partition refinement); moves go to successors, in load order."""
 
     ROUNDS = "n"
 
@@ -310,13 +310,16 @@ class _BisimGame(Game):
         self.ls = sorted(ls)
         self.labels = [[tuple(bool(m.masks.get(p, 0) >> i & 1) for p in self.ls)
                         for i in range(len(m.frame.vertices))] for m in (m1, m2)]
-        self.successors = [[list(bits(row)) for row in m.frame.succ_mask] for m in (m1, m2)]
-
-    def check(self, pos) -> bool:
-        return self.labels[0][pos[0]] == self.labels[1][pos[1]]
+        self.succ = [[list(bits(row)) for row in m.frame.succ_mask] for m in (m1, m2)]
 
     def moves(self, pos, board: int) -> list[int]:
-        return self.successors[board - 1][pos[board - 1]]
+        return self.successors(board, pos[board - 1])
+
+    def atom(self, board: int, w: int) -> tuple[bool, ...]:
+        return self.labels[board - 1][w]
+
+    def successors(self, board: int, w: int) -> list[int]:
+        return self.succ[board - 1][w]
 
     def step(self, pos, v1: int, v2: int):
         return v1, v2

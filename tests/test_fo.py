@@ -219,7 +219,7 @@ def test_line_and_sentence_are_read_at_the_least_round_count():
 
 
 def test_one_game_answers_every_round_count_as_fresh_games_do():
-    # the memo keeps one entry per position for all round counts; asked in any order, one
+    # the memo and the intern table are shared by all round counts; asked in any order, one
     # game agrees with a fresh game per count
     rng = random.Random(31)
     for _ in range(150):

@@ -1,0 +1,181 @@
+"""Both games against the pair-position search in tests/game_oracle.py, at the stack bound, and
+the pinned witnesses of tests/golden/games.jsonl read by the oracle's own evaluators."""
+
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+import bisim_oracle
+import game_oracle as O
+import modal_oracle
+from helpers import model_doc, random_frame, random_valuation, successors
+from uext import Frame, Model, frame_from_dict, frame_to_dict
+from uext.fo import _EFGame, distinguishing_sentence, ef_equivalent, ef_min_rounds, spoiler_line
+from uext.games import FRAMES_PER_ROUND, STACK_RESERVE
+from uext.modal import distinguishing_formula, n_bisimilar, parse_modal
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = [json.loads(line) for line in (ROOT / "tests" / "golden" / "games.jsonl").read_text().splitlines()]
+PAIRS = 320
+
+
+def relabelled(rng: random.Random, f: Frame) -> tuple[Frame, dict[str, str]]:
+    """f under fresh names in a shuffled load order, and the renaming."""
+    names = dict(zip(f.vertices, rng.sample([f"u{i}" for i in range(len(f.vertices))], len(f.vertices))))
+    order = rng.sample(list(f.vertices), len(f.vertices))
+    return Frame(tuple(names[v] for v in order), frozenset((names[a], names[b]) for a, b in f.edges)), names
+
+
+def edgeless(rng: random.Random) -> Frame:
+    return Frame(tuple(f"e{i}" for i in range(rng.randint(1, 5))), frozenset())
+
+
+def frame_pair(rng: random.Random, i: int) -> tuple[Frame, Frame]:
+    """Random pairs, isomorphic pairs, edgeless pairs and edgeless against random, in turn."""
+    kind = i % 4
+    f1 = edgeless(rng) if kind == 2 else random_frame(rng, 5)
+    if kind == 1:
+        return f1, relabelled(rng, f1)[0]
+    return f1, edgeless(rng) if kind >= 2 else random_frame(rng, 5)
+
+
+def test_ef_agrees_with_the_pair_position_search():
+    # rounds 0-6 reach and pass the clip, max(|F1|, |F2|) + 1 <= 6; a typing that also
+    # skipped a fresh element would answer some edgeless pair too early
+    rng, lost = random.Random(1101), 0
+    for i in range(PAIRS):
+        f1, f2 = frame_pair(rng, i)
+        d1, d2, k = frame_to_dict(f1), frame_to_dict(f2), rng.randint(0, 6)
+        phi = distinguishing_sentence(f1, f2, k)
+        assert ef_equivalent(f1, f2, k) == O.ef_equivalent(d1, d2, k), (d1, d2, k)
+        assert ef_min_rounds(f1, f2, k) == O.ef_min_rounds(d1, d2, k), (d1, d2, k)
+        assert spoiler_line(f1, f2, k) == O.spoiler_line(d1, d2, k), (d1, d2, k)
+        assert (phi and O.tree(phi)) == O.distinguishing_sentence(d1, d2, k), (d1, d2, k)
+        lost += phi is not None
+    assert 100 <= lost <= PAIRS - 100
+
+
+def model_pair(rng: random.Random, i: int) -> tuple[Model, Model]:
+    """Random pairs, a model against a relabelled copy, and edgeless models, in turn."""
+    kind = i % 3
+    f1 = edgeless(rng) if kind == 2 else random_frame(rng, 5)
+    m1 = Model.make(f1, random_valuation(rng, f1, ["p0", "p1"][:rng.randint(0, 2)]))
+    if kind == 1:
+        f2, names = relabelled(rng, f1)
+        return m1, Model.make(f2, {p: [names[w] for w in ws] for p, ws in m1.val.items()})
+    f2 = edgeless(rng) if kind == 2 else random_frame(rng, 5)
+    return m1, Model.make(f2, random_valuation(rng, f2, ["p0", "p1"][:rng.randint(0, 2)]))
+
+
+def test_bisim_agrees_with_the_pair_position_search():
+    rng, lost = random.Random(1102), 0
+    for i in range(PAIRS):
+        m1, m2 = model_pair(rng, i)
+        d1, d2 = model_doc(m1), model_doc(m2)
+        w1, w2, n = rng.choice(m1.frame.vertices), rng.choice(m2.frame.vertices), rng.randint(0, 6)
+        letters, case = sorted(m1.val)[:rng.randint(0, 2)], (d1, w1, d2, w2, n)
+        phi = distinguishing_formula(m1, w1, m2, w2, n, letters)
+        assert n_bisimilar(m1, w1, m2, w2, n) == O.n_bisimilar(*case), case
+        assert (phi and O.tree(phi)) == O.distinguishing_formula(*case, letters), case
+        lost += phi is not None
+    assert 80 <= lost <= PAIRS - 80
+
+
+def chain(n: int, prefix: str, cycle: bool = False) -> Frame:
+    v = tuple(f"{prefix}{i}" for i in range(n))
+    return Frame(v, frozenset((v[i], v[(i + 1) % n]) for i in range(n if cycle else n - 1)))
+
+
+def test_bisim_at_the_largest_admitted_depth_runs():
+    # two 100-point models clip every depth to 200, the most the guard admits at the default
+    # limit; cycles type all 200 levels, and the chains' witness has depth 99
+    assert (sys.getrecursionlimit() - STACK_RESERVE) // FRAMES_PER_ROUND == 200
+    cycle = Model.make(chain(100, "c", cycle=True), {"p0": ["c0"]})
+    assert n_bisimilar(cycle, "c0", cycle, "c0", 3000)
+    assert distinguishing_formula(cycle, "c0", cycle, "c1", 3000, ["p0"]) is not None
+    line = Model.make(chain(100, "v"), {})
+    assert n_bisimilar(line, "v0", line, "v0", 200)
+    phi, succ = distinguishing_formula(line, "v0", line, "v1", 200, []), successors(line.frame)
+    assert O.modal_depth(phi) == 99 and modal_oracle.holds(succ, {}, "v0", phi)
+    assert not modal_oracle.holds(succ, {}, "v1", phi)
+
+
+def test_ef_at_the_largest_admitted_rounds_runs():
+    # typing a 200-element tuple is out of reach, so the limit is lowered until the guard
+    # admits 6 rounds; edgeless frames of 5 and 6 points are told apart only at 6
+    f1, f2 = (Frame(tuple(f"{p}{i}" for i in range(n)), frozenset()) for p, n in (("a", 5), ("b", 6)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(STACK_RESERVE + 6 * FRAMES_PER_ROUND)
+    try:
+        assert ef_min_rounds(f1, f2, 6) == 6 and len(spoiler_line(f1, f2, 6)) == 12
+        phi = distinguishing_sentence(f1, f2, 6)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert O.quantifier_rank(phi) == 6
+    assert O.fo_holds(frame_to_dict(f1), phi) and not O.fo_holds(frame_to_dict(f2), phi)
+
+
+def test_ef_pair_told_apart_at_rank_1_costs_rank_1(monkeypatch):
+    # every answer scans up from 0 rounds, so 10-point frames told apart by a loop are settled
+    # at 1 round under a cap that typing them at 8 rounds would pass many times over
+    v = tuple(f"v{i}" for i in range(10))
+    looped, plain = (Frame(v, frozenset([(v[1], v[2])] + loop)) for loop in ([(v[0], v[0])], []))
+    monkeypatch.setenv("UEXT_EF_MEMO_LIMIT", "100")
+    for rounds in (8, 11, 3000):
+        assert not ef_equivalent(looped, plain, rounds) and ef_min_rounds(looped, plain, rounds) == 1
+        assert spoiler_line(looped, plain, rounds) == ["S:1:v0", "D:2:v0"]
+        phi = distinguishing_sentence(looped, plain, rounds)
+        assert O.tree(phi) == O.read_fo("exists x0. R(x0,x0)")
+
+
+def test_isomorphic_seven_point_frames_are_typed_to_the_clip():
+    # Duplicator survives every count, so the scan types both frames up to the clip, 8 rounds
+    f = chain(7, "v")
+    g, _ = relabelled(random.Random(7), f)
+    assert ef_equivalent(f, g, 8) and ef_min_rounds(f, g, 3000) is None
+    assert spoiler_line(f, g, 8) == [] and distinguishing_sentence(f, g, 8) is None
+
+
+def test_repeat_pairs_and_broken_atoms_type_nothing_new():
+    # a pair played again is left out of the states typed, and a last step whose atoms disagree
+    # is lost before any typing
+    f1, f2 = chain(4, "a"), chain(4, "b", cycle=True)
+    game = _EFGame(f1, f2)
+    assert game.sides(((0, 0), (2, 1), (0, 0), (2, 1))) == ((0, 2), (0, 1))
+    survives, typed = game.wins(((0, 0),), 2), game.typed
+    assert game.wins(((0, 0), (0, 0)), 2) == game.wins(((0, 0), (0, 0), (0, 0)), 2) == survives
+    assert not game.wins(((0, 0), (0, 1)), 2) and not game.wins(((0, 0), (3, 3)), 2)
+    assert game.typed == typed
+
+
+@pytest.mark.parametrize("kind", ["frames", "models"])
+def test_pinned_witnesses_hold_by_the_oracle_evaluators(kind):
+    # each pinned sentence is true on frame 1, false on frame 2 and of rank min_rounds; each
+    # pinned modal witness is true at w1, false at w2 and of the least separating depth
+    cases = [case for case in GOLDEN if kind in case]
+    assert len(cases) == {"frames": 200, "models": 400}[kind]
+    witnesses = 0
+    for case in cases:
+        if kind == "frames":
+            d1, d2 = case["frames"]
+            if case["sentence"] is None:
+                continue
+            phi = O.read_fo(case["sentence"])
+            assert O.fo_holds(d1, phi) and not O.fo_holds(d2, phi), case
+            assert O.quantifier_rank(phi) == case["min_rounds"], case
+        else:
+            (d1, d2), (w1, w2) = case["models"], case["at"]
+            if case["witness"] is None:
+                continue
+            phi = parse_modal(case["witness"])
+            m1, m2 = ((successors(frame_from_dict(d)), {p: set(ws) for p, ws in d["valuation"].items()})
+                      for d in (d1, d2))
+            assert modal_oracle.holds(*m1, w1, phi) and not modal_oracle.holds(*m2, w2, phi), case
+            least = next(n for n in range(case["depth"] + 1)
+                         if not bisim_oracle.n_bisimilar(m1, w1, m2, w2, n, case["letters"]))
+            assert O.modal_depth(phi) == least, case
+        witnesses += 1
+    assert witnesses >= 100
