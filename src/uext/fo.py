@@ -112,7 +112,10 @@ def format_fo(phi: FOFormula) -> str:
     if isinstance(phi, Forall):
         return f"forall {phi.var}. {format_fo(phi.body)}"
     op = {Conj: "&", Disj: "|", Impl: "->"}[type(phi)]
-    return f"({format_fo(phi.left)} {op} {format_fo(phi.right)})"
+    left = format_fo(phi.left)
+    if isinstance(phi.left, (Exists, Forall)):  # a quantifier's scope would run on past op
+        left = f"({left})"
+    return f"({left} {op} {format_fo(phi.right)})"
 
 
 def _atomish(phi: FOFormula) -> str:

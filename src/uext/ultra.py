@@ -2,16 +2,16 @@
 
 Over a finite carrier every ultrafilter is principal, so an ultrafilter is
 stored as its principal point and membership is O(1).  The extension relation
-is still computed by literal powerset enumeration: one sweep over all 2^n
-subsets, as int bitmasks over load order, evaluates all three definitional
-modes for every pair, and any disagreement between them is a defect.  The
-construction refuses to proceed past a configurable carrier size rather than
-silently approximate.
+is still computed by literal powerset enumeration, bit-sliced: each of the 2^n
+subsets is one bit of a per-point truth table (a 2^n-bit int), so a mode's
+quantifier over all subsets is a few big-int ORs, ANDs and one subset test.
+All three definitional modes are evaluated for every pair, and any
+disagreement between them is a defect.  The construction refuses to proceed
+past a configurable carrier size rather than silently approximate.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,7 +20,7 @@ from .errors import DefectError, InputError, ResourceError
 from .frame import Frame
 
 POWERSET_LIMIT_ENV = "UEXT_POWERSET_LIMIT"
-DEFAULT_POWERSET_LIMIT = 16
+DEFAULT_POWERSET_LIMIT = 22
 
 
 @dataclass(frozen=True)
@@ -47,50 +47,92 @@ def enumerate_ultrafilters(frame: Frame) -> list[Ultrafilter]:
     return [Ultrafilter(frame, w) for w in frame.vertices]
 
 
-def _mode_rows(frame: Frame) -> dict[str, list[int]]:
-    """R^ue under each definitional mode, as one target bitmask per source point.
-
-    One sweep over every subset X of W (an int bitmask) folds all three modes:
-
-    mode A: u R v iff R-(X) in u for every X in v, so the sources of v are
-            the intersection of R-(X) over all X containing v
-    mode B: u R v iff every Y with l_R(Y) in u is in v, so the targets of u
-            are the intersection of all Y with u in l_R(Y)
-    mode C: u R v iff R+(X) in v for every X in u, so the targets of u are
-            the intersection of R+(X) over all X containing u
-
-    Images follow the prefix recurrence img[X] = img[X - {i}] | R(i) for the
-    lowest point i of X; l_R(Y) is tested point by point, not derived from R-.
-    """
-    n = len(frame.vertices)
+def _check_cap(n: int) -> None:
+    """Refuse a carrier past the powerset cap before any table is allocated."""
     limit = env_limit(POWERSET_LIMIT_ENV, DEFAULT_POWERSET_LIMIT)
     if n > limit:
         raise ResourceError(
             f"powerset enumeration capped at |W| <= {limit} "
             f"(set {POWERSET_LIMIT_ENV} to raise); got |W| = {n}"
         )
+
+
+def _table(j: int, n: int) -> int:
+    """T_j: the 2^n-bit int whose bit X is set iff point j lies in subset X.
+
+    Over the subsets below 2^(j+1) the pattern is 2^j zeros, then 2^j ones;
+    doubling repeats it up to 2^n bits.
+    """
+    block = 1 << j
+    t, width = ((1 << block) - 1) << block, 2 * block
+    while width < 1 << n:
+        t |= t << width
+        width *= 2
+    return t
+
+
+def _any_of(table, points: int) -> int:
+    """The subsets meeting `points`: the OR of table(j) = T_j over every j in the mask."""
+    out = 0
+    while points:
+        low = points & -points
+        out |= table(low.bit_length() - 1)
+        points ^= low
+    return out
+
+
+def _all_of(table, points: int, n: int) -> int:
+    """The subsets containing `points`: the AND of table(j) = T_j, all ones for the empty mask."""
+    out = (1 << (1 << n)) - 1
+    while points:
+        low = points & -points
+        out &= table(low.bit_length() - 1)
+        points ^= low
+    return out
+
+
+def _holders(rows: tuple[int, ...], w: int) -> int:
+    """The points j whose row holds w."""
+    return sum(1 << j for j, row in enumerate(rows) if row >> w & 1)
+
+
+def _within(x: int, y: int) -> bool:
+    """x is a subset of y, both read as bitsets."""
+    return x & y == x
+
+
+def _mode_rows(frame: Frame) -> dict[str, list[int]]:
+    """R^ue under each definitional mode, as one target bitmask per source point.
+
+    Every subset X of W is one bit of a 2^n-bit int, and T_j (`_table`) sets
+    the bits of the subsets that contain j.  Each mode tests every pair:
+
+    mode A: u R v iff R-(X) in u for every X in v, i.e. every X containing v
+            meets R(u): T_v within D_u, the OR of T_j over every j whose
+            pred_mask holds u
+    mode B: u R v iff every Y with l_R(Y) in u is in v, i.e. every Y
+            containing R(u) contains v: B_u within T_v, B_u the AND of T_j
+            over succ_mask[u] (all ones when u has no successors)
+    mode C: u R v iff R+(X) in v for every X in u, i.e. every X containing u
+            meets R-(v): T_u within P_v, the OR of T_j over every j whose
+            succ_mask holds v
+    """
+    n = len(frame.vertices)
+    _check_cap(n)
     succ, pred = frame.succ_mask, frame.pred_mask
-    full = (1 << n) - 1
-    sources_a, targets_b, targets_c = [full] * n, [full] * n, [full] * n
-    points = tuple((w, 1 << w, succ[w]) for w in range(n))
-    for w, _, s in points:
-        if not s:  # w in l_R(empty set)
-            targets_b[w] = 0
-    # one 64-bit slot per subset: no int object is kept per entry
-    fwd, bwd = array("Q", [0]) * (1 << n), array("Q", [0]) * (1 << n)
-    for x in range(1, 1 << n):
-        low = x & -x
-        i = low.bit_length() - 1
-        f = fwd[x] = fwd[x ^ low] | succ[i]
-        b = bwd[x] = bwd[x ^ low] | pred[i]
-        for w, bit, s in points:
-            if x & bit:
-                sources_a[w] &= b
-                targets_c[w] &= f
-            if s & x == s:
-                targets_b[w] &= x
-    targets_a = [sum(1 << v for v in range(n) if sources_a[v] >> u & 1) for u in range(n)]
-    return {"A": targets_a, "B": targets_b, "C": targets_c}
+    tables = [_table(j, n) for j in range(n)]
+    table = tables.__getitem__
+    rows = {"A": [0] * n, "B": [0] * n, "C": [0] * n}
+    for u in range(n):
+        d_u, b_u = _any_of(table, _holders(pred, u)), _all_of(table, succ[u], n)
+        rows["A"][u] = sum(1 << v for v in range(n) if _within(tables[v], d_u))
+        rows["B"][u] = sum(1 << v for v in range(n) if _within(b_u, tables[v]))
+    for v in range(n):
+        p_v = _any_of(table, _holders(succ, v))
+        for u in range(n):
+            if _within(tables[u], p_v):
+                rows["C"][u] |= 1 << v
+    return rows
 
 
 def ue_related(u: Ultrafilter, v: Ultrafilter, mode: str) -> bool:
@@ -99,13 +141,26 @@ def ue_related(u: Ultrafilter, v: Ultrafilter, mode: str) -> bool:
     mode A: for every X in v, R-(X) in u
     mode B: {Y : l_R(Y) in u} is a subset of v
     mode C: {R+(X) : X in u} is a subset of v
+
+    Only the truth tables this pair's test reads are built (see `_mode_rows`).
     """
     if u.frame != v.frame:
         raise InputError("ue_related: ultrafilters live over different carriers")
     if mode not in ("A", "B", "C"):
         raise InputError(f"unknown ue_related mode {mode!r}")
-    index = u.frame.index
-    return bool(_mode_rows(u.frame)[mode][index[u.point]] >> index[v.point] & 1)
+    frame = u.frame
+    n = len(frame.vertices)
+    _check_cap(n)
+    i, j = frame.index[u.point], frame.index[v.point]
+
+    def table(k: int) -> int:
+        return _table(k, n)
+
+    if mode == "A":
+        return _within(table(j), _any_of(table, _holders(frame.pred_mask, i)))
+    if mode == "B":
+        return _within(_all_of(table, frame.succ_mask[i], n), table(j))
+    return _within(table(i), _any_of(table, _holders(frame.succ_mask, j)))
 
 
 @dataclass(frozen=True)

@@ -212,8 +212,8 @@ def node(phi) -> tuple:
 
 def read_fo(text: str) -> tuple:
     """A sentence as uext prints it, where a quantifier's body is the one operand after its dot:
-    a binary body is printed in parentheses, and so is each binary connective.  uext's parser
-    gives a quantifier maximal scope, so it reads `(forall x. A & B)` as another sentence."""
+    a binary body is printed in parentheses, and so is each binary connective and each
+    quantified left operand of one."""
     toks = re.findall(r"exists|forall|->|[~&|()=,.]|\w+", text)[::-1]
 
     def operand():

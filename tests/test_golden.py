@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from helpers import CAP_VARS, PARSERS, cli_outcome, game_outcome, hull_outcome, modal_truth_outcome, parse_outcome
+from uext import InputError, format_fo, frame_from_dict, hull, hull_formula, parse_fo
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -59,3 +60,19 @@ def test_hull_corpus(monkeypatch):
     assert [sum(kind in case for case in cases) for kind in ("frame", "pair", "family")] == [150, 100, 60]
     for case in cases:
         assert hull_outcome(case) == case
+
+
+def test_printed_fo_reads_back_as_itself():
+    """parse_fo(format_fo(phi)) == phi on the parser corpus and on every pinned hull formula:
+    a quantifier's scope runs as far right as it can, so the printer must close it off."""
+    formulas = []
+    for line in (GOLDEN / "fo_parse.jsonl").read_text().splitlines():
+        try:
+            formulas.append(parse_fo(json.loads(line)[0]))
+        except InputError:
+            pass
+    cases = [json.loads(line) for line in (GOLDEN / "hulls.jsonl").read_text().splitlines()]
+    formulas += [hull_formula(hull(frame_from_dict(c["frame"]), c["root"], c["depth"])) for c in cases if "frame" in c]
+    assert len(formulas) > 450
+    for phi in formulas:
+        assert parse_fo(format_fo(phi)) == phi, format_fo(phi)

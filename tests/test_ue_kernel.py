@@ -1,5 +1,5 @@
-"""The bitmask extension kernel against the frozenset oracle, its defect
-detector, and its powerset cap."""
+"""The bit-sliced extension kernel against the frozenset and subset-sweep
+oracles, its defect detector, and its powerset cap."""
 
 import json
 import random
@@ -10,6 +10,7 @@ import pytest
 import ue_oracle
 from uext import DefectError, Frame, build_ue, enumerate_ultrafilters, ue_related
 from uext.cli import main
+from uext.ultra import _mode_rows
 
 from helpers import all_3vertex_frames, random_frame
 
@@ -39,6 +40,30 @@ def test_kernel_matches_oracle():
         assert build_ue(f).frame.edges == want
         loops += any(a == b for a, b in f.edges)
     assert loops > 100
+
+
+def sweep_corpus():
+    yield from all_3vertex_frames()
+    rng = random.Random(2412)
+    for i in range(18):
+        n = 8 + i % 6
+        vs = tuple(f"w{k}" for k in range(n))
+        p = (0.1, 0.3, 0.6)[i % 3]
+        yield Frame(vs, frozenset((a, b) for a in vs for b in vs if rng.random() < p))
+
+
+def test_kernel_matches_sweep_oracle_on_every_pair():
+    sinks = 0
+    for f in sweep_corpus():
+        want = ue_oracle.sweep_rows(f.vertices, f.edges)
+        assert _mode_rows(f) == want, f
+        us = enumerate_ultrafilters(f)
+        for mode in "ABC":
+            for i, u in enumerate(us):
+                for j, v in enumerate(us):
+                    assert ue_related(u, v, mode) == bool(want[mode][i] >> j & 1), (f, mode, u, v)
+        sinks += len(f.vertices) > 3 and not all(f.succ_mask)
+    assert sinks >= 3
 
 
 @pytest.mark.parametrize("view, other, flags", [
@@ -79,9 +104,9 @@ def test_thirteen_vertices_build_at_default_cap(monkeypatch, tmp_path):
     assert build_ue(f).frame.edges == want
 
 
-def test_seventeen_vertices_exit_2_before_powerset_allocation(capsys, monkeypatch, tmp_path):
+def test_twenty_three_vertices_exit_2_before_powerset_allocation(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("UEXT_POWERSET_LIMIT", raising=False)
-    path, _ = _write_random_frame(tmp_path, 17)
+    path, _ = _write_random_frame(tmp_path, 23)
     tracemalloc.start()
     try:
         code = main(["ue", "build", path])
@@ -89,6 +114,6 @@ def test_seventeen_vertices_exit_2_before_powerset_allocation(capsys, monkeypatc
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "|W| <= 16" in capsys.readouterr().err
-    # one table of 2^17 64-bit subset images alone would take 1 MiB
-    assert peak < 2**17 * 8 // 4
+    assert "|W| <= 22" in capsys.readouterr().err
+    # one 2^23-bit truth table alone would take 1 MiB
+    assert peak < 2**23 // 8 // 4
