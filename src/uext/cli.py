@@ -2,11 +2,18 @@
 
 Exit codes: 0 answer computed (a detector's verdict is yes or no), 1 bad input
 (usage errors included), 2 resource cap exceeded, 3 internal cross-check defect.
+
+``main`` builds the argparse parser on its first call and reuses it for every
+later call in the process, so a script or test that calls ``main`` in a loop
+pays for building it once.  The parser keeps no state between calls: each
+parse returns a fresh namespace, and help reads the terminal width when it is
+printed.  A one-shot shell run still builds it once, as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -228,9 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = functools.cache(build_parser)  # built on the first main call, then reused
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         doc = args.func(args)  # the JSON answer, or None when the command wrote its own output
         if doc is not None:
             json.dump(doc, sys.stdout, indent=2, sort_keys=True, default=str)

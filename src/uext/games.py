@@ -20,7 +20,7 @@ from .caps import env_limit
 from .errors import InputError, ResourceError
 
 # Typing recurses rank_type -> its comprehension -> rank_type, two frames per round; a witness
-# recurses distinguish -> its generator, resumed by dict.fromkeys -> distinguish, three, and types
+# recurses distinguish -> its dict comprehension -> its generator -> distinguish, three, and types
 # what is left from spoiler_move -> any()'s generator -> wins.  One frame per round is spare.
 FRAMES_PER_ROUND = 4
 STACK_RESERVE = 200  # interpreter frames left to the callers below a game
@@ -33,6 +33,8 @@ class Game:
         self.types: dict = {}  # (atom, successor types) -> type, for both boards
         self.memo: dict = {}  # (board, state, rounds) -> type
         self.typed = 0  # states typed so far, the work the cap bounds
+        self.nodes: dict = {}  # (class, fields with subformulas by identity) -> witness node
+        self.interned: set[int] = set()  # identities of the nodes in self.nodes
         self.limit = env_limit(limit_env, default_limit)
         self.cap_message = f"{memo_name} exceeded cap {self.limit} (set {limit_env})"
         self.bound = bound  # the round count from which no verdict changes
@@ -98,8 +100,21 @@ class Game:
     def distinguish(self, pos, k: int):
         """A formula true on board 1 and false on board 2 at pos, lost within k rounds."""
         if not self.wins(pos, 0):  # the atoms disagree at the last step
-            return self.literal(pos)
+            return self.intern(self.literal(pos))
         board, move = self.spoiler_move(pos, k)
         replies = self.moves(pos, 3 - board)
-        parts = dict.fromkeys(self.distinguish(self.play(pos, board, move, r), k - 1) for r in replies)
-        return self.quantify(board, pos, list(parts))
+        found = (self.distinguish(self.play(pos, board, move, r), k - 1) for r in replies)
+        parts = {id(phi): phi for phi in found}  # interned, so equal parts are one object
+        return self.intern(self.quantify(board, pos, list(parts.values())))
+
+    def intern(self, phi):
+        """The witness node equal to phi, phi itself if it is the first.  A node is keyed by its
+        class and fields, a subformula by the identity of its interned node, so keying walks only
+        the nodes built since (a literal, or a quantifier over a fold of parts), and neither
+        de-duplicating parts nor interning ever hashes or compares a whole tree."""
+        if id(phi) in self.interned:
+            return phi
+        key = (type(phi), *(x if isinstance(x, str) else id(self.intern(x)) for x in vars(phi).values()))
+        node = self.nodes.setdefault(key, phi)
+        self.interned.add(id(node))
+        return node

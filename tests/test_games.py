@@ -179,3 +179,30 @@ def test_pinned_witnesses_hold_by_the_oracle_evaluators(kind):
             assert O.modal_depth(phi) == least, case
         witnesses += 1
     assert witnesses >= 100
+
+
+def comb(levels: int, p0_at_tip: bool) -> Model:
+    """A path v0 -> ... -> v<levels>, loaded first, each of its points with three leaves labelled
+    nothing, p0 and p1; p0 also holds at the path's tip when p0_at_tip."""
+    path = [f"v{i}" for i in range(levels + 1)]
+    leaves = [(f"l{i}:{j}", v) for i, v in enumerate(path) for j in range(3)]
+    edges = list(zip(path, path[1:])) + [(v, leaf) for leaf, v in leaves]
+    val = {"p0": [leaf for leaf, _ in leaves[1::3]] + path[-1:] * p0_at_tip,
+           "p1": [leaf for leaf, _ in leaves[2::3]]}
+    return Model.make(Frame(tuple(path) + tuple(leaf for leaf, _ in leaves), frozenset(edges)), val)
+
+
+@pytest.mark.parametrize("order", ["tip first", "plain first"])
+def test_deep_witness_with_several_parts_per_round(order):
+    # each round's witness joins a deep part (the path) to shallow ones (the leaves), so it nests
+    # several levels per round; parts are de-duplicated by identity, never hashed or compared
+    # as whole trees, so the guard's round count is all the stack a witness needs
+    tip, plain = comb(150, True), comb(150, False)
+    m1, m2 = (tip, plain) if order == "tip first" else (plain, tip)
+    phi = distinguishing_formula(m1, "v0", m2, "v0", 200, ["p0", "p1"])
+    assert phi is not None
+    d1, d2 = ((successors(m.frame), m.val) for m in (m1, m2))
+    assert modal_oracle.holds(*d1, "v0", phi) and not modal_oracle.holds(*d2, "v0", phi)
+    depth = O.modal_depth(phi)  # the least separating depth: the models part there, not one before
+    assert not bisim_oracle.n_bisimilar(d1, "v0", d2, "v0", depth, ["p0", "p1"])
+    assert bisim_oracle.n_bisimilar(d1, "v0", d2, "v0", depth - 1, ["p0", "p1"])
