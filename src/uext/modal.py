@@ -5,23 +5,30 @@ Truth sets are computed bottom-up as int bitmasks over the frame's load order,
 each subformula once; [] phi is read as ~<>~phi, so R-(X) is the one modal
 step.  Unknown proposition letters evaluate as false everywhere, which is
 observationally the same as extending the valuation with the empty set.
+
+Frame validity labels the same subformulas transposed (bit-sliced): each world
+gets one truth table per subformula, an int whose bit c says whether the
+subformula holds there under valuation c, so one pass of bitwise operations
+decides a whole block of 2^16 valuations.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 
 from .caps import env_limit
 from .errors import InputError, ResourceError
 from .frame import Frame, bits
 from .games import Game
 from .syntax import Parser, fold
-from .ultra import UEFrame, build_ue
+from .ultra import UEFrame, _table, build_ue
 
 VALUATION_LIMIT_ENV = "UEXT_VALUATION_LIMIT"
 DEFAULT_VALUATION_LIMIT = 2**22
+BLOCK_BITS = 16  # frame_valid decides 2^16 valuations per pass: 8 KiB per truth table
 
 
 # ---------------------------------------------------------------------------
@@ -166,52 +173,64 @@ class Model:
         return {p: sum(1 << index[w] for w in xs) for p, xs in self.valuation}
 
 
-def _labeller(frame: Frame, phi: ModalFormula):
-    """phi's truth mask on frame as a function of the letters' masks.
+def _compile(phi: ModalFormula, make):
+    """phi's labelling as a function of its letters' input.
 
     Bottom-up labelling (Clarke, Emerson and Sistla 1986): each distinct
-    subformula gets one step, in post-order, that computes its truth set as a
-    bitmask from its operands' sets.  <>X is R-(X) and []X is W - R-(W - X); a
-    letter missing from the masks, like falsum, is false everywhere.
+    subformula gets one step, in post-order, that make(f, *operand slots)
+    builds once; running the steps on an input yields phi's value.
     """
-    full = (1 << len(frame.vertices)) - 1
-    image = frame.image
     slots: dict[ModalFormula, int] = {}
     steps = []
 
     def visit(f: ModalFormula) -> int:  # recursion bounded by syntax.MAX_DEPTH
         if f in slots:
             return slots[f]
-        if isinstance(f, Prop):
-            name = f.name
-            step = lambda v, m: m.get(name, 0)  # noqa: E731
-        elif isinstance(f, Falsum):
-            step = lambda v, m: 0  # noqa: E731
+        if isinstance(f, (Prop, Falsum)):
+            operands = ()
         elif isinstance(f, (Not, Dia, Box)):
-            a = visit(f.sub)
-            step = {Not: lambda v, m: full ^ v[a],
-                    Dia: lambda v, m: image(v[a], False),
-                    Box: lambda v, m: full ^ image(full ^ v[a], False)}[type(f)]
+            operands = (visit(f.sub),)
         elif isinstance(f, (And, Or, Imp)):
-            a, b = visit(f.left), visit(f.right)
-            step = {And: lambda v, m: v[a] & v[b],
-                    Or: lambda v, m: v[a] | v[b],
-                    Imp: lambda v, m: (full ^ v[a]) | v[b]}[type(f)]
+            operands = (visit(f.left), visit(f.right))
         else:
             raise InputError(f"unknown formula node {f!r}")
         slots[f] = len(steps)
-        steps.append(step)
+        steps.append(make(f, *operands))
         return slots[f]
 
     visit(phi)
 
-    def label(masks: dict[str, int]) -> int:
-        v: list[int] = []
+    def label(given):
+        v: list = []
         for step in steps:
-            v.append(step(v, masks))
+            v.append(step(v, given))
         return v[-1]
 
     return label
+
+
+def _labeller(frame: Frame, phi: ModalFormula):
+    """phi's truth mask on frame as a function of the letters' masks.
+
+    <>X is R-(X) and []X is W - R-(W - X); a letter missing from the masks,
+    like falsum, is false everywhere.
+    """
+    full = (1 << len(frame.vertices)) - 1
+    image = frame.image
+
+    def make(f: ModalFormula, a: int = 0, b: int = 0):
+        if isinstance(f, Prop):
+            name = f.name
+            return lambda v, m: m.get(name, 0)
+        return {Falsum: lambda v, m: 0,
+                Not: lambda v, m: full ^ v[a],
+                Dia: lambda v, m: image(v[a], False),
+                Box: lambda v, m: full ^ image(full ^ v[a], False),
+                And: lambda v, m: v[a] & v[b],
+                Or: lambda v, m: v[a] | v[b],
+                Imp: lambda v, m: (full ^ v[a]) | v[b]}[type(f)]
+
+    return _compile(phi, make)
 
 
 def truth_mask(frame: Frame, letter_masks: dict[str, int], phi: ModalFormula) -> int:
@@ -228,6 +247,32 @@ def truth_set(model: Model, phi: ModalFormula) -> frozenset[str]:
     return frozenset(model.frame.names(truth_mask(model.frame, model.masks, phi)))
 
 
+def _slicer(frame: Frame, phi: ModalFormula, offsets: dict[str, int], ones: int):
+    """phi's truth tables, one per world in load order, as a function of the valuation bits' tables.
+
+    Every table is an int over a block of valuations, `ones` when all of them
+    hold.  Letter p at world i reads the table of valuation bit offsets[p] + i;
+    ~ & | -> are bitwise, and <>X (resp. []X) at u is the OR (resp. AND) of
+    X's tables over u's successors, so []X holds everywhere at a dead end.
+    """
+    n = len(frame.vertices)
+    rows = [list(bits(m)) for m in frame.succ_mask]
+
+    def make(f: ModalFormula, a: int = 0, b: int = 0):
+        if isinstance(f, Prop):
+            lo = offsets[f.name]
+            return lambda v, t: t[lo:lo + n]
+        return {Falsum: lambda v, t: [0] * n,
+                Not: lambda v, t: [ones ^ x for x in v[a]],
+                Dia: lambda v, t: [reduce(or_, map(v[a].__getitem__, row), 0) for row in rows],
+                Box: lambda v, t: [reduce(and_, map(v[a].__getitem__, row), ones) for row in rows],
+                And: lambda v, t: [x & y for x, y in zip(v[a], v[b])],
+                Or: lambda v, t: [x | y for x, y in zip(v[a], v[b])],
+                Imp: lambda v, t: [(ones ^ x) | y for x, y in zip(v[a], v[b])]}[type(f)]
+
+    return _compile(phi, make)
+
+
 def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", str] | None]:
     """Whether phi holds at every world under every valuation of its letters.
 
@@ -235,6 +280,15 @@ def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", s
     (model, world) pair or None: the first valuation in binary order (bits
     j*n .. j*n + n - 1 give the j-th letter in sorted order) whose truth mask
     is not full, at its first world in load order outside that mask.
+
+    Valuations are decided in blocks of 2^w, w = min(letters * n, BLOCK_BITS),
+    in binary order.  Within a block, valuation c is bit c of every truth
+    table: valuation bit k < w has the table ultra._table(k, w), and a higher
+    bit is all ones or 0 across the block, read off the block's index.  A block
+    fails iff the AND of phi's tables over all worlds has a zero bit; the
+    lowest one is the first refuting valuation.  The cap on 2^(letters * n)
+    is checked before any table exists, and a block holds at most
+    n * |subformulas| tables of 8 KiB.
     """
     ls = sorted(letters(phi))
     n = len(frame.vertices)
@@ -245,13 +299,19 @@ def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", s
             f"frame_valid would enumerate {total} valuations, over the cap {limit} "
             f"(set {VALUATION_LIMIT_ENV} to raise)"
         )
-    label, full, verts = _labeller(frame, phi), (1 << n) - 1, frame.vertices
-    for code in range(total):
-        masks = {p: code >> (j * n) & full for j, p in enumerate(ls)}
-        missed = full ^ label(masks)
+    width = min(len(ls) * n, BLOCK_BITS)
+    ones = (1 << (1 << width)) - 1
+    label = _slicer(frame, phi, {p: j * n for j, p in enumerate(ls)}, ones)
+    low = [_table(k, width) for k in range(width)]
+    for block in range(total >> width):
+        root = label(low + [ones if block >> k & 1 else 0 for k in range(len(ls) * n - width)])
+        missed = ones ^ reduce(and_, root, ones)
         if missed:
-            val = {p: frame.names(m) for p, m in masks.items()}
-            return False, (Model.make(frame, val), verts[(missed & -missed).bit_length() - 1])
+            c = (missed & -missed).bit_length() - 1
+            code, full = block << width | c, (1 << n) - 1
+            val = {p: frame.names(code >> (j * n) & full) for j, p in enumerate(ls)}
+            w = next(i for i, x in enumerate(root) if not x >> c & 1)
+            return False, (Model.make(frame, val), frame.vertices[w])
     return True, None
 
 
