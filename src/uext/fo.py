@@ -323,6 +323,8 @@ def sentences_upto(max_rank: int) -> list[FOFormula]:
     literals, binary conjunction/disjunction, and one quantifier per rank
     level.  The hard count cap keeps the oracle reproducible.
     """
+    if max_rank < 0:
+        raise InputError("max_rank must be nonnegative")
     pool = [f"x{i}" for i in range(max_rank)]
 
     def formulas(rank: int, depth: int) -> list[FOFormula]:
@@ -413,11 +415,14 @@ def index_ultrafilter(size: int, point: int) -> Ultrafilter:
 
 
 def ultraproduct(structures: list[Frame], d: Ultrafilter) -> Ultraproduct:
-    """Quotient construction performed literally over a finite index set.
+    """Quotient construction over a finite index set.
 
     Elements are choice functions; f ~ g iff {i : f(i) = g(i)} in d; the edge
-    relation holds on classes iff the agreement set of R is in d.  The class
-    representative is the function value at the principal index.
+    relation holds on classes iff the agreement set of R is in d.  d is
+    principal at i0, so the class of f is f(i0), one class per vertex of
+    factor i0, and there are none if any factor is empty.  A class's
+    representative is its first choice function in product order: w at i0 and
+    every other factor's first vertex.
     """
     if not structures:
         raise InputError("ultraproduct of an empty family")
@@ -426,13 +431,9 @@ def ultraproduct(structures: list[Frame], d: Ultrafilter) -> Ultraproduct:
     indices = list(range(len(structures)))
     i0 = int(d.point)
 
-    classes: dict[str, list[tuple[str, ...]]] = {}
-    for func in itertools.product(*(s.vertices for s in structures)):
-        classes.setdefault(func[i0], []).append(func)
-
     # class order follows the principal factor's vertex order
-    order = [w for w in structures[i0].vertices if w in classes]
-    reps = tuple(classes[w][0] for w in order)
+    order = list(structures[i0].vertices) if all(s.vertices for s in structures) else []
+    reps = tuple(tuple(w if i == i0 else s.vertices[0] for i, s in enumerate(structures)) for w in order)
 
     def d_large(pred) -> bool:
         return d.member(frozenset(str(i) for i in indices if pred(i)))

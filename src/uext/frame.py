@@ -4,8 +4,11 @@ Vertex ids are strings only at the I/O boundary: loaders, JSON and DOT output,
 and the names in witnesses.  Below it a vertex is its index in the vertex
 tuple (the load order) and a set of vertices is an int bitmask whose bit i is
 vertices[i]; successor and predecessor sets are the rows succ_mask and
-pred_mask, built once from the edges.  Every set-valued result is reported in
-load order, so outputs are deterministic and diff-stable.
+pred_mask, built once from the edges.  Every relation image and every test
+of the lifted relation folds rows over a mask through `any_of` (a union) or
+`all_of` (an intersection): R+(X) is the union of X's successor rows.  Every
+set-valued result is reported in load order, so outputs are deterministic
+and diff-stable.
 """
 
 from __future__ import annotations
@@ -28,17 +31,24 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _byte_tables(rows: tuple[int, ...]) -> tuple[list[int], ...]:
-    """One table per 8 points from bit 8c: entry b is the union of the rows of the
-    points that b picks out of those 8, built by a prefix recurrence."""
-    n, tables = len(rows), []
-    for lo in range(0, n, 8):
-        table = [0] * (1 << min(8, n - lo))
-        for b in range(1, len(table)):
-            low = b & -b
-            table[b] = table[b ^ low] | rows[lo + low.bit_length() - 1]
-        tables.append(table)
-    return tuple(tables)
+def any_of(row, points: int) -> int:
+    """The union of row(j) over the set bits j of points; 0 for the empty mask."""
+    out = 0
+    while points:
+        low = points & -points
+        out |= row(low.bit_length() - 1)
+        points ^= low
+    return out
+
+
+def all_of(row, points: int, ones: int) -> int:
+    """The intersection of row(j) over the set bits j of points; ones for the empty mask."""
+    out = ones
+    while points:
+        low = points & -points
+        out &= row(low.bit_length() - 1)
+        points ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,16 +88,9 @@ class Frame:
         """Predecessor sets as int bitmasks over load order."""
         return self._rows(1)
 
-    @cached_property
-    def _image_tables(self) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
-        return _byte_tables(self.pred_mask), _byte_tables(self.succ_mask)
-
     def image(self, x: int, forward: bool) -> int:
-        """R+(X) if forward, else R-(X), for the bitmask x: one table lookup per 8 points."""
-        out = 0
-        for c, table in enumerate(self._image_tables[forward]):
-            out |= table[x >> 8 * c & 0xFF]
-        return out
+        """R+(X) if forward, else R-(X), for the bitmask x: the union of x's successor (predecessor) rows."""
+        return any_of((self.succ_mask if forward else self.pred_mask).__getitem__, x)
 
     def has_edge(self, a: str, b: str) -> bool:
         return (a, b) in self.edges

@@ -25,14 +25,10 @@ CERT_VERSION = b"HT1"
 def rings(g: Frame, root: int, n: int) -> list[int]:
     """Undirected BFS from vertex index root for at most n steps, as one bitmask per
     distance from 0 up; it stops as soon as a step reaches nothing new."""
-    succ, pred = g.succ_mask, g.pred_mask
     seen = frontier = 1 << root
     out = [frontier]
     for _ in range(n):
-        nxt = 0
-        for i in bits(frontier):
-            nxt |= succ[i] | pred[i]
-        frontier = nxt & ~seen
+        frontier = (g.image(frontier, True) | g.image(frontier, False)) & ~seen
         if not frontier:
             break
         seen |= frontier

@@ -2,9 +2,10 @@
 and the truth-membership cross-check on ultrafilter-extension models.
 
 Truth sets are computed bottom-up as int bitmasks over the frame's load order,
-each subformula once; [] phi is read as ~<>~phi, so R-(X) is the one modal
-step.  Unknown proposition letters evaluate as false everywhere, which is
-observationally the same as extending the valuation with the empty set.
+each subformula once; [] phi is read as ~<>~phi, so R-(X), the union of X's
+predecessor rows, is the one modal step.  Unknown proposition letters
+evaluate as false everywhere, which is observationally the same as extending
+the valuation with the empty set.
 
 Frame validity labels the same subformulas transposed (bit-sliced): each world
 gets one truth table per subformula, an int whose bit c says whether the
@@ -17,11 +18,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_, or_
+from operator import and_
 
 from .caps import env_limit
 from .errors import InputError, ResourceError
-from .frame import Frame, bits
+from .frame import Frame, all_of, any_of, bits
 from .games import Game
 from .syntax import Parser, fold
 from .ultra import UEFrame, _table, build_ue
@@ -255,8 +256,7 @@ def _slicer(frame: Frame, phi: ModalFormula, offsets: dict[str, int], ones: int)
     ~ & | -> are bitwise, and <>X (resp. []X) at u is the OR (resp. AND) of
     X's tables over u's successors, so []X holds everywhere at a dead end.
     """
-    n = len(frame.vertices)
-    rows = [list(bits(m)) for m in frame.succ_mask]
+    n, succ = len(frame.vertices), frame.succ_mask
 
     def make(f: ModalFormula, a: int = 0, b: int = 0):
         if isinstance(f, Prop):
@@ -264,8 +264,8 @@ def _slicer(frame: Frame, phi: ModalFormula, offsets: dict[str, int], ones: int)
             return lambda v, t: t[lo:lo + n]
         return {Falsum: lambda v, t: [0] * n,
                 Not: lambda v, t: [ones ^ x for x in v[a]],
-                Dia: lambda v, t: [reduce(or_, map(v[a].__getitem__, row), 0) for row in rows],
-                Box: lambda v, t: [reduce(and_, map(v[a].__getitem__, row), ones) for row in rows],
+                Dia: lambda v, t: [any_of(v[a].__getitem__, row) for row in succ],
+                Box: lambda v, t: [all_of(v[a].__getitem__, row, ones) for row in succ],
                 And: lambda v, t: [x & y for x, y in zip(v[a], v[b])],
                 Or: lambda v, t: [x | y for x, y in zip(v[a], v[b])],
                 Imp: lambda v, t: [(ones ^ x) | y for x, y in zip(v[a], v[b])]}[type(f)]

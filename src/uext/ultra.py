@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .caps import env_limit
 from .errors import DefectError, InputError, ResourceError
-from .frame import Frame
+from .frame import Frame, all_of, any_of, bits
 
 POWERSET_LIMIT_ENV = "UEXT_POWERSET_LIMIT"
 DEFAULT_POWERSET_LIMIT = 22
@@ -71,26 +71,6 @@ def _table(j: int, n: int) -> int:
     return t
 
 
-def _any_of(table, points: int) -> int:
-    """The subsets meeting `points`: the OR of table(j) = T_j over every j in the mask."""
-    out = 0
-    while points:
-        low = points & -points
-        out |= table(low.bit_length() - 1)
-        points ^= low
-    return out
-
-
-def _all_of(table, points: int, n: int) -> int:
-    """The subsets containing `points`: the AND of table(j) = T_j, all ones for the empty mask."""
-    out = (1 << (1 << n)) - 1
-    while points:
-        low = points & -points
-        out &= table(low.bit_length() - 1)
-        points ^= low
-    return out
-
-
 def _holders(rows: tuple[int, ...], w: int) -> int:
     """The points j whose row holds w."""
     return sum(1 << j for j, row in enumerate(rows) if row >> w & 1)
@@ -122,13 +102,14 @@ def _mode_rows(frame: Frame) -> dict[str, list[int]]:
     succ, pred = frame.succ_mask, frame.pred_mask
     tables = [_table(j, n) for j in range(n)]
     table = tables.__getitem__
+    ones = (1 << (1 << n)) - 1
     rows = {"A": [0] * n, "B": [0] * n, "C": [0] * n}
     for u in range(n):
-        d_u, b_u = _any_of(table, _holders(pred, u)), _all_of(table, succ[u], n)
+        d_u, b_u = any_of(table, _holders(pred, u)), all_of(table, succ[u], ones)
         rows["A"][u] = sum(1 << v for v in range(n) if _within(tables[v], d_u))
         rows["B"][u] = sum(1 << v for v in range(n) if _within(b_u, tables[v]))
     for v in range(n):
-        p_v = _any_of(table, _holders(succ, v))
+        p_v = any_of(table, _holders(succ, v))
         for u in range(n):
             if _within(tables[u], p_v):
                 rows["C"][u] |= 1 << v
@@ -157,10 +138,10 @@ def ue_related(u: Ultrafilter, v: Ultrafilter, mode: str) -> bool:
         return _table(k, n)
 
     if mode == "A":
-        return _within(table(j), _any_of(table, _holders(frame.pred_mask, i)))
+        return _within(table(j), any_of(table, _holders(frame.pred_mask, i)))
     if mode == "B":
-        return _within(_all_of(table, frame.succ_mask[i], n), table(j))
-    return _within(table(i), _any_of(table, _holders(frame.succ_mask, j)))
+        return _within(all_of(table, frame.succ_mask[i], (1 << (1 << n)) - 1), table(j))
+    return _within(table(i), any_of(table, _holders(frame.succ_mask, j)))
 
 
 @dataclass(frozen=True)
@@ -239,37 +220,30 @@ def roads_between(frame: Frame, s: str, t: str, max_len: int) -> list[Road]:
     """All simple roads from s to t of length <= max_len, deterministically ordered.
 
     A road visits pairwise-distinct vertices, so for s == t the result is empty.
+    Roads are sorted by waypoint load order, then by directions, R before R-.
+    The search keeps its own stack, so a road may be longer than the
+    interpreter's recursion limit.
     """
     frame.check_vertices([s, t])
     if max_len < 0:
         raise InputError("max_len must be nonnegative")
-    out: list[Road] = []
-
-    def extend(path: list[str], dirs: list[str]):
-        last = path[-1]
-        if last == t:
+    start, goal, rows = frame.index[s], frame.index[t], (frame.succ_mask, frame.pred_mask)
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    stack = [((start,), (), 1 << start)]
+    while stack:
+        path, dirs, seen = stack.pop()
+        if path[-1] == goal:
             if dirs:
-                out.append(Road(tuple(path), tuple(dirs)))
-            return  # t cannot reappear on a simple road, so no extension helps
+                found.append((path, dirs))
+            continue  # t cannot reappear on a simple road, so no extension helps
         if len(dirs) >= max_len:
-            return
-        for nxt in frame.vertices:
-            if nxt in path:
-                continue
-            if frame.has_edge(last, nxt):
-                extend(path + [nxt], dirs + ["R"])
-            if frame.has_edge(nxt, last):
-                extend(path + [nxt], dirs + ["R-"])
-
-    extend([s], [])
-    dir_rank = {"R": 0, "R-": 1}
-    out.sort(
-        key=lambda r: (
-            tuple(frame.index[w] for w in r.waypoints),
-            tuple(dir_rank[d] for d in r.directions),
-        )
-    )
-    return out
+            continue
+        for d, row in enumerate(rows):
+            for nxt in bits(row[path[-1]] & ~seen):
+                stack.append((path + (nxt,), dirs + (d,), seen | 1 << nxt))
+    found.sort()
+    return [Road(tuple(frame.vertices[i] for i in path), tuple(("R", "R-")[d] for d in dirs))
+            for path, dirs in found]
 
 
 def ultrafilter_road_delta(

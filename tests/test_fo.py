@@ -27,6 +27,7 @@ from uext import (
 from uext.fo import Eq, Exists, Forall, Impl, Neg, Rel, _EFGame, free_vars
 
 from helpers import random_frame
+from product_oracle import ultraproduct as product_oracle
 
 TRI = Frame(("a", "b", "c"), frozenset([("a", "b"), ("a", "c"), ("b", "c")]))
 
@@ -183,6 +184,37 @@ def test_ultraproduct_diagonal_embeds_chosen_factor():
     up = ultraproduct(factors, d)
     for a, b in itertools.product(factors[0].vertices, repeat=2):
         assert up.frame.has_edge(up.diagonal(a), up.diagonal(b)) == factors[0].has_edge(a, b)
+
+
+def test_ultraproduct_matches_product_oracle():
+    # classes, edges and representatives against the full choice-function enumeration
+    rng = random.Random(73)
+    empties = 0
+    for _ in range(500):
+        factors = [random_frame(rng, 4, 0.4) if rng.random() < 0.9 else Frame((), frozenset())
+                   for _ in range(rng.randint(1, 4))]
+        i0 = rng.randrange(len(factors))
+        up = ultraproduct(factors, index_ultrafilter(len(factors), i0))
+        order, edges, reps = product_oracle([(f.vertices, f.edges) for f in factors], i0)
+        assert up.frame.vertices == tuple(order)
+        assert up.frame.edges == frozenset(edges)
+        assert up.representatives == tuple(reps)
+        empties += not order
+    assert empties > 20
+
+
+def test_ultraproduct_of_many_factors():
+    # 10^12 choice functions, 10 classes: the representatives are built, not searched for
+    factors = [linear_order(10, f"f{k}_") for k in range(12)]
+    up = ultraproduct(factors, index_ultrafilter(12, 5))
+    assert up.frame.vertices == factors[5].vertices
+    assert up.frame.edges == factors[5].edges
+    assert up.representatives[3] == tuple("f5_3" if k == 5 else f"f{k}_0" for k in range(12))
+
+
+def test_sentences_upto_rejects_negative_rank():
+    with pytest.raises(InputError, match="max_rank must be nonnegative"):
+        sentences_upto(-1)
 
 
 def test_ef_rounds_clip_at_isomorphism_bound():

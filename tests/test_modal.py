@@ -156,7 +156,7 @@ def test_truth_mask_edge_cases():
 
 
 def test_preimage_over_several_tables():
-    # 20 points need three image tables per direction (8 + 8 + 4 points)
+    # images of random masks over 20 points against the edge-list definition
     rng = random.Random(5)
     verts = tuple(f"v{i}" for i in range(20))
     f = Frame(verts, frozenset((a, b) for a in verts for b in verts if rng.random() < 0.1))

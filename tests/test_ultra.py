@@ -20,6 +20,7 @@ from uext import (
 from uext.ultra import length_zero_delta
 
 from helpers import random_frame
+from road_oracle import roads as road_oracle
 
 TRI = Frame(("a", "b", "c"), frozenset([("a", "b"), ("a", "c"), ("b", "c")]))
 
@@ -112,6 +113,28 @@ def test_roads_use_both_directions():
     assert [(r.waypoints, r.directions) for r in roads] == [
         (("a", "b", "c"), ("R-", "R"))
     ]
+
+
+def test_roads_between_matches_recursive_oracle():
+    rng = random.Random(29)
+    found = 0
+    for _ in range(300):
+        f = random_frame(rng, 6, rng.choice([0.2, 0.4, 0.6]))
+        s, t = rng.choice(f.vertices), rng.choice(f.vertices)
+        k = rng.randint(0, 6)
+        roads = roads_between(f, s, t, k)
+        assert [(r.waypoints, r.directions) for r in roads] == road_oracle(f.vertices, f.edges, s, t, k)
+        found += len(roads)
+    assert found > 300
+
+
+def test_roads_between_long_path():
+    # one road of 1199 steps: deeper than the recursion limit of a search that recurses per step
+    verts = tuple(f"v{i}" for i in range(1200))
+    path = Frame(verts, frozenset(zip(verts, verts[1:])))
+    roads = roads_between(path, "v0", "v1199", 1200)
+    assert [(r.waypoints, r.directions) for r in roads] == [(verts, ("R",) * 1199)]
+    assert roads_between(path, "v1199", "v0", 1198) == []
 
 
 def test_road_delta_recursion():
