@@ -479,11 +479,13 @@ def modal_logic_coincides(fam: FamilyPresentation, n: int) -> tuple[bool, dict]:
     falsify the census, so a False return is a defect detector.
     """
     sk = ue_skeleton(fam, n)
+    omegas = sk.census.omega_types()
     first: dict[str, str] = {}  # each hull type's first expansion vertex in load order
     for v, origin in sk.provenance.items():
+        if all(cert in first for cert in omegas):
+            break  # only the first vertex of each omega-type is reported
         if origin == "expansion":
             first.setdefault(sk.census.certify(hull(sk.frame, v, n)), v)
-    omegas = sk.census.omega_types()
     matches = {cert: first[cert] for cert in omegas if cert in first}
     unmatched = [cert for cert in omegas if cert not in first]
     report = {"depth": n, "budget": sk.budget, "matches": matches, "unmatched": unmatched}

@@ -1,9 +1,11 @@
 """First-order language with equality and one binary relation over finite frames.
 
-Covers Tarskian evaluation, the k-round Ehrenfeucht-Fraisse game (exact, with
-spoiler-line and distinguishing-sentence extraction), a bounded sentence
-enumerator used as a cross-check oracle, the Los-Lemma-like check on finite
-ultrafilter extensions, and literal ultraproducts over finite index sets.
+Covers set-at-a-time evaluation (an innermost quantified variable is a bitmask
+column, so only the outer ones are enumerated), the k-round
+Ehrenfeucht-Fraisse game (exact, with spoiler-line and distinguishing-sentence
+extraction), a bounded sentence enumerator used as a cross-check oracle, the
+Los-Lemma-like check on finite ultrafilter extensions, and literal
+ultraproducts over finite index sets.
 """
 
 from __future__ import annotations
@@ -174,50 +176,137 @@ def parse_fo(text: str) -> FOFormula:
 # Evaluation
 
 
-def eval_fo(frame: Frame, phi: FOFormula, asg: dict[str, str] | None = None) -> bool:
-    """Tarskian truth by exhaustive quantification over the finite vertex set.
+def _flat(phi: FOFormula, var: str) -> bool:
+    """Whether var occurs free in phi only in atoms outside every quantifier."""
+    if isinstance(phi, (Rel, Eq)):
+        return True
+    if isinstance(phi, Neg):
+        return _flat(phi.sub, var)
+    if isinstance(phi, (Conj, Disj, Impl)):
+        return _flat(phi.left, var) and _flat(phi.right, var)
+    return var not in free_vars(phi)
 
-    Variables are bound to vertex indices and atoms read off succ_mask.  Every
-    assignment a quantifier tries counts toward UEXT_ASSIGNMENT_LIMIT; one past
-    it raises ResourceError.  Short-circuited assignments are never tried.
+
+def _evaluate(frame: Frame, phi: FOFormula, values: dict[str, int], column: str | None = None):
+    """phi's truth when each variable in values is bound to the vertex of that index, or with
+    column set, the mask of column's values where phi holds; phi is compiled once per call.
+
+    A quantified variable v whose body is flat in v (see _flat) is the column
+    of its body: under the outer variables' values, R(v,y) is pred_mask[y],
+    R(y,v) is succ_mask[y], R(v,v) the loop mask and v=y is 1 << y; a
+    subformula without v free is a truth value, read as the full mask or 0;
+    ~ & | -> are bitwise.  So exists v holds iff the mask is nonzero and
+    forall v iff it is full, in one mask step.  Any other quantified variable
+    is enumerated, its values tried in order until one decides the
+    quantifier.  Each mask step and each value tried counts toward
+    UEXT_ASSIGNMENT_LIMIT before it is taken; one past the cap raises
+    ResourceError.  Short-circuited work is never done, so it never counts.
+    """
+    n = len(frame.vertices)
+    full = (1 << n) - 1
+    succ = frame.succ_mask
+    limit = env_limit(ASSIGNMENT_LIMIT_ENV, DEFAULT_ASSIGNMENT_LIMIT)
+    spent, size = 0, len(values)
+
+    def spend():
+        nonlocal spent
+        spent += 1
+        if spent > limit:
+            raise ResourceError(f"FO evaluation tried more than {limit} assignments "
+                                f"(set {ASSIGNMENT_LIMIT_ENV} to raise)")
+
+    def over(var: str, body: FOFormula, scope: dict[str, int]):
+        """var's values where body holds, as (mask step, None) if body is flat in var, else
+        (None, a generator of body's truth at each value in turn)."""
+        nonlocal size
+        slot, size = size, size + 1
+        scope = {**scope, var: slot}
+        if _flat(body, var):
+            m = mask(body, var, scope)
+
+            def step(env):
+                spend()
+                return m(env)
+            return step, None
+        t = truth(body, scope)
+
+        def each(env):
+            for w in range(n):
+                spend()
+                env[slot] = w
+                yield t(env)
+        return None, each
+
+    def truth(f: FOFormula, scope: dict[str, int]):  # recursion bounded by syntax.MAX_DEPTH
+        if isinstance(f, Rel):
+            a, b = scope[f.left], scope[f.right]
+            return lambda env: succ[env[a]] >> env[b] & 1
+        if isinstance(f, Eq):
+            a, b = scope[f.left], scope[f.right]
+            return lambda env: env[a] == env[b]
+        if isinstance(f, Neg):
+            s = truth(f.sub, scope)
+            return lambda env: not s(env)
+        if isinstance(f, (Exists, Forall)):
+            step, each = over(f.var, f.body, scope)
+            if isinstance(f, Exists):
+                return (lambda env: step(env) != 0) if step else (lambda env: any(each(env)))
+            return (lambda env: step(env) == full) if step else (lambda env: all(each(env)))
+        if not isinstance(f, (Conj, Disj, Impl)):
+            raise InputError(f"unknown formula node {f!r}")
+        l, r = truth(f.left, scope), truth(f.right, scope)
+        return {Conj: lambda env: l(env) and r(env),
+                Disj: lambda env: l(env) or r(env),
+                Impl: lambda env: not l(env) or r(env)}[type(f)]
+
+    def mask(f: FOFormula, v: str, scope: dict[str, int]):
+        if v not in free_vars(f):
+            t = truth(f, scope)  # a truth value, so a closed formula stays one on the empty frame
+            return lambda env: full if t(env) else 0
+        if isinstance(f, Rel):
+            if f.left == f.right:
+                loops = sum(1 << i for i, row in enumerate(succ) if row >> i & 1)
+                return lambda env: loops
+            rows, y = (frame.pred_mask, scope[f.right]) if f.left == v else (succ, scope[f.left])
+            return lambda env: rows[env[y]]
+        if isinstance(f, Eq):
+            if f.left == f.right:
+                return lambda env: full
+            y = scope[f.right if f.left == v else f.left]
+            return lambda env: 1 << env[y]
+        if isinstance(f, Neg):
+            s = mask(f.sub, v, scope)
+            return lambda env: full ^ s(env)
+        l, r = mask(f.left, v, scope), mask(f.right, v, scope)  # f is a connective: v is flat in it
+        if isinstance(f, Conj):
+            return lambda env: (x := l(env)) and x & r(env)
+        if isinstance(f, Disj):
+            return lambda env: x if (x := l(env)) == full else x | r(env)
+        return lambda env: (full ^ x) | r(env) if (x := l(env)) else full
+
+    scope = dict(zip(values, range(size)))
+    if column is None:
+        top = truth(phi, scope)
+    else:
+        step, each = over(column, phi, scope)
+        top = step or (lambda env: sum(1 << w for w, h in enumerate(each(env)) if h))
+    return top([*values.values()] + [0] * (size - len(values)))
+
+
+def eval_fo(frame: Frame, phi: FOFormula, asg: dict[str, str] | None = None) -> bool:
+    """Truth of phi under asg (variable -> vertex), set at a time over the finite vertex set.
+
+    Variables are bound to vertex indices; an innermost quantified variable is
+    a bitmask column and only the outer ones are enumerated, so rank k takes
+    about n^(k-1) mask steps.  Mask steps and enumerated values count toward
+    UEXT_ASSIGNMENT_LIMIT, checked before each; one past it raises
+    ResourceError.  Short-circuited work is never done and never counts.
     """
     asg = asg or {}
     missing = free_vars(phi) - set(asg)
     if missing:
         raise InputError(f"unbound free variable {min(missing)!r}")
-    asg = {var: frame.position(v) for var, v in asg.items()}
-    limit = env_limit(ASSIGNMENT_LIMIT_ENV, DEFAULT_ASSIGNMENT_LIMIT)
-    succ, tried = frame.succ_mask, 0
-
-    def extend(asg: dict[str, int], var: str):
-        nonlocal tried
-        for w in range(len(succ)):
-            tried += 1
-            if tried > limit:
-                raise ResourceError(f"FO evaluation tried more than {limit} assignments "
-                                    f"(set {ASSIGNMENT_LIMIT_ENV} to raise)")
-            yield {**asg, var: w}
-
-    def holds(phi: FOFormula, asg: dict[str, int]) -> bool:
-        if isinstance(phi, Rel):
-            return bool(succ[asg[phi.left]] >> asg[phi.right] & 1)
-        if isinstance(phi, Eq):
-            return asg[phi.left] == asg[phi.right]
-        if isinstance(phi, Neg):
-            return not holds(phi.sub, asg)
-        if isinstance(phi, Conj):
-            return holds(phi.left, asg) and holds(phi.right, asg)
-        if isinstance(phi, Disj):
-            return holds(phi.left, asg) or holds(phi.right, asg)
-        if isinstance(phi, Impl):
-            return (not holds(phi.left, asg)) or holds(phi.right, asg)
-        if isinstance(phi, Exists):
-            return any(holds(phi.body, a) for a in extend(asg, phi.var))
-        if isinstance(phi, Forall):
-            return all(holds(phi.body, a) for a in extend(asg, phi.var))
-        raise InputError(f"unknown formula node {phi!r}")
-
-    return holds(phi, asg)
+    return bool(_evaluate(frame, phi, {var: frame.position(v) for var, v in asg.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +457,9 @@ def los_like_check(frame: Frame, phi: FOFormula, u: Ultrafilter) -> tuple[bool, 
     phi must have exactly one free variable.  Returns (agree, extension side,
     membership side).  The membership side is read on the frame, not through
     the extension, so a broken extension shows as disagreement; on finite
-    frames disagreement is a defect (eta: w -> pi_w is an isomorphism).
+    frames disagreement is a defect (eta: w -> pi_w is an isomorphism).  The
+    set {w : phi holds at w} is one truth mask, with the free variable as its
+    column.
     """
     fv = sorted(free_vars(phi))
     if len(fv) != 1:
@@ -377,8 +468,7 @@ def los_like_check(frame: Frame, phi: FOFormula, u: Ultrafilter) -> tuple[bool, 
         raise InputError("ultrafilter is not over the given frame")
     x = fv[0]
     lhs = eval_fo(build_ue(frame).frame, phi, {x: f"pi:{u.point}"})
-    truth = frozenset(w for w in frame.vertices if eval_fo(frame, phi, {x: w}))
-    rhs = u.member(truth)
+    rhs = u.member(frame.names(_evaluate(frame, phi, {}, column=x)))
     return lhs == rhs, lhs, rhs
 
 

@@ -274,3 +274,22 @@ def test_generator_expansion_is_the_first_seen_union(name):
         expansion = gen.expansion(k)
         assert expansion.vertices == tuple(verts)
         assert expansion.edges == edges
+
+
+def test_modal_logic_coincides_stops_once_every_omega_type_matches(monkeypatch):
+    # only each omega-type's first expansion vertex is reported, so no hull past the last
+    # of them is built, where a full scan would end at the last expansion vertex
+    rooted = []
+    real = census_mod.hull
+    monkeypatch.setattr(census_mod, "hull", lambda frame, v, n: rooted.append(v) or real(frame, v, n))
+    stopped = 0
+    for fam in _family_corpus(seed=321, size=40):
+        for n in (1, 2):
+            sk = ue_skeleton(fam, n)
+            rooted.clear()
+            ok, report = modal_logic_coincides(fam, n)
+            expansion = [v for v, origin in sk.provenance.items() if origin == "expansion"]
+            if ok and report["matches"]:
+                assert rooted[-1] == max(report["matches"].values(), key=expansion.index)
+                stopped += rooted[-1] != expansion[-1]
+    assert stopped > 10

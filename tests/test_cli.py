@@ -201,14 +201,20 @@ def test_bisim_at_the_stack_bound(capsys, tmp_path):
 
 
 def test_fo_eval_assignment_cap(capsys, monkeypatch):
-    argv = ["fo", "eval", "fixtures/triangle.json", "exists x. " * 30 + "~x=x"]
+    # x1..x6 are enumerated and x7 is a mask column: when the body never holds, that is
+    # 3 + 9 + ... + 3^6 = 1092 assignments and 3^6 = 729 mask steps on the triangle
+    prefix = "".join(f"exists x{i}. " for i in range(1, 8))
+    body = " & ".join(f"x{i}=x{i}" for i in range(1, 8))
     monkeypatch.setenv("UEXT_ASSIGNMENT_LIMIT", "1000")
-    assert main(argv) == 2
+    assert main(["fo", "eval", "fixtures/triangle.json", f"{prefix}~({body})"]) == 2
     assert capsys.readouterr() == (
         "", "resource limit: FO evaluation tried more than 1000 assignments (set UEXT_ASSIGNMENT_LIMIT to raise)\n")
-    # only the assignments tried count: ~x=x fails at once, x=x after one assignment per quantifier
-    monkeypatch.setenv("UEXT_ASSIGNMENT_LIMIT", "30")
-    assert main(["fo", "eval", "fixtures/triangle.json", "exists x. " * 30 + "x=x"]) == 0
+    # only the work done counts: when the body holds, each quantifier stops at its first
+    # value, six assignments and one mask step
+    monkeypatch.setenv("UEXT_ASSIGNMENT_LIMIT", "7")
+    assert main(["fo", "eval", "fixtures/triangle.json", f"{prefix}({body})"]) == 0
+    monkeypatch.setenv("UEXT_ASSIGNMENT_LIMIT", "6")
+    assert main(["fo", "eval", "fixtures/triangle.json", f"{prefix}({body})"]) == 2
 
 
 def test_negative_max_rounds_is_input_error(capsys, tri):
