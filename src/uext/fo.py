@@ -317,6 +317,8 @@ class _EFGame(Game):
     """Positions are the pairs of vertex indices played so far, in order, and a board's state
     its tuple of them; equal atoms at every step keep the map a partial isomorphism."""
 
+    ROUNDS = "max_rounds"
+
     def __init__(self, f1: Frame, f2: Frame):
         # a sentence of rank max(|F1|, |F2|) + 1 pins a frame of at most max(|F1|, |F2|)
         # points up to isomorphism, so no verdict changes past it
@@ -366,13 +368,11 @@ class _EFGame(Game):
 
 def ef_equivalent(f1: Frame, f2: Frame, rounds: int) -> bool:
     """True iff Duplicator wins the k-round EF game between the two frames."""
-    return _EFGame(f1, f2).lost((), rounds) is None
+    return _EFGame(f1, f2).least((), rounds) is None
 
 
 def ef_min_rounds(f1: Frame, f2: Frame, max_rounds: int) -> int | None:
     """Smallest k <= max_rounds at which Spoiler wins, or None."""
-    if max_rounds < 0:
-        raise InputError("max_rounds must be nonnegative")
     return _EFGame(f1, f2).least((), max_rounds)
 
 
@@ -381,7 +381,7 @@ def spoiler_line(f1: Frame, f2: Frame, rounds: int) -> list[str]:
     the least winning round count, so the line holds ef_min_rounds Spoiler moves, and each
     reply is Duplicator's most stubborn, the one Spoiler needs the most rounds to beat."""
     game, pos, line = _EFGame(f1, f2), (), []
-    k = game.lost(pos, rounds) or 0
+    k = game.least(pos, rounds) or 0
     while k:
         board, move = game.spoiler_move(pos, k)
         line.append(f"S:{board}:{game.frames[board - 1].vertices[move]}")
@@ -397,7 +397,7 @@ def spoiler_line(f1: Frame, f2: Frame, rounds: int) -> list[str]:
 def distinguishing_sentence(f1: Frame, f2: Frame, rounds: int) -> FOFormula | None:
     """A sentence of the least rank, at most rounds, true in f1 and false in f2, from the game tree."""
     game = _EFGame(f1, f2)
-    k = game.lost((), rounds)
+    k = game.least((), rounds)
     return None if k is None else game.distinguish((), k)
 
 
@@ -467,7 +467,7 @@ def los_like_check(frame: Frame, phi: FOFormula, u: Ultrafilter) -> tuple[bool, 
     if u.frame != frame:
         raise InputError("ultrafilter is not over the given frame")
     x = fv[0]
-    lhs = eval_fo(build_ue(frame).frame, phi, {x: f"pi:{u.point}"})
+    lhs = eval_fo(build_ue(frame).frame, phi, {x: u.name})
     rhs = u.member(frame.names(_evaluate(frame, phi, {}, column=x)))
     return lhs == rhs, lhs, rhs
 

@@ -8,8 +8,10 @@ successors' rank-(k - 1) types, interned for both boards.  Play goes on only
 from positions whose atoms agree, so an atom need only describe the last step.
 A logic supplies moves, step, literal and quantify for play, sides, atom and
 successors for typing, and the round count from which no verdict changes.
-Answers are read at the least losing round count, the least rank or depth of a
-separating formula.
+Every answer is read by one scan, `Game.least`, at the least losing round
+count, the least rank or depth of a separating formula.  The scan types from 0
+rounds up, so a verdict decided early is never refused; a count is refused
+only when the scan reaches one whose game would recurse past the stack.
 """
 
 from __future__ import annotations
@@ -39,11 +41,9 @@ class Game:
         self.cap_message = f"{memo_name} exceeded cap {self.limit} (set {limit_env})"
         self.bound = bound  # the round count from which no verdict changes
 
-    def rounds(self, n: int) -> int:
-        """n clipped to bound, refused before play if a game that long would pass the stack."""
-        if n < 0:
-            raise InputError(f"{self.ROUNDS} must be nonnegative")
-        k, limit = min(n, self.bound), sys.getrecursionlimit()
+    def rounds(self, k: int) -> int:
+        """k, refused if a k-round game would recurse past the stack."""
+        limit = sys.getrecursionlimit()
         if FRAMES_PER_ROUND * k + STACK_RESERVE > limit:
             raise ResourceError(f"a {k}-round game would recurse past the interpreter's stack "
                                 f"(recursion limit {limit})")
@@ -80,12 +80,9 @@ class Game:
     def least(self, pos, n: int) -> int | None:
         """The fewest rounds, at most n clipped to bound, within which Spoiler wins from pos, or
         None.  A round count past the stack is refused only when the scan reaches it."""
+        if n < 0:
+            raise InputError(f"{self.ROUNDS} must be nonnegative")
         return next((k for k in range(min(n, self.bound) + 1) if not self.wins(pos, self.rounds(k))), None)
-
-    def lost(self, pos, n: int) -> int | None:
-        """least(pos, n), with a clipped n past the stack refused before play."""
-        self.rounds(n)
-        return self.least(pos, n)
 
     def spoiler_move(self, pos, k: int) -> tuple[int, object] | None:
         """The first (board, move), board 1 first, that no answer survives for k - 1 rounds.

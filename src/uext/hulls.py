@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .fo import Conj, Disj, Eq, Exists, FOFormula, Forall, Impl, Neg, Rel
 from .frame import Frame, bits
-from .syntax import fold
+from .syntax import MAX_DEPTH, depth, fold
 
 CERT_VERSION = b"HT1"
 
@@ -100,29 +100,35 @@ def _refine(adj, colors: list[int]) -> list[int]:
 
 
 def _canonical_bytes(h: RootedGraph, adj, twins, colors: list[int]) -> tuple[bytes, list[int]]:
-    """The least leaf below this colouring: its certificate and its labelling."""
-    cells: dict[int, list[int]] = {}
-    for i, c in enumerate(colors):
-        cells.setdefault(c, []).append(i)
-    target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
-    if target is None:
-        # refined colours are ranks 0..n-1, so a discrete colouring is the vertex order
-        edges = sorted((colors[a], colors[b]) for a, row in enumerate(adj[0]) for b in row)
-        body = f"n={len(colors)};root={colors[h.graph.index[h.root]]};edges={edges}"
-        return CERT_VERSION + b"|" + body.encode(), colors
-    best, branched_keys = None, set()
-    fresh = max(colors) + 1
-    for i in target:
-        # swapping i with a twin already branched on fixes the root and every individualised
-        # vertex, so that branch's subtree has the same least leaf
-        if not branched_keys.isdisjoint(twins[i]):
+    """The least leaf below this colouring, the first reached of equal ones: its certificate and
+    its labelling.  The search keeps its own stack, so a star of any size searches one path."""
+    best, todo = None, [colors]
+    while todo:
+        colors = _refine(adj, todo.pop())
+        cells: dict[int, list[int]] = {}
+        for i, c in enumerate(colors):
+            cells.setdefault(c, []).append(i)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            # refined colours are ranks 0..n-1, so a discrete colouring is the vertex order
+            edges = sorted((colors[a], colors[b]) for a, row in enumerate(adj[0]) for b in row)
+            body = f"n={len(colors)};root={colors[h.graph.index[h.root]]};edges={edges}"
+            cert = CERT_VERSION + b"|" + body.encode()
+            if best is None or cert < best[0]:
+                best = cert, colors
             continue
-        branched_keys.update(twins[i])
-        branched = list(colors)
-        branched[i] = fresh
-        leaf = _canonical_bytes(h, adj, twins, _refine(adj, branched))
-        if best is None or leaf[0] < best[0]:
-            best = leaf
+        children, branched_keys = [], set()
+        fresh = max(colors) + 1
+        for i in target:
+            # swapping i with a twin already branched on fixes the root and every individualised
+            # vertex, so that branch's subtree has the same least leaf
+            if not branched_keys.isdisjoint(twins[i]):
+                continue
+            branched_keys.update(twins[i])
+            branched = list(colors)
+            branched[i] = fresh
+            children.append(branched)
+        todo.extend(reversed(children))  # the first child is searched first
     return best
 
 
@@ -139,7 +145,7 @@ def _labelling(h: RootedGraph) -> tuple[bytes, list[int]]:
     for i, (s, p) in enumerate(zip(g.succ_mask, g.pred_mask)):
         own, loop = 1 << i, s >> i & 1
         twins.append(((s & ~own, p & ~own, loop), (s | own, p | own, loop)))
-    return _canonical_bytes(h, adj, twins, _refine(adj, [ranks[s] for s in sig]))
+    return _canonical_bytes(h, adj, twins, [ranks[s] for s in sig])
 
 
 def canonical_form(h: RootedGraph) -> HullType:
@@ -167,10 +173,17 @@ def hull_formula(h: RootedGraph) -> FOFormula:
     One existential per non-root vertex (nested in BFS order so evaluation
     prunes early), pairwise distinctness, every edge, every non-edge, and a
     closure clause pinning all neighbors of sub-maximal-layer vertices inside
-    the quantified set; outside-neighbors of layer-n vertices stay free.
+    the quantified set; outside-neighbors of layer-n vertices stay free.  It
+    nests about five levels per vertex, past syntax.MAX_DEPTH from about 20
+    vertices on: such a hull raises ResourceError, so every formula returned
+    parses back.
     """
     g = h.graph
     ordered = [g.vertices[i] for i in h.order]  # the root first
+    too_deep = ResourceError(f"the formula of a {len(ordered)}-vertex hull would nest deeper than "
+                             f"the {MAX_DEPTH} levels a formula may nest")
+    if 2 * (len(ordered) - 1) > MAX_DEPTH:  # an exists and a conjunction per non-root vertex
+        raise too_deep
     names = {v: f"y{i}" if i else "x" for i, v in enumerate(ordered)}
 
     def literals_for(v: str, prior: list[str]) -> list[FOFormula]:
@@ -190,22 +203,17 @@ def hull_formula(h: RootedGraph) -> FOFormula:
                 lits.append(Neg(Rel(names[v], names[u])))
         return lits
 
-    def closure() -> list[FOFormula]:
-        clauses: list[FOFormula] = []
-        inside = fold(Disj, [Eq("z", names[v]) for v in ordered])
-        for v in ordered:
-            if h.layers[v] < h.depth:
-                clauses.append(Forall("z", Impl(Rel(names[v], "z"), inside)))
-                clauses.append(Forall("z", Impl(Rel("z", names[v]), inside)))
-        return clauses
-
-    def build(i: int) -> FOFormula:
-        if i == len(ordered):
-            return fold(Conj, closure() + [Eq("x", "x")])
+    inside = fold(Disj, [Eq("z", names[v]) for v in ordered])
+    closure = [Forall("z", Impl(edge, inside)) for v in ordered if h.layers[v] < h.depth
+               for edge in (Rel(names[v], "z"), Rel("z", names[v]))]
+    phi = fold(Conj, closure + [Eq("x", "x")])
+    for i in reversed(range(len(ordered))):  # innermost vertex first
         v = ordered[i]
-        lits = literals_for(v, ordered[:i])
-        body = fold(Conj, lits + [build(i + 1)])
-        return body if v == h.root else Exists(names[v], body)
-
-    return build(0)
+        body = fold(Conj, literals_for(v, ordered[:i]) + [phi])
+        phi = body if v == h.root else Exists(names[v], body)
+    # vertex i adds an exists, a conjunction and 3i + 1 literals of depth <= 2, and the closure
+    # nests at most 3V + 2 deep, so only a hull of V >= 20 vertices needs the walk
+    if 5 * len(ordered) + 1 > MAX_DEPTH and depth(phi) > MAX_DEPTH:
+        raise too_deep
+    return phi
 

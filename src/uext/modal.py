@@ -328,10 +328,8 @@ class UEModel:
 
     @cached_property
     def model(self) -> Model:
-        val = {
-            p: frozenset(f"pi:{w}" for w in xs)
-            for p, xs in self.base_model.valuation
-        }
+        names = {u.point: u.name for u in self.ue_frame.ultrafilters}
+        val = {p: frozenset(map(names.__getitem__, xs)) for p, xs in self.base_model.valuation}
         return Model.make(self.ue_frame.frame, val)
 
 
@@ -394,17 +392,17 @@ class _BisimGame(Game):
 
 
 def n_bisimilar(m1: Model, w1: str, m2: Model, w2: str, n: int) -> bool:
-    """Exact n-round back-and-forth between two pointed models."""
+    """Exact n-round back-and-forth between two pointed models, read by the scan of Game.least."""
     game = _BisimGame(m1, m2, frozenset(m1.val) | frozenset(m2.val))
     pos = m1.frame.position(w1), m2.frame.position(w2)
-    return game.wins(pos, game.rounds(n))
+    return game.least(pos, n) is None
 
 
 def distinguishing_formula(m1: Model, w1: str, m2: Model, w2: str, n: int, ls) -> ModalFormula | None:
     """A formula of the least depth, at most n, true at (m1, w1) and false at (m2, w2), if one exists."""
     game = _BisimGame(m1, m2, ls)
     pos = m1.frame.position(w1), m2.frame.position(w2)
-    k = game.lost(pos, n)
+    k = game.least(pos, n)
     return None if k is None else game.distinguish(pos, k)
 
 

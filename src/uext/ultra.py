@@ -163,19 +163,15 @@ def build_ue(frame: Frame) -> UEFrame:
 
     Raises DefectError if the modes ever disagree; this must never fire.
     """
-    rows = _mode_rows(frame)
-    ufs = enumerate_ultrafilters(frame)
-    edges = set()
-    for i, u in enumerate(ufs):
-        for j, v in enumerate(ufs):
-            a, b, c = (bool(rows[m][i] >> j & 1) for m in "ABC")
-            if not (a == b == c):
-                raise DefectError(
-                    f"ue_related modes disagree at ({u.name}, {v.name}): A={a} B={b} C={c}"
-                )
-            if a:
-                edges.add((u.name, v.name))
-    return UEFrame(frame, tuple(ufs), frozenset(edges))
+    rows, ufs = _mode_rows(frame), enumerate_ultrafilters(frame)
+    if not rows["A"] == rows["B"] == rows["C"]:
+        i, j = next((i, j) for i in range(len(ufs)) for j in range(len(ufs))
+                    if len({rows[m][i] >> j & 1 for m in "ABC"}) > 1)
+        a, b, c = (bool(rows[m][i] >> j & 1) for m in "ABC")
+        raise DefectError(f"ue_related modes disagree at ({ufs[i].name}, {ufs[j].name}): A={a} B={b} C={c}")
+    names = [u.name for u in ufs]
+    edges = frozenset((names[i], names[j]) for i, row in enumerate(rows["A"]) for j in bits(row))
+    return UEFrame(frame, tuple(ufs), edges)
 
 
 def canonical_embedding(frame: Frame) -> dict[str, Ultrafilter]:

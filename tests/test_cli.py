@@ -4,6 +4,7 @@ import time
 import pytest
 
 from uext.cli import main
+from uext.fo import format_fo, parse_fo
 
 TRI = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["a", "c"], ["b", "c"]]}
 SUCC = {"rays": [{"period": {"vertices": ["v"], "edges": []},
@@ -190,13 +191,14 @@ def cycle_model(tmp_path, n: int) -> str:
 
 
 def test_bisim_at_the_stack_bound(capsys, tmp_path):
-    # on a cycle every round recurses once more; two 100-cycles clip 3000 rounds to 200, the most allowed
+    # on a cycle every round recurses once more; two 100-cycles clip 3000 rounds to 200, the most allowed,
+    # and the scan over two 101-cycles is refused at the first count past it
     p = cycle_model(tmp_path, 100)
     assert main(["bisim", p, p, "--at1", "v0", "--at2", "v0", "--depth", "3000"]) == 0
     assert json.loads(capsys.readouterr().out) == {"bisimilar": True, "depth": 3000}
     p = cycle_model(tmp_path, 101)
     assert main(["bisim", p, p, "--at1", "v0", "--at2", "v0", "--depth", "3000"]) == 2
-    assert capsys.readouterr() == ("", "resource limit: a 202-round game would recurse past the interpreter's "
+    assert capsys.readouterr() == ("", "resource limit: a 201-round game would recurse past the interpreter's "
                                        "stack (recursion limit 1000)\n")
 
 
@@ -369,6 +371,26 @@ def test_hull_stops_at_saturation(capsys, tri):
     deep, shallow = json.loads(deep), json.loads(shallow)
     assert deep.pop("depth") == 10**9 and shallow.pop("depth") == 3
     assert deep == shallow
+
+
+def star(tmp_path, leaves: int) -> str:
+    p = tmp_path / f"star{leaves}.json"
+    p.write_text(json.dumps({"vertices": ["c"] + [f"l{i}" for i in range(leaves)],
+                             "edges": [["c", f"l{i}"] for i in range(leaves)]}))
+    return str(p)
+
+
+def test_hull_formula_prints_only_what_parses_back(capsys, tmp_path):
+    # about five levels per vertex: a 19-leaf star's formula nests 98 deep and parses back, while
+    # a 20-leaf star's would pass syntax.MAX_DEPTH and is refused in one line; 200 and 1000 leaves,
+    # refused before the formula is built, once ended in a RecursionError traceback
+    code, out = run(capsys, "hull", star(tmp_path, 19), "--at", "c", "--depth", "1", "--formula")
+    formula = json.loads(out)["formula"]
+    assert code == 0 and format_fo(parse_fo(formula)) == formula
+    for leaves in (20, 200, 1000):
+        assert main(["hull", star(tmp_path, leaves), "--at", "c", "--depth", "1", "--formula"]) == 2
+        assert capsys.readouterr() == ("", f"resource limit: the formula of a {leaves + 1}-vertex hull would "
+                                           "nest deeper than the 100 levels a formula may nest\n")
 
 
 def test_detect_generated_on_chains_is_yes(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +26,7 @@ from uext import (
     ultraproduct,
 )
 from uext.fo import Eq, Exists, Forall, Impl, Neg, Rel, _EFGame, free_vars
+from uext.games import FRAMES_PER_ROUND, STACK_RESERVE
 
 from helpers import random_frame
 from product_oracle import ultraproduct as product_oracle
@@ -274,10 +276,21 @@ def test_ef_min_rounds_builds_one_game(monkeypatch):
     assert len(built) == 1
 
 
-def test_ef_clip_past_the_stack_is_refused_before_play():
-    # 300 rounds clip to 251, and 251 rounds would recurse past Python's default stack
+def test_ef_clip_past_the_stack_is_refused_when_reached(monkeypatch):
+    # 300 rounds clip to 251, past Python's default stack, but the scan types from 0 rounds up:
+    # isomorphic frames are refused by the memo cap long before it reaches 251
     edgeless = Frame(tuple(f"v{i}" for i in range(250)), frozenset())
-    with pytest.raises(ResourceError, match="a 251-round game would recurse past the interpreter's stack"):
+    monkeypatch.setenv("UEXT_EF_MEMO_LIMIT", "1000")
+    with pytest.raises(ResourceError, match=r"^EF memo table exceeded cap 1000 \(set UEXT_EF_MEMO_LIMIT\)$"):
         ef_equivalent(edgeless, edgeless, 300)
+    # a count past the stack is refused when the scan reaches it, and the message names that count
+    small, limit = Frame(edgeless.vertices[:5], frozenset()), sys.getrecursionlimit()
+    sys.setrecursionlimit(STACK_RESERVE + 2 * FRAMES_PER_ROUND)
+    try:
+        with pytest.raises(ResourceError, match=r"^a 3-round game would recurse past the interpreter's stack "
+                                                rf"\(recursion limit {STACK_RESERVE + 2 * FRAMES_PER_ROUND}\)$"):
+            ef_equivalent(small, small, 300)
+    finally:
+        sys.setrecursionlimit(limit)
     # ef_min_rounds plays, and so checks, only the rounds it needs: a loop settles it in one
     assert ef_min_rounds(edgeless, Frame(edgeless.vertices, frozenset([("v0", "v0")])), 300) == 1

@@ -13,9 +13,9 @@ import game_oracle as O
 import modal_oracle
 from helpers import model_doc, random_frame, random_valuation, successors
 from uext import Frame, Model, frame_from_dict, frame_to_dict
-from uext.fo import _EFGame, distinguishing_sentence, ef_equivalent, ef_min_rounds, spoiler_line
+from uext.fo import _EFGame, distinguishing_sentence, ef_equivalent, ef_min_rounds, format_fo, spoiler_line
 from uext.games import FRAMES_PER_ROUND, STACK_RESERVE
-from uext.modal import distinguishing_formula, n_bisimilar, parse_modal
+from uext.modal import Prop, distinguishing_formula, modally_equivalent_upto, n_bisimilar, parse_modal
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = [json.loads(line) for line in (ROOT / "tests" / "golden" / "games.jsonl").read_text().splitlines()]
@@ -129,6 +129,21 @@ def test_ef_pair_told_apart_at_rank_1_costs_rank_1(monkeypatch):
         assert spoiler_line(looped, plain, rounds) == ["S:1:v0", "D:2:v0"]
         phi = distinguishing_sentence(looped, plain, rounds)
         assert O.tree(phi) == O.read_fo("exists x0. R(x0,x0)")
+
+
+def test_pairs_told_apart_at_round_0_or_1_answer_every_question_at_3000_rounds():
+    # the clips, 300 and 301 rounds, would recurse past the stack, but the scan stops at the
+    # first count where the states' types differ, long before it reaches a count past the stack
+    cycle = chain(150, "c", cycle=True)
+    m1, m2 = Model.make(cycle, {"p0": ["c0"]}), Model.make(cycle, {"p0": ["c1"]})
+    assert not n_bisimilar(m1, "c0", m2, "c0", 3000)
+    assert distinguishing_formula(m1, "c0", m2, "c0", 3000, ["p0"]) == Prop("p0")
+    assert modally_equivalent_upto(m1, "c0", m2, "c0", 3000, ["p0"]) == (False, Prop("p0"))
+    v = tuple(f"v{i}" for i in range(300))
+    looped, plain = Frame(v, frozenset([("v0", "v0")])), Frame(v, frozenset())
+    assert not ef_equivalent(looped, plain, 3000) and ef_min_rounds(looped, plain, 3000) == 1
+    assert spoiler_line(looped, plain, 3000) == ["S:1:v0", "D:2:v0"]
+    assert format_fo(distinguishing_sentence(looped, plain, 3000)) == "exists x0. R(x0,x0)"
 
 
 def test_isomorphic_seven_point_frames_are_typed_to_the_clip():

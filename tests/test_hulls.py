@@ -5,14 +5,18 @@ import pytest
 from uext import (
     Frame,
     InputError,
+    ResourceError,
     canonical_form,
     endpoints,
     eval_fo,
+    format_fo,
     hull,
     hull_formula,
+    parse_fo,
     rooted_iso,
 )
 from uext.fo import free_vars, quantifier_rank
+from uext.syntax import MAX_DEPTH, depth
 
 from helpers import random_bounded_frame
 
@@ -127,3 +131,24 @@ def test_singleton_hull_formula():
     phi = hull_formula(hull(lone, "z", 1))
     assert eval_fo(lone, phi, {"x": "z"})
     assert not eval_fo(PATH4, phi, {"x": "p0"})
+
+
+def test_hull_formula_nests_at_most_5v_plus_1_and_parses_back():
+    # hull_formula walks the formula only past V = 19, where 5V + 1 passes MAX_DEPTH; every
+    # formula it returns parses back, and it refuses only formulas that would not
+    rng, returned, refused = random.Random(1203), 0, 0
+    for _ in range(250):
+        n = rng.randint(1, 25)
+        v = tuple(f"v{i}" for i in range(n))
+        p = rng.choice([0.05, 0.2, 0.5, 1.0])
+        h = hull(Frame(v, frozenset((a, b) for a in v for b in v if rng.random() < p)), "v0", rng.randint(0, 3))
+        try:
+            phi = hull_formula(h)
+        except ResourceError:
+            refused += 1
+            assert len(h.graph.vertices) >= 20
+            continue
+        returned += 1
+        assert depth(phi) <= min(5 * len(h.graph.vertices) + 1, MAX_DEPTH)
+        assert parse_fo(format_fo(phi)) == phi
+    assert returned >= 150 and refused >= 15
