@@ -519,6 +519,8 @@ def ultraproduct(structures: list[Frame], d: Ultrafilter) -> Ultraproduct:
     if len(d.frame.vertices) != len(structures):
         raise InputError("index ultrafilter size does not match the number of factors")
     indices = list(range(len(structures)))
+    if d.point not in map(str, indices):
+        raise InputError(f"index ultrafilter is principal at {d.point!r}, not at an index below {len(structures)}")
     i0 = int(d.point)
 
     # class order follows the principal factor's vertex order

@@ -6,9 +6,9 @@ tuple (the load order) and a set of vertices is an int bitmask whose bit i is
 vertices[i]; successor and predecessor sets are the rows succ_mask and
 pred_mask, built once from the edges.  Every relation image and every test
 of the lifted relation folds rows over a mask through `any_of` (a union) or
-`all_of` (an intersection): R+(X) is the union of X's successor rows.  Every
-set-valued result is reported in load order, so outputs are deterministic
-and diff-stable.
+`all_of` (an intersection): R+(X) is the union of X's successor rows.  Hull
+colours and bisimulation types are both refined by `refine`.  Every set-valued
+result is reported in load order, so outputs are deterministic and diff-stable.
 """
 
 from __future__ import annotations
@@ -49,6 +49,17 @@ def all_of(row, points: int, ones: int) -> int:
         out &= row(low.bit_length() - 1)
         points ^= low
     return out
+
+
+def refine(colors: list, signatures) -> Iterator[list[int]]:
+    """Yields each round's colours, the ranks of signatures(colors) in sorted order, up to the first
+    round that splits no class.  A signature must fix its item's colour; raw keys may be the first colours."""
+    split = True
+    while split:
+        sig = signatures(colors)
+        ranks = {s: c for c, s in enumerate(sorted(set(sig)))}
+        split, colors = len(ranks) > len(set(colors)), [ranks[s] for s in sig]
+        yield colors
 
 
 @dataclass(frozen=True)

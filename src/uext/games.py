@@ -4,14 +4,15 @@ Each round Spoiler moves on board 1 or 2 and Duplicator answers on the other
 (Blackburn, de Rijke and Venema 2001, 2.2-2.3; Ebbinghaus and Flum 1995, ch. 2).
 Duplicator survives k rounds exactly when the boards' states have the same
 rank-k type (Libkin 2004, ch. 3): a state's atom with the set of its
-successors' rank-(k - 1) types, interned for both boards.  Play goes on only
-from positions whose atoms agree, so an atom need only describe the last step.
-A logic supplies moves, step, literal and quantify for play, sides, atom and
-successors for typing, and the round count from which no verdict changes.
+successors' rank-(k - 1) types.  A logic supplies moves, step, literal and
+quantify for play and the round count from which no verdict changes.  EF types
+by memoised recursion from sides, atom and successors, interned for both boards;
+play goes on only from positions whose atoms agree, so an atom need only
+describe the last step.  Bisimulation reads its types off `frame.refine`.
 Every answer is read by one scan, `Game.least`, at the least losing round
 count, the least rank or depth of a separating formula.  The scan types from 0
-rounds up, so a verdict decided early is never refused; a count is refused
-only when the scan reaches one whose game would recurse past the stack.
+rounds up, so a verdict decided early is never refused; recursive typing and
+witnesses refuse a count only when they are about to recurse past the stack.
 """
 
 from __future__ import annotations
@@ -53,15 +54,11 @@ class Game:
         """The position after Spoiler plays move on board and Duplicator answers reply."""
         return self.step(pos, move, reply) if board == 1 else self.step(pos, reply, move)
 
-    def sides(self, pos):
-        """The state on each board."""
-        return pos
-
     def wins(self, pos, k: int) -> bool:
         """Whether Duplicator survives k more rounds from pos: its states' atoms and rank-k types agree."""
         s1, s2 = self.sides(pos)
         return self.atom(1, s1) == self.atom(2, s2) and (
-            not k or self.rank_type(1, s1, k) == self.rank_type(2, s2, k))
+            not k or self.rank_type(1, s1, self.rounds(k)) == self.rank_type(2, s2, k))
 
     def rank_type(self, board: int, state, r: int):
         """The rank-r type of state on board, remembered for r > 0; one typing past the cap raises."""
@@ -79,10 +76,10 @@ class Game:
 
     def least(self, pos, n: int) -> int | None:
         """The fewest rounds, at most n clipped to bound, within which Spoiler wins from pos, or
-        None.  A round count past the stack is refused only when the scan reaches it."""
+        None.  Recursive typing refuses a count past the stack only when the scan reaches it."""
         if n < 0:
             raise InputError(f"{self.ROUNDS} must be nonnegative")
-        return next((k for k in range(min(n, self.bound) + 1) if not self.wins(pos, self.rounds(k))), None)
+        return next((k for k in range(min(n, self.bound) + 1) if not self.wins(pos, k)), None)
 
     def spoiler_move(self, pos, k: int) -> tuple[int, object] | None:
         """The first (board, move), board 1 first, that no answer survives for k - 1 rounds.
@@ -96,6 +93,7 @@ class Game:
 
     def distinguish(self, pos, k: int):
         """A formula true on board 1 and false on board 2 at pos, lost within k rounds."""
+        self.rounds(k)
         if not self.wins(pos, 0):  # the atoms disagree at the last step
             return self.intern(self.literal(pos))
         board, move = self.spoiler_move(pos, k)

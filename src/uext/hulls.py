@@ -1,12 +1,13 @@
 """n-Hulls: rooted neighborhood subframes, exact rooted isomorphism, canonical
 certificates, and the first-order formulas pinning a hull's rooted type.
 
-Certificates come from root-seeded color refinement with individualization
-backtracking: the least leaf of the search tree is the certificate, so
-certificate equality is exactly rooted isomorphism, and that leaf's labelling
-gives `rooted_iso` its witness.  Each twin class (vertices with the same
-neighbours, adjacent or not) is branched on once, so stars and K_mm-like hulls
-cost a linear number of refinements; other symmetry is still searched in full.
+Certificates come from root-seeded color refinement (`frame.refine`, counting
+neighbours' colours both ways) with individualization backtracking: the least
+leaf of the search tree is the certificate, so certificate equality is exactly
+rooted isomorphism, and that leaf's labelling gives `rooted_iso` its witness.
+Each twin class (vertices with the same neighbours, adjacent or not) is
+branched on once, so stars and K_mm-like hulls cost a linear number of
+refinements; other symmetry is still searched in full.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 
 from .errors import InputError, ResourceError
 from .fo import Conj, Disj, Eq, Exists, FOFormula, Forall, Impl, Neg, Rel
-from .frame import Frame, bits
+from .frame import Frame, bits, refine
 from .syntax import MAX_DEPTH, depth, fold
 
 CERT_VERSION = b"HT1"
@@ -87,24 +88,16 @@ def endpoints(h: RootedGraph) -> frozenset[str]:
     return frozenset(v for v, d in h.layers.items() if d == h.depth)
 
 
-def _refine(adj, colors: list[int]) -> list[int]:
-    succ, pred = adj
-    while True:
-        sig = [(colors[i], tuple(sorted([colors[j] for j in s])), tuple(sorted([colors[j] for j in p])))
-               for i, (s, p) in enumerate(zip(succ, pred))]
-        ranks = {s: c for c, s in enumerate(sorted(set(sig)))}
-        new = [ranks[s] for s in sig]
-        if len(ranks) == len(set(colors)):
-            return new
-        colors = new
-
-
-def _canonical_bytes(h: RootedGraph, adj, twins, colors: list[int]) -> tuple[bytes, list[int]]:
+def _canonical_bytes(h: RootedGraph, adj, twins, colors: list) -> tuple[bytes, list[int]]:
     """The least leaf below this colouring, the first reached of equal ones: its certificate and
     its labelling.  The search keeps its own stack, so a star of any size searches one path."""
+    def counting(c: list) -> list:
+        return [(c[i], tuple(sorted([c[j] for j in s])), tuple(sorted([c[j] for j in p])))
+                for i, (s, p) in enumerate(zip(*adj))]
+
     best, todo = None, [colors]
     while todo:
-        colors = _refine(adj, todo.pop())
+        *_, colors = refine(todo.pop(), counting)
         cells: dict[int, list[int]] = {}
         for i, c in enumerate(colors):
             cells.setdefault(c, []).append(i)
@@ -136,8 +129,6 @@ def _labelling(h: RootedGraph) -> tuple[bytes, list[int]]:
     """The certificate of h and the labelling (vertex index -> rank) of the leaf it was read off."""
     g, root = h.graph, h.graph.index[h.root]
     adj = [list(bits(row)) for row in g.succ_mask], [list(bits(row)) for row in g.pred_mask]
-    sig = [(i == root, len(s), len(p), i in s) for i, (s, p) in enumerate(zip(*adj))]
-    ranks = {s: c for c, s in enumerate(sorted(set(sig)))}
     # two vertices share the first key when they are non-adjacent twins and the second when
     # they are adjacent ones (a key of one kind never equals one of the other); the loop bit
     # is kept apart because the own bit is overwritten
@@ -145,7 +136,8 @@ def _labelling(h: RootedGraph) -> tuple[bytes, list[int]]:
     for i, (s, p) in enumerate(zip(g.succ_mask, g.pred_mask)):
         own, loop = 1 << i, s >> i & 1
         twins.append(((s & ~own, p & ~own, loop), (s | own, p | own, loop)))
-    return _canonical_bytes(h, adj, twins, [ranks[s] for s in sig])
+    keys = [(i == root, len(s), len(p), i in s) for i, (s, p) in enumerate(zip(*adj))]
+    return _canonical_bytes(h, adj, twins, keys)
 
 
 def canonical_form(h: RootedGraph) -> HullType:

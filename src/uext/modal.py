@@ -22,7 +22,7 @@ from operator import and_
 
 from .caps import env_limit
 from .errors import InputError, ResourceError
-from .frame import Frame, all_of, any_of, bits
+from .frame import Frame, all_of, any_of, bits, refine
 from .games import Game
 from .syntax import Parser, fold
 from .ultra import UEFrame, _table, build_ue
@@ -355,35 +355,47 @@ DEFAULT_GAME_LIMIT = 2**20
 
 
 class _BisimGame(Game):
-    """Positions are pairs of worlds, each a board's state with its letters as atom (typing is
-    k-step partition refinement); moves go to successors, in load order."""
+    """Positions are pairs of worlds of the union W1 + W2 (W1's, then W2's, in load order); moves
+    go to successors.  A world's rank-r type is its class in round r of the union's refinement by
+    letters and the set of successor classes (k-step partition refinement), refined as the scan
+    asks, |W1| + |W2| typings a round, and never past the first round that splits no class."""
 
     ROUNDS = "n"
 
     def __init__(self, m1: Model, m2: Model, ls):
-        # the k-bisimulation partition of the disjoint union has at most |W1| + |W2| classes,
-        # so it is stable from there on and no verdict changes past it
-        super().__init__(GAME_LIMIT_ENV, DEFAULT_GAME_LIMIT, "bisimulation memo",
-                         len(m1.frame.vertices) + len(m2.frame.vertices))
-        self.ls = sorted(ls)
-        self.labels = [[tuple(bool(m.masks.get(p, 0) >> i & 1) for p in self.ls)
-                        for i in range(len(m.frame.vertices))] for m in (m1, m2)]
-        self.succ = [[list(bits(row)) for row in m.frame.succ_mask] for m in (m1, m2)]
+        self.ls, n1 = sorted(ls), len(m1.frame.vertices)
+        self.atoms = [tuple(bool(m.masks.get(p, 0) >> i & 1) for p in self.ls)
+                      for m in (m1, m2) for i in range(len(m.frame.vertices))]
+        self.kids = [[o + v for v in bits(row)] for o, m in ((0, m1), (n1, m2)) for row in m.frame.succ_mask]
+        # the union has at most |W1| + |W2| classes, so no verdict changes past that many rounds
+        super().__init__(GAME_LIMIT_ENV, DEFAULT_GAME_LIMIT, "bisimulation memo", len(self.atoms))
+        self.classes = [self.atoms]  # each round's colouring of the union, as far as it is refined
+        self.refinement = refine(self.atoms, self.signatures)
+
+    def signatures(self, colors: list) -> list:
+        self.typed += len(colors)
+        if self.typed > self.limit:
+            raise ResourceError(self.cap_message)
+        return [(a, tuple(sorted({colors[v] for v in row}))) for a, row in zip(self.atoms, self.kids)]
 
     def moves(self, pos, board: int) -> list[int]:
-        return self.successors(board, pos[board - 1])
+        return self.kids[pos[board - 1]]
 
-    def atom(self, board: int, w: int) -> tuple[bool, ...]:
-        return self.labels[board - 1][w]
+    def rank_type(self, board: int, w: int, r: int):
+        """w's class in round min(r, stable), refining the rounds up to it first."""
+        while len(self.classes) <= r and (colors := next(self.refinement, None)) is not None:
+            self.classes.append(colors)
+        return self.classes[min(r, len(self.classes) - 1)][w]
 
-    def successors(self, board: int, w: int) -> list[int]:
-        return self.succ[board - 1][w]
+    def wins(self, pos, k: int) -> bool:
+        """Whether the worlds share their round-k class: their letters and rank-k types agree."""
+        return self.rank_type(1, pos[0], k) == self.rank_type(2, pos[1], k)
 
     def step(self, pos, v1: int, v2: int):
         return v1, v2
 
     def literal(self, pos) -> ModalFormula:
-        l1, l2 = self.labels[0][pos[0]], self.labels[1][pos[1]]
+        l1, l2 = self.atoms[pos[0]], self.atoms[pos[1]]
         i = next(i for i in range(len(self.ls)) if l1[i] != l2[i])
         return Prop(self.ls[i]) if l1[i] else Not(Prop(self.ls[i]))
 
@@ -394,14 +406,14 @@ class _BisimGame(Game):
 def n_bisimilar(m1: Model, w1: str, m2: Model, w2: str, n: int) -> bool:
     """Exact n-round back-and-forth between two pointed models, read by the scan of Game.least."""
     game = _BisimGame(m1, m2, frozenset(m1.val) | frozenset(m2.val))
-    pos = m1.frame.position(w1), m2.frame.position(w2)
+    pos = m1.frame.position(w1), len(m1.frame.vertices) + m2.frame.position(w2)
     return game.least(pos, n) is None
 
 
 def distinguishing_formula(m1: Model, w1: str, m2: Model, w2: str, n: int, ls) -> ModalFormula | None:
     """A formula of the least depth, at most n, true at (m1, w1) and false at (m2, w2), if one exists."""
     game = _BisimGame(m1, m2, ls)
-    pos = m1.frame.position(w1), m2.frame.position(w2)
+    pos = m1.frame.position(w1), len(m1.frame.vertices) + m2.frame.position(w2)
     k = game.least(pos, n)
     return None if k is None else game.distinguish(pos, k)
 

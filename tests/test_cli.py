@@ -3,8 +3,10 @@ import time
 
 import pytest
 
-from uext.cli import main
+from uext import ResourceError
+from uext.cli import _load_model as load_model, main
 from uext.fo import format_fo, parse_fo
+from uext.modal import distinguishing_formula, n_bisimilar
 
 TRI = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["a", "c"], ["b", "c"]]}
 SUCC = {"rays": [{"period": {"vertices": ["v"], "edges": []},
@@ -183,23 +185,29 @@ def test_deep_bisim_on_a_loop_is_clipped(capsys, tmp_path):
     assert json.loads(out) == {"bisimilar": True, "depth": 3000} and err == ""
 
 
-def cycle_model(tmp_path, n: int) -> str:
+def cycle_model(tmp_path, n: int, marked=()) -> str:
     verts = [f"v{i}" for i in range(n)]
     p = tmp_path / f"cycle{n}.json"
-    p.write_text(json.dumps({"vertices": verts, "edges": [[v, verts[(i + 1) % n]] for i, v in enumerate(verts)]}))
+    p.write_text(json.dumps({"vertices": verts, "edges": [[v, verts[(i + 1) % n]] for i, v in enumerate(verts)],
+                             "valuation": {"p0": list(marked)}}))
     return str(p)
 
 
 def test_bisim_at_the_stack_bound(capsys, tmp_path):
-    # on a cycle every round recurses once more; two 100-cycles clip 3000 rounds to 200, the most allowed,
-    # and the scan over two 101-cycles is refused at the first count past it
-    p = cycle_model(tmp_path, 100)
-    assert main(["bisim", p, p, "--at1", "v0", "--at2", "v0", "--depth", "3000"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"bisimilar": True, "depth": 3000}
-    p = cycle_model(tmp_path, 101)
-    assert main(["bisim", p, p, "--at1", "v0", "--at2", "v0", "--depth", "3000"]) == 2
-    assert capsys.readouterr() == ("", "resource limit: a 201-round game would recurse past the interpreter's "
-                                       "stack (recursion limit 1000)\n")
+    # verdicts are read off the refinement of the union, which never recurses, so two 101-cycles
+    # answer at 3000 rounds like two 100-cycles (the 101-cycles were once refused for the stack)
+    for n in (100, 101):
+        p = cycle_model(tmp_path, n)
+        assert main(["bisim", p, p, "--at1", "v0", "--at2", "v0", "--depth", "3000"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"bisimilar": True, "depth": 3000}
+    # a witness still nests a call per round: 300- and 301-cycles with one marked world each are
+    # told apart first at depth 300, and that witness would recurse past the stack
+    m1, m2 = (load_model(cycle_model(tmp_path, n, ["v0"])) for n in (300, 301))
+    assert not n_bisimilar(m1, "v0", m2, "v0", 10**6)
+    with pytest.raises(ResourceError) as refused:
+        distinguishing_formula(m1, "v0", m2, "v0", 10**6, ["p0"])
+    assert str(refused.value) == ("a 300-round game would recurse past the interpreter's stack "
+                                  "(recursion limit 1000)")
 
 
 def test_fo_eval_assignment_cap(capsys, monkeypatch):

@@ -188,6 +188,16 @@ def test_ultraproduct_diagonal_embeds_chosen_factor():
         assert up.frame.has_edge(up.diagonal(a), up.diagonal(b)) == factors[0].has_edge(a, b)
 
 
+@pytest.mark.parametrize("names, point", [(("i", "j"), "i"), (("0", "5"), "5")])
+def test_ultraproduct_index_must_name_a_factor(names, point):
+    # the principal point names a factor only as "0", "1", ...: any other is an input error,
+    # not a ValueError or IndexError from reading it as an int
+    d = Ultrafilter(Frame(names, frozenset()), point)
+    message = rf"^index ultrafilter is principal at '{point}', not at an index below 2$"
+    with pytest.raises(InputError, match=message):
+        ultraproduct([TRI, TRI], d)
+
+
 def test_ultraproduct_matches_product_oracle():
     # classes, edges and representatives against the full choice-function enumeration
     rng = random.Random(73)

@@ -15,7 +15,7 @@ from helpers import model_doc, random_frame, random_valuation, successors
 from uext import Frame, Model, frame_from_dict, frame_to_dict
 from uext.fo import _EFGame, distinguishing_sentence, ef_equivalent, ef_min_rounds, format_fo, spoiler_line
 from uext.games import FRAMES_PER_ROUND, STACK_RESERVE
-from uext.modal import Prop, distinguishing_formula, modally_equivalent_upto, n_bisimilar, parse_modal
+from uext.modal import Prop, _BisimGame, distinguishing_formula, modally_equivalent_upto, n_bisimilar, parse_modal
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = [json.loads(line) for line in (ROOT / "tests" / "golden" / "games.jsonl").read_text().splitlines()]
@@ -90,8 +90,8 @@ def chain(n: int, prefix: str, cycle: bool = False) -> Frame:
 
 
 def test_bisim_at_the_largest_admitted_depth_runs():
-    # two 100-point models clip every depth to 200, the most the guard admits at the default
-    # limit; cycles type all 200 levels, and the chains' witness has depth 99
+    # two 100-point models clip every depth to 200, the deepest witness the guard admits at the
+    # default limit; the chains' witness has depth 99
     assert (sys.getrecursionlimit() - STACK_RESERVE) // FRAMES_PER_ROUND == 200
     cycle = Model.make(chain(100, "c", cycle=True), {"p0": ["c0"]})
     assert n_bisimilar(cycle, "c0", cycle, "c0", 3000)
@@ -101,6 +101,44 @@ def test_bisim_at_the_largest_admitted_depth_runs():
     phi, succ = distinguishing_formula(line, "v0", line, "v1", 200, []), successors(line.frame)
     assert O.modal_depth(phi) == 99 and modal_oracle.holds(succ, {}, "v0", phi)
     assert not modal_oracle.holds(succ, {}, "v1", phi)
+
+
+def marked_cycle(n: int, marked: int) -> Model:
+    """An n-cycle with p0 at marked worlds spaced evenly around it."""
+    f = chain(n, "c", cycle=True)
+    return Model.make(f, {"p0": [f"c{i}" for i in range(0, n, n // marked)] if marked else []})
+
+
+@pytest.mark.parametrize("n", [67, 100, 150])
+def test_bisim_verdict_past_the_stack(n):
+    # the n-cycle with one marked world and the 2n-cycle with two agree at every depth; the
+    # refinement of their union is stable after about n rounds, so 10^6 rounds cost no more
+    assert n_bisimilar(marked_cycle(n, 1), "c0", marked_cycle(2 * n, 2), "c0", 10**6)
+    assert n_bisimilar(marked_cycle(n, 1), "c1", marked_cycle(2 * n, 2), f"c{n + 1}", 10**6)
+    assert not n_bisimilar(marked_cycle(n, 1), "c0", marked_cycle(2 * n, 2), "c1", 10**6)
+
+
+@pytest.mark.parametrize("marked, typed", [(1, 19_800), (0, 200)])
+def test_bisim_refines_no_round_past_the_stable_one(marked, typed):
+    # two identical 100-cycles: with one marked world the union's 200 worlds split one class
+    # more each round up to 100 classes at round 98, and round 99 splits nothing; unmarked,
+    # round 1 splits nothing.  Every later count up to the clip, 200, reads the stable round
+    m = marked_cycle(100, marked)
+    game = _BisimGame(m, m, ["p0"])
+    assert game.least((0, 100), 3000) is None and game.typed <= typed
+
+
+def test_bisim_verdict_is_stable_past_the_clip():
+    # the union's partition is stable by round |W1| + |W2|, so depth 10^6 answers as that depth
+    # does, and as the oracle's refinement at that depth
+    rng = random.Random(1103)
+    for i in range(200):
+        m1, m2 = model_pair(rng, i)
+        w1, w2 = rng.choice(m1.frame.vertices), rng.choice(m2.frame.vertices)
+        clip, d1, d2 = len(m1.frame.vertices) + len(m2.frame.vertices), model_doc(m1), model_doc(m2)
+        truth = bisim_oracle.n_bisimilar((successors(m1.frame), m1.val), w1, (successors(m2.frame), m2.val), w2,
+                                         clip, sorted(m1.val.keys() | m2.val.keys()))
+        assert n_bisimilar(m1, w1, m2, w2, 10**6) == n_bisimilar(m1, w1, m2, w2, clip) == truth, (d1, w1, d2, w2)
 
 
 def test_ef_at_the_largest_admitted_rounds_runs():
