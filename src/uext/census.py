@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .frame import Frame, bits, frame_from_dict, frame_to_dict, json_array, json_pair, read_json
 from .hulls import RootedGraph, canonical_form, hull, rings
 
@@ -121,10 +121,6 @@ class FamilyPresentation:
     @property
     def is_finite(self) -> bool:
         return not self.omega_templates and not self.rays and self.generator is None
-
-    @property
-    def degree_bounded(self) -> bool:
-        return self.generator is None or self.generator.degree_bound is not None
 
 
 def family_from_dict(doc: dict) -> FamilyPresentation:
@@ -254,8 +250,9 @@ def hull_census(fam: FamilyPresentation, n: int) -> HullCensus:
     """Multiplicity map over depth-n rooted hull types of the presented family."""
     if n < 0:
         raise InputError("census depth must be nonnegative")
-    if not fam.degree_bounded:
-        raise InputError("census requires bounded degree")
+    if fam.generator is not None and fam.generator.degree_bound is None:
+        raise ResourceError(f"census requires bounded degree, and generator {fam.generator.name!r} "
+                            "has unbounded degree: its census would be infinite")
     census = HullCensus(depth=n)
     for frame, count in [(fam.base, 1), *((tpl, OMEGA) for tpl in fam.omega_templates)]:
         for w in frame.vertices:

@@ -315,7 +315,10 @@ def eval_fo(frame: Frame, phi: FOFormula, asg: dict[str, str] | None = None) -> 
 
 class _EFGame(Game):
     """Positions are the pairs of vertex indices played so far, in order, and a board's state
-    its tuple of them; equal atoms at every step keep the map a partial isomorphism."""
+    its tuple of them; equal atoms at every step keep the map a partial isomorphism.  A tuple's
+    rank-r type is its atom with the set of the rank-(r - 1) types of its extensions, typed by
+    memoised recursion and interned in one table for both boards.  Play goes on only from
+    positions whose atoms agree, so an atom need only describe the last step."""
 
     ROUNDS = "max_rounds"
 
@@ -326,6 +329,8 @@ class _EFGame(Game):
                          max(len(f1.vertices), len(f2.vertices)) + 1)
         self.frames, self.rows = (f1, f2), (f1.succ_mask, f2.succ_mask)
         self.meets = [None] * len(f1.vertices), [None] * len(f2.vertices)  # per board, rows built on demand
+        self.types: dict = {}  # (atom, extensions' types) -> type, for both boards
+        self.memo: dict = {}  # (board, tuple, rounds) -> type
 
     def moves(self, pos, board: int) -> range:
         return range(len(self.rows[board - 1]))
@@ -343,9 +348,27 @@ class _EFGame(Game):
             meets[a] = [(a == x) << 2 | (r[a] >> x & 1) << 1 | r[x] >> a & 1 for x in range(len(r))]
         return tuple(map(meets[a].__getitem__, t))
 
-    def successors(self, board: int, t: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Each t + (a,) with a not in t: Duplicator answers a repeat with the same repeat."""
-        return [t + (a,) for a in range(len(self.rows[board - 1])) if a not in t]
+    def wins(self, pos, k: int) -> bool:
+        """Whether Duplicator survives k more rounds from pos: its tuples' atoms and rank-k types agree."""
+        t1, t2 = self.sides(pos)
+        return self.atom(1, t1) == self.atom(2, t2) and (
+            not k or self.rank_type(1, t1, self.rounds(k)) == self.rank_type(2, t2, k))
+
+    def rank_type(self, board: int, t: tuple[int, ...], r: int):
+        """The rank-r type of t on board, remembered for r > 0; one typing past the cap raises.  Its
+        extensions are each t + (a,) with a not in t: Duplicator answers a repeat with the same repeat."""
+        if r and (board, t, r) in self.memo:
+            return self.memo[board, t, r]
+        self.typed += 1
+        if self.typed > self.limit:
+            raise ResourceError(self.cap_message)
+        if r == 0:
+            return self.atom(board, t)
+        kids = frozenset([self.rank_type(board, t + (a,), r - 1) for a in range(len(self.rows[board - 1]))
+                          if a not in t])
+        key = self.atom(board, t), kids
+        self.memo[board, t, r] = self.types.setdefault(key, len(self.types))
+        return self.memo[board, t, r]
 
     def step(self, pos, a: int, b: int):
         return pos + ((a, b),)

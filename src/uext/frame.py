@@ -51,6 +51,21 @@ def all_of(row, points: int, ones: int) -> int:
     return out
 
 
+def table(j: int, n: int) -> int:
+    """T_j: the 2^n-bit int whose bit X is set iff j lies in subset X, the truth table both
+    bit-sliced kernels start from (`ultra`'s subsets of W, `modal.frame_valid`'s valuations).
+
+    Over the subsets below 2^(j+1) the pattern is 2^j zeros, then 2^j ones;
+    doubling repeats it up to 2^n bits.
+    """
+    block = 1 << j
+    t, width = ((1 << block) - 1) << block, 2 * block
+    while width < 1 << n:
+        t |= t << width
+        width *= 2
+    return t
+
+
 def refine(colors: list, signatures) -> Iterator[list[int]]:
     """Yields each round's colours, the ranks of signatures(colors) in sorted order, up to the first
     round that splits no class.  A signature must fix its item's colour; raw keys may be the first colours."""

@@ -3,16 +3,15 @@
 Each round Spoiler moves on board 1 or 2 and Duplicator answers on the other
 (Blackburn, de Rijke and Venema 2001, 2.2-2.3; Ebbinghaus and Flum 1995, ch. 2).
 Duplicator survives k rounds exactly when the boards' states have the same
-rank-k type (Libkin 2004, ch. 3): a state's atom with the set of its
-successors' rank-(k - 1) types.  A logic supplies moves, step, literal and
-quantify for play and the round count from which no verdict changes.  EF types
-by memoised recursion from sides, atom and successors, interned for both boards;
-play goes on only from positions whose atoms agree, so an atom need only
-describe the last step.  Bisimulation reads its types off `frame.refine`.
-Every answer is read by one scan, `Game.least`, at the least losing round
-count, the least rank or depth of a separating formula.  The scan types from 0
-rounds up, so a verdict decided early is never refused; recursive typing and
-witnesses refuse a count only when they are about to recurse past the stack.
+rank-k type (Libkin 2004, ch. 3).  Each game types its own states and supplies
+wins (whether Duplicator survives k more rounds from a position), moves, step,
+literal and quantify, and the round count from which no verdict changes.
+This base holds what both games share: the scan, `Game.least`, that reads
+every answer at the least losing round count, the least rank or depth of a
+separating formula; Spoiler's move and the witness read off it; the stack
+check and the cap fields.  The scan asks from 0 rounds up, so a verdict
+decided early is never refused; recursive typing and witnesses refuse a count
+only when they are about to recurse past the stack.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import sys
 from .caps import env_limit
 from .errors import InputError, ResourceError
 
-# Typing recurses rank_type -> its comprehension -> rank_type, two frames per round; a witness
+# EF typing recurses rank_type -> its comprehension -> rank_type, two frames per round; a witness
 # recurses distinguish -> its dict comprehension -> its generator -> distinguish, three, and types
 # what is left from spoiler_move -> any()'s generator -> wins.  One frame per round is spare.
 FRAMES_PER_ROUND = 4
@@ -33,8 +32,6 @@ class Game:
     ROUNDS = "rounds"  # the round count's name in error messages
 
     def __init__(self, limit_env: str, default_limit: int, memo_name: str, bound: int):
-        self.types: dict = {}  # (atom, successor types) -> type, for both boards
-        self.memo: dict = {}  # (board, state, rounds) -> type
         self.typed = 0  # states typed so far, the work the cap bounds
         self.nodes: dict = {}  # (class, fields with subformulas by identity) -> witness node
         self.interned: set[int] = set()  # identities of the nodes in self.nodes
@@ -53,26 +50,6 @@ class Game:
     def play(self, pos, board: int, move, reply):
         """The position after Spoiler plays move on board and Duplicator answers reply."""
         return self.step(pos, move, reply) if board == 1 else self.step(pos, reply, move)
-
-    def wins(self, pos, k: int) -> bool:
-        """Whether Duplicator survives k more rounds from pos: its states' atoms and rank-k types agree."""
-        s1, s2 = self.sides(pos)
-        return self.atom(1, s1) == self.atom(2, s2) and (
-            not k or self.rank_type(1, s1, self.rounds(k)) == self.rank_type(2, s2, k))
-
-    def rank_type(self, board: int, state, r: int):
-        """The rank-r type of state on board, remembered for r > 0; one typing past the cap raises."""
-        if r and (board, state, r) in self.memo:
-            return self.memo[board, state, r]
-        self.typed += 1
-        if self.typed > self.limit:
-            raise ResourceError(self.cap_message)
-        if r == 0:
-            return self.atom(board, state)
-        kids = frozenset([self.rank_type(board, s, r - 1) for s in self.successors(board, state)])
-        key = self.atom(board, state), kids
-        self.memo[board, state, r] = self.types.setdefault(key, len(self.types))
-        return self.memo[board, state, r]
 
     def least(self, pos, n: int) -> int | None:
         """The fewest rounds, at most n clipped to bound, within which Spoiler wins from pos, or

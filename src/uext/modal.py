@@ -22,10 +22,10 @@ from operator import and_
 
 from .caps import env_limit
 from .errors import InputError, ResourceError
-from .frame import Frame, all_of, any_of, bits, refine
+from .frame import Frame, all_of, any_of, bits, refine, table
 from .games import Game
 from .syntax import Parser, fold
-from .ultra import UEFrame, _table, build_ue
+from .ultra import UEFrame, build_ue
 
 VALUATION_LIMIT_ENV = "UEXT_VALUATION_LIMIT"
 DEFAULT_VALUATION_LIMIT = 2**22
@@ -283,7 +283,7 @@ def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", s
 
     Valuations are decided in blocks of 2^w, w = min(letters * n, BLOCK_BITS),
     in binary order.  Within a block, valuation c is bit c of every truth
-    table: valuation bit k < w has the table ultra._table(k, w), and a higher
+    table: valuation bit k < w has the table frame.table(k, w), and a higher
     bit is all ones or 0 across the block, read off the block's index.  A block
     fails iff the AND of phi's tables over all worlds has a zero bit; the
     lowest one is the first refuting valuation.  The cap on 2^(letters * n)
@@ -302,7 +302,7 @@ def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", s
     width = min(len(ls) * n, BLOCK_BITS)
     ones = (1 << (1 << width)) - 1
     label = _slicer(frame, phi, {p: j * n for j, p in enumerate(ls)}, ones)
-    low = [_table(k, width) for k in range(width)]
+    low = [table(k, width) for k in range(width)]
     for block in range(total >> width):
         root = label(low + [ones if block >> k & 1 else 0 for k in range(len(ls) * n - width)])
         missed = ones ^ reduce(and_, root, ones)
@@ -357,8 +357,9 @@ DEFAULT_GAME_LIMIT = 2**20
 class _BisimGame(Game):
     """Positions are pairs of worlds of the union W1 + W2 (W1's, then W2's, in load order); moves
     go to successors.  A world's rank-r type is its class in round r of the union's refinement by
-    letters and the set of successor classes (k-step partition refinement), refined as the scan
-    asks, |W1| + |W2| typings a round, and never past the first round that splits no class."""
+    letters and the set of successor classes (k-step partition refinement), so wins compares the
+    two worlds' classes.  Rounds are refined as the scan asks, |W1| + |W2| typings a round, and
+    never past the first round that splits no class; typing never recurses."""
 
     ROUNDS = "n"
 
@@ -381,15 +382,13 @@ class _BisimGame(Game):
     def moves(self, pos, board: int) -> list[int]:
         return self.kids[pos[board - 1]]
 
-    def rank_type(self, board: int, w: int, r: int):
-        """w's class in round min(r, stable), refining the rounds up to it first."""
-        while len(self.classes) <= r and (colors := next(self.refinement, None)) is not None:
-            self.classes.append(colors)
-        return self.classes[min(r, len(self.classes) - 1)][w]
-
     def wins(self, pos, k: int) -> bool:
-        """Whether the worlds share their round-k class: their letters and rank-k types agree."""
-        return self.rank_type(1, pos[0], k) == self.rank_type(2, pos[1], k)
+        """Whether the worlds share their class in round min(k, stable), refining the rounds up to
+        it first: their letters and rank-k types agree."""
+        while len(self.classes) <= k and (colors := next(self.refinement, None)) is not None:
+            self.classes.append(colors)
+        colors = self.classes[min(k, len(self.classes) - 1)]
+        return colors[pos[0]] == colors[pos[1]]
 
     def step(self, pos, v1: int, v2: int):
         return v1, v2

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .caps import env_limit
 from .errors import DefectError, InputError, ResourceError
-from .frame import Frame, all_of, any_of, bits
+from .frame import Frame, all_of, any_of, bits, table
 
 POWERSET_LIMIT_ENV = "UEXT_POWERSET_LIMIT"
 DEFAULT_POWERSET_LIMIT = 22
@@ -57,20 +57,6 @@ def _check_cap(n: int) -> None:
         )
 
 
-def _table(j: int, n: int) -> int:
-    """T_j: the 2^n-bit int whose bit X is set iff point j lies in subset X.
-
-    Over the subsets below 2^(j+1) the pattern is 2^j zeros, then 2^j ones;
-    doubling repeats it up to 2^n bits.
-    """
-    block = 1 << j
-    t, width = ((1 << block) - 1) << block, 2 * block
-    while width < 1 << n:
-        t |= t << width
-        width *= 2
-    return t
-
-
 def _holders(rows: tuple[int, ...], w: int) -> int:
     """The points j whose row holds w."""
     return sum(1 << j for j, row in enumerate(rows) if row >> w & 1)
@@ -84,7 +70,7 @@ def _within(x: int, y: int) -> bool:
 def _mode_rows(frame: Frame) -> dict[str, list[int]]:
     """R^ue under each definitional mode, as one target bitmask per source point.
 
-    Every subset X of W is one bit of a 2^n-bit int, and T_j (`_table`) sets
+    Every subset X of W is one bit of a 2^n-bit int, and T_j (`frame.table`) sets
     the bits of the subsets that contain j.  Each mode tests every pair:
 
     mode A: u R v iff R-(X) in u for every X in v, i.e. every X containing v
@@ -100,16 +86,16 @@ def _mode_rows(frame: Frame) -> dict[str, list[int]]:
     n = len(frame.vertices)
     _check_cap(n)
     succ, pred = frame.succ_mask, frame.pred_mask
-    tables = [_table(j, n) for j in range(n)]
-    table = tables.__getitem__
+    tables = [table(j, n) for j in range(n)]
+    t_j = tables.__getitem__
     ones = (1 << (1 << n)) - 1
     rows = {"A": [0] * n, "B": [0] * n, "C": [0] * n}
     for u in range(n):
-        d_u, b_u = any_of(table, _holders(pred, u)), all_of(table, succ[u], ones)
+        d_u, b_u = any_of(t_j, _holders(pred, u)), all_of(t_j, succ[u], ones)
         rows["A"][u] = sum(1 << v for v in range(n) if _within(tables[v], d_u))
         rows["B"][u] = sum(1 << v for v in range(n) if _within(b_u, tables[v]))
     for v in range(n):
-        p_v = any_of(table, _holders(succ, v))
+        p_v = any_of(t_j, _holders(succ, v))
         for u in range(n):
             if _within(tables[u], p_v):
                 rows["C"][u] |= 1 << v
@@ -134,14 +120,14 @@ def ue_related(u: Ultrafilter, v: Ultrafilter, mode: str) -> bool:
     _check_cap(n)
     i, j = frame.index[u.point], frame.index[v.point]
 
-    def table(k: int) -> int:
-        return _table(k, n)
+    def t_j(k: int) -> int:
+        return table(k, n)
 
     if mode == "A":
-        return _within(table(j), any_of(table, _holders(frame.pred_mask, i)))
+        return _within(t_j(j), any_of(t_j, _holders(frame.pred_mask, i)))
     if mode == "B":
-        return _within(all_of(table, frame.succ_mask[i], (1 << (1 << n)) - 1), table(j))
-    return _within(table(i), any_of(table, _holders(frame.succ_mask, j)))
+        return _within(all_of(t_j, frame.succ_mask[i], (1 << (1 << n)) - 1), t_j(j))
+    return _within(t_j(i), any_of(t_j, _holders(frame.succ_mask, j)))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import json
 
-from uext import (Frame, InputError, Model, canonical_form, endpoints, family_from_dict, frame_from_dict,
-                  frame_to_dict, generated_substructure_verdict, greedy_coloring, hull, hull_census, hull_formula,
-                  modal_logic_coincides, reflexive_point_in_ue, relation_image, rooted_iso, ue_skeleton)
+from uext import (Frame, InputError, Model, ResourceError, canonical_form, endpoints, family_from_dict,
+                  frame_from_dict, frame_to_dict, generated_substructure_verdict, greedy_coloring, hull, hull_census,
+                  hull_formula, modal_logic_coincides, reflexive_point_in_ue, relation_image, rooted_iso,
+                  ue_skeleton)
 from uext.census import census_to_dict, clique_lower_bound
 from uext.cli import main
 from uext.fo import distinguishing_sentence, ef_min_rounds, format_fo, parse_fo, spoiler_line
@@ -91,7 +92,8 @@ def hull_outcome(case: dict) -> dict:
     """The case with what the hull and census layers say about its frame, hull pair or family.
 
     Sets are written in load order and maps keyed in load order, so the record
-    does not depend on string-hash order.  An input error is written as its line.
+    does not depend on string-hash order.  An input error or a resource limit is
+    written as its CLI line.
     """
     out = dict(case)
     if "frame" in case:
@@ -117,6 +119,8 @@ def hull_outcome(case: dict) -> dict:
                 return fn()
             except InputError as exc:
                 return f"error: {exc}"
+            except ResourceError as exc:
+                return f"resource limit: {exc}"
 
         def skeleton():
             sk = ue_skeleton(fam, n)
@@ -198,6 +202,13 @@ def all_3vertex_frames():
     for mask in range(512):
         edges = frozenset(slots[i] for i in range(9) if mask & (1 << i))
         yield Frame(verts, edges)
+
+
+def linear_order(n: int, prefix: str = "v") -> Frame:
+    """The strict linear order L_n on prefix0 < prefix1 < ... (every edge from a point to each later one)."""
+    verts = tuple(f"{prefix}{i}" for i in range(n))
+    edges = frozenset((verts[i], verts[j]) for i in range(n) for j in range(i + 1, n))
+    return Frame(verts, edges)
 
 
 def star(k: int) -> Frame:

@@ -138,10 +138,13 @@ def test_exit_code_resource(capsys, tmp_path, monkeypatch):
     assert main(["ue", "build", str(p)]) == 2
 
 
-def test_unbounded_census_is_input_error(capsys, tmp_path):
+def test_unbounded_census_is_a_resource_limit(capsys, tmp_path):
+    # the family is well formed; its census would be infinite, which is a limit of uext, not bad input
     p = tmp_path / "natlt.json"
     p.write_text(json.dumps({"generator": {"name": "nat_lt"}}))
-    assert main(["census", str(p), "--depth", "1"]) == 1
+    assert main(["census", str(p), "--depth", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and "generator 'nat_lt'" in err and err.count("\n") == 1
 
 
 CAP_COMMANDS = {

@@ -28,16 +28,10 @@ from uext import (
 from uext.fo import Eq, Exists, Forall, Impl, Neg, Rel, _EFGame, free_vars
 from uext.games import FRAMES_PER_ROUND, STACK_RESERVE
 
-from helpers import random_frame
+from helpers import linear_order, random_frame
 from product_oracle import ultraproduct as product_oracle
 
 TRI = Frame(("a", "b", "c"), frozenset([("a", "b"), ("a", "c"), ("b", "c")]))
-
-
-def linear_order(n: int, prefix: str = "v") -> Frame:
-    verts = tuple(f"{prefix}{i}" for i in range(n))
-    edges = frozenset((verts[i], verts[j]) for i in range(n) for j in range(i + 1, n))
-    return Frame(verts, edges)
 
 
 def test_parse_quantifier_scope_is_maximal():

@@ -11,7 +11,7 @@ import pytest
 import bisim_oracle
 import game_oracle as O
 import modal_oracle
-from helpers import model_doc, random_frame, random_valuation, successors
+from helpers import linear_order, model_doc, random_frame, random_valuation, successors
 from uext import Frame, Model, frame_from_dict, frame_to_dict
 from uext.fo import _EFGame, distinguishing_sentence, ef_equivalent, ef_min_rounds, format_fo, spoiler_line
 from uext.games import FRAMES_PER_ROUND, STACK_RESERVE
@@ -190,6 +190,80 @@ def test_isomorphic_seven_point_frames_are_typed_to_the_clip():
     g, _ = relabelled(random.Random(7), f)
     assert ef_equivalent(f, g, 8) and ef_min_rounds(f, g, 3000) is None
     assert spoiler_line(f, g, 8) == [] and distinguishing_sentence(f, g, 8) is None
+
+
+def ef_counters(f1: Frame, f2: Frame, rounds: int) -> tuple:
+    """The scan's answer and the typing counters it leaves: states typed, memo entries, types."""
+    game = _EFGame(f1, f2)
+    return game.least((), rounds), game.typed, len(game.memo), len(game.types)
+
+
+# (least, typed, memo entries, types) for L_m vs L_n, 2 <= m <= n <= 7, at 5 rounds
+ORDER_COUNTERS = [
+    (None, 26, 18, 9), (2, 22, 9, 6), (2, 30, 10, 6), (2, 40, 11, 6), (2, 52, 12, 6), (2, 66, 13, 6),
+    (None, 92, 62, 29), (3, 93, 38, 26), (3, 148, 48, 29), (3, 231, 60, 30), (3, 348, 74, 31),
+    (None, 386, 258, 100), (3, 181, 56, 28), (3, 264, 68, 29), (3, 381, 82, 30), (None, 1300, 650, 227),
+    (3, 319, 78, 28), (3, 436, 92, 29), (None, 3910, 1438, 462), (3, 519, 104, 28), (None, 10076, 2838, 745),
+]
+
+
+def test_ef_typing_counters_are_pinned_on_linear_orders():
+    # the typing is a memoised recursion over injective tuples: these counts are the work it does,
+    # so a rewrite of it that types a tuple twice, or one Duplicator never needs, changes them
+    counts = [ef_counters(linear_order(m), linear_order(n, "w"), 5) for m in range(2, 8) for n in range(m, 8)]
+    assert counts == ORDER_COUNTERS
+
+
+# the same counters for 40 seeded pairs of at most 6 points, at 6 rounds
+RANDOM_COUNTERS = [
+    (2, 52, 12, 11), (None, 26, 18, 9), (1, 10, 2, 2), (2, 88, 16, 15), (1, 7, 2, 2), (None, 26, 18, 6),
+    (2, 46, 12, 11), (2, 30, 10, 9), (2, 36, 11, 8), (None, 7824, 3912, 1553), (2, 46, 12, 11), (1, 8, 2, 2),
+    (2, 66, 14, 13), (None, 92, 62, 31), (1, 11, 2, 2), (2, 52, 12, 11), (1, 5, 2, 2), (None, 1952, 1302, 575),
+    (1, 8, 2, 2), (2, 88, 16, 15), (1, 8, 2, 2), (None, 92, 62, 10), (2, 26, 9, 6), (2, 30, 10, 9),
+    (2, 88, 16, 14), (None, 26, 18, 9), (1, 11, 2, 2), (None, 8, 6, 3), (2, 58, 13, 12), (None, 8, 6, 3),
+    (1, 11, 2, 2), (2, 58, 13, 11), (1, 13, 2, 2), (None, 26, 18, 6), (1, 7, 2, 2), (2, 58, 13, 12),
+    (1, 6, 2, 2), (None, 26, 18, 9), (2, 54, 13, 12), (1, 11, 2, 2),
+]
+
+
+def test_ef_typing_counters_are_pinned_on_random_pairs():
+    # every fourth pair is a relabelled copy, which is typed all the way to 6 rounds
+    rng, counts = random.Random(1907), []
+    for i in range(40):
+        f1 = random_frame(rng, 6)
+        f2 = relabelled(rng, f1)[0] if i % 4 == 1 else random_frame(rng, 6)
+        counts.append(ef_counters(f1, f2, 6))
+    assert counts == RANDOM_COUNTERS
+
+
+# (least, typed) at depth 10^6: worlds typed over the union's refined rounds
+BISIM_COUNTERS = [
+    (0, 0), (None, 56), (0, 0), (0, 0), (None, 2), (1, 9), (0, 0), (None, 48), (0, 0), (0, 0), (None, 70),
+    (0, 0), (None, 14), (None, 30), (1, 8), (0, 0), (None, 2), (0, 0), (1, 6), (None, 28), (0, 0), (1, 7),
+    (None, 4), (1, 8), (0, 0), (None, 16), (1, 9), (1, 11), (None, 8), (1, 9), (1, 6), (None, 6), (None, 5),
+    (1, 6), (None, 56), (1, 9), (0, 0), (None, 24), (0, 0), (0, 0), (None, 12), (0, 0), (1, 9), (None, 2),
+    (1, 9), (1, 3), (None, 2), (1, 11), (0, 0), (None, 2), (2, 20), (0, 0), (None, 4), (0, 0), (1, 6),
+    (None, 4), (1, 10), (1, 8), (None, 12), (0, 0),
+]
+
+
+def test_bisim_typing_counters_are_pinned_on_random_models():
+    # every third pair is a relabelled copy asked at a world and its image, which refines to
+    # the stable round
+    rng, counts = random.Random(1908), []
+    for i in range(60):
+        f1 = random_frame(rng, 7, 0.25)
+        m1, w1 = Model.make(f1, random_valuation(rng, f1, ["p0"])), rng.randrange(len(f1.vertices))
+        if i % 3 == 1:
+            f2, names = relabelled(rng, f1)
+            m2 = Model.make(f2, {p: [names[w] for w in ws] for p, ws in m1.val.items()})
+            w2 = f2.position(names[f1.vertices[w1]])
+        else:
+            f2 = random_frame(rng, 7, 0.25)
+            m2, w2 = Model.make(f2, random_valuation(rng, f2, ["p0"])), rng.randrange(len(f2.vertices))
+        game = _BisimGame(m1, m2, ["p0"])
+        counts.append((game.least((w1, len(f1.vertices) + w2), 10**6), game.typed))
+    assert counts == BISIM_COUNTERS
 
 
 def test_repeat_pairs_and_broken_atoms_type_nothing_new():

@@ -100,7 +100,7 @@ def test_valid_chain_over_sixteen_blocks():
 def test_over_cap_exits_2_before_any_table(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("UEXT_VALUATION_LIMIT", raising=False)
     built = []
-    monkeypatch.setattr(modal, "_table", lambda j, n: built.append((j, n)))
+    monkeypatch.setattr(modal, "table", lambda j, n: built.append((j, n)))
     f = chain(23)
     path = tmp_path / "chain23.json"
     path.write_text(json.dumps({"vertices": list(f.vertices), "edges": sorted(map(list, f.edges))}))
