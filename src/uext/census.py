@@ -6,8 +6,9 @@ modal-logic coincidence).
 A presentation is a finite base, omega-multiplicity component templates,
 periodic rays/lines, and an optional builtin generator.  "Infinitely realized"
 is always computed, never assumed: templates carry declared omega
-multiplicity, ray interiors get omega after stabilization detection, and
-generators only ever yield lower bounds.
+multiplicity, a ray's copies from n on share one omega type at depth n (a seam
+edge moves one copy per step, so they see no end of the ray), and generators
+only ever yield lower bounds.
 
 Every renamed copy a presentation needs (template copies, ray unrollings, the
 period-doubled ray quotient, skeleton representatives) is built by `_copies`,
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import combinations
 
 from .errors import InputError, ResourceError
 from .frame import Frame, bits, frame_from_dict, frame_to_dict, json_array, json_pair, read_json
@@ -53,33 +54,20 @@ class Ray:
             self.period.check_vertices([a, b])
 
 
-def _gen_chains_lt(i: int) -> Frame:
-    verts = tuple(f"c{i}:{j}" for j in range(i + 1))
-    edges = frozenset((f"c{i}:{j}", f"c{i}:{k}") for j in range(i + 1) for k in range(j + 1, i + 1))
-    return Frame(verts, edges)
-
-
-def _gen_nat_lt(i: int) -> Frame:
-    verts = tuple(str(j) for j in range(i + 1))
-    edges = frozenset((str(j), str(i)) for j in range(i))
-    return Frame(verts, edges)
-
-
-def _gen_nat_succ(i: int) -> Frame:
-    if i == 0:
-        return Frame(("0",), frozenset())
-    return Frame((str(i - 1), str(i)), frozenset([(str(i - 1), str(i))]))
-
-
-# builtin name -> (component function, degree bound, chromatic number, out-degree witness).
-# A None bound or chromatic number is unbounded; an unbounded chromatic number is
-# shown by component i, whose vertices form an (i + 1)-clique in the union of
-# components 0..i.  The witness is a vertex whose out-degree grows without bound,
-# None when every out-degree is finite.
+# builtin name -> (component i's vertex names, the edges among a component's names, degree
+# bound, chromatic number, out-degree witness).  A None bound or chromatic number is
+# unbounded; an unbounded chromatic number is shown by component i, whose vertices form an
+# (i + 1)-clique in the union of components 0..i.  The witness is a vertex whose out-degree
+# grows without bound, None when every out-degree is finite.
 GENERATORS = {
-    "chains_lt": (_gen_chains_lt, None, None, None),  # disjoint finite chains; component i is K_{i+1}
-    "nat_lt": (_gen_nat_lt, None, None, "0"),  # the order on the naturals
-    "nat_succ": (_gen_nat_succ, 2, 2, None),
+    # disjoint finite chains; component i is K_{i+1}
+    "chains_lt": (lambda i: tuple(f"c{i}:{j}" for j in range(i + 1)), lambda vs: combinations(vs, 2),
+                  None, None, None),
+    # the order on the naturals; component i puts every smaller natural below i
+    "nat_lt": (lambda i: tuple(map(str, range(i + 1))), lambda vs: ((v, vs[-1]) for v in vs[:-1]),
+               None, None, "0"),
+    # the successor steps; component i is the step into i
+    "nat_succ": (lambda i: (str(i - 1), str(i)) if i else ("0",), lambda vs: zip(vs, vs[1:]), 2, 2, None),
 }
 
 
@@ -93,18 +81,23 @@ class Generator:
 
     @property
     def degree_bound(self) -> int | None:
-        return GENERATORS[self.name][1]
-
-    @property
-    def chromatic_number(self) -> int | None:
         return GENERATORS[self.name][2]
 
     @property
-    def out_degree_witness(self) -> str | None:
+    def chromatic_number(self) -> int | None:
         return GENERATORS[self.name][3]
 
-    def component(self, i: int) -> Frame:
+    @property
+    def out_degree_witness(self) -> str | None:
+        return GENERATORS[self.name][4]
+
+    def vertices(self, i: int) -> tuple[str, ...]:
+        """Component i's vertex names, in load order, without building its edges."""
         return GENERATORS[self.name][0](i)
+
+    def component(self, i: int) -> Frame:
+        verts = self.vertices(i)
+        return Frame(verts, frozenset(GENERATORS[self.name][1](verts)))
 
     def expansion(self, count: int) -> Frame:
         """The union of components 0..count-1 (they may overlap)."""
@@ -254,32 +247,25 @@ def hull_census(fam: FamilyPresentation, n: int) -> HullCensus:
         raise ResourceError(f"census requires bounded degree, and generator {fam.generator.name!r} "
                             "has unbounded degree: its census would be infinite")
     census = HullCensus(depth=n)
-    for frame, count in [(fam.base, 1), *((tpl, OMEGA) for tpl in fam.omega_templates)]:
-        for w in frame.vertices:
-            census.add(hull(frame, w, n), count)
+    parts = [(fam.base, fam.base.vertices, 1), *((tpl, tpl.vertices, OMEGA) for tpl in fam.omega_templates)]
     for ri, ray in enumerate(fam.rays):
-        _census_ray(census, ray, n, f"r{ri}")
+        # a seam edge moves one copy per step, so the depth-n hull of a ray's copy k spans
+        # copies k-n..k+n and sees no end of the ray from k = n on: copies 0..n-1 count once
+        # each and copy n stands for the rest.  Copy 0 of a line stands for all its copies.
+        tag = f"r{ri}"
+        if ray.kind == "ray":
+            window = _ray_unroll(ray, range(2 * n + 1), tag)
+            copies = [(k, 1) for k in range(n)] + [(n, OMEGA)]
+        else:
+            window = _ray_unroll(ray, range(-n, n + 1), tag)
+            copies = [(0, OMEGA)]
+        parts += [(window, [f"{tag}.{k}:{v}" for v in ray.period.vertices], count) for k, count in copies]
+    for frame, roots, count in parts:
+        for w in roots:
+            census.add(hull(frame, w, n), count)
     if fam.generator is not None:
         _census_generator(census, fam.generator, n, GENERATOR_BUDGET)
     return census
-
-
-def _census_ray(census: HullCensus, ray: Ray, n: int, tag: str) -> None:
-    if ray.kind == "line":
-        # every copy looks alike: compute copy 0 in a wide-enough window
-        window = _ray_unroll(ray, range(-n - 1, n + 2), tag)
-        for v in ray.period.vertices:
-            census.add(hull(window, f"{tag}.0:{v}", n), OMEGA)
-        return
-    # ray: hulls of copy k are exact within an unrolling of k+n+1 copies;
-    # scan copies outward until two consecutive copies carry the same types
-    window = _ray_unroll(ray, range(0, 2 * n + 3), tag)
-    hulls = [[hull(window, f"{tag}.{k}:{v}", n) for v in ray.period.vertices] for k in range(n + 1)]
-    sigs = [[census.certify(h) for h in row] for row in hulls]
-    stab = next(k for k in range(n + 1) if all(sig == sigs[n] for sig in sigs[k:]))
-    for k in range(stab + 1):  # copies before stab are counted once, copy stab stands for the rest
-        for h in hulls[k]:
-            census.add(h, OMEGA if k == stab else 1)
 
 
 def _census_generator(census: HullCensus, gen: Generator, n: int, budget: int) -> None:
@@ -416,7 +402,7 @@ def reflexive_point_in_ue(fam: FamilyPresentation, chi_threshold: int) -> Verdic
             return Verdict("yes", f"reflexive point {loops[0]!r} in {part_name}")
     gen = fam.generator
     if gen is not None and gen.chromatic_number is None:
-        clique = list(gen.component(chi_threshold).vertices)  # a clique, as GENERATORS declares
+        clique = list(gen.vertices(chi_threshold))  # a clique, as GENERATORS declares
         return Verdict(
             "yes",
             f"chromatic lower bound {len(clique)} > {chi_threshold} "

@@ -243,8 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         doc = args.func(args)  # the JSON answer, or None when the command wrote its own output
         if doc is not None:
-            json.dump(doc, sys.stdout, indent=2, sort_keys=True, default=str)
-            sys.stdout.write("\n")
+            sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

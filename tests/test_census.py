@@ -22,8 +22,9 @@ from uext import (
     rooted_iso,
     ue_skeleton,
 )
-from uext.census import GENERATORS, OMEGA, clique_lower_bound
+from uext.census import GENERATORS, OMEGA, census_to_dict, clique_lower_bound
 
+import census_oracle
 from helpers import random_bounded_frame, successors
 
 SUCC_RAY = FamilyPresentation(
@@ -116,6 +117,37 @@ def test_census_template_is_omega():
     assert set(c.entries.values()) == {OMEGA}
 
 
+def _ray_corpus(seed: int, size: int) -> list[FamilyPresentation]:
+    """Seeded bases and templates with one or two rays or lines, some of them seamless."""
+    rng = random.Random(seed)
+    fams = []
+    for _ in range(size):
+        rays = []
+        for _ in range(rng.randint(1, 2)):
+            period = random_bounded_frame(rng, 3, 2)
+            seam = tuple((rng.choice(period.vertices), rng.choice(period.vertices)) for _ in range(rng.choice((0, 1, 1, 2))))
+            rays.append(Ray(period, seam, rng.choice(("ray", "ray", "line"))))
+        fams.append(FamilyPresentation(
+            base=random_bounded_frame(rng, 4, 2) if rng.random() < 0.5 else Frame((), frozenset()),
+            omega_templates=tuple(random_bounded_frame(rng, 3, 2) for _ in range(rng.randint(0, 1))),
+            rays=tuple(rays),
+        ))
+    return fams
+
+
+def test_census_equals_the_stabilisation_scan():
+    # the n-step rule (copies 0..n-1 once, copy n as omega) against the scan it replaced
+    fams = _ray_corpus(seed=20, size=300)
+    rays = [ray for fam in fams for ray in fam.rays]
+    assert any(ray.kind == "ray" and not ray.seam for ray in rays)  # every copy of the same type
+    assert any(ray.kind == "line" for ray in rays)
+    assert any(len(fam.rays) == 2 for fam in fams)
+    assert any(fam.omega_templates for fam in fams) and any(fam.base.vertices for fam in fams)
+    for fam in fams:
+        for n in range(6):
+            assert census_to_dict(hull_census(fam, n)) == census_oracle.census_doc(fam, n), (fam, n)
+
+
 def test_census_base_is_exact():
     base = Frame(("a", "b"), frozenset([("a", "b")]))
     c = hull_census(FamilyPresentation(base=base), 1)
@@ -163,9 +195,7 @@ def test_greedy_coloring_proper_and_bounded():
 
 
 def test_clique_lower_bound_on_tournament():
-    from uext.census import _gen_chains_lt
-
-    size, clique = clique_lower_bound(_gen_chains_lt(4))
+    size, clique = clique_lower_bound(Generator("chains_lt").component(4))
     assert size == 5 and len(clique) == 5
 
 
