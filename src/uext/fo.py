@@ -11,6 +11,8 @@ ultraproducts over finite index sets.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -316,9 +318,19 @@ def eval_fo(frame: Frame, phi: FOFormula, asg: dict[str, str] | None = None) -> 
 class _EFGame(Game):
     """Positions are the pairs of vertex indices played so far, in order, and a board's state
     its tuple of them; equal atoms at every step keep the map a partial isomorphism.  A tuple's
-    rank-r type is its atom with the set of the rank-(r - 1) types of its extensions, typed by
-    memoised recursion and interned in one table for both boards.  Play goes on only from
-    positions whose atoms agree, so an atom need only describe the last step."""
+    rank-r type is its atom with the set of the rank-(r - 1) types of its extensions t + (a,),
+    a not in t (Duplicator answers a repeat with the same repeat), interned in one table for
+    both boards.
+
+    Types are computed one diagonal d = len(t) + r at a time, with no recursion.  A board's
+    length-L tuples are listed once per game in lexicographic order, so a parent's n - L
+    extensions are one contiguous slice and the rank-(d - L) types of length L are one
+    comprehension over those of length L + 1.  The rank-0 atoms are read per parent and never
+    stored.  An atom is ~code, where code holds how t's last element meets each element of t,
+    three bits a place (a = x, a -> x, x -> a): negative, so a set of atoms is never a set of
+    type ids.  A tuple's profile holds, per point a, the atom t + (a,) would have without its
+    last place, or 0 if a is in t, so one map gives every extension's atom.  Play goes on only
+    from positions whose atoms agree, so an atom need only describe the last step."""
 
     ROUNDS = "max_rounds"
 
@@ -328,9 +340,11 @@ class _EFGame(Game):
         super().__init__(EF_MEMO_LIMIT_ENV, DEFAULT_EF_MEMO_LIMIT, "EF memo table",
                          max(len(f1.vertices), len(f2.vertices)) + 1)
         self.frames, self.rows = (f1, f2), (f1.succ_mask, f2.succ_mask)
-        self.meets = [None] * len(f1.vertices), [None] * len(f2.vertices)  # per board, rows built on demand
+        # per board and length L, the atoms of the length-L tuples in order, from () and (a,) on
+        self.atoms = tuple([[-1], [~self.meet(b, a, a) for a in range(len(self.rows[b]))]] for b in (0, 1))
+        self.profiles = [(0, [[-1] * len(rows)]) for rows in self.rows]  # per board, (L, length-L profiles)
         self.types: dict = {}  # (atom, extensions' types) -> type, for both boards
-        self.memo: dict = {}  # (board, tuple, rounds) -> type
+        self.diagonals: dict = {}  # d -> per board and length L < d, the rank-(d - L) types
 
     def moves(self, pos, board: int) -> range:
         return range(len(self.rows[board - 1]))
@@ -339,36 +353,85 @@ class _EFGame(Game):
         """The tuples played, a pair played again left out: Duplicator's copy of it adds nothing."""
         return tuple(zip(*dict.fromkeys(pos))) or ((), ())
 
-    def atom(self, board: int, t: tuple[int, ...]) -> tuple[int, ...]:
-        """How the last element a meets each x in t (a = x, a -> x, x -> a: three bits), from a's row."""
-        if not t:
-            return ()
-        r, a, meets = self.rows[board - 1], t[-1], self.meets[board - 1]
-        if meets[a] is None:
-            meets[a] = [(a == x) << 2 | (r[a] >> x & 1) << 1 | r[x] >> a & 1 for x in range(len(r))]
-        return tuple(map(meets[a].__getitem__, t))
+    def meet(self, b: int, x: int, a: int) -> int:
+        """How a meets x on board b, in three bits: a = x, a -> x, x -> a."""
+        return (a == x) << 2 | (self.frames[b].pred_mask[x] >> a & 1) << 1 | self.rows[b][x] >> a & 1
+
+    def atom(self, board: int, t: tuple[int, ...]) -> int:
+        """~code of how t's last element meets each element of t, the first in the lowest bits."""
+        return ~sum(self.meet(board - 1, x, t[-1]) << 3 * j for j, x in enumerate(t))
+
+    def index(self, b: int, t: tuple[int, ...]) -> int:
+        """t's place among board b's tuples of its length."""
+        i, n = 0, len(self.rows[b])
+        for j, a in enumerate(t):
+            i = i * (n - j) + a - sum(x < a for x in t[:j])
+        return i
 
     def wins(self, pos, k: int) -> bool:
         """Whether Duplicator survives k more rounds from pos: its tuples' atoms and rank-k types agree."""
         t1, t2 = self.sides(pos)
-        return self.atom(1, t1) == self.atom(2, t2) and (
-            not k or self.rank_type(1, t1, self.rounds(k)) == self.rank_type(2, t2, k))
+        if self.atom(1, t1) != self.atom(2, t2):
+            return False
+        if not k:
+            return True
+        types1, types2 = self.diagonal(len(t1) + k)
+        return types1[len(t1)][self.index(0, t1)] == types2[len(t2)][self.index(1, t2)]
 
-    def rank_type(self, board: int, t: tuple[int, ...], r: int):
-        """The rank-r type of t on board, remembered for r > 0; one typing past the cap raises.  Its
-        extensions are each t + (a,) with a not in t: Duplicator answers a repeat with the same repeat."""
-        if r and (board, t, r) in self.memo:
-            return self.memo[board, t, r]
-        self.typed += 1
-        if self.typed > self.limit:
-            raise ResourceError(self.cap_message)
-        if r == 0:
-            return self.atom(board, t)
-        kids = frozenset([self.rank_type(board, t + (a,), r - 1) for a in range(len(self.rows[board - 1]))
-                          if a not in t])
-        key = self.atom(board, t), kids
-        self.memo[board, t, r] = self.types.setdefault(key, len(self.types))
-        return self.memo[board, t, r]
+    def diagonal(self, d: int) -> tuple[list, list]:
+        """Per board, the rank-(d - L) types of its length-L tuples for every L < d, typed on first
+        use.  The diagonal's tuples, rank 0 included, are counted exactly and refused past the
+        cap before any of them is listed or typed."""
+        if d not in self.diagonals:
+            count = sum(math.perm(n, L) for n in map(len, self.rows) for L in range(min(d, n) + 1))
+            if self.typed + count > self.limit:
+                raise ResourceError(self.cap_message)
+            self.typed += count
+            self.diagonals[d] = self.rank(0, d), self.rank(1, d)
+        return self.diagonals[d]
+
+    def rank(self, b: int, d: int) -> list[list[int]]:
+        """Board b's types on diagonal d, by length from the longest tuples typed up."""
+        n, types, atoms, out = len(self.rows[b]), self.types, self.atoms[b], []
+        top = min(d - 1, n)
+        while len(atoms) <= top:  # list each length once per game
+            atoms.append(list(itertools.chain.from_iterable(self.extensions(b, len(atoms) - 1))))
+        if top == n or top + 1 < len(atoms):  # the extensions' atoms are listed, or there are none
+            below = atoms[top + 1] if top < n else []
+        else:
+            below = [types.setdefault((x, frozenset(kids)), len(types))
+                     for x, kids in zip(atoms[top], self.extensions(b, top))]
+            out.append(below)
+            top -= 1
+        for L in range(top, -1, -1):
+            m = n - L
+            below = [types.setdefault((x, frozenset(below[j:j + m])), len(types))
+                     for j, x in zip(itertools.count(0, m), atoms[L])]
+            out.append(below)
+        return out[::-1]
+
+    def extensions(self, b: int, length: int):
+        """Per tuple of board b of the given length, at least 1, in order: its extensions' atoms,
+        in order, read off its parent's profile."""
+        own = [self.meet(b, a, a) << 3 * length for a in range(len(self.rows[b]))]
+        return (filter(None, q) for q in self.extended(b, length - 1, self.profiled(b, length - 1), own))
+
+    def profiled(self, b: int, length: int) -> list[list[int]]:
+        """The profiles of board b's tuples of the given length, in order; only the longest
+        length reached is kept, and no call asks for a shorter one."""
+        reached, profiles = self.profiles[b]
+        while reached < length:
+            profiles = [list(q) for q in self.extended(b, reached, profiles, [0] * len(self.rows[b]))]
+            reached += 1
+        self.profiles[b] = reached, profiles
+        return profiles
+
+    def extended(self, b: int, length: int, profiles: list[list[int]], own: list[int]):
+        """Per tuple t + (c,) of board b, in order, t of the given length with the given profiles:
+        t's profile ANDed, lazily, with how each a meets c, a's own place from own, and 0 at c."""
+        points = range(len(self.rows[b]))
+        rows = [[~(self.meet(b, c, a) << 3 * length | own[a]) if a != c else 0 for a in points] for c in points]
+        return (map(operator.and_, q, rows[c]) for q in profiles for c in itertools.compress(points, q))
 
     def step(self, pos, a: int, b: int):
         return pos + ((a, b),)

@@ -10,8 +10,9 @@ This base holds what both games share: the scan, `Game.least`, that reads
 every answer at the least losing round count, the least rank or depth of a
 separating formula; Spoiler's move and the witness read off it; the stack
 check and the cap fields.  The scan asks from 0 rounds up, so a verdict
-decided early is never refused; recursive typing and witnesses refuse a count
-only when they are about to recurse past the stack.
+decided early costs little.  Neither game's typing recurses, so no verdict is
+refused for the stack; a witness nests one call per round and refuses a count
+only when it is about to recurse past the stack.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import sys
 from .caps import env_limit
 from .errors import InputError, ResourceError
 
-# EF typing recurses rank_type -> its comprehension -> rank_type, two frames per round; a witness
-# recurses distinguish -> its dict comprehension -> its generator -> distinguish, three, and types
-# what is left from spoiler_move -> any()'s generator -> wins.  One frame per round is spare.
+# A witness recurses distinguish -> its dict comprehension -> its generator -> distinguish, three
+# frames per round, and reads types at each step through spoiler_move -> any()'s generator ->
+# wins, which never recurses.  One frame per round is spare.
 FRAMES_PER_ROUND = 4
 STACK_RESERVE = 200  # interpreter frames left to the callers below a game
 
@@ -40,7 +41,7 @@ class Game:
         self.bound = bound  # the round count from which no verdict changes
 
     def rounds(self, k: int) -> int:
-        """k, refused if a k-round game would recurse past the stack."""
+        """k, refused if a k-round witness would recurse past the stack."""
         limit = sys.getrecursionlimit()
         if FRAMES_PER_ROUND * k + STACK_RESERVE > limit:
             raise ResourceError(f"a {k}-round game would recurse past the interpreter's stack "
@@ -53,7 +54,7 @@ class Game:
 
     def least(self, pos, n: int) -> int | None:
         """The fewest rounds, at most n clipped to bound, within which Spoiler wins from pos, or
-        None.  Recursive typing refuses a count past the stack only when the scan reaches it."""
+        None."""
         if n < 0:
             raise InputError(f"{self.ROUNDS} must be nonnegative")
         return next((k for k in range(min(n, self.bound) + 1) if not self.wins(pos, k)), None)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 from types import SimpleNamespace
@@ -287,14 +288,32 @@ def test_ef_clip_past_the_stack_is_refused_when_reached(monkeypatch):
     monkeypatch.setenv("UEXT_EF_MEMO_LIMIT", "1000")
     with pytest.raises(ResourceError, match=r"^EF memo table exceeded cap 1000 \(set UEXT_EF_MEMO_LIMIT\)$"):
         ef_equivalent(edgeless, edgeless, 300)
-    # a count past the stack is refused when the scan reaches it, and the message names that count
+    monkeypatch.delenv("UEXT_EF_MEMO_LIMIT")
+    # the scan never recurses, so it answers to the clip on a stack too short for 3 rounds of
+    # witness; the witness is refused when it would recurse past the stack, naming its count
     small, limit = Frame(edgeless.vertices[:5], frozenset()), sys.getrecursionlimit()
     sys.setrecursionlimit(STACK_RESERVE + 2 * FRAMES_PER_ROUND)
     try:
+        assert ef_equivalent(small, small, 300) is True
         with pytest.raises(ResourceError, match=r"^a 3-round game would recurse past the interpreter's stack "
                                                 rf"\(recursion limit {STACK_RESERVE + 2 * FRAMES_PER_ROUND}\)$"):
-            ef_equivalent(small, small, 300)
+            distinguishing_sentence(linear_order(3), linear_order(4, "w"), 300)
     finally:
         sys.setrecursionlimit(limit)
     # ef_min_rounds plays, and so checks, only the rounds it needs: a loop settles it in one
     assert ef_min_rounds(edgeless, Frame(edgeless.vertices, frozenset([("v0", "v0")])), 300) == 1
+
+
+def test_ef_cap_is_checked_before_a_diagonal_is_typed(monkeypatch):
+    # two 60-point edgeless frames at 4 rounds: round count 4 holds 11,703,240 tuples of length 4
+    # per frame, past the default cap, and is refused on its exact count before any of it is
+    # listed or typed; the counts 1 to 3 are typed in full, lengths 0 to 2 listed
+    monkeypatch.delenv("UEXT_EF_MEMO_LIMIT", raising=False)
+    edgeless = Frame(tuple(f"v{i}" for i in range(60)), frozenset())
+    game = _EFGame(edgeless, edgeless)
+    with pytest.raises(ResourceError, match=r"^EF memo table exceeded cap 4194304 \(set UEXT_EF_MEMO_LIMIT\)$"):
+        game.least((), 4)
+    assert game.typed == 2 * sum(math.perm(60, length) for d in range(1, 4) for length in range(d + 1))
+    assert list(game.diagonals) == [1, 2, 3]
+    assert [len(atoms) for atoms in game.atoms] == [3, 3]  # lengths 0, 1 and 2
+    assert [reached for reached, _ in game.profiles] == [1, 1]

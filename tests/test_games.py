@@ -58,6 +58,40 @@ def test_ef_agrees_with_the_pair_position_search():
     assert 100 <= lost <= PAIRS - 100
 
 
+def test_ef_witnesses_agree_with_the_search_where_a_pair_is_played_again(monkeypatch):
+    # a pair played again leaves its position's tuples one shorter, so it reads a round count's
+    # types below the one the scan stopped at: the one read of the level tables off the scan.
+    # Lines and sentences probe such positions whenever Spoiler tries an element already
+    # played; played from one, every answer and witness agrees with the pair-position search
+    rng, probes, wins, lost = random.Random(1103), [], _EFGame.wins, 0
+
+    def probed(game, pos, k):
+        if k and len(game.sides(pos)[0]) < len(pos):
+            probes.append(pos)
+        return wins(game, pos, k)
+
+    monkeypatch.setattr(_EFGame, "wins", probed)
+    for i in range(PAIRS // 2):
+        f1, f2 = frame_pair(rng, i)
+        d1, d2, k = frame_to_dict(f1), frame_to_dict(f2), rng.randint(1, 6)
+        phi = distinguishing_sentence(f1, f2, k)
+        assert spoiler_line(f1, f2, k) == O.spoiler_line(d1, d2, k), (d1, d2, k)
+        assert (phi and O.tree(phi)) == O.distinguishing_sentence(d1, d2, k), (d1, d2, k)
+        game, search = _EFGame(f1, f2), O.EFGame(d1, d2)
+        game.least((), k)
+        first, second = [(rng.randrange(len(f1.vertices)), rng.randrange(len(f2.vertices))) for _ in range(2)]
+        for pos in ((first, first), (first, second, first), (first, second, second)):
+            if not all(search.check(pos[:j]) for j in range(1, len(pos))):
+                continue  # play goes on only from positions whose atoms agree
+            n = game.least(pos, k)
+            assert n == search.least(pos, k), (d1, d2, pos, k)
+            lost += n is not None
+            if n:
+                assert game.spoiler_move(pos, n) == search.spoiler_move(pos, n), (d1, d2, pos, n)
+                assert O.tree(game.distinguish(pos, n)) == search.distinguish(pos, n), (d1, d2, pos, n)
+    assert len(probes) >= 500 and lost >= 80
+
+
 def model_pair(rng: random.Random, i: int) -> tuple[Model, Model]:
     """Random pairs, a model against a relabelled copy, and edgeless models, in turn."""
     kind = i % 3
@@ -193,36 +227,37 @@ def test_isomorphic_seven_point_frames_are_typed_to_the_clip():
 
 
 def ef_counters(f1: Frame, f2: Frame, rounds: int) -> tuple:
-    """The scan's answer and the typing counters it leaves: states typed, memo entries, types."""
+    """The scan's answer and the typing counters it leaves: states typed and types."""
     game = _EFGame(f1, f2)
-    return game.least((), rounds), game.typed, len(game.memo), len(game.types)
+    return game.least((), rounds), game.typed, len(game.types)
 
 
-# (least, typed, memo entries, types) for L_m vs L_n, 2 <= m <= n <= 7, at 5 rounds
+# (least, typed, types) for L_m vs L_n, 2 <= m <= n <= 7, at 5 rounds
 ORDER_COUNTERS = [
-    (None, 26, 18, 9), (2, 22, 9, 6), (2, 30, 10, 6), (2, 40, 11, 6), (2, 52, 12, 6), (2, 66, 13, 6),
-    (None, 92, 62, 29), (3, 93, 38, 26), (3, 148, 48, 29), (3, 231, 60, 30), (3, 348, 74, 31),
-    (None, 386, 258, 100), (3, 181, 56, 28), (3, 264, 68, 29), (3, 381, 82, 30), (None, 1300, 650, 227),
-    (3, 319, 78, 28), (3, 436, 92, 29), (None, 3910, 1438, 462), (3, 519, 104, 28), (None, 10076, 2838, 745),
+    (None, 26, 9), (2, 22, 6), (2, 30, 6), (2, 40, 6), (2, 52, 6), (2, 66, 6),
+    (None, 92, 29), (3, 93, 26), (3, 148, 29), (3, 231, 30), (3, 348, 31),
+    (None, 386, 100), (3, 181, 28), (3, 264, 29), (3, 381, 30), (None, 1300, 227),
+    (3, 319, 28), (3, 436, 29), (None, 3910, 462), (3, 519, 28), (None, 10076, 745),
 ]
 
 
 def test_ef_typing_counters_are_pinned_on_linear_orders():
-    # the typing is a memoised recursion over injective tuples: these counts are the work it does,
-    # so a rewrite of it that types a tuple twice, or one Duplicator never needs, changes them
+    # the typing lists injective tuples and types one diagonal per round count: these counts are
+    # the work it does, so a rewrite of it that types a tuple twice, or one Duplicator never needs,
+    # changes them; the types count also tells rank-0 atoms apart from interned type ids
     counts = [ef_counters(linear_order(m), linear_order(n, "w"), 5) for m in range(2, 8) for n in range(m, 8)]
     assert counts == ORDER_COUNTERS
 
 
 # the same counters for 40 seeded pairs of at most 6 points, at 6 rounds
 RANDOM_COUNTERS = [
-    (2, 52, 12, 11), (None, 26, 18, 9), (1, 10, 2, 2), (2, 88, 16, 15), (1, 7, 2, 2), (None, 26, 18, 6),
-    (2, 46, 12, 11), (2, 30, 10, 9), (2, 36, 11, 8), (None, 7824, 3912, 1553), (2, 46, 12, 11), (1, 8, 2, 2),
-    (2, 66, 14, 13), (None, 92, 62, 31), (1, 11, 2, 2), (2, 52, 12, 11), (1, 5, 2, 2), (None, 1952, 1302, 575),
-    (1, 8, 2, 2), (2, 88, 16, 15), (1, 8, 2, 2), (None, 92, 62, 10), (2, 26, 9, 6), (2, 30, 10, 9),
-    (2, 88, 16, 14), (None, 26, 18, 9), (1, 11, 2, 2), (None, 8, 6, 3), (2, 58, 13, 12), (None, 8, 6, 3),
-    (1, 11, 2, 2), (2, 58, 13, 11), (1, 13, 2, 2), (None, 26, 18, 6), (1, 7, 2, 2), (2, 58, 13, 12),
-    (1, 6, 2, 2), (None, 26, 18, 9), (2, 54, 13, 12), (1, 11, 2, 2),
+    (2, 52, 11), (None, 26, 9), (1, 10, 2), (2, 88, 15), (1, 7, 2), (None, 26, 6),
+    (2, 46, 11), (2, 30, 9), (2, 36, 8), (None, 7824, 1553), (2, 46, 11), (1, 8, 2),
+    (2, 66, 13), (None, 92, 31), (1, 11, 2), (2, 52, 11), (1, 5, 2), (None, 1952, 575),
+    (1, 8, 2), (2, 88, 15), (1, 8, 2), (None, 92, 10), (2, 26, 6), (2, 30, 9),
+    (2, 88, 14), (None, 26, 9), (1, 11, 2), (None, 8, 3), (2, 58, 12), (None, 8, 3),
+    (1, 11, 2), (2, 58, 11), (1, 13, 2), (None, 26, 6), (1, 7, 2), (2, 58, 12),
+    (1, 6, 2), (None, 26, 9), (2, 54, 12), (1, 11, 2),
 ]
 
 
