@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InputError, ResourceError
-from .frame import Frame, bits, frame_from_dict, frame_to_dict, json_array, json_pair, read_json
+from .frame import (Frame, bits, frame_from_dict, frame_to_dict, json_array, json_pair, known_fields,
+                    read_json)
 from .hulls import RootedGraph, canonical_form, hull, rings
 
 OMEGA = "w"
@@ -120,7 +121,7 @@ def family_from_dict(doc: dict) -> FamilyPresentation:
     """Build a presentation from its JSON document; every field is optional, none unknown."""
     if not isinstance(doc, dict):
         raise InputError("family document must be a JSON object")
-    _known_fields(doc, ("base", "omega_templates", "rays", "generator"), "family document")
+    known_fields(doc, ("base", "omega_templates", "rays", "generator"), "family document")
     base = frame_from_dict(doc["base"]) if "base" in doc else Frame((), frozenset())
     templates = json_array(doc.get("omega_templates", []), '"omega_templates"')
     templates = tuple(frame_from_dict(t) for t in templates)
@@ -130,7 +131,7 @@ def family_from_dict(doc: dict) -> FamilyPresentation:
         spec = doc["generator"]
         if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
             raise InputError('"generator" must be an object with a "name" string')
-        _known_fields(spec, ("name",), '"generator"')
+        known_fields(spec, ("name",), '"generator"')
         gen = Generator(spec["name"])
     return FamilyPresentation(base, templates, rays, gen)
 
@@ -138,16 +139,10 @@ def family_from_dict(doc: dict) -> FamilyPresentation:
 def _ray_from_dict(doc) -> Ray:
     if not isinstance(doc, dict) or "period" not in doc:
         raise InputError('ray entry must be an object with a "period" frame')
-    _known_fields(doc, ("period", "seam", "kind"), "ray entry")
+    known_fields(doc, ("period", "seam", "kind"), "ray entry")
     period = frame_from_dict(doc["period"])
     seam = tuple(json_pair(pair, "seam") for pair in json_array(doc.get("seam", []), '"seam"'))
     return Ray(period, seam, doc.get("kind", "ray"))
-
-
-def _known_fields(doc: dict, known: tuple[str, ...], what: str) -> None:
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise InputError(f"{what} has unknown field {unknown[0]!r} (known: {', '.join(known)})")
 
 
 def load_family(path: str) -> FamilyPresentation:

@@ -1,7 +1,8 @@
 """uext command line interface.
 
 Exit codes: 0 answer computed (a detector's verdict is yes or no), 1 bad input
-(usage errors included), 2 resource cap exceeded, 3 internal cross-check defect.
+(usage errors included), 2 resource cap exceeded or memory exhausted, 3 internal
+cross-check defect.
 
 ``main`` builds the argparse parser on its first call and reuses it for every
 later call in the process, so a script or test that calls ``main`` in a loop
@@ -23,7 +24,7 @@ from .fo import eval_fo, ef_min_rounds, format_fo, los_like_check, parse_fo
 from .frame import (frame_from_dict, frame_to_dict, frame_to_dot, json_array, load_frame, read_json,
                     vertex_id)
 from .hulls import canonical_form, endpoints, hull, hull_formula
-from .modal import Model, eval_modal, frame_valid, n_bisimilar, parse_modal
+from .modal import LETTER, Model, eval_modal, frame_valid, n_bisimilar, parse_modal
 from .ultra import Ultrafilter, build_ue
 
 
@@ -33,6 +34,9 @@ def _load_model(path: str) -> Model:
     val = doc.get("valuation", {})
     if not isinstance(val, dict):
         raise InputError("valuation must be an object mapping letters to vertex lists")
+    for p in val:
+        if not LETTER.fullmatch(p):
+            raise InputError(f"valuation has unknown letter {p!r} (known: p followed by digits)")
     return Model.make(frame, {p: [vertex_id(x) for x in json_array(xs, f"valuation of {p!r}")]
                               for p, xs in val.items()})
 
@@ -250,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # the process's memory, the one limit no budget counts
+        print("resource limit: out of memory", file=sys.stderr)
         return 2
     except DefectError as exc:
         print(f"defect: {exc}", file=sys.stderr)

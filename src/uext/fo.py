@@ -16,17 +16,13 @@ import operator
 import re
 from dataclasses import dataclass
 
-from .caps import env_limit
-from .errors import DefectError, InputError, ResourceError
+from .caps import Budget
+from .errors import DefectError, InputError
 from .frame import Frame
 from .games import Game
 from .syntax import Parser, fold
 from .ultra import Ultrafilter, build_ue
 
-EF_MEMO_LIMIT_ENV = "UEXT_EF_MEMO_LIMIT"
-DEFAULT_EF_MEMO_LIMIT = 2**22
-ASSIGNMENT_LIMIT_ENV = "UEXT_ASSIGNMENT_LIMIT"
-DEFAULT_ASSIGNMENT_LIMIT = 2**22
 SENTENCE_LIMIT = 4000  # sentences_upto's hard count cap
 
 
@@ -207,15 +203,7 @@ def _evaluate(frame: Frame, phi: FOFormula, values: dict[str, int], column: str 
     n = len(frame.vertices)
     full = (1 << n) - 1
     succ = frame.succ_mask
-    limit = env_limit(ASSIGNMENT_LIMIT_ENV, DEFAULT_ASSIGNMENT_LIMIT)
-    spent, size = 0, len(values)
-
-    def spend():
-        nonlocal spent
-        spent += 1
-        if spent > limit:
-            raise ResourceError(f"FO evaluation tried more than {limit} assignments "
-                                f"(set {ASSIGNMENT_LIMIT_ENV} to raise)")
+    charge, size = Budget("assignments").charge, len(values)
 
     def over(var: str, body: FOFormula, scope: dict[str, int]):
         """var's values where body holds, as (mask step, None) if body is flat in var, else
@@ -227,14 +215,14 @@ def _evaluate(frame: Frame, phi: FOFormula, values: dict[str, int], column: str 
             m = mask(body, var, scope)
 
             def step(env):
-                spend()
+                charge(1)
                 return m(env)
             return step, None
         t = truth(body, scope)
 
         def each(env):
             for w in range(n):
-                spend()
+                charge(1)
                 env[slot] = w
                 yield t(env)
         return None, each
@@ -337,8 +325,7 @@ class _EFGame(Game):
     def __init__(self, f1: Frame, f2: Frame):
         # a sentence of rank max(|F1|, |F2|) + 1 pins a frame of at most max(|F1|, |F2|)
         # points up to isomorphism, so no verdict changes past it
-        super().__init__(EF_MEMO_LIMIT_ENV, DEFAULT_EF_MEMO_LIMIT, "EF memo table",
-                         max(len(f1.vertices), len(f2.vertices)) + 1)
+        super().__init__("ef", max(len(f1.vertices), len(f2.vertices)) + 1)
         self.frames, self.rows = (f1, f2), (f1.succ_mask, f2.succ_mask)
         # per board and length L, the atoms of the length-L tuples in order, from () and (a,) on
         self.atoms = tuple([[-1], [~self.meet(b, a, a) for a in range(len(self.rows[b]))]] for b in (0, 1))
@@ -383,10 +370,8 @@ class _EFGame(Game):
         use.  The diagonal's tuples, rank 0 included, are counted exactly and refused past the
         cap before any of them is listed or typed."""
         if d not in self.diagonals:
-            count = sum(math.perm(n, L) for n in map(len, self.rows) for L in range(min(d, n) + 1))
-            if self.typed + count > self.limit:
-                raise ResourceError(self.cap_message)
-            self.typed += count
+            self.budget.charge(sum(math.perm(n, L) for n in map(len, self.rows)
+                                   for L in range(min(d, n) + 1)))
             self.diagonals[d] = self.rank(0, d), self.rank(1, d)
         return self.diagonals[d]
 

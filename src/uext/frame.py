@@ -215,10 +215,12 @@ def induced_subframe(frame: Frame, xs: Iterable[str]) -> Frame:
 def frame_from_dict(doc: dict) -> Frame:
     """Build a Frame from the JSON document shape {"vertices": [...], "edges": [[a,b],...]}.
 
-    Duplicate edges in the input are rejected, naming the duplicate.
+    A model's "valuation" may ride along and is read by its loader; any other
+    field, and a duplicate edge, is rejected by name.
     """
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise InputError('frame document must have "vertices" and "edges" fields')
+    known_fields(doc, ("vertices", "edges", "valuation"), "frame document")
     vertices = tuple(vertex_id(v) for v in json_array(doc["vertices"], '"vertices"'))
     edges: list[Edge] = []
     seen: set[Edge] = set()
@@ -236,6 +238,14 @@ def frame_to_dict(frame: Frame) -> dict:
         "vertices": list(frame.vertices),
         "edges": [[a, b] for a, b in frame.sorted_edges()],
     }
+
+
+def known_fields(doc: dict, known: tuple[str, ...], what: str) -> None:
+    """Refuse a JSON object with a field outside known, naming the first in sorted order; what
+    names the object in the error."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise InputError(f"{what} has unknown field {unknown[0]!r} (known: {', '.join(known)})")
 
 
 def json_array(value, what: str) -> list:

@@ -9,7 +9,8 @@ literal and quantify, and the round count from which no verdict changes.
 This base holds what both games share: the scan, `Game.least`, that reads
 every answer at the least losing round count, the least rank or depth of a
 separating formula; Spoiler's move and the witness read off it; the stack
-check and the cap fields.  The scan asks from 0 rounds up, so a verdict
+check; and the game's budget of its cap (see `caps`), which each game charges
+for the states it types.  The scan asks from 0 rounds up, so a verdict
 decided early costs little.  Neither game's typing recurses, so no verdict is
 refused for the stack; a witness nests one call per round and refuses a count
 only when it is about to recurse past the stack.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import sys
 
-from .caps import env_limit
+from .caps import Budget
 from .errors import InputError, ResourceError
 
 # A witness recurses distinguish -> its dict comprehension -> its generator -> distinguish, three
@@ -32,13 +33,16 @@ STACK_RESERVE = 200  # interpreter frames left to the callers below a game
 class Game:
     ROUNDS = "rounds"  # the round count's name in error messages
 
-    def __init__(self, limit_env: str, default_limit: int, memo_name: str, bound: int):
-        self.typed = 0  # states typed so far, the work the cap bounds
+    def __init__(self, cap: str, bound: int):
+        self.budget = Budget(cap)  # charged for the states typed
         self.nodes: dict = {}  # (class, fields with subformulas by identity) -> witness node
         self.interned: set[int] = set()  # identities of the nodes in self.nodes
-        self.limit = env_limit(limit_env, default_limit)
-        self.cap_message = f"{memo_name} exceeded cap {self.limit} (set {limit_env})"
         self.bound = bound  # the round count from which no verdict changes
+
+    @property
+    def typed(self) -> int:
+        """States typed so far, the work the cap bounds."""
+        return self.budget.spent
 
     def rounds(self, k: int) -> int:
         """k, refused if a k-round witness would recurse past the stack."""

@@ -20,15 +20,14 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_
 
-from .caps import env_limit
-from .errors import InputError, ResourceError
+from .caps import Budget
+from .errors import InputError
 from .frame import Frame, all_of, any_of, bits, refine, table
 from .games import Game
 from .syntax import Parser, fold
 from .ultra import UEFrame, build_ue
 
-VALUATION_LIMIT_ENV = "UEXT_VALUATION_LIMIT"
-DEFAULT_VALUATION_LIMIT = 2**22
+LETTER = re.compile(r"p\d+")  # a proposition letter, the only kind a formula can name
 BLOCK_BITS = 16  # frame_valid decides 2^16 valuations per pass: 8 KiB per truth table
 
 
@@ -125,7 +124,7 @@ def format_modal(phi: ModalFormula) -> str:
 
 
 class _ModalParser(Parser):
-    TOKEN = re.compile(r"\s*(p\d+|->|<>|\[\]|[~&|()])")
+    TOKEN = re.compile(rf"\s*({LETTER.pattern}|->|<>|\[\]|[~&|()])")
     LABEL = "modal"
     AND, OR, IMP = And, Or, Imp
     UNARY = {"~": Not, "<>": Dia, "[]": Box}
@@ -292,13 +291,8 @@ def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", s
     """
     ls = sorted(letters(phi))
     n = len(frame.vertices)
-    limit = env_limit(VALUATION_LIMIT_ENV, DEFAULT_VALUATION_LIMIT)
     total = 2 ** (len(ls) * n)
-    if total > limit:
-        raise ResourceError(
-            f"frame_valid would enumerate {total} valuations, over the cap {limit} "
-            f"(set {VALUATION_LIMIT_ENV} to raise)"
-        )
+    Budget("valuations").charge(total)
     width = min(len(ls) * n, BLOCK_BITS)
     ones = (1 << (1 << width)) - 1
     label = _slicer(frame, phi, {p: j * n for j, p in enumerate(ls)}, ones)
@@ -350,10 +344,6 @@ def truth_membership_check(ue_model: UEModel, phi: ModalFormula) -> bool:
 # ---------------------------------------------------------------------------
 # n-bisimulation and bounded modal equivalence
 
-GAME_LIMIT_ENV = "UEXT_GAME_LIMIT"
-DEFAULT_GAME_LIMIT = 2**20
-
-
 class _BisimGame(Game):
     """Positions are pairs of worlds of the union W1 + W2 (W1's, then W2's, in load order); moves
     go to successors.  A world's rank-r type is its class in round r of the union's refinement by
@@ -369,14 +359,12 @@ class _BisimGame(Game):
                       for m in (m1, m2) for i in range(len(m.frame.vertices))]
         self.kids = [[o + v for v in bits(row)] for o, m in ((0, m1), (n1, m2)) for row in m.frame.succ_mask]
         # the union has at most |W1| + |W2| classes, so no verdict changes past that many rounds
-        super().__init__(GAME_LIMIT_ENV, DEFAULT_GAME_LIMIT, "bisimulation memo", len(self.atoms))
+        super().__init__("bisim", len(self.atoms))
         self.classes = [self.atoms]  # each round's colouring of the union, as far as it is refined
         self.refinement = refine(self.atoms, self.signatures)
 
     def signatures(self, colors: list) -> list:
-        self.typed += len(colors)
-        if self.typed > self.limit:
-            raise ResourceError(self.cap_message)
+        self.budget.charge(len(colors))
         return [(a, tuple(sorted({colors[v] for v in row}))) for a, row in zip(self.atoms, self.kids)]
 
     def moves(self, pos, board: int) -> list[int]:

@@ -15,12 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .caps import env_limit
-from .errors import DefectError, InputError, ResourceError
+from .caps import Budget
+from .errors import DefectError, InputError
 from .frame import Frame, all_of, any_of, bits, table
-
-POWERSET_LIMIT_ENV = "UEXT_POWERSET_LIMIT"
-DEFAULT_POWERSET_LIMIT = 22
 
 
 @dataclass(frozen=True)
@@ -45,16 +42,6 @@ class Ultrafilter:
 def enumerate_ultrafilters(frame: Frame) -> list[Ultrafilter]:
     """All ultrafilters over a finite carrier: one principal per vertex."""
     return [Ultrafilter(frame, w) for w in frame.vertices]
-
-
-def _check_cap(n: int) -> None:
-    """Refuse a carrier past the powerset cap before any table is allocated."""
-    limit = env_limit(POWERSET_LIMIT_ENV, DEFAULT_POWERSET_LIMIT)
-    if n > limit:
-        raise ResourceError(
-            f"powerset enumeration capped at |W| <= {limit} "
-            f"(set {POWERSET_LIMIT_ENV} to raise); got |W| = {n}"
-        )
 
 
 def _holders(rows: tuple[int, ...], w: int) -> int:
@@ -84,7 +71,7 @@ def _mode_rows(frame: Frame) -> dict[str, list[int]]:
             succ_mask holds v
     """
     n = len(frame.vertices)
-    _check_cap(n)
+    Budget("powerset").charge(n)  # before any table is allocated
     succ, pred = frame.succ_mask, frame.pred_mask
     tables = [table(j, n) for j in range(n)]
     t_j = tables.__getitem__
@@ -117,7 +104,7 @@ def ue_related(u: Ultrafilter, v: Ultrafilter, mode: str) -> bool:
         raise InputError(f"unknown ue_related mode {mode!r}")
     frame = u.frame
     n = len(frame.vertices)
-    _check_cap(n)
+    Budget("powerset").charge(n)
     i, j = frame.index[u.point], frame.index[v.point]
 
     def t_j(k: int) -> int:

@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from uext import ResourceError
+from uext import ResourceError, census
+from uext.caps import CAPS, Budget
 from uext.cli import _load_model as load_model, main
 from uext.fo import format_fo, parse_fo
 from uext.modal import distinguishing_formula, n_bisimilar
@@ -157,7 +158,12 @@ CAP_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+def test_cap_commands_cover_every_cap():
+    assert set(CAP_COMMANDS) == {var for var, _, _ in CAPS.values()}
+
+
+# int() would read the last four as 3, 1000, 3 and 7; a cap is ASCII decimal digits only
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", "", "\u0663", "1_000", "+3", " 7 "])
 @pytest.mark.parametrize("var", sorted(CAP_COMMANDS))
 def test_malformed_cap_is_input_error(capsys, monkeypatch, tri, tri_model, var, value):
     monkeypatch.setenv(var, value)
@@ -165,6 +171,24 @@ def test_malformed_cap_is_input_error(capsys, monkeypatch, tri, tri_model, var, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {var} must be a nonnegative integer, got {value!r}\n"
+
+
+def test_a_refused_charge_is_not_counted(monkeypatch):
+    monkeypatch.setenv("UEXT_GAME_LIMIT", "5")
+    budget = Budget("bisim")
+    budget.charge(3)
+    with pytest.raises(ResourceError, match=r"^bisimulation memo exceeded cap 5 \(set UEXT_GAME_LIMIT\)$"):
+        budget.charge(3)
+    budget.charge(2)
+    assert budget.spent == 5
+
+
+def test_out_of_memory_is_a_resource_limit(capsys, monkeypatch, succ):
+    def exhausted(fam, budget):
+        raise MemoryError
+    monkeypatch.setattr(census, "expand", exhausted)
+    assert main(["skeleton", succ, "--depth", "1", "--budget", "100000000"]) == 2
+    assert capsys.readouterr() == ("", "resource limit: out of memory\n")
 
 
 @pytest.mark.parametrize("var, memo", [("UEXT_GAME_LIMIT", "bisimulation memo"),
@@ -315,11 +339,16 @@ RAY = {"period": {"vertices": ["v"], "edges": []}, "seam": [["v", "v"]]}
                                  "generator)"),
     ({"rays": [{**RAY, "kinds": "line"}]}, "ray entry has unknown field 'kinds' (known: period, seam, kind)"),
     ({"generator": {"name": "nat_succ", "budget": 3}}, '"generator" has unknown field \'budget\' (known: name)'),
+    # a model file is read by modal eval; each of these was once read with p0 false everywhere
+    ({**TRI, "valuaton": {"p0": ["b"]}},
+     "frame document has unknown field 'valuaton' (known: vertices, edges, valuation)"),
+    ({**TRI, "valuation": {"P0": ["b"]}}, "valuation has unknown letter 'P0' (known: p followed by digits)"),
 ])
 def test_unknown_family_field_is_input_error(capsys, tmp_path, doc, message):
     p = tmp_path / "family.json"
     p.write_text(json.dumps(doc))
-    assert main(["census", str(p), "--depth", "1"]) == 1
+    model = message.startswith(("frame document", "valuation"))
+    assert main(["modal", "eval", str(p), "<>p0", "--at", "a"] if model else ["census", str(p), "--depth", "1"]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 

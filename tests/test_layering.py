@@ -1,6 +1,8 @@
-"""Modules of uext import only each other's public names: a `_`-prefixed name stays in its module."""
+"""Modules of uext import only each other's public names: a `_`-prefixed name stays in its module.
+Only `caps` names a cap's environment variable or reads the environment."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uext"
@@ -17,3 +19,17 @@ def test_no_module_imports_a_private_name_of_another():
     found = {path.name: private_imports(path) for path in sorted(SRC.glob("*.py"))}
     assert len(found) >= 10
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def reads_environment(path: Path) -> bool:
+    """Whether the file imports os, reads an environ or getenv attribute, or names a UEXT_ variable."""
+    return any(isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "os" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and not node.level and node.module.partition(".")[0] == "os"
+               or isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv")
+               or isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and re.fullmatch(r"UEXT_\w+", node.value) is not None
+               for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_only_caps_reads_the_environment():
+    assert [path.name for path in sorted(SRC.glob("*.py")) if reads_environment(path)] == ["caps.py"]
