@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InputError, ResourceError
-from .frame import (Frame, bits, frame_from_dict, frame_to_dict, json_array, json_pair, known_fields,
-                    read_json)
+from .frame import (FRAME_FIELDS, Frame, bits, distinct, frame_from_dict, frame_to_dict, json_array,
+                    json_pair, known_fields, read_json)
 from .hulls import RootedGraph, canonical_form, hull, rings
 
 OMEGA = "w"
@@ -122,9 +122,9 @@ def family_from_dict(doc: dict) -> FamilyPresentation:
     if not isinstance(doc, dict):
         raise InputError("family document must be a JSON object")
     known_fields(doc, ("base", "omega_templates", "rays", "generator"), "family document")
-    base = frame_from_dict(doc["base"]) if "base" in doc else Frame((), frozenset())
+    base = frame_from_dict(doc["base"], FRAME_FIELDS) if "base" in doc else Frame((), frozenset())
     templates = json_array(doc.get("omega_templates", []), '"omega_templates"')
-    templates = tuple(frame_from_dict(t) for t in templates)
+    templates = tuple(frame_from_dict(t, FRAME_FIELDS) for t in templates)
     rays = tuple(_ray_from_dict(r) for r in json_array(doc.get("rays", []), '"rays"'))
     gen = None
     if "generator" in doc:
@@ -140,8 +140,9 @@ def _ray_from_dict(doc) -> Ray:
     if not isinstance(doc, dict) or "period" not in doc:
         raise InputError('ray entry must be an object with a "period" frame')
     known_fields(doc, ("period", "seam", "kind"), "ray entry")
-    period = frame_from_dict(doc["period"])
-    seam = tuple(json_pair(pair, "seam") for pair in json_array(doc.get("seam", []), '"seam"'))
+    period = frame_from_dict(doc["period"], FRAME_FIELDS)
+    pairs = json_array(doc.get("seam", []), '"seam"')
+    seam = tuple(distinct((json_pair(pair, "seam") for pair in pairs), "seam"))
     return Ray(period, seam, doc.get("kind", "ray"))
 
 
@@ -454,9 +455,15 @@ def modal_logic_coincides(fam: FamilyPresentation, n: int) -> tuple[bool, dict]:
 
     Rooted hull isomorphism implies n-bisimilarity of the roots, which is what
     equality of the modal logics needs at depth n.  An unmatched type would
-    falsify the census, so a False return is a defect detector.
+    falsify the census, so a False return is a defect detector.  A generator's
+    census gives lower bounds with no omega types, so a family with one is
+    refused, as over a limit, rather than answered with nothing checked; bad
+    input is refused first, by the skeleton.
     """
     sk = ue_skeleton(fam, n)
+    if fam.generator is not None:
+        raise ResourceError(f"modal coincidence is read off a census's omega types, and the census of "
+                            f"generator {fam.generator.name!r} gives only lower bounds, with no omega type")
     omegas = sk.census.omega_types()
     first: dict[str, str] = {}  # each hull type's first expansion vertex in load order
     for v, origin in sk.provenance.items():

@@ -21,14 +21,14 @@ import sys
 from . import census as census_mod
 from .errors import DefectError, InputError, ResourceError
 from .fo import eval_fo, ef_min_rounds, format_fo, los_like_check, parse_fo
-from .frame import (frame_from_dict, frame_to_dict, frame_to_dot, json_array, load_frame, read_json,
-                    vertex_id)
+from .frame import distinct, frame_from_dict, frame_to_dict, frame_to_dot, json_array, read_json, vertex_id
 from .hulls import canonical_form, endpoints, hull, hull_formula
 from .modal import LETTER, Model, eval_modal, frame_valid, n_bisimilar, parse_modal
 from .ultra import Ultrafilter, build_ue
 
 
 def _load_model(path: str) -> Model:
+    """A model file, or a frame file, whose valuation, when it has one, is checked all the same."""
     doc = read_json(path, "frame")
     frame = frame_from_dict(doc)
     val = doc.get("valuation", {})
@@ -37,12 +37,13 @@ def _load_model(path: str) -> Model:
     for p in val:
         if not LETTER.fullmatch(p):
             raise InputError(f"valuation has unknown letter {p!r} (known: p followed by digits)")
-    return Model.make(frame, {p: [vertex_id(x) for x in json_array(xs, f"valuation of {p!r}")]
+    return Model.make(frame, {p: distinct((vertex_id(x) for x in json_array(xs, f"valuation of {p!r}")),
+                                          "vertex", f"valuation of {p!r}")
                               for p, xs in val.items()})
 
 
 def cmd_ue_build(args) -> dict | None:
-    frame = load_frame(args.frame)
+    frame = _load_model(args.frame).frame
     ue = build_ue(frame)
     if not args.dot:
         return frame_to_dict(ue.frame)
@@ -50,7 +51,7 @@ def cmd_ue_build(args) -> dict | None:
 
 
 def cmd_ue_cross_check(args) -> dict:
-    frame = load_frame(args.frame)
+    frame = _load_model(args.frame).frame
     build_ue(frame)  # raises DefectError if the three relation modes disagree
     return {"frame": args.frame, "modes_agree": True}
 
@@ -62,7 +63,7 @@ def cmd_modal_eval(args) -> dict:
 
 
 def cmd_modal_valid(args) -> dict:
-    frame = load_frame(args.frame)
+    frame = _load_model(args.frame).frame
     phi = parse_modal(args.formula)
     ok, counter = frame_valid(frame, phi)
     doc = {"valid": ok}
@@ -79,7 +80,7 @@ def cmd_bisim(args) -> dict:
 
 
 def cmd_fo_eval(args) -> dict:
-    frame = load_frame(args.frame)
+    frame = _load_model(args.frame).frame
     phi = parse_fo(args.formula)
     assignment = {}
     for item in args.let or []:
@@ -94,13 +95,13 @@ def cmd_fo_eval(args) -> dict:
 
 
 def cmd_fo_ef(args) -> dict:
-    f1, f2 = load_frame(args.frame1), load_frame(args.frame2)
+    f1, f2 = _load_model(args.frame1).frame, _load_model(args.frame2).frame
     k = ef_min_rounds(f1, f2, args.max_rounds)
     return {"min_spoiler_rounds": k, "equivalent_up_to": args.max_rounds if k is None else k - 1}
 
 
 def cmd_fo_los_like(args) -> dict:
-    frame = load_frame(args.frame)
+    frame = _load_model(args.frame).frame
     u = Ultrafilter(frame, args.at)  # checks --at before the formula is parsed
     phi = parse_fo(args.formula)
     ok, lhs, rhs = los_like_check(frame, phi, u)
@@ -108,7 +109,7 @@ def cmd_fo_los_like(args) -> dict:
 
 
 def cmd_hull(args) -> dict:
-    frame = load_frame(args.frame)
+    frame = _load_model(args.frame).frame
     h = hull(frame, args.at, args.depth)
     doc = {"root": h.root, "depth": h.depth, "size": len(h.graph.vertices),
            "certificate": canonical_form(h).hex, "frame": frame_to_dict(h.graph)}

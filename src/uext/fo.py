@@ -20,7 +20,7 @@ from .caps import Budget
 from .errors import DefectError, InputError
 from .frame import Frame
 from .games import Game
-from .syntax import Parser, fold
+from .syntax import SYMBOLS, And, Imp, Not, Or, Parser, depth, fold
 from .ultra import Ultrafilter, build_ue
 
 SENTENCE_LIMIT = 4000  # sentences_upto's hard count cap
@@ -43,29 +43,6 @@ class Eq:
 
 
 @dataclass(frozen=True)
-class Neg:
-    sub: "FOFormula"
-
-
-@dataclass(frozen=True)
-class Conj:
-    left: "FOFormula"
-    right: "FOFormula"
-
-
-@dataclass(frozen=True)
-class Disj:
-    left: "FOFormula"
-    right: "FOFormula"
-
-
-@dataclass(frozen=True)
-class Impl:
-    left: "FOFormula"
-    right: "FOFormula"
-
-
-@dataclass(frozen=True)
 class Exists:
     var: str
     body: "FOFormula"
@@ -77,27 +54,22 @@ class Forall:
     body: "FOFormula"
 
 
-FOFormula = Rel | Eq | Neg | Conj | Disj | Impl | Exists | Forall
+FOFormula = Rel | Eq | Not | And | Or | Imp | Exists | Forall
 
 
 def free_vars(phi: FOFormula) -> frozenset[str]:
     if isinstance(phi, (Rel, Eq)):
         return frozenset([phi.left, phi.right])
-    if isinstance(phi, Neg):
+    if isinstance(phi, Not):
         return free_vars(phi.sub)
-    if isinstance(phi, (Conj, Disj, Impl)):
+    if isinstance(phi, (And, Or, Imp)):
         return free_vars(phi.left) | free_vars(phi.right)
     return free_vars(phi.body) - {phi.var}
 
 
 def quantifier_rank(phi: FOFormula) -> int:
-    if isinstance(phi, (Rel, Eq)):
-        return 0
-    if isinstance(phi, Neg):
-        return quantifier_rank(phi.sub)
-    if isinstance(phi, (Conj, Disj, Impl)):
-        return max(quantifier_rank(phi.left), quantifier_rank(phi.right))
-    return 1 + quantifier_rank(phi.body)
+    """Nesting depth of exists and forall."""
+    return depth(phi, (Exists, Forall))
 
 
 def format_fo(phi: FOFormula) -> str:
@@ -105,22 +77,21 @@ def format_fo(phi: FOFormula) -> str:
         return f"R({phi.left},{phi.right})"
     if isinstance(phi, Eq):
         return f"{phi.left}={phi.right}"
-    if isinstance(phi, Neg):
+    if isinstance(phi, Not):
         return f"~{_atomish(phi.sub)}"
     if isinstance(phi, Exists):
         return f"exists {phi.var}. {format_fo(phi.body)}"
     if isinstance(phi, Forall):
         return f"forall {phi.var}. {format_fo(phi.body)}"
-    op = {Conj: "&", Disj: "|", Impl: "->"}[type(phi)]
     left = format_fo(phi.left)
-    if isinstance(phi.left, (Exists, Forall)):  # a quantifier's scope would run on past op
+    if isinstance(phi.left, (Exists, Forall)):  # a quantifier's scope would run on past it
         left = f"({left})"
-    return f"({left} {op} {format_fo(phi.right)})"
+    return f"({left} {SYMBOLS[type(phi)]} {format_fo(phi.right)})"
 
 
 def _atomish(phi: FOFormula) -> str:
     s = format_fo(phi)
-    return s if isinstance(phi, (Rel, Eq, Neg)) or s.startswith("(") else f"({s})"
+    return s if isinstance(phi, (Rel, Eq, Not)) or s.startswith("(") else f"({s})"
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +101,6 @@ def _atomish(phi: FOFormula) -> str:
 class _FOParser(Parser):
     TOKEN = re.compile(r"\s*(exists\b|forall\b|->|[~&|()=,.]|R\b|[A-Za-z_]\w*)")
     LABEL = "FO"
-    AND, OR, IMP = Conj, Disj, Impl
 
     def variable(self) -> str:
         tok = self.peek()
@@ -140,9 +110,6 @@ class _FOParser(Parser):
 
     def operand(self) -> FOFormula:
         tok = self.peek()
-        if tok == "~":
-            self.take()
-            return Neg(self.unary())
         if tok in ("exists", "forall"):
             # the body is a whole implication, so the scope runs maximally right
             self.take()
@@ -150,8 +117,6 @@ class _FOParser(Parser):
             self.expect(".")
             body = self.imp()
             return Exists(var, body) if tok == "exists" else Forall(var, body)
-        if tok == "(":
-            return self.group()
         if tok == "R":
             self.take()
             self.expect("(")
@@ -178,9 +143,9 @@ def _flat(phi: FOFormula, var: str) -> bool:
     """Whether var occurs free in phi only in atoms outside every quantifier."""
     if isinstance(phi, (Rel, Eq)):
         return True
-    if isinstance(phi, Neg):
+    if isinstance(phi, Not):
         return _flat(phi.sub, var)
-    if isinstance(phi, (Conj, Disj, Impl)):
+    if isinstance(phi, (And, Or, Imp)):
         return _flat(phi.left, var) and _flat(phi.right, var)
     return var not in free_vars(phi)
 
@@ -234,7 +199,7 @@ def _evaluate(frame: Frame, phi: FOFormula, values: dict[str, int], column: str 
         if isinstance(f, Eq):
             a, b = scope[f.left], scope[f.right]
             return lambda env: env[a] == env[b]
-        if isinstance(f, Neg):
+        if isinstance(f, Not):
             s = truth(f.sub, scope)
             return lambda env: not s(env)
         if isinstance(f, (Exists, Forall)):
@@ -242,12 +207,12 @@ def _evaluate(frame: Frame, phi: FOFormula, values: dict[str, int], column: str 
             if isinstance(f, Exists):
                 return (lambda env: step(env) != 0) if step else (lambda env: any(each(env)))
             return (lambda env: step(env) == full) if step else (lambda env: all(each(env)))
-        if not isinstance(f, (Conj, Disj, Impl)):
+        if not isinstance(f, (And, Or, Imp)):
             raise InputError(f"unknown formula node {f!r}")
         l, r = truth(f.left, scope), truth(f.right, scope)
-        return {Conj: lambda env: l(env) and r(env),
-                Disj: lambda env: l(env) or r(env),
-                Impl: lambda env: not l(env) or r(env)}[type(f)]
+        return {And: lambda env: l(env) and r(env),
+                Or: lambda env: l(env) or r(env),
+                Imp: lambda env: not l(env) or r(env)}[type(f)]
 
     def mask(f: FOFormula, v: str, scope: dict[str, int]):
         if v not in free_vars(f):
@@ -264,13 +229,13 @@ def _evaluate(frame: Frame, phi: FOFormula, values: dict[str, int], column: str 
                 return lambda env: full
             y = scope[f.right if f.left == v else f.left]
             return lambda env: 1 << env[y]
-        if isinstance(f, Neg):
+        if isinstance(f, Not):
             s = mask(f.sub, v, scope)
             return lambda env: full ^ s(env)
         l, r = mask(f.left, v, scope), mask(f.right, v, scope)  # f is a connective: v is flat in it
-        if isinstance(f, Conj):
+        if isinstance(f, And):
             return lambda env: (x := l(env)) and x & r(env)
-        if isinstance(f, Disj):
+        if isinstance(f, Or):
             return lambda env: x if (x := l(env)) == full else x | r(env)
         return lambda env: (full ^ x) | r(env) if (x := l(env)) else full
 
@@ -428,13 +393,13 @@ class _EFGame(Game):
                 for atom, t1, t2 in ((Eq(f"x{i}", f"x{j}"), a == a2, b == b2),
                                      (Rel(f"x{i}", f"x{j}"), s1[a] >> a2 & 1, s2[b] >> b2 & 1)):
                     if t1 != t2:
-                        return atom if t1 else Neg(atom)
+                        return atom if t1 else Not(atom)
         raise DefectError("no distinguishing literal at a non-isomorphic position")
 
     def quantify(self, board: int, pos, parts: list) -> FOFormula:
         var = f"x{len(pos)}"
-        return (Exists(var, fold(Conj, parts, Eq(var, var))) if board == 1
-                else Forall(var, fold(Disj, parts, Neg(Eq(var, var)))))
+        return (Exists(var, fold(And, parts, Eq(var, var))) if board == 1
+                else Forall(var, fold(Or, parts, Not(Eq(var, var)))))
 
 
 def ef_equivalent(f1: Frame, f2: Frame, rounds: int) -> bool:
@@ -493,10 +458,10 @@ def sentences_upto(max_rank: int) -> list[FOFormula]:
         for a in avail:
             for b in avail:
                 lits.append(Rel(a, b))
-                lits.append(Neg(Rel(a, b)))
+                lits.append(Not(Rel(a, b)))
                 if a != b:
                     lits.append(Eq(a, b))
-                    lits.append(Neg(Eq(a, b)))
+                    lits.append(Not(Eq(a, b)))
         if rank == 0:
             return lits[:SENTENCE_LIMIT]
         inner = formulas(rank - 1, depth + 1)
@@ -507,10 +472,10 @@ def sentences_upto(max_rank: int) -> list[FOFormula]:
             out.append(Forall(var, body))
             if len(out) >= SENTENCE_LIMIT:
                 return out[:SENTENCE_LIMIT]
-        combos = [f for f in out if not isinstance(f, (Rel, Eq, Neg))]
+        combos = [f for f in out if not isinstance(f, (Rel, Eq, Not))]
         for f, g in itertools.combinations(combos[:40], 2):
-            out.append(Conj(f, g))
-            out.append(Disj(f, g))
+            out.append(And(f, g))
+            out.append(Or(f, g))
             if len(out) >= SENTENCE_LIMIT:
                 break
         return out[:SENTENCE_LIMIT]

@@ -212,24 +212,22 @@ def induced_subframe(frame: Frame, xs: Iterable[str]) -> Frame:
     return frame.restrict(frame.mask(xs))
 
 
-def frame_from_dict(doc: dict) -> Frame:
+FRAME_FIELDS = ("vertices", "edges")  # a frame document's fields; a model file adds "valuation"
+
+
+def frame_from_dict(doc: dict, fields: tuple[str, ...] = FRAME_FIELDS + ("valuation",)) -> Frame:
     """Build a Frame from the JSON document shape {"vertices": [...], "edges": [[a,b],...]}.
 
-    A model's "valuation" may ride along and is read by its loader; any other
-    field, and a duplicate edge, is rejected by name.
+    The document may have only the given fields: by default a model's
+    "valuation" may ride along, read and checked by its loader, while a frame
+    nested in a family is read with FRAME_FIELDS.  Any other field, and a
+    duplicate edge, is rejected by name.
     """
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise InputError('frame document must have "vertices" and "edges" fields')
-    known_fields(doc, ("vertices", "edges", "valuation"), "frame document")
+    known_fields(doc, fields, "frame document")
     vertices = tuple(vertex_id(v) for v in json_array(doc["vertices"], '"vertices"'))
-    edges: list[Edge] = []
-    seen: set[Edge] = set()
-    for pair in json_array(doc["edges"], '"edges"'):
-        e = json_pair(pair, "edge")
-        if e in seen:
-            raise InputError(f"duplicate edge [{e[0]!r}, {e[1]!r}] in input")
-        seen.add(e)
-        edges.append(e)
+    edges = distinct((json_pair(pair, "edge") for pair in json_array(doc["edges"], '"edges"')), "edge")
     return Frame(vertices, frozenset(edges))
 
 
@@ -260,6 +258,17 @@ def json_pair(entry, what: str) -> Edge:
     if not isinstance(entry, (list, tuple)) or len(entry) != 2:
         raise InputError(f"{what} entry {entry!r} is not a [from, to] pair")
     return vertex_id(entry[0]), vertex_id(entry[1])
+
+
+def distinct(items, what: str, where: str = "input") -> list:
+    """The items in order, refusing the first that repeats; what names an item's kind and where
+    the list it is in, in the error."""
+    seen: dict = {}
+    for x in items:
+        if x in seen:
+            raise InputError(f"duplicate {what} {list(x) if isinstance(x, tuple) else x!r} in {where}")
+        seen[x] = None
+    return list(seen)
 
 
 def vertex_id(value) -> str:

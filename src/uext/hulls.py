@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError, ResourceError
-from .fo import Conj, Disj, Eq, Exists, FOFormula, Forall, Impl, Neg, Rel
+from .fo import Eq, Exists, FOFormula, Forall, Rel
 from .frame import Frame, bits, refine
-from .syntax import MAX_DEPTH, depth, fold
+from .syntax import MAX_DEPTH, And, Imp, Not, Or, depth, fold
 
 CERT_VERSION = b"HT1"
 
@@ -186,22 +186,22 @@ def hull_formula(h: RootedGraph) -> FOFormula:
                 lits.append(Rel(names[u], names[v]))
             if g.has_edge(v, u):
                 lits.append(Rel(names[v], names[u]))
-        lits.append(Rel(names[v], names[v]) if g.has_edge(v, v) else Neg(Rel(names[v], names[v])))
+        lits.append(Rel(names[v], names[v]) if g.has_edge(v, v) else Not(Rel(names[v], names[v])))
         for u in prior:
-            lits.append(Neg(Eq(names[u], names[v])))
+            lits.append(Not(Eq(names[u], names[v])))
             if not g.has_edge(u, v):
-                lits.append(Neg(Rel(names[u], names[v])))
+                lits.append(Not(Rel(names[u], names[v])))
             if not g.has_edge(v, u):
-                lits.append(Neg(Rel(names[v], names[u])))
+                lits.append(Not(Rel(names[v], names[u])))
         return lits
 
-    inside = fold(Disj, [Eq("z", names[v]) for v in ordered])
-    closure = [Forall("z", Impl(edge, inside)) for v in ordered if h.layers[v] < h.depth
+    inside = fold(Or, [Eq("z", names[v]) for v in ordered])
+    closure = [Forall("z", Imp(edge, inside)) for v in ordered if h.layers[v] < h.depth
                for edge in (Rel(names[v], "z"), Rel("z", names[v]))]
-    phi = fold(Conj, closure + [Eq("x", "x")])
+    phi = fold(And, closure + [Eq("x", "x")])
     for i in reversed(range(len(ordered))):  # innermost vertex first
         v = ordered[i]
-        body = fold(Conj, literals_for(v, ordered[:i]) + [phi])
+        body = fold(And, literals_for(v, ordered[:i]) + [phi])
         phi = body if v == h.root else Exists(names[v], body)
     # vertex i adds an exists, a conjunction and 3i + 1 literals of depth <= 2, and the closure
     # nests at most 3V + 2 deep, so only a hull of V >= 20 vertices needs the walk

@@ -24,7 +24,7 @@ from .caps import Budget
 from .errors import InputError
 from .frame import Frame, all_of, any_of, bits, refine, table
 from .games import Game
-from .syntax import Parser, fold
+from .syntax import SYMBOLS, And, Imp, Not, Or, Parser, depth, fold
 from .ultra import UEFrame, build_ue
 
 LETTER = re.compile(r"p\d+")  # a proposition letter, the only kind a formula can name
@@ -43,29 +43,6 @@ class Prop:
 @dataclass(frozen=True)
 class Falsum:
     pass
-
-
-@dataclass(frozen=True)
-class Not:
-    sub: "ModalFormula"
-
-
-@dataclass(frozen=True)
-class And:
-    left: "ModalFormula"
-    right: "ModalFormula"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "ModalFormula"
-    right: "ModalFormula"
-
-
-@dataclass(frozen=True)
-class Imp:
-    left: "ModalFormula"
-    right: "ModalFormula"
 
 
 @dataclass(frozen=True)
@@ -95,13 +72,7 @@ def letters(phi: ModalFormula) -> frozenset[str]:
 
 def modal_depth(phi: ModalFormula) -> int:
     """Nesting depth of <> and []."""
-    if isinstance(phi, (Prop, Falsum)):
-        return 0
-    if isinstance(phi, Not):
-        return modal_depth(phi.sub)
-    if isinstance(phi, (Dia, Box)):
-        return 1 + modal_depth(phi.sub)
-    return max(modal_depth(phi.left), modal_depth(phi.right))
+    return depth(phi, (Dia, Box))
 
 
 def format_modal(phi: ModalFormula) -> str:
@@ -115,8 +86,7 @@ def format_modal(phi: ModalFormula) -> str:
         return f"<>{format_modal(phi.sub)}"
     if isinstance(phi, Box):
         return f"[]{format_modal(phi.sub)}"
-    op = {And: "&", Or: "|", Imp: "->"}[type(phi)]
-    return f"({format_modal(phi.left)} {op} {format_modal(phi.right)})"
+    return f"({format_modal(phi.left)} {SYMBOLS[type(phi)]} {format_modal(phi.right)})"
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +96,13 @@ def format_modal(phi: ModalFormula) -> str:
 class _ModalParser(Parser):
     TOKEN = re.compile(rf"\s*({LETTER.pattern}|->|<>|\[\]|[~&|()])")
     LABEL = "modal"
-    AND, OR, IMP = And, Or, Imp
-    UNARY = {"~": Not, "<>": Dia, "[]": Box}
+    UNARY = {"<>": Dia, "[]": Box}
 
     def operand(self) -> ModalFormula:
         tok = self.peek()
         if tok in self.UNARY:
             self.take()
             return self.UNARY[tok](self.unary())
-        if tok == "(":
-            return self.group()
         if tok is not None and tok.startswith("p"):
             return Prop(self.take())
         self.fail("a formula")

@@ -1,9 +1,13 @@
-"""Surface syntax shared by the modal and first-order languages.
+"""The connectives and surface syntax shared by the modal and first-order languages.
 
-Both logics write the connectives ~ & | -> with parentheses, bind unary
-operators tightest, then &, then |, then -> (right-associative), and report
-syntax errors by character position.  A logic supplies its token pattern, its
-error label, its three binary constructors and its ``operand`` method.
+Under the standard translation the modal connectives are the first-order ones
+(Blackburn, de Rijke and Venema 2001, 2.4), so both logics build their formulas
+from the one set of nodes Not, And, Or and Imp defined here.  Both write the
+connectives ~ & | -> with parentheses, bind unary operators tightest, then &,
+then |, then -> (right-associative), and report syntax errors by character
+position.  The parser reads the connectives and parentheses itself; a logic
+supplies only its token pattern, its error label and its ``operand`` method,
+which reads one of its own atoms or prefix operators.
 
 A formula is refused when its tree is more than MAX_DEPTH nodes deep or when
 its operands (prefix operators, quantifiers and parenthesised groups) nest
@@ -14,6 +18,7 @@ recursive, stay well inside Python's default recursion limit.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from functools import reduce
 
 from .errors import InputError
@@ -21,10 +26,35 @@ from .errors import InputError
 MAX_DEPTH = 100  # deepest formula tree, and deepest operand nesting, that parse accepts
 
 
+@dataclass(frozen=True)
+class Not:
+    sub: object
+
+
+@dataclass(frozen=True)
+class And:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class Or:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class Imp:
+    left: object
+    right: object
+
+
+SYMBOLS = {And: "&", Or: "|", Imp: "->"}  # each binary connective's token
+
+
 class Parser:
     TOKEN: re.Pattern  # one token, optionally preceded by whitespace, in group 1
     LABEL: str  # names the logic in error messages
-    AND = OR = IMP = None  # the binary constructors, set by each logic
 
     def __init__(self, text: str):
         self.toks: list[tuple[str, int]] = []
@@ -74,46 +104,51 @@ class Parser:
         while self.peek() == "->":
             self.take()
             parts.append(self.disj())
-        return reduce(lambda right, left: self.IMP(left, right), reversed(parts))
+        return reduce(lambda right, left: Imp(left, right), reversed(parts))
 
     def disj(self):
         left = self.conj()
         while self.peek() == "|":
             self.take()
-            left = self.OR(left, self.conj())
+            left = Or(left, self.conj())
         return left
 
     def conj(self):
         left = self.unary()
         while self.peek() == "&":
             self.take()
-            left = self.AND(left, self.unary())
+            left = And(left, self.unary())
         return left
 
     def unary(self):
-        """One operand of the logic, refused once operands nest past MAX_DEPTH."""
+        """A negation, a parenthesised formula or one operand of the logic, refused once
+        operands nest past MAX_DEPTH."""
         self.level += 1
         if self.level > MAX_DEPTH:
             self.too_deep()
-        phi = self.operand()
+        tok = self.peek()
+        if tok == "~":
+            self.take()
+            phi = Not(self.unary())
+        elif tok == "(":
+            self.take()
+            phi = self.imp()
+            self.expect(")")
+        else:
+            phi = self.operand()
         self.level -= 1
         return phi
 
-    def group(self):
-        """A parenthesised formula, the opening '(' not yet taken."""
-        self.take()
-        phi = self.imp()
-        self.expect(")")
-        return phi
 
-
-def depth(phi) -> int:
-    """Nodes on the longest root-to-leaf path of a formula tree, found without recursion."""
-    deepest, todo = 0, [(phi, 1)]
+def depth(phi, counted=object) -> int:
+    """The most nodes of the counted classes, every node by default, on one root-to-leaf path
+    of a formula tree, found without recursion."""
+    deepest, todo = 0, [(phi, 0)]
     while todo:
         node, d = todo.pop()
+        d += isinstance(node, counted)
         deepest = max(deepest, d)
-        todo.extend((sub, d + 1) for sub in vars(node).values() if not isinstance(sub, str))
+        todo.extend((sub, d) for sub in vars(node).values() if not isinstance(sub, str))
     return deepest
 
 

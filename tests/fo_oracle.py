@@ -15,13 +15,13 @@ def holds(vertices, succ, phi, asg) -> bool:
         return asg[phi.right] in succ[asg[phi.left]]
     if kind == "Eq":
         return asg[phi.left] == asg[phi.right]
-    if kind == "Neg":
+    if kind == "Not":
         return not holds(vertices, succ, phi.sub, asg)
-    if kind == "Conj":
+    if kind == "And":
         return holds(vertices, succ, phi.left, asg) and holds(vertices, succ, phi.right, asg)
-    if kind == "Disj":
+    if kind == "Or":
         return holds(vertices, succ, phi.left, asg) or holds(vertices, succ, phi.right, asg)
-    if kind == "Impl":
+    if kind == "Imp":
         return not holds(vertices, succ, phi.left, asg) or holds(vertices, succ, phi.right, asg)
     if kind == "Exists":
         return any(holds(vertices, succ, phi.body, {**asg, phi.var: w}) for w in vertices)

@@ -116,13 +116,13 @@ class EFGame(Game):
                 for atom, t1, t2 in ((("Eq", f"x{i}", f"x{j}"), a == a2, b == b2),
                                      (("Rel", f"x{i}", f"x{j}"), s1[a] >> a2 & 1, s2[b] >> b2 & 1)):
                     if t1 != t2:
-                        return atom if t1 else ("Neg", atom)
+                        return atom if t1 else ("Not", atom)
         raise AssertionError("no distinguishing literal at a non-isomorphic position")
 
     def quantify(self, board: int, pos, parts: list):
         var = f"x{len(pos)}"
-        return (("Exists", var, fold("Conj", parts, ("Eq", var, var))) if board == 1
-                else ("Forall", var, fold("Disj", parts, ("Neg", ("Eq", var, var)))))
+        return (("Exists", var, fold("And", parts, ("Eq", var, var))) if board == 1
+                else ("Forall", var, fold("Or", parts, ("Not", ("Eq", var, var)))))
 
 
 class BisimGame(Game):
@@ -219,14 +219,14 @@ def read_fo(text: str) -> tuple:
     def operand():
         tok = toks.pop()
         if tok == "~":
-            return ("Neg", operand())
+            return ("Not", operand())
         if tok in ("exists", "forall"):
             var, _ = toks.pop(), toks.pop()
             return ("Exists" if tok == "exists" else "Forall", var, operand())
         if tok == "(":
             left = operand()
             if toks[-1] != ")":
-                left = ({"&": "Conj", "|": "Disj", "->": "Impl"}[toks.pop()], left, operand())
+                left = ({"&": "And", "|": "Or", "->": "Imp"}[toks.pop()], left, operand())
             toks.pop()
             return left
         if tok == "R":
@@ -256,13 +256,13 @@ def fo_holds(doc: dict, phi, asg: dict[str, str] | None = None) -> bool:
             return (asg[f[0]], asg[f[1]]) in edges
         if kind == "Eq":
             return asg[f[0]] == asg[f[1]]
-        if kind == "Neg":
+        if kind == "Not":
             return not holds(f[0], asg)
-        if kind == "Conj":
+        if kind == "And":
             return holds(f[0], asg) and holds(f[1], asg)
-        if kind == "Disj":
+        if kind == "Or":
             return holds(f[0], asg) or holds(f[1], asg)
-        if kind == "Impl":
+        if kind == "Imp":
             return not holds(f[0], asg) or holds(f[1], asg)
         if kind in ("Exists", "Forall"):
             truths = (holds(f[1], {**asg, f[0]: w}) for w in doc["vertices"])
@@ -276,7 +276,7 @@ def quantifier_rank(phi) -> int:
     kind, *f = node(phi)
     if kind in ("Rel", "Eq"):
         return 0
-    if kind == "Neg":
+    if kind == "Not":
         return quantifier_rank(f[0])
     if kind in ("Exists", "Forall"):
         return 1 + quantifier_rank(f[1])

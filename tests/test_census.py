@@ -162,6 +162,13 @@ def test_census_requires_bounded_degree():
         for run in (hull_census, ue_skeleton, modal_logic_coincides):
             with pytest.raises(ResourceError, match=f"generator '{fam.generator.name}' has unbounded degree"):
                 run(fam, 1)
+    # a bounded generator has a census, but of lower bounds with no omega type for detect modal to match
+    for fam in (FamilyPresentation(generator=Generator("nat_succ")),
+                FamilyPresentation(base=Frame(("a",), frozenset()), generator=Generator("nat_succ"))):
+        with pytest.raises(ResourceError, match="generator 'nat_succ' gives only lower bounds"):
+            modal_logic_coincides(fam, 2)
+        with pytest.raises(InputError, match="^census depth must be nonnegative$"):  # bad input comes first
+            modal_logic_coincides(fam, -1)
 
 
 def test_census_generator_lower_bounds():
@@ -319,6 +326,10 @@ def test_modal_logic_coincides_stops_once_every_omega_type_matches(monkeypatch):
     stopped = 0
     for fam in _family_corpus(seed=321, size=40):
         for n in (1, 2):
+            if fam.generator is not None:  # a lower-bound census has no omega type to match
+                with pytest.raises(ResourceError, match="gives only lower bounds"):
+                    modal_logic_coincides(fam, n)
+                continue
             sk = ue_skeleton(fam, n)
             rooted.clear()
             ok, report = modal_logic_coincides(fam, n)

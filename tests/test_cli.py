@@ -293,6 +293,15 @@ def test_help_still_exits_zero(capsys):
     ({"omega_templates": 5}, '"omega_templates" must be a JSON array'),
     ({"rays": [{"period": {"vertices": ["a"], "edges": []}, "seam": [["a"]]}]},
      "seam entry ['a'] is not a [from, to] pair"),
+    # a frame nested in a family has no valuation: each of these was once dropped unchecked
+    ({"base": {"vertices": ["a"], "edges": [], "valuation": {"p0": ["zz"]}}},
+     "frame document has unknown field 'valuation' (known: vertices, edges)"),
+    ({"omega_templates": [{**TRI, "valuation": {}}]},
+     "frame document has unknown field 'valuation' (known: vertices, edges)"),
+    ({"rays": [{"period": {"vertices": ["a"], "edges": [], "valuation": {}}}]},
+     "frame document has unknown field 'valuation' (known: vertices, edges)"),
+    ({"rays": [{"period": {"vertices": ["a"], "edges": []}, "seam": [["a", "a"], ["a", "a"]]}]},
+     "duplicate seam ['a', 'a'] in input"),
 ])
 def test_malformed_family_is_input_error(capsys, tmp_path, doc, message):
     p = tmp_path / "family.json"
@@ -305,12 +314,19 @@ def test_malformed_family_is_input_error(capsys, tmp_path, doc, message):
     ({"vertices": "ab", "edges": []}, '"vertices" must be a JSON array'),
     ({**TRI, "valuation": {"p0": "ab"}}, "valuation of 'p0' must be a JSON array"),
     ({**TRI, "valuation": {"p0": 5}}, "valuation of 'p0' must be a JSON array"),
+    ({**TRI, "valuation": {"p0": ["b", "zz"]}}, "unknown vertex 'zz'"),
+    ({**TRI, "valuation": {"p0": ["b", "c", "b"]}}, "duplicate vertex 'b' in valuation of 'p0'"),
 ])
 def test_non_array_frame_or_model_is_input_error(capsys, tmp_path, doc, message):
-    p = tmp_path / "model.json"
-    p.write_text(json.dumps(doc))
-    assert main(["modal", "eval", str(p), "p0", "--at", "a"]) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # every command that reads a frame file checks a valuation in it as modal eval does
+    p = str(tmp_path / "model.json")
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    for argv in (["modal", "eval", p, "p0", "--at", "a"], ["ue", "build", p], ["ue", "cross-check", p],
+                 ["modal", "valid", p, "p0"], ["bisim", p, p, "--at1", "a", "--at2", "a", "--depth", "1"],
+                 ["fo", "eval", p, "x=x", "--let", "x=a"], ["fo", "ef", p, p], ["fo", "los-like", p, "x=x", "--at", "a"],
+                 ["hull", p, "--at", "a", "--depth", "1"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
 
 
 def test_undecodable_file_is_input_error(capsys, tmp_path):

@@ -26,8 +26,9 @@ from uext import (
     spoiler_line,
     ultraproduct,
 )
-from uext.fo import Eq, Exists, Forall, Impl, Neg, Rel, _EFGame, free_vars
+from uext.fo import Eq, Exists, Forall, Rel, _EFGame, free_vars
 from uext.games import FRAMES_PER_ROUND, STACK_RESERVE
+from uext.syntax import Imp, Not, Or
 
 from helpers import linear_order, random_frame
 from product_oracle import ultraproduct as product_oracle
@@ -43,7 +44,7 @@ def test_parse_quantifier_scope_is_maximal():
 
 def test_parse_connectives():
     phi = parse_fo("~R(x,y) -> x=y | R(y,x)")
-    assert phi == Impl(Neg(Rel("x", "y")), (type(phi.right))(Eq("x", "y"), Rel("y", "x")))
+    assert phi == Imp(Not(Rel("x", "y")), Or(Eq("x", "y"), Rel("y", "x")))
 
 
 def test_parse_errors():

@@ -11,7 +11,8 @@ import pytest
 
 import fo_oracle
 from uext import Frame, ResourceError, Ultrafilter, eval_fo, hull, hull_formula, load_frame, los_like_check, parse_fo
-from uext.fo import Conj, Disj, Eq, Exists, Forall, Impl, Neg, Rel, format_fo, free_vars, quantifier_rank
+from uext.fo import Eq, Exists, Forall, Rel, format_fo, free_vars, quantifier_rank
+from uext.syntax import And, Imp, Not, Or
 
 from helpers import all_3vertex_frames, successors
 from test_hulls import PATH4, TRI
@@ -34,11 +35,11 @@ def random_fo(rng: random.Random, rank: int, size: int):
     if kind == "atom":
         return (Rel if rng.random() < 0.6 else Eq)(rng.choice(VARS), rng.choice(VARS))
     if kind == "neg":
-        return Neg(random_fo(rng, rank, size - 1))
+        return Not(random_fo(rng, rank, size - 1))
     if kind in ("exists", "forall"):
         return (Exists if kind == "exists" else Forall)(rng.choice(VARS), random_fo(rng, rank - 1, size - 1))
     half = (size - 1) // 2
-    return {"and": Conj, "or": Disj, "imp": Impl}[kind](random_fo(rng, rank, half), random_fo(rng, rank, half))
+    return {"and": And, "or": Or, "imp": Imp}[kind](random_fo(rng, rank, half), random_fo(rng, rank, half))
 
 
 def random_frame(rng: random.Random) -> Frame:

@@ -1,5 +1,6 @@
 """Modules of uext import only each other's public names: a `_`-prefixed name stays in its module.
-Only `caps` names a cap's environment variable or reads the environment."""
+Only `caps` names a cap's environment variable or reads the environment, and only `syntax`
+defines a connective."""
 
 import ast
 import re
@@ -33,3 +34,13 @@ def reads_environment(path: Path) -> bool:
 
 def test_only_caps_reads_the_environment():
     assert [path.name for path in sorted(SRC.glob("*.py")) if reads_environment(path)] == ["caps.py"]
+
+
+CONNECTIVES = {"Not", "And", "Or", "Imp", "Neg", "Conj", "Disj", "Impl"}  # the names either logic used
+
+
+def test_only_syntax_defines_a_connective():
+    defined = {path.name: sorted(node.name for node in ast.walk(ast.parse(path.read_text()))
+                                 if isinstance(node, ast.ClassDef) and node.name in CONNECTIVES)
+               for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in defined.items() if names} == {"syntax.py": ["And", "Imp", "Not", "Or"]}

@@ -1,8 +1,17 @@
-"""The nesting bound shared by both parsers, at the bound and one past it."""
+"""The formula core shared by both logics: the connectives both parsers build, the one tree walk
+behind modal depth and quantifier rank, and the nesting bound, at the bound and one past it."""
+
+import random
 
 import pytest
 
-from uext import Frame, InputError, Model, eval_fo, eval_modal, format_fo, format_modal, parse_fo, parse_modal
+import game_oracle as O
+from helpers import random_modal
+from test_fo_kernel import random_fo
+from uext import (Frame, InputError, Model, eval_fo, eval_modal, format_fo, format_modal, modal_depth, parse_fo,
+                  parse_modal, quantifier_rank, syntax)
+from uext.fo import Eq, Exists
+from uext.modal import Dia, Prop
 from uext.syntax import MAX_DEPTH, depth
 
 D = MAX_DEPTH
@@ -28,6 +37,29 @@ def test_depth_counts_nodes_on_the_longest_path():
     assert depth(parse_modal("p0")) == 1
     assert depth(parse_modal("~<>p0 & p1")) == 4
     assert depth(parse_fo("exists x. R(x,x) | x=x")) == 3
+
+
+def test_both_parsers_build_the_shared_connectives():
+    for phi in (parse_modal("~p0 & p1 | <>p2 -> p3"), parse_fo("~R(x,y) & x=y | (exists z. R(z,z)) -> y=y")):
+        assert type(phi) is syntax.Imp and type(phi.right) is not syntax.Imp
+        assert type(phi.left) is syntax.Or and type(phi.left.left) is syntax.And
+        assert type(phi.left.left.left) is syntax.Not
+
+
+def test_rank_and_depth_agree_with_the_recursive_oracle():
+    rng = random.Random(24)
+    for _ in range(400):
+        phi = random_modal(rng, rng.randint(0, 5), ["p0", "p1"], rng.randint(1, 16))
+        assert modal_depth(phi) == O.modal_depth(phi), phi
+        phi = random_fo(rng, rng.randint(0, 4), rng.randint(1, 16))
+        assert quantifier_rank(phi) == O.quantifier_rank(phi), phi
+
+
+def test_rank_and_depth_of_a_chain_past_the_stack():
+    modal, fo = Prop("p0"), Eq("x", "x")
+    for _ in range(5000):
+        modal, fo = Dia(modal), Exists("x", fo)
+    assert modal_depth(modal) == 5000 and quantifier_rank(fo) == 5000
 
 
 @pytest.mark.parametrize("shape", sorted(MODAL_SHAPES))
