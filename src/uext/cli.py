@@ -4,11 +4,23 @@ Exit codes: 0 answer computed (a detector's verdict is yes or no), 1 bad input
 (usage errors included), 2 resource cap exceeded or memory exhausted, 3 internal
 cross-check defect.
 
-``main`` builds the argparse parser on its first call and reuses it for every
-later call in the process, so a script or test that calls ``main`` in a loop
-pays for building it once.  The parser keeps no state between calls: each
-parse returns a fresh namespace, and help reads the terminal width when it is
-printed.  A one-shot shell run still builds it once, as before.
+``COMMANDS`` declares every command path once: a group's help line, or a
+leaf's handler, positionals (with their choices) and options (action, type,
+default, whether required, help).  ``match`` reads a plain command line
+straight from that table into the namespace argparse would return: the
+command words, exactly the leaf's positionals in order, each option by its full
+name as its own token followed, unless it is a flag, by a value token that does
+not start with "-", every required option present, ``int`` values that
+``int()`` reads and choices kept.
+
+Anything else goes to the argparse parser that ``build_parser`` builds from
+the same table: -h, an abbreviated option, --opt=value, a value or positional
+starting with "-" (so a negative number reaches its handler's own error), --,
+and unknown, missing or extra tokens.  argparse prints every help text and
+reports every usage error, so both read as they always have.  ``main`` builds
+that parser the first time a line needs it and reuses it for every later call
+in the process; it keeps no state between calls, and help reads the terminal
+width when it is printed.
 """
 
 from __future__ import annotations
@@ -17,29 +29,20 @@ import argparse
 import functools
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import census as census_mod
 from .errors import DefectError, InputError, ResourceError
-from .fo import eval_fo, ef_min_rounds, format_fo, los_like_check, parse_fo
-from .frame import distinct, frame_from_dict, frame_to_dict, frame_to_dot, json_array, read_json, vertex_id
+from .fo import eval_fo, ef_min_rounds, format_fo, free_vars, is_variable, los_like_check, parse_fo
+from .frame import frame_to_dict, frame_to_dot, read_model
 from .hulls import canonical_form, endpoints, hull, hull_formula
-from .modal import LETTER, Model, eval_modal, frame_valid, n_bisimilar, parse_modal
+from .modal import Model, eval_modal, frame_valid, n_bisimilar, parse_modal
 from .ultra import Ultrafilter, build_ue
 
 
 def _load_model(path: str) -> Model:
-    """A model file, or a frame file, whose valuation, when it has one, is checked all the same."""
-    doc = read_json(path, "frame")
-    frame = frame_from_dict(doc)
-    val = doc.get("valuation", {})
-    if not isinstance(val, dict):
-        raise InputError("valuation must be an object mapping letters to vertex lists")
-    for p in val:
-        if not LETTER.fullmatch(p):
-            raise InputError(f"valuation has unknown letter {p!r} (known: p followed by digits)")
-    return Model.make(frame, {p: distinct((vertex_id(x) for x in json_array(xs, f"valuation of {p!r}")),
-                                          "vertex", f"valuation of {p!r}")
-                              for p, xs in val.items()})
+    """A model file, or a frame file, read by the library's one reader."""
+    return Model.make(*read_model(path))
 
 
 def cmd_ue_build(args) -> dict | None:
@@ -87,6 +90,10 @@ def cmd_fo_eval(args) -> dict:
         if "=" not in item:
             raise InputError(f"--let expects var=vertex, got {item!r}")
         var, vert = item.split("=", 1)
+        if not is_variable(var):
+            raise InputError(f"--let names {var!r}, which is not a variable")
+        if var not in free_vars(phi):
+            raise InputError(f"--let binds {var!r}, which is not free in the formula")
         if var in assignment:
             raise InputError(f"--let binds {var!r} twice")
         frame.check_vertices([vert])
@@ -153,6 +160,76 @@ def cmd_detect(args) -> dict:
     return {"verdict": v.kind, "evidence": v.evidence, "data": v.data}
 
 
+class Option(NamedTuple):
+    """One option of a command: argparse's action (store, store_true or append), the type its value
+    is read as (int, or None for the string as given), its default, whether it is required, and
+    the help text and metavar printed by -h."""
+    action: str = "store"
+    type: Callable | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
+    metavar: str | None = None
+
+    def kwargs(self) -> dict:
+        """add_argument's keywords; a store_true action takes no type or metavar."""
+        return {"action": self.action, "default": self.default, "required": self.required, "help": self.help,
+                **{k: v for k, v in (("type", self.type), ("metavar", self.metavar)) if v is not None}}
+
+
+class Command(NamedTuple):
+    """One command path: its handler (None for a group of subcommands), its positionals in order
+    with the choices of those that have them, its options by full name, and its help line in its
+    parent's listing."""
+    func: Callable | None = None
+    positionals: tuple[str, ...] = ()
+    options: dict[str, Option] = {}  # read only, so one empty default serves every command
+    choices: dict[str, list[str]] = {}
+    help: str | None = None
+
+
+FLAG = Option("store_true", default=False)
+AT = Option(required=True)
+DEPTH = Option(type=int, required=True)
+
+# every command path, in the order -h lists them; the one declaration of the command line
+COMMANDS = {
+    ("ue",): Command(help="ultrafilter extension of a finite frame"),
+    ("ue", "build"): Command(cmd_ue_build, ("frame",), {"--dot": FLAG}),
+    ("ue", "cross-check"): Command(cmd_ue_cross_check, ("frame",)),
+    ("modal",): Command(help="modal evaluation and frame validity"),
+    ("modal", "eval"): Command(cmd_modal_eval, ("model", "formula"), {"--at": AT}),
+    ("modal", "valid"): Command(cmd_modal_valid, ("frame", "formula")),
+    ("bisim",): Command(cmd_bisim, ("model1", "model2"), {"--at1": AT, "--at2": AT, "--depth": DEPTH},
+                        help="bounded bisimilarity of two pointed models"),
+    ("fo",): Command(help="first order evaluation and games"),
+    ("fo", "eval"): Command(cmd_fo_eval, ("frame", "formula"),
+                            {"--let": Option("append", metavar="var=vertex")}),
+    ("fo", "ef"): Command(cmd_fo_ef, ("frame1", "frame2"), {"--max-rounds": Option(type=int, default=4)}),
+    ("fo", "los-like"): Command(cmd_fo_los_like, ("frame", "formula"), {"--at": AT}),
+    ("hull",): Command(cmd_hull, ("frame",), {"--at": AT, "--depth": DEPTH, "--formula": FLAG},
+                       help="rooted n-hull of a vertex"),
+    ("census",): Command(cmd_census, ("family",), {"--depth": DEPTH},
+                         help="hull-type census of a presented family"),
+    ("skeleton",): Command(cmd_skeleton, ("family",), {"--depth": DEPTH, "--budget": Option(type=int)},
+                           help="truncated extension skeleton of a family"),
+    ("detect",): Command(cmd_detect, ("property", "family"),
+                         {"--chi-threshold": Option(type=int, help="reflexive only (default 10)"),
+                          "--depth": Option(type=int, help="modal only (default 2)")},
+                         choices={"property": list(DETECT_FLAGS)}, help="verdicts about a family's extension"),
+}
+
+
+def _dest(name: str) -> str:
+    """The namespace attribute of an option, as argparse names it: --max-rounds is max_rounds."""
+    return name[2:].replace("-", "_")
+
+
+def _word_dest(group: tuple[str, ...]) -> str:
+    """The namespace attribute of the command word after group: command, then ue_command."""
+    return "_".join(group + ("command",))
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as bad input, like every other input error."""
 
@@ -161,91 +238,76 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of COMMANDS, which prints -h and reports every usage error."""
     ap = _ArgumentParser(prog="uext", description="ultrafilter extension workbench")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    ue = sub.add_parser("ue", help="ultrafilter extension of a finite frame")
-    uesub = ue.add_subparsers(dest="ue_command", required=True)
-    p = uesub.add_parser("build")
-    p.add_argument("frame")
-    p.add_argument("--dot", action="store_true")
-    p.set_defaults(func=cmd_ue_build)
-    p = uesub.add_parser("cross-check")
-    p.add_argument("frame")
-    p.set_defaults(func=cmd_ue_cross_check)
-
-    modal = sub.add_parser("modal", help="modal evaluation and frame validity")
-    msub = modal.add_subparsers(dest="modal_command", required=True)
-    p = msub.add_parser("eval")
-    p.add_argument("model")
-    p.add_argument("formula")
-    p.add_argument("--at", required=True)
-    p.set_defaults(func=cmd_modal_eval)
-    p = msub.add_parser("valid")
-    p.add_argument("frame")
-    p.add_argument("formula")
-    p.set_defaults(func=cmd_modal_valid)
-
-    p = sub.add_parser("bisim", help="bounded bisimilarity of two pointed models")
-    p.add_argument("model1")
-    p.add_argument("model2")
-    p.add_argument("--at1", required=True)
-    p.add_argument("--at2", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(func=cmd_bisim)
-
-    fo = sub.add_parser("fo", help="first order evaluation and games")
-    fsub = fo.add_subparsers(dest="fo_command", required=True)
-    p = fsub.add_parser("eval")
-    p.add_argument("frame")
-    p.add_argument("formula")
-    p.add_argument("--let", action="append", metavar="var=vertex")
-    p.set_defaults(func=cmd_fo_eval)
-    p = fsub.add_parser("ef")
-    p.add_argument("frame1")
-    p.add_argument("frame2")
-    p.add_argument("--max-rounds", type=int, default=4)
-    p.set_defaults(func=cmd_fo_ef)
-    p = fsub.add_parser("los-like")
-    p.add_argument("frame")
-    p.add_argument("formula")
-    p.add_argument("--at", required=True)
-    p.set_defaults(func=cmd_fo_los_like)
-
-    p = sub.add_parser("hull", help="rooted n-hull of a vertex")
-    p.add_argument("frame")
-    p.add_argument("--at", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--formula", action="store_true")
-    p.set_defaults(func=cmd_hull)
-
-    p = sub.add_parser("census", help="hull-type census of a presented family")
-    p.add_argument("family")
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("skeleton", help="truncated extension skeleton of a family")
-    p.add_argument("family")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=cmd_skeleton)
-
-    p = sub.add_parser("detect", help="verdicts about a family's extension")
-    p.add_argument("property", choices=list(DETECT_FLAGS))
-    p.add_argument("family")
-    p.add_argument("--chi-threshold", type=int, help="reflexive only (default 10)")
-    p.add_argument("--depth", type=int, help="modal only (default 2)")
-    p.set_defaults(func=cmd_detect)
-
+    subs = {(): ap.add_subparsers(dest=_word_dest(()), required=True)}
+    for path, cmd in COMMANDS.items():
+        # a help keyword, even None, would list the subcommand in its parent's help
+        p = subs[path[:-1]].add_parser(path[-1], **({} if cmd.help is None else {"help": cmd.help}))
+        if cmd.func is None:
+            subs[path] = p.add_subparsers(dest=_word_dest(path), required=True)
+            continue
+        for name in cmd.positionals:
+            p.add_argument(name, **({"choices": cmd.choices[name]} if name in cmd.choices else {}))
+        for name, opt in cmd.options.items():
+            p.add_argument(name, **opt.kwargs())
+        p.set_defaults(func=cmd.func)
     return ap
 
 
-_parser = functools.cache(build_parser)  # built on the first main call, then reused
+_parser = functools.cache(build_parser)  # built for the first line match leaves to argparse, then reused
+
+
+def match(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace build_parser's parse_args returns for argv when argv is a plain command
+    line, else None.  Plain is: the command words, then the leaf's positionals in order, with
+    each option by its full name and, unless it is a flag, a value token that does not start
+    with "-"; every required option present, every int value read by int(), every choice kept."""
+    path, i = (), 0
+    while i < len(argv) and path + (argv[i],) in COMMANDS:
+        path, i = path + (argv[i],), i + 1
+    cmd = COMMANDS.get(path)
+    if cmd is None or cmd.func is None:
+        return None
+    values = {_dest(name): opt.default for name, opt in cmd.options.items()}
+    given, positionals = set(), []
+    tokens = iter(argv[i:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        opt = cmd.options.get(token)
+        if opt is None:
+            return None
+        given.add(token)
+        dest = _dest(token)
+        if opt.action == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is not plain either
+        if value.startswith("-"):
+            return None
+        if opt.type is not None:
+            try:
+                value = opt.type(value)
+            except ValueError:
+                return None
+        values[dest] = [*(values[dest] or ()), value] if opt.action == "append" else value
+    if len(positionals) != len(cmd.positionals) or any(
+            opt.required and name not in given for name, opt in cmd.options.items()):
+        return None
+    values.update(zip(cmd.positionals, positionals))
+    if any(values[name] not in choices for name, choices in cmd.choices.items()):
+        return None
+    words = {_word_dest(path[:k]): word for k, word in enumerate(path)}
+    return argparse.Namespace(**words, **values, func=cmd.func)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = match(sys.argv[1:] if argv is None else argv)
+        if args is None:  # help, or a line that is not plain: argparse reads it or reports the error
+            args = _parser().parse_args(argv)
         doc = args.func(args)  # the JSON answer, or None when the command wrote its own output
         if doc is not None:
             sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

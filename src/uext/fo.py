@@ -24,6 +24,7 @@ from .syntax import SYMBOLS, And, Imp, Not, Or, Parser, depth, fold
 from .ultra import Ultrafilter, build_ue
 
 SENTENCE_LIMIT = 4000  # sentences_upto's hard count cap
+KEYWORDS = ("exists", "forall", "R")  # the words that name no variable
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +68,11 @@ def free_vars(phi: FOFormula) -> frozenset[str]:
     return free_vars(phi.body) - {phi.var}
 
 
+def is_variable(name: str) -> bool:
+    """Whether the parser reads name as a variable: a word that is not a keyword."""
+    return re.fullmatch(r"[A-Za-z_]\w*", name) is not None and name not in KEYWORDS
+
+
 def quantifier_rank(phi: FOFormula) -> int:
     """Nesting depth of exists and forall."""
     return depth(phi, (Exists, Forall))
@@ -104,7 +110,7 @@ class _FOParser(Parser):
 
     def variable(self) -> str:
         tok = self.peek()
-        if tok is None or not re.fullmatch(r"[A-Za-z_]\w*", tok) or tok in ("exists", "forall", "R"):
+        if tok is None or not is_variable(tok):
             self.fail("a variable name")
         return self.take()
 

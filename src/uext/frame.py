@@ -14,6 +14,7 @@ result is reported in load order, so outputs are deterministic and diff-stable.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -21,6 +22,7 @@ from typing import Iterable, Iterator
 from .errors import InputError
 
 Edge = tuple[str, str]
+LETTER = re.compile(r"p\d+")  # a proposition letter, the only kind a valuation or a modal formula can name
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -288,8 +290,26 @@ def read_json(path: str, what: str):
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
 
 
+def read_model(path: str) -> tuple[Frame, dict[str, frozenset[str]]]:
+    """The frame in a model file, or in a frame file, and its valuation, empty when it has none.
+    The valuation is checked all the same: an object from letters to lists of distinct vertices."""
+    doc = read_json(path, "frame")
+    frame = frame_from_dict(doc)
+    val = doc.get("valuation", {})
+    if not isinstance(val, dict):
+        raise InputError("valuation must be an object mapping letters to vertex lists")
+    for p in val:
+        if not LETTER.fullmatch(p):
+            raise InputError(f"valuation has unknown letter {p!r} (known: p followed by digits)")
+    lists = {p: distinct((vertex_id(x) for x in json_array(xs, f"valuation of {p!r}")),
+                         "vertex", f"valuation of {p!r}")
+             for p, xs in val.items()}
+    return frame, {p: frame.check_vertices(lists[p]) for p in sorted(lists)}
+
+
 def load_frame(path: str) -> Frame:
-    return frame_from_dict(read_json(path, "frame"))
+    """The frame in a frame file, or in a model file, whose valuation is checked by read_model."""
+    return read_model(path)[0]
 
 
 def frame_to_dot(frame: Frame) -> str:

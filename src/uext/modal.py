@@ -22,12 +22,11 @@ from operator import and_
 
 from .caps import Budget
 from .errors import InputError
-from .frame import Frame, all_of, any_of, bits, refine, table
+from .frame import LETTER, Frame, all_of, any_of, bits, refine, table
 from .games import Game
 from .syntax import SYMBOLS, And, Imp, Not, Or, Parser, depth, fold
 from .ultra import UEFrame, build_ue
 
-LETTER = re.compile(r"p\d+")  # a proposition letter, the only kind a formula can name
 BLOCK_BITS = 16  # frame_valid decides 2^16 valuations per pass: 8 KiB per truth table
 
 
@@ -318,7 +317,7 @@ class _BisimGame(Game):
     two worlds' classes.  Rounds are refined as the scan asks, |W1| + |W2| typings a round, and
     never past the first round that splits no class; typing never recurses."""
 
-    ROUNDS = "n"
+    ROUNDS = "bisimulation depth"
 
     def __init__(self, m1: Model, m2: Model, ls):
         self.ls, n1 = sorted(ls), len(m1.frame.vertices)

@@ -5,6 +5,8 @@ Run from the repository root:
     PYTHONPATH=src python tests/golden/record.py
 
 cli.json holds exit code, stdout and stderr of each subcommand on fixtures/;
+help.json holds the -h output of uext and of every command path, printed at
+HELP_COLUMNS terminal columns;
 modal_parse.jsonl and fo_parse.jsonl hold seeded token strings, valid and
 invalid, each with its formatted parse or its error line; games.jsonl holds
 seeded EF frame pairs and pointed model pairs with their game outputs;
@@ -33,6 +35,7 @@ from helpers import (CAP_VARS, cli_outcome, game_outcome, hull_outcome, modal_tr
                      kmm_root, model_doc, parse_outcome, random_bounded_frame, random_frame, random_modal,
                      random_valuation, star)
 from uext import Frame, Model, format_modal, frame_to_dict  # noqa: E402
+from uext.cli import COMMANDS  # noqa: E402
 
 CORPUS_SEED = 20240527
 CORPUS_SIZE = 1000
@@ -93,6 +96,8 @@ CLI_ARGV = [
     ["detect", "modal", SUCC, "--depth", "1", "--budget", "2"],
     ["detect", "modal", LT],
 ]
+
+HELP_COLUMNS = 80
 
 # Grammar tokens and near misses; pieces are joined with random spacing, so
 # adjacent pieces can also merge into one token or into a different one.
@@ -258,6 +263,9 @@ def main() -> None:
             sys.exit(f"unset {var} before recording")
     cases = [cli_outcome(argv) for argv in CLI_ARGV]
     (HERE / "cli.json").write_text(json.dumps(cases, indent=1) + "\n")
+    os.environ["COLUMNS"] = str(HELP_COLUMNS)
+    cases = [cli_outcome([*path, "-h"]) for path in [(), *COMMANDS]]
+    (HERE / "help.json").write_text(json.dumps({"columns": HELP_COLUMNS, "cases": cases}, indent=1) + "\n")
     for logic in LOGICS:
         lines = [json.dumps([t, parse_outcome(logic, t)]) for t in corpus(logic, CORPUS_SEED, CORPUS_SIZE)]
         (HERE / f"{logic}_parse.jsonl").write_text("\n".join(lines) + "\n")

@@ -22,10 +22,13 @@ PARSERS = {"modal": (parse_modal, format_modal), "fo": (parse_fo, format_fo)}
 
 
 def cli_outcome(argv: list[str]) -> dict:
-    """Exit code, stdout and stderr of one in-process CLI run."""
+    """Exit code, stdout and stderr of one in-process CLI run; help exits through SystemExit."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

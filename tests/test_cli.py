@@ -83,6 +83,19 @@ def test_fo_eval_refuses_a_variable_bound_twice(capsys, tri):
     assert capsys.readouterr() == ("", "error: --let binds 'x' twice\n")
 
 
+@pytest.mark.parametrize("formula, binding, message", [
+    ("R(x,x)", "=a", "--let names '', which is not a variable"),
+    ("R(x,x)", "x y=a", "--let names 'x y', which is not a variable"),
+    ("R(x,x)", "exists=a", "--let names 'exists', which is not a variable"),
+    ("R(x,x)", "y=a", "--let binds 'y', which is not free in the formula"),
+    ("exists y. R(x,y)", "y=a", "--let binds 'y', which is not free in the formula"),
+])
+def test_fo_eval_refuses_a_binding_that_does_nothing(capsys, tri, formula, binding, message):
+    # each of these once exited 0: a binding the formula never reads was dropped unseen
+    assert main(["fo", "eval", tri, formula, "--let", "x=a", "--let", binding]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_fo_ef(capsys, tmp_path, tri):
     other = tmp_path / "single.json"
     other.write_text(json.dumps({"vertices": ["z"], "edges": []}))

@@ -1,5 +1,6 @@
-"""uext.cli.main builds its parser on the first call and reuses it: importing builds none, later
-calls build none, no call leaks into the next, and help still reads the terminal width."""
+"""uext.cli.main builds its parser only for a command line argparse must read, once, and reuses it:
+importing builds none, a plain line builds none, later calls build none, no call leaks into the
+next, and help still reads the terminal width."""
 
 import io
 import json
@@ -12,16 +13,13 @@ from pathlib import Path
 import pytest
 
 from helpers import CAP_VARS, cli_outcome
-from uext.cli import build_parser, main
+from uext.cli import COMMANDS as TABLE, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 CLI_CASES = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())
 PINNED = {tuple(case["argv"]): case for case in CLI_CASES}
 
-# every command path, one parser each
-COMMANDS = [[], ["ue"], ["ue", "build"], ["ue", "cross-check"], ["modal"], ["modal", "eval"],
-            ["modal", "valid"], ["bisim"], ["fo"], ["fo", "eval"], ["fo", "ef"], ["fo", "los-like"],
-            ["hull"], ["census"], ["skeleton"], ["detect"]]
+COMMANDS = [[], *map(list, TABLE)]  # uext and every command path, one parser each
 
 # Counts the parsers built in a fresh interpreter: after importing uext.cli, after the first main
 # call, and after each later call with its exit code.
@@ -59,20 +57,21 @@ def at_root(monkeypatch):
 
 
 def test_parser_built_once_per_process():
-    # the first call builds the whole tree; no later call builds a parser, whatever its subcommand
-    # or exit code: a usage error, a ResourceError (2) and a DefectError (3) among them
+    # a plain command line is read without argparse, so it builds no parser; the first line left
+    # to argparse (a usage error) builds the whole tree, and no later call builds another, whatever
+    # its subcommand or exit code: a usage error, a ResourceError (2) and a DefectError (3) among them
     firsts = {}  # the first pinned case of each command, all twelve that run
     for case in CLI_CASES:
         firsts.setdefault(max((" ".join(c) for c in COMMANDS if case["argv"][:len(c)] == c), key=len), case)
     assert len(firsts) == 12
-    calls = [case["argv"] for case in firsts.values()] + [["ue"]]
+    calls = [case["argv"] for case in firsts.values()] + [["ue"], ["ue"]]
     env = {k: v for k, v in os.environ.items() if k not in CAP_VARS} | {"PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", COUNTER, json.dumps(calls)], cwd=ROOT, env=env,
                           capture_output=True, text=True, check=True)
     seen = json.loads(done.stdout)
     assert seen[0] == ["import", None, 0]
-    assert [built for _, _, built in seen[1:]] == [len(COMMANDS)] * (len(calls) + 2)
-    assert [code for _, code, _ in seen[1:]] == [case["exit"] for case in firsts.values()] + [1, 2, 3]
+    assert [built for _, _, built in seen[1:]] == [0] * len(firsts) + [len(COMMANDS)] * 4
+    assert [code for _, code, _ in seen[1:]] == [case["exit"] for case in firsts.values()] + [1, 1, 2, 3]
 
 
 def test_golden_cases_forward_then_backward(at_root):

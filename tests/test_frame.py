@@ -104,3 +104,25 @@ def test_load_roundtrip(tmp_path):
     from uext import load_frame
 
     assert load_frame(str(p)) == TRI
+
+
+@pytest.mark.parametrize("valuation, message", [
+    ({"p0": ["zz"], "P1": 5}, "valuation has unknown letter 'P1' (known: p followed by digits)"),
+    ({"p0": ["zz"]}, "unknown vertex 'zz'"),
+    ({"p0": ["a", "a"]}, "duplicate vertex 'a' in valuation of 'p0'"),
+    (["a"], "valuation must be an object mapping letters to vertex lists"),
+])
+def test_load_frame_checks_a_model_files_valuation(tmp_path, capsys, valuation, message):
+    # the library reads a model file as every CLI frame command does; it once dropped the valuation unchecked
+    from uext import load_frame
+    from uext.cli import main
+
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({"vertices": ["a"], "edges": [], "valuation": valuation}))
+    with pytest.raises(InputError) as refused:
+        load_frame(str(p))
+    assert str(refused.value) == message
+    assert main(["ue", "build", str(p)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    p.write_text(json.dumps({"vertices": ["a"], "edges": [], "valuation": {"p0": ["a"]}}))
+    assert load_frame(str(p)) == Frame(("a",), frozenset())

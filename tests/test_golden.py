@@ -12,10 +12,12 @@ import pytest
 
 from helpers import CAP_VARS, PARSERS, cli_outcome, game_outcome, hull_outcome, modal_truth_outcome, parse_outcome
 from uext import InputError, format_fo, frame_from_dict, hull, hull_formula, parse_fo
+from uext.cli import COMMANDS
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 CLI_CASES = json.loads((GOLDEN / "cli.json").read_text())
+HELP = json.loads((GOLDEN / "help.json").read_text())
 
 
 @pytest.mark.parametrize("case", CLI_CASES, ids=[" ".join(c["argv"]) for c in CLI_CASES])
@@ -24,6 +26,16 @@ def test_cli_golden(case, monkeypatch):
     for var in CAP_VARS:
         monkeypatch.delenv(var, raising=False)
     assert cli_outcome(case["argv"]) == case
+
+
+@pytest.mark.parametrize("case", HELP["cases"], ids=[" ".join(c["argv"]) for c in HELP["cases"]])
+def test_help_golden(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", str(HELP["columns"]))  # help wraps at the terminal's width
+    assert cli_outcome(case["argv"]) == case
+
+
+def test_help_golden_covers_every_command_path():
+    assert [tuple(case["argv"][:-1]) for case in HELP["cases"]] == [(), *COMMANDS]
 
 
 @pytest.mark.parametrize("logic", sorted(PARSERS))
