@@ -12,8 +12,11 @@ only ever yield lower bounds.
 
 Every renamed copy a presentation needs (template copies, ray unrollings, the
 period-doubled ray quotient, skeleton representatives) is built by `_copies`,
-and every union of parts by `_union`.  A census certifies each distinct hull
-it meets once, and `detect modal` reads its census and expansion off the
+and every union of parts by `_union`, from the parts' successor rows, shifted
+or renumbered.  A census certifies each hull shape it meets once: its memo is keyed by
+the hull's rows renumbered root first (`RootedGraph.shape`), so isomorphic
+copies share one certificate, and the first hull met with each certificate is
+its representative.  `detect modal` reads its census and expansion off the
 skeleton.
 """
 
@@ -21,11 +24,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .errors import InputError, ResourceError
 from .frame import (FRAME_FIELDS, Frame, bits, distinct, frame_from_dict, frame_to_dict, json_array,
-                    json_pair, known_fields, read_json)
+                    json_pair, known_fields, read_json, relabel)
 from .hulls import RootedGraph, canonical_form, hull, rings
 
 OMEGA = "w"
@@ -55,20 +57,21 @@ class Ray:
             self.period.check_vertices([a, b])
 
 
-# builtin name -> (component i's vertex names, the edges among a component's names, degree
-# bound, chromatic number, out-degree witness).  A None bound or chromatic number is
+# builtin name -> (component i's vertex names, the successor rows of a component of m points,
+# degree bound, chromatic number, out-degree witness).  A None bound or chromatic number is
 # unbounded; an unbounded chromatic number is shown by component i, whose vertices form an
 # (i + 1)-clique in the union of components 0..i.  The witness is a vertex whose out-degree
 # grows without bound, None when every out-degree is finite.
 GENERATORS = {
-    # disjoint finite chains; component i is K_{i+1}
-    "chains_lt": (lambda i: tuple(f"c{i}:{j}" for j in range(i + 1)), lambda vs: combinations(vs, 2),
-                  None, None, None),
+    # disjoint finite chains; component i is K_{i+1}, each point below every later one
+    "chains_lt": (lambda i: tuple(f"c{i}:{j}" for j in range(i + 1)),
+                  lambda m: [(1 << m) - (2 << j) for j in range(m)], None, None, None),
     # the order on the naturals; component i puts every smaller natural below i
-    "nat_lt": (lambda i: tuple(map(str, range(i + 1))), lambda vs: ((v, vs[-1]) for v in vs[:-1]),
+    "nat_lt": (lambda i: tuple(map(str, range(i + 1))), lambda m: [1 << m - 1] * (m - 1) + [0],
                None, None, "0"),
     # the successor steps; component i is the step into i
-    "nat_succ": (lambda i: (str(i - 1), str(i)) if i else ("0",), lambda vs: zip(vs, vs[1:]), 2, 2, None),
+    "nat_succ": (lambda i: (str(i - 1), str(i)) if i else ("0",), lambda m: [2 << j for j in range(m - 1)] + [0],
+                 2, 2, None),
 }
 
 
@@ -98,7 +101,7 @@ class Generator:
 
     def component(self, i: int) -> Frame:
         verts = self.vertices(i)
-        return Frame(verts, frozenset(GENERATORS[self.name][1](verts)))
+        return Frame.from_rows(verts, GENERATORS[self.name][1](len(verts)))
 
     def expansion(self, count: int) -> Frame:
         """The union of components 0..count-1 (they may overlap)."""
@@ -156,17 +159,30 @@ def load_family(path: str) -> FamilyPresentation:
 
 def _union(parts: list[Frame]) -> Frame:
     """The parts' vertices in first-seen order and the union of their edges."""
-    verts = dict.fromkeys(v for p in parts for v in p.vertices)
-    return Frame(tuple(verts), frozenset(e for p in parts for e in p.edges))
+    index: dict[str, int] = {}
+    for p in parts:
+        for v in p.vertices:
+            index.setdefault(v, len(index))
+    rows = [0] * len(index)
+    for p in parts:
+        place = [1 << index[v] for v in p.vertices]
+        for v, row in zip(p.vertices, p.succ_mask):
+            rows[index[v]] |= relabel(row, place)
+    return Frame.from_rows(tuple(index), rows)
 
 
 def _copies(frame: Frame, copies, name, seam=(), nxt=None) -> Frame:
     """Copies of frame, vertex v of copy k renamed name(k, v), copy by copy; each
     seam edge (a, b) runs from a in copy k to b in copy nxt(k) where that copy exists."""
-    verts = tuple(name(k, v) for k in copies for v in frame.vertices)
-    edges = {(name(k, a), name(k, b)) for k in copies for a, b in frame.edges}
-    edges.update((name(k, a), name(nxt(k), b)) for k in copies for a, b in seam if nxt(k) in copies)
-    return Frame(verts, frozenset(edges))
+    m = len(frame.vertices)
+    offset = {k: c * m for c, k in enumerate(copies)}  # each copy's first position
+    rows = [row << start for start in offset.values() for row in frame.succ_mask]
+    for a, b in seam:
+        i, j = frame.index[a], frame.index[b]
+        for k, start in offset.items():
+            if nxt(k) in offset:
+                rows[start + i] |= 1 << offset[nxt(k)] + j
+    return Frame.from_rows(tuple(name(k, v) for k in copies for v in frame.vertices), rows)
 
 
 def _ray_unroll(ray: Ray, copies: range, tag: str) -> Frame:
@@ -217,13 +233,14 @@ class HullCensus:
     representatives: dict[str, RootedGraph] = field(default_factory=dict)
     exact: bool = True
     unbounded_suspected: set[str] = field(default_factory=set)
-    # each distinct hull is certified once: hull -> certificate hex
-    certificates: dict[RootedGraph, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # each hull shape is certified once: shape (RootedGraph.shape) -> certificate hex
+    certificates: dict[tuple[int, ...], str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def certify(self, h: RootedGraph) -> str:
-        if h not in self.certificates:
-            self.certificates[h] = canonical_form(h).hex
-        return self.certificates[h]
+        cert = self.certificates.get(h.shape)
+        if cert is None:
+            cert = self.certificates[h.shape] = canonical_form(h).hex
+        return cert
 
     def add(self, h: RootedGraph, count) -> None:
         cert = self.certify(h)

@@ -11,7 +11,7 @@ straight from that table into the namespace argparse would return: the
 command words, exactly the leaf's positionals in order, each option by its full
 name as its own token followed, unless it is a flag, by a value token that does
 not start with "-", every required option present, ``int`` values that
-``int()`` reads and choices kept.
+``integer`` reads and choices kept.
 
 Anything else goes to the argparse parser that ``build_parser`` builds from
 the same table: -h, an abbreviated option, --opt=value, a value or positional
@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import census as census_mod
@@ -160,9 +161,19 @@ def cmd_detect(args) -> dict:
     return {"verdict": v.kind, "evidence": v.evidence, "data": v.data}
 
 
+def integer(text: str) -> int:
+    """An int option's value: ASCII decimal digits, after an optional "-" so that a negative value
+    reaches its handler's own error.  This is the caps' rule; int() would also read spaces, "+",
+    "_" and other scripts' digits.  Both the matcher and argparse read int options through it."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 class Option(NamedTuple):
     """One option of a command: argparse's action (store, store_true or append), the type its value
-    is read as (int, or None for the string as given), its default, whether it is required, and
+    is read as (integer, or None for the string as given), its default, whether it is required, and
     the help text and metavar printed by -h."""
     action: str = "store"
     type: Callable | None = None
@@ -190,7 +201,7 @@ class Command(NamedTuple):
 
 FLAG = Option("store_true", default=False)
 AT = Option(required=True)
-DEPTH = Option(type=int, required=True)
+DEPTH = Option(type=integer, required=True)
 
 # every command path, in the order -h lists them; the one declaration of the command line
 COMMANDS = {
@@ -205,17 +216,17 @@ COMMANDS = {
     ("fo",): Command(help="first order evaluation and games"),
     ("fo", "eval"): Command(cmd_fo_eval, ("frame", "formula"),
                             {"--let": Option("append", metavar="var=vertex")}),
-    ("fo", "ef"): Command(cmd_fo_ef, ("frame1", "frame2"), {"--max-rounds": Option(type=int, default=4)}),
+    ("fo", "ef"): Command(cmd_fo_ef, ("frame1", "frame2"), {"--max-rounds": Option(type=integer, default=4)}),
     ("fo", "los-like"): Command(cmd_fo_los_like, ("frame", "formula"), {"--at": AT}),
     ("hull",): Command(cmd_hull, ("frame",), {"--at": AT, "--depth": DEPTH, "--formula": FLAG},
                        help="rooted n-hull of a vertex"),
     ("census",): Command(cmd_census, ("family",), {"--depth": DEPTH},
                          help="hull-type census of a presented family"),
-    ("skeleton",): Command(cmd_skeleton, ("family",), {"--depth": DEPTH, "--budget": Option(type=int)},
+    ("skeleton",): Command(cmd_skeleton, ("family",), {"--depth": DEPTH, "--budget": Option(type=integer)},
                            help="truncated extension skeleton of a family"),
     ("detect",): Command(cmd_detect, ("property", "family"),
-                         {"--chi-threshold": Option(type=int, help="reflexive only (default 10)"),
-                          "--depth": Option(type=int, help="modal only (default 2)")},
+                         {"--chi-threshold": Option(type=integer, help="reflexive only (default 10)"),
+                          "--depth": Option(type=integer, help="modal only (default 2)")},
                          choices={"property": list(DETECT_FLAGS)}, help="verdicts about a family's extension"),
 }
 
@@ -262,7 +273,7 @@ def match(argv: list[str]) -> argparse.Namespace | None:
     """The namespace build_parser's parse_args returns for argv when argv is a plain command
     line, else None.  Plain is: the command words, then the leaf's positionals in order, with
     each option by its full name and, unless it is a flag, a value token that does not start
-    with "-"; every required option present, every int value read by int(), every choice kept."""
+    with "-"; every required option present, every int value read by integer, every choice kept."""
     path, i = (), 0
     while i < len(argv) and path + (argv[i],) in COMMANDS:
         path, i = path + (argv[i],), i + 1
@@ -290,7 +301,7 @@ def match(argv: list[str]) -> argparse.Namespace | None:
         if opt.type is not None:
             try:
                 value = opt.type(value)
-            except ValueError:
+            except argparse.ArgumentTypeError:
                 return None
         values[dest] = [*(values[dest] or ()), value] if opt.action == "append" else value
     if len(positionals) != len(cmd.positionals) or any(
@@ -303,6 +314,59 @@ def match(argv: list[str]) -> argparse.Namespace | None:
     return argparse.Namespace(**words, **values, func=cmd.func)
 
 
+def dumps(doc) -> str:
+    """doc as ``json.dumps(doc, indent=2, sort_keys=True)`` writes it, byte for byte.  The stdlib
+    writes an indented document with its pure-Python encoder; this writer appends to one list."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    return "".join(out)
+
+
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append value's JSON text to out.  indent opens the line of its closing bracket, and each
+    member's line opens with indent and two more spaces."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict) and value:
+        inner = indent + "  "
+        lead, sep = "{" + inner, "," + inner
+        for key, item in sorted(value.items()):
+            out.append(lead + encode_basestring_ascii(key if isinstance(key, str) else _scalar(key)) + ": ")
+            _write(item, inner, out)
+            lead = sep
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        lead, sep = "[" + inner, "," + inner
+        for item in value:
+            if isinstance(item, str):  # a vertex id, the commonest member, without a call
+                out.append(lead + encode_basestring_ascii(item))
+            else:
+                out.append(lead)
+                _write(item, inner, out)
+            lead = sep
+        out.append(indent + "]")
+    else:
+        out.append(_scalar(value))
+
+
+def _scalar(value) -> str:
+    """The JSON text of an empty array or object, null, a bool or a number."""
+    if isinstance(value, (list, tuple, dict)):
+        return "{}" if isinstance(value, dict) else "[]"
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = match(sys.argv[1:] if argv is None else argv)
@@ -310,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
             args = _parser().parse_args(argv)
         doc = args.func(args)  # the JSON answer, or None when the command wrote its own output
         if doc is not None:
-            sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            sys.stdout.write(dumps(doc) + "\n")
         return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,6 +56,7 @@ class Forall:
 
 
 FOFormula = Rel | Eq | Not | And | Or | Imp | Exists | Forall
+QUANTIFIERS = {Exists: "exists", Forall: "forall"}  # each quantifier's keyword
 
 
 def free_vars(phi: FOFormula) -> frozenset[str]:
@@ -79,25 +80,30 @@ def quantifier_rank(phi: FOFormula) -> int:
 
 
 def format_fo(phi: FOFormula) -> str:
-    if isinstance(phi, Rel):
-        return f"R({phi.left},{phi.right})"
-    if isinstance(phi, Eq):
-        return f"{phi.left}={phi.right}"
-    if isinstance(phi, Not):
-        return f"~{_atomish(phi.sub)}"
-    if isinstance(phi, Exists):
-        return f"exists {phi.var}. {format_fo(phi.body)}"
-    if isinstance(phi, Forall):
-        return f"forall {phi.var}. {format_fo(phi.body)}"
-    left = format_fo(phi.left)
-    if isinstance(phi.left, (Exists, Forall)):  # a quantifier's scope would run on past it
-        left = f"({left})"
-    return f"({left} {SYMBOLS[type(phi)]} {format_fo(phi.right)})"
-
-
-def _atomish(phi: FOFormula) -> str:
-    s = format_fo(phi)
-    return s if isinstance(phi, (Rel, Eq, Not)) or s.startswith("(") else f"({s})"
+    """phi's text, printed in a loop: the stack holds the text still to print, as strings and
+    subformulas, the next on top.  A quantifier under ~ or left of a connective is put in
+    parentheses, since its scope would run on past them."""
+    out, todo = [], [phi]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is str:
+            out.append(node)
+        elif kind in SYMBOLS:
+            out.append("(")
+            todo += (")", node.right, SYMBOLS[kind])
+            todo += (")", node.left, "(") if type(node.left) in QUANTIFIERS else (node.left,)
+        elif kind is Rel:
+            out.append(f"R({node.left},{node.right})")
+        elif kind is Not:
+            out.append("~")
+            todo += (")", node.sub, "(") if type(node.sub) in QUANTIFIERS else (node.sub,)
+        elif kind is Eq:
+            out.append(f"{node.left}={node.right}")
+        else:
+            out.append(f"{QUANTIFIERS[kind]} {node.var}. ")
+            todo.append(node.body)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,23 @@
 Vertex ids are strings only at the I/O boundary: loaders, JSON and DOT output,
 and the names in witnesses.  Below it a vertex is its index in the vertex
 tuple (the load order) and a set of vertices is an int bitmask whose bit i is
-vertices[i]; successor and predecessor sets are the rows succ_mask and
-pred_mask, built once from the edges.  Every relation image and every test
-of the lifted relation folds rows over a mask through `any_of` (a union) or
-`all_of` (an intersection): R+(X) is the union of X's successor rows.  Hull
-colours and bisimulation types are both refined by `refine`.  Every set-valued
-result is reported in load order, so outputs are deterministic and diff-stable.
+vertices[i].  A frame is its successor rows, succ_mask: the reader writes them
+in its one pass over a document, and every frame uext derives (a subframe, a
+copy, a union, an extension) is built from rows by `Frame.from_rows`, never
+from pairs of names and never checked twice.  The predecessor rows pred_mask
+and the edge set of name pairs are derived from the rows when first read.
+Every relation image and every test of the lifted relation folds rows over a
+mask through `any_of` (a union) or `all_of` (an intersection): R+(X) is the
+union of X's successor rows.  Hull colours and bisimulation types are both
+refined by `refine`.  Every set-valued result is reported in load order, so
+outputs are deterministic and diff-stable.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -79,49 +83,79 @@ def refine(colors: list, signatures) -> Iterator[list[int]]:
         yield colors
 
 
-@dataclass(frozen=True)
 class Frame:
-    """A finite directed graph ``<W, R>`` with ordered, uniquely named vertices."""
+    """A finite directed graph ``<W, R>`` with ordered, uniquely named vertices, held as its
+    successor rows: bit j of succ_mask[i] is set iff vertices[i] R vertices[j].
+
+    ``Frame(vertices, edges)`` checks its input and is the public way in.  A frame uext derives
+    itself (a hull, a copy, a union, an extension) is built by ``Frame.from_rows`` from rows it
+    already holds, and checked no second time.  The edge set of name pairs, the name index and
+    the predecessor rows are derived from the rows when first read.  Frames are immutable and
+    hashable, and two are equal exactly when their vertices and edges are.
+    """
 
     vertices: tuple[str, ...]
-    edges: frozenset[Edge]
+    succ_mask: tuple[int, ...]  # successor sets as int bitmasks over load order (bit i is vertices[i])
 
-    def __post_init__(self):
-        seen = set()
-        for v in self.vertices:
-            if v in seen:
-                raise InputError(f"duplicate vertex id {v!r}")
-            seen.add(v)
-        for a, b in self.edges:
-            if a not in seen or b not in seen:
+    def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]):
+        vertices, edges = tuple(vertices), frozenset(edges)
+        index = dict(zip(vertices, range(len(vertices))))
+        if len(index) < len(vertices):
+            raise InputError(f"duplicate vertex id {_first_repeat(vertices)!r}")
+        rows = [0] * len(vertices)
+        for a, b in edges:
+            if a not in index or b not in index:
                 raise InputError(f"edge ({a!r}, {b!r}) has an endpoint outside the vertex set")
+            rows[index[a]] |= 1 << index[b]
+        self.__dict__.update(vertices=vertices, succ_mask=tuple(rows), index=index, edges=edges)
+
+    @classmethod
+    def from_rows(cls, vertices: tuple[str, ...], succ) -> Frame:
+        """The frame whose vertex i has the successor row succ[i], trusted: the ids are distinct
+        and every row lies within len(vertices) bits."""
+        frame = object.__new__(cls)
+        frame.__dict__.update(vertices=vertices, succ_mask=tuple(succ))
+        return frame
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return self is other or (self.vertices == other.vertices and self.succ_mask == other.succ_mask)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.succ_mask))
+
+    def __repr__(self) -> str:
+        return f"Frame(vertices={self.vertices!r}, edges={self.edges!r})"
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """The edges as (from, to) pairs of vertex ids."""
+        verts = self.vertices
+        return frozenset((verts[i], verts[j]) for i, row in enumerate(self.succ_mask) for j in bits(row))
 
     @cached_property
     def index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    def _rows(self, end: int) -> tuple[int, ...]:
-        rows, index = [0] * len(self.vertices), self.index
-        for e in self.edges:
-            rows[index[e[end]]] |= 1 << index[e[1 - end]]
-        return tuple(rows)
-
-    @cached_property
-    def succ_mask(self) -> tuple[int, ...]:
-        """Successor sets as int bitmasks over load order (bit i is vertices[i])."""
-        return self._rows(0)
+        return dict(zip(self.vertices, range(len(self.vertices))))
 
     @cached_property
     def pred_mask(self) -> tuple[int, ...]:
-        """Predecessor sets as int bitmasks over load order."""
-        return self._rows(1)
+        """Predecessor sets as int bitmasks over load order: the successor rows transposed."""
+        return transpose(self.succ_mask)
 
     def image(self, x: int, forward: bool) -> int:
         """R+(X) if forward, else R-(X), for the bitmask x: the union of x's successor (predecessor) rows."""
         return any_of((self.succ_mask if forward else self.pred_mask).__getitem__, x)
 
     def has_edge(self, a: str, b: str) -> bool:
-        return (a, b) in self.edges
+        i, j = self.index.get(a), self.index.get(b)
+        return i is not None and j is not None and bool(self.succ_mask[i] >> j & 1)
 
     def check_vertices(self, xs: Iterable[str]) -> frozenset[str]:
         xs = frozenset(xs)
@@ -151,7 +185,44 @@ class Frame:
 
     def restrict(self, mask: int) -> Frame:
         """The subframe induced by a bitmask, its vertices in load order."""
-        return Frame(tuple(self.names(mask)), frozenset(self.sorted_edges(mask)))
+        keep = list(bits(mask & (1 << len(self.vertices)) - 1))
+        place = [0] * len(self.vertices)  # each kept vertex's bit in the subframe
+        for k, i in enumerate(keep):
+            place[i] = 1 << k
+        succ = self.succ_mask
+        return Frame.from_rows(tuple(self.vertices[i] for i in keep),
+                               [relabel(succ[i] & mask, place) for i in keep])
+
+
+def relabel(row: int, place) -> int:
+    """The row with each set bit j moved to the bitmask place[j]."""
+    out = 0
+    while row:
+        low = row & -row
+        out |= place[low.bit_length() - 1]
+        row ^= low
+    return out
+
+
+def transpose(rows) -> tuple[int, ...]:
+    """The rows of the converse relation: bit i of row j is set iff bit j of rows[i] is."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return tuple(out)
+
+
+def _first_repeat(items):
+    """The first item equal to an earlier one."""
+    seen = set()
+    for x in items:
+        if x in seen:
+            return x
+        seen.add(x)
 
 
 @dataclass(frozen=True)
@@ -207,30 +278,55 @@ def boundedness(frame: Frame) -> Boundedness:
 
 def reverse(frame: Frame) -> Frame:
     """The same vertices with every edge flipped."""
-    return Frame(frame.vertices, frozenset((b, a) for a, b in frame.edges))
+    return Frame.from_rows(frame.vertices, frame.pred_mask)
 
 
 def induced_subframe(frame: Frame, xs: Iterable[str]) -> Frame:
     return frame.restrict(frame.mask(xs))
 
 
-FRAME_FIELDS = ("vertices", "edges")  # a frame document's fields; a model file adds "valuation"
+FRAME_FIELDS = ("vertices", "edges")  # a frame document's fields
+MODEL_FIELDS = FRAME_FIELDS + ("valuation",)  # a model file's: a frame and the valuation on it
 
 
-def frame_from_dict(doc: dict, fields: tuple[str, ...] = FRAME_FIELDS + ("valuation",)) -> Frame:
+def frame_from_dict(doc: dict, fields: tuple[str, ...] = FRAME_FIELDS) -> Frame:
     """Build a Frame from the JSON document shape {"vertices": [...], "edges": [[a,b],...]}.
 
-    The document may have only the given fields: by default a model's
-    "valuation" may ride along, read and checked by its loader, while a frame
-    nested in a family is read with FRAME_FIELDS.  Any other field, and a
-    duplicate edge, is rejected by name.
+    The document may have only the given fields: a model file's reader lets
+    its "valuation" ride along, to check it itself.  Any other field is
+    rejected by name.  One pass over the edges checks each and sets its bit
+    in the successor rows.  The first fault is reported in this order: the
+    document's shape and ids, then within the edges in document order a
+    malformed entry or a repeated edge, then a repeated vertex, then the
+    first edge with an endpoint outside the vertex set.
     """
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise InputError('frame document must have "vertices" and "edges" fields')
     known_fields(doc, fields, "frame document")
     vertices = tuple(vertex_id(v) for v in json_array(doc["vertices"], '"vertices"'))
-    edges = distinct((json_pair(pair, "edge") for pair in json_array(doc["edges"], '"edges"')), "edge")
-    return Frame(vertices, frozenset(edges))
+    index = dict(zip(vertices, range(len(vertices))))  # a repeated id keeps one position
+    rows = [0] * len(vertices)
+    outside: dict[Edge, None] = {}  # the edges with an endpoint outside the vertex set, in order
+    for entry in json_array(doc["edges"], '"edges"'):
+        if type(entry) is list and len(entry) == 2 and type(entry[0]) is str and type(entry[1]) is str:
+            a, b = entry
+        else:
+            a, b = json_pair(entry, "edge")
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            seen = (a, b) in outside
+            outside[a, b] = None
+        else:
+            seen = rows[i] >> j & 1
+            rows[i] |= 1 << j
+        if seen:
+            raise InputError(f"duplicate edge {[a, b]!r} in input")
+    if len(index) < len(vertices):
+        raise InputError(f"duplicate vertex id {_first_repeat(vertices)!r}")
+    if outside:
+        a, b = next(iter(outside))
+        raise InputError(f"edge ({a!r}, {b!r}) has an endpoint outside the vertex set")
+    return Frame.from_rows(vertices, rows)
 
 
 def frame_to_dict(frame: Frame) -> dict:
@@ -294,7 +390,7 @@ def read_model(path: str) -> tuple[Frame, dict[str, frozenset[str]]]:
     """The frame in a model file, or in a frame file, and its valuation, empty when it has none.
     The valuation is checked all the same: an object from letters to lists of distinct vertices."""
     doc = read_json(path, "frame")
-    frame = frame_from_dict(doc)
+    frame = frame_from_dict(doc, MODEL_FIELDS)
     val = doc.get("valuation", {})
     if not isinstance(val, dict):
         raise InputError("valuation must be an object mapping letters to vertex lists")

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .errors import InputError, ResourceError
 from .fo import Eq, Exists, FOFormula, Forall, Rel
-from .frame import Frame, bits, refine
+from .frame import Frame, bits, refine, relabel
 from .syntax import MAX_DEPTH, And, Imp, Not, Or, depth, fold
 
 CERT_VERSION = b"HT1"
@@ -58,8 +58,18 @@ class RootedGraph:
     @cached_property
     def order(self) -> list[int]:
         """Vertex indices by distance from the root, then load order; unreached vertices last."""
-        n = len(self.graph.vertices)
-        return sorted(range(n), key=lambda i: (self.layers.get(self.graph.vertices[i], n), i))
+        g = self.graph
+        by_distance = rings(g, g.index[self.root], len(g.vertices))
+        return [i for ring in by_distance + [(1 << len(g.vertices)) - 1 - sum(by_distance)] for i in bits(ring)]
+
+    @cached_property
+    def shape(self) -> tuple[int, ...]:
+        """The successor rows renumbered in `order`, the root first.  Two rooted graphs of equal
+        shape are rooted-isomorphic through their positions, so their certificates are equal."""
+        place = [0] * len(self.order)
+        for k, i in enumerate(self.order):
+            place[i] = 1 << k
+        return tuple(relabel(self.graph.succ_mask[i], place) for i in self.order)
 
 
 @dataclass(frozen=True)
@@ -145,11 +155,16 @@ def canonical_form(h: RootedGraph) -> HullType:
     return HullType(_labelling(h)[0], len(h.graph.vertices), h.depth)
 
 
+def _size(g: Frame) -> int:
+    """The number of edges."""
+    return sum(map(int.bit_count, g.succ_mask))
+
+
 def rooted_iso(h1: RootedGraph, h2: RootedGraph) -> tuple[bool, dict[str, str] | None]:
     """Exact root-preserving digraph isomorphism; the witness maps each vertex of h1 to the
     vertex of h2 with the same canonical label."""
     g1, g2 = h1.graph, h2.graph
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+    if len(g1.vertices) != len(g2.vertices) or _size(g1) != _size(g2):
         return False, None
     (cert1, labels1), (cert2, labels2) = _labelling(h1), _labelling(h2)
     if cert1 != cert2:

@@ -55,6 +55,7 @@ class Box:
 
 
 ModalFormula = Prop | Falsum | Not | And | Or | Imp | Dia | Box
+PREFIXES = {Not: "~", Dia: "<>", Box: "[]"}  # each unary operator's token
 
 TOP: ModalFormula = Not(Falsum())
 
@@ -75,17 +76,25 @@ def modal_depth(phi: ModalFormula) -> int:
 
 
 def format_modal(phi: ModalFormula) -> str:
-    if isinstance(phi, Prop):
-        return phi.name
-    if isinstance(phi, Falsum):
-        return "(p0 & ~p0)"  # falsum has no surface token in the grammar
-    if isinstance(phi, Not):
-        return f"~{format_modal(phi.sub)}"
-    if isinstance(phi, Dia):
-        return f"<>{format_modal(phi.sub)}"
-    if isinstance(phi, Box):
-        return f"[]{format_modal(phi.sub)}"
-    return f"({format_modal(phi.left)} {SYMBOLS[type(phi)]} {format_modal(phi.right)})"
+    """phi's text, printed in a loop: the stack holds the text still to print, as strings and
+    subformulas, the next on top."""
+    out, todo = [], [phi]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Prop:
+            out.append(node.name)
+        elif kind is str:
+            out.append(node)
+        elif kind in SYMBOLS:
+            out.append("(")
+            todo += (")", node.right, SYMBOLS[kind], node.left)
+        elif kind is Falsum:
+            out.append("(p0 & ~p0)")  # falsum has no surface token in the grammar
+        else:
+            out.append(PREFIXES[kind])
+            todo.append(node.sub)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

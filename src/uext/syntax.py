@@ -49,7 +49,7 @@ class Imp:
     right: object
 
 
-SYMBOLS = {And: "&", Or: "|", Imp: "->"}  # each binary connective's token
+SYMBOLS = {And: " & ", Or: " | ", Imp: " -> "}  # each binary connective's token, as printed between its operands
 
 
 class Parser:

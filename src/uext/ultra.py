@@ -13,11 +13,10 @@ past a configurable carrier size rather than silently approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .caps import Budget
 from .errors import DefectError, InputError
-from .frame import Frame, all_of, any_of, bits, table
+from .frame import Frame, all_of, any_of, bits, table, transpose
 
 
 @dataclass(frozen=True)
@@ -44,11 +43,6 @@ def enumerate_ultrafilters(frame: Frame) -> list[Ultrafilter]:
     return [Ultrafilter(frame, w) for w in frame.vertices]
 
 
-def _holders(rows: tuple[int, ...], w: int) -> int:
-    """The points j whose row holds w."""
-    return sum(1 << j for j, row in enumerate(rows) if row >> w & 1)
-
-
 def _within(x: int, y: int) -> bool:
     """x is a subset of y, both read as bitsets."""
     return x & y == x
@@ -73,19 +67,21 @@ def _mode_rows(frame: Frame) -> dict[str, list[int]]:
     n = len(frame.vertices)
     Budget("powerset").charge(n)  # before any table is allocated
     succ, pred = frame.succ_mask, frame.pred_mask
+    pred_holders, succ_holders = transpose(pred), transpose(succ)  # [w]: the points whose row holds w
     tables = [table(j, n) for j in range(n)]
     t_j = tables.__getitem__
     ones = (1 << (1 << n)) - 1
     rows = {"A": [0] * n, "B": [0] * n, "C": [0] * n}
     for u in range(n):
-        d_u, b_u = any_of(t_j, _holders(pred, u)), all_of(t_j, succ[u], ones)
-        rows["A"][u] = sum(1 << v for v in range(n) if _within(tables[v], d_u))
-        rows["B"][u] = sum(1 << v for v in range(n) if _within(b_u, tables[v]))
+        d_u, b_u = any_of(t_j, pred_holders[u]), all_of(t_j, succ[u], ones)
+        rows["A"][u] = sum(1 << v for v, t_v in enumerate(tables) if t_v & d_u == t_v)  # T_v within D_u
+        rows["B"][u] = sum(1 << v for v, t_v in enumerate(tables) if b_u & t_v == b_u)  # B_u within T_v
+    c_rows = rows["C"]
     for v in range(n):
-        p_v = any_of(t_j, _holders(succ, v))
-        for u in range(n):
-            if _within(tables[u], p_v):
-                rows["C"][u] |= 1 << v
+        p_v, bit = any_of(t_j, succ_holders[v]), 1 << v
+        for u, t_u in enumerate(tables):
+            if t_u & p_v == t_u:  # T_u within P_v
+                c_rows[u] |= bit
     return rows
 
 
@@ -111,10 +107,10 @@ def ue_related(u: Ultrafilter, v: Ultrafilter, mode: str) -> bool:
         return table(k, n)
 
     if mode == "A":
-        return _within(t_j(j), any_of(t_j, _holders(frame.pred_mask, i)))
+        return _within(t_j(j), any_of(t_j, transpose(frame.pred_mask)[i]))
     if mode == "B":
         return _within(all_of(t_j, frame.succ_mask[i], (1 << (1 << n)) - 1), t_j(j))
-    return _within(t_j(i), any_of(t_j, _holders(frame.succ_mask, j)))
+    return _within(t_j(i), any_of(t_j, transpose(frame.succ_mask)[j]))
 
 
 @dataclass(frozen=True)
@@ -123,12 +119,12 @@ class UEFrame:
 
     base: Frame
     ultrafilters: tuple[Ultrafilter, ...]
-    ue_edges: frozenset[tuple[str, str]]  # edges between ultrafilter names "pi:<id>"
+    frame: Frame  # the extension as a plain Frame over ids ``pi:<original id>``
 
-    @cached_property
-    def frame(self) -> Frame:
-        """The extension viewed as a plain Frame over ids ``pi:<original id>``."""
-        return Frame(tuple(u.name for u in self.ultrafilters), self.ue_edges)
+    @property
+    def ue_edges(self) -> frozenset[tuple[str, str]]:
+        """The edges between ultrafilter names "pi:<id>"."""
+        return self.frame.edges
 
 
 def build_ue(frame: Frame) -> UEFrame:
@@ -142,9 +138,7 @@ def build_ue(frame: Frame) -> UEFrame:
                     if len({rows[m][i] >> j & 1 for m in "ABC"}) > 1)
         a, b, c = (bool(rows[m][i] >> j & 1) for m in "ABC")
         raise DefectError(f"ue_related modes disagree at ({ufs[i].name}, {ufs[j].name}): A={a} B={b} C={c}")
-    names = [u.name for u in ufs]
-    edges = frozenset((names[i], names[j]) for i, row in enumerate(rows["A"]) for j in bits(row))
-    return UEFrame(frame, tuple(ufs), edges)
+    return UEFrame(frame, tuple(ufs), Frame.from_rows(tuple(u.name for u in ufs), rows["A"]))
 
 
 def canonical_embedding(frame: Frame) -> dict[str, Ultrafilter]:

@@ -11,6 +11,7 @@ from uext import (Frame, InputError, Model, ResourceError, canonical_form, endpo
                   hull_formula, modal_logic_coincides, reflexive_point_in_ue, relation_image, rooted_iso,
                   ue_skeleton)
 from uext.census import census_to_dict, clique_lower_bound
+from uext.frame import MODEL_FIELDS
 from uext.cli import main
 from uext.fo import distinguishing_sentence, ef_min_rounds, format_fo, parse_fo, spoiler_line
 from uext.modal import (And, Box, Dia, Falsum, Imp, Not, Or, Prop, eval_modal, format_modal, frame_valid,
@@ -51,7 +52,7 @@ def game_outcome(case: dict) -> dict:
         out.update(min_rounds=ef_min_rounds(f1, f2, k), spoiler_line=spoiler_line(f1, f2, k),
                    sentence=None if phi is None else format_fo(phi))
         return out
-    m1, m2 = (Model.make(frame_from_dict(doc), doc["valuation"]) for doc in case["models"])
+    m1, m2 = (Model.make(frame_from_dict(doc, MODEL_FIELDS), doc["valuation"]) for doc in case["models"])
     (w1, w2), n = case["at"], case["depth"]
     _, phi = modally_equivalent_upto(m1, w1, m2, w2, n, case["letters"])
     out.update(bisimilar=n_bisimilar(m1, w1, m2, w2, n), witness=None if phi is None else format_modal(phi))
@@ -68,7 +69,7 @@ def modal_truth_outcome(case: dict) -> dict:
     phi = parse_modal(case["formula"])
     if "model" in case:
         doc = case["model"]
-        m = Model.make(frame_from_dict(doc), doc["valuation"])
+        m = Model.make(frame_from_dict(doc, MODEL_FIELDS), doc["valuation"])
         out.update(truth_set=in_load_order(m.frame, truth_set(m, phi)), holds=eval_modal(m, case["at"], phi))
         return out
     ok, counter = frame_valid(frame_from_dict(case["frame"]), phi)

@@ -11,6 +11,7 @@ from uext import (
     Ray,
     ResourceError,
     build_ue,
+    canonical_form,
     expand,
     family_from_dict,
     generated_substructure_verdict,
@@ -300,6 +301,31 @@ def test_each_hull_is_certified_once_per_call(monkeypatch):
                     f"{call.__name__} at depth {n}: {len(certified)} certificates for {distinct} hulls of {fam}"
                 total += distinct
     assert total  # the wrapper saw the census's certificates
+
+
+def test_hulls_of_one_shape_are_certified_once(monkeypatch):
+    # the memo is keyed by a hull's rows renumbered root first, so isomorphic copies hit it
+    calls = []
+    real = census_mod.canonical_form
+    monkeypatch.setattr(census_mod, "canonical_form", lambda h: calls.append(h) or real(h))
+    leaves = [f"l{i}" for i in range(6)]
+    star = family_from_dict({"omega_templates": [{"vertices": ["c", *leaves], "edges": [["c", v] for v in leaves]}]})
+    assert len(hull_census(star, 1).entries) == 2 and len(calls) == 2
+    for fam in _family_corpus(seed=322, size=40):
+        for n in (1, 2):
+            calls.clear()
+            census = hull_census(fam, n)
+            assert len({h.shape for h in calls}) == len(calls) == len(census.certificates)
+
+
+def test_hulls_of_one_shape_have_one_certificate():
+    for fam in _family_corpus(seed=323, size=30):
+        frame = expand(fam, 3)
+        for n in (1, 2):
+            certs: dict = {}
+            for v in frame.vertices:
+                h = hull(frame, v, n)
+                assert certs.setdefault(h.shape, canonical_form(h).hex) == canonical_form(h).hex
 
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))

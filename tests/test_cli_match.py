@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from uext.cli import COMMANDS, build_parser, match
+from uext.cli import COMMANDS, build_parser, main, match
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -127,16 +127,31 @@ EF = ["fo", "ef", T, T]
     EF + ["-h"], EF + ["--max-rounds"], EF + ["--max-rounds", "two"], EF + ["extra"], EF[:3],
     ["ue"], ["fo", "build", T], [], ["-h"], ["ue", "build", "-"], ["detect", "other", T],
     ["hull", T, "--at", "a"], ["bisim", T, T, "--at", "a", "--at2", "a", "--depth", "1"],
+    # an int value is ASCII decimal digits after an optional "-", however much more int() reads
+    EF + ["--max-rounds", " 2"], EF + ["--max-rounds", "+2"], EF + ["--max-rounds", "1_0"],
+    EF + ["--max-rounds", "\u0663"],
 ])
 def test_what_is_not_plain_goes_to_argparse(argv):
     assert match(argv) is None
+
+
+@pytest.mark.parametrize("value", [" 7 ", "+3", "1_000", "\u0661_0", "\u0663", "-\u0663", "-"])
+@pytest.mark.parametrize("spelling", ["plain", "joined", "abbreviated"])
+def test_an_int_value_int_reads_but_the_caps_do_not_is_one_error_line(capsys, monkeypatch, value, spelling):
+    # the matcher leaves the line to argparse, which refuses it through the same reader
+    monkeypatch.chdir(ROOT)
+    tail = {"plain": ["--depth", value], "joined": [f"--depth={value}"], "abbreviated": ["--dep", value]}[spelling]
+    assert main(["census", "fixtures/nat_succ.json", *tail]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: uext census: argument --depth: invalid int value: {value!r}\n"
 
 
 @pytest.mark.parametrize("argv", [
     EF, EF + ["--max-rounds", "2"], ["fo", "ef", "--max-rounds", "2", T, T],
     EF + ["--max-rounds", "1", "--max-rounds", "2"],
     ["fo", "eval", T, "x=x", "--let", "x=a", "--let", "y=b"], ["ue", "build", T, "--dot", "--dot"],
-    ["modal", "eval", T, "", "--at", ""], ["detect", "modal", T, "--depth", " 3"],
+    ["modal", "eval", T, "", "--at", ""], ["detect", "modal", T, "--depth", "03"],
 ])
 def test_plain_lines_are_matched(argv):
     assert agrees(argv)

@@ -1,21 +1,33 @@
 import json
+import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frame_oracle
 from uext import (
     Frame,
     InputError,
     boundedness,
+    build_ue,
     degree,
+    family_from_dict,
     frame_from_dict,
     frame_to_dict,
     frame_to_dot,
+    hull,
+    hull_census,
     induced_subframe,
+    load_family,
+    load_frame,
     relation_image,
     reverse,
+    ue_skeleton,
 )
+from uext.frame import MODEL_FIELDS
 
 TRI = Frame(("a", "b", "c"), frozenset([("a", "b"), ("a", "c"), ("b", "c")]))
 
@@ -126,3 +138,121 @@ def test_load_frame_checks_a_model_files_valuation(tmp_path, capsys, valuation, 
     assert capsys.readouterr() == ("", f"error: {message}\n")
     p.write_text(json.dumps({"vertices": ["a"], "edges": [], "valuation": {"p0": ["a"]}}))
     assert load_frame(str(p)) == Frame(("a",), frozenset())
+
+
+def test_a_top_level_valuation_is_refused_by_the_frame_reader():
+    # the frame reader once dropped it unchecked; a model file's reader passes the field itself
+    doc = {"vertices": ["a"], "edges": [], "valuation": {"p0": ["zz"], "P1": 5}}
+    with pytest.raises(InputError) as refused:
+        frame_from_dict(doc)
+    assert str(refused.value) == "frame document has unknown field 'valuation' (known: vertices, edges)"
+    assert frame_from_dict(doc, MODEL_FIELDS) == Frame(("a",), frozenset())
+
+
+IDS = ["a", "b", "c", "0", 1, 2]  # 1 and "1" name one vertex
+ODD = [True, None, 1.5, ["a"], {"a": 1}]  # not vertex ids
+
+
+def perturbed_document(rng: random.Random):
+    """A frame document, mostly well formed, with some of: repeated vertices and edges, endpoints
+    outside the vertex set, ids that are bools or other non-ids, short, long or nested pairs,
+    tuples for pairs, unknown or missing fields, and values of the wrong kind."""
+    def vid():
+        return rng.choice(ODD) if rng.random() < 0.03 else rng.choice(IDS + ["1", "zz", "yy"][:rng.randrange(4)])
+
+    verts = rng.sample(IDS, rng.randint(0, len(IDS)))
+    if verts and rng.random() < 0.15:
+        verts.insert(rng.randrange(len(verts) + 1), rng.choice(verts))
+    verts = [rng.choice(ODD) if rng.random() < 0.02 else v for v in verts]
+    edges, pairs = [], []
+    for _ in range(rng.randint(0, 8)):
+        roll = rng.random()
+        if roll < 0.82:
+            pair = [rng.choice(verts) if verts and rng.random() < 0.9 else vid(), vid()]
+            if rng.random() < 0.9 and verts:
+                pair[1] = rng.choice(verts)
+            pairs.append(pair)
+            edges.append(tuple(pair) if rng.random() < 0.05 else pair)
+        elif roll < 0.95 and pairs:
+            edges.append(list(rng.choice(pairs)))
+        else:
+            edges.append(rng.choice([["a"], ["a", "b", "c"], [["a", "b"]], "ab", {"a": "b"}, None, [], 3]))
+    doc = {"vertices": verts, "edges": edges}
+    roll = rng.random()
+    if roll < 0.03:
+        doc["valuation"] = {}
+    elif roll < 0.05:
+        doc["extra"] = 1
+    elif roll < 0.07:
+        del doc[rng.choice(["vertices", "edges"])]
+    elif roll < 0.09:
+        doc[rng.choice(["vertices", "edges"])] = rng.choice(["a", {}, 3, None])
+    elif roll < 0.1:
+        doc = rng.choice([[], "doc", None])
+    return doc
+
+
+# each kind of error line the reader writes
+LINES = {"shape": "^frame document must have", "field": "^frame document has unknown field",
+         "array": "must be a JSON array$", "id": "^vertex id .* is not a string or an integer$",
+         "pair": "^edge entry .* is not a", "duplicate edge": "^duplicate edge", "duplicate vertex": "^duplicate vertex id",
+         "endpoint": "has an endpoint outside the vertex set$"}
+
+
+def test_reader_agrees_with_the_string_set_reader():
+    rng, kinds = random.Random(26), set()
+    for _ in range(4000):
+        doc = perturbed_document(rng)
+        try:
+            want = frame_oracle.read(doc)
+        except frame_oracle.Refused as exc:
+            with pytest.raises(InputError) as refused:
+                frame_from_dict(doc)
+            assert str(refused.value) == str(exc), doc
+            kinds.add(next(kind for kind, pattern in LINES.items() if re.search(pattern, str(exc))))
+            continue
+        got = frame_from_dict(doc)
+        assert (got.vertices, got.edges) == want, doc
+        assert got == Frame(*want) and hash(got) == hash(Frame(*want))
+        assert (got.succ_mask, got.pred_mask) == (Frame(*want).succ_mask, Frame(*want).pred_mask)
+        kinds.add("ok")
+    assert kinds == {"ok", *LINES}
+
+
+def test_first_stray_endpoint_in_document_order_is_named():
+    doc = {"vertices": ["a"], "edges": [["a", "zz"], ["yy", "a"], ["xx", "ww"]]}
+    with pytest.raises(InputError, match=r"^edge \('a', 'zz'\) has an endpoint outside the vertex set$"):
+        frame_from_dict(doc)
+
+
+def test_derived_frames_are_not_checked_again(monkeypatch):
+    # hulls, copies, unions, expansions and extensions are built from rows the loaded frame holds
+    root = Path(__file__).resolve().parents[1]
+    frame = load_frame(str(root / "fixtures" / "triangle.json"))
+    families = [load_family(str(root / "fixtures" / "nat_succ.json")), family_from_dict({
+        "base": {"vertices": ["b0", "b1"], "edges": [["b0", "b1"]]},
+        "omega_templates": [{"vertices": ["c", "l0", "l1"], "edges": [["c", "l0"], ["c", "l1"]]}],
+        "rays": [{"period": {"vertices": ["u", "v"], "edges": [["u", "v"]]}, "seam": [["v", "u"]], "kind": "line"}],
+    }), family_from_dict({"generator": {"name": "nat_succ"}})]
+
+    def refuse(self, vertices, edges):
+        raise AssertionError("a derived frame went through the checking constructor")
+
+    monkeypatch.setattr(Frame, "__init__", refuse)
+    assert len(hull(frame, "a", 2).graph.vertices) == 3
+    assert build_ue(frame).frame.edges == {("pi:a", "pi:b"), ("pi:a", "pi:c"), ("pi:b", "pi:c")}
+    for fam in families:
+        assert hull_census(fam, 2).entries
+        assert ue_skeleton(fam, 2).frame.vertices
+    assert reverse(frame).succ_mask == frame.pred_mask
+
+
+def test_frames_are_immutable_and_equal_by_vertices_and_edges():
+    a = Frame(("x", "y"), frozenset([("x", "y")]))
+    b = frame_from_dict({"vertices": ["x", "y"], "edges": [["x", "y"]]})
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != Frame(("y", "x"), frozenset([("x", "y")])) and a != reverse(a)
+    with pytest.raises(AttributeError):
+        a.vertices = ("x",)
+    with pytest.raises(AttributeError):
+        del b.succ_mask

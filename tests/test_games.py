@@ -13,6 +13,7 @@ import game_oracle as O
 import modal_oracle
 from helpers import linear_order, model_doc, random_frame, random_valuation, successors
 from uext import Frame, Model, frame_from_dict, frame_to_dict
+from uext.frame import MODEL_FIELDS
 from uext.fo import _EFGame, distinguishing_sentence, ef_equivalent, ef_min_rounds, format_fo, spoiler_line
 from uext.games import FRAMES_PER_ROUND, STACK_RESERVE
 from uext.modal import Prop, _BisimGame, distinguishing_formula, modally_equivalent_upto, n_bisimilar, parse_modal
@@ -333,7 +334,7 @@ def test_pinned_witnesses_hold_by_the_oracle_evaluators(kind):
             if case["witness"] is None:
                 continue
             phi = parse_modal(case["witness"])
-            m1, m2 = ((successors(frame_from_dict(d)), {p: set(ws) for p, ws in d["valuation"].items()})
+            m1, m2 = ((successors(frame_from_dict(d, MODEL_FIELDS)), {p: set(ws) for p, ws in d["valuation"].items()})
                       for d in (d1, d2))
             assert modal_oracle.holds(*m1, w1, phi) and not modal_oracle.holds(*m2, w2, phi), case
             least = next(n for n in range(case["depth"] + 1)

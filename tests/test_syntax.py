@@ -10,9 +10,9 @@ from helpers import random_modal
 from test_fo_kernel import random_fo
 from uext import (Frame, InputError, Model, eval_fo, eval_modal, format_fo, format_modal, modal_depth, parse_fo,
                   parse_modal, quantifier_rank, syntax)
-from uext.fo import Eq, Exists
+from uext.fo import Eq, Exists, Rel
 from uext.modal import Dia, Prop
-from uext.syntax import MAX_DEPTH, depth
+from uext.syntax import MAX_DEPTH, Not, depth
 
 D = MAX_DEPTH
 MODAL_SHAPES = {
@@ -79,3 +79,15 @@ def test_fo_nesting_bound(shape):
     assert eval_fo(LOOP, phi, {"x": "a"}) in (True, False)
     with pytest.raises(InputError, match=f"^FO formula nested deeper than {D} levels$"):
         parse_fo(FO_SHAPES[shape](D + 1))
+
+
+def test_printers_print_a_chain_past_the_stack():
+    # both printers keep their own stack, so a formula built in code prints at any depth
+    not_p, dia_p, not_r, exists_r = Prop("p0"), Prop("p0"), Rel("x", "y"), Rel("x", "y")
+    for _ in range(10_000):
+        not_p, dia_p, not_r, exists_r = Not(not_p), Dia(dia_p), Not(not_r), Exists("y", exists_r)
+    assert format_modal(not_p) == "~" * 10_000 + "p0"
+    assert format_modal(dia_p) == "<>" * 10_000 + "p0"
+    assert format_fo(not_r) == "~" * 10_000 + "R(x,y)"
+    assert format_fo(exists_r) == "exists y. " * 10_000 + "R(x,y)"
+    assert format_fo(Not(Exists("y", Rel("x", "y")))) == "~(exists y. R(x,y))"
