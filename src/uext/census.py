@@ -13,11 +13,13 @@ only ever yield lower bounds.
 Every renamed copy a presentation needs (template copies, ray unrollings, the
 period-doubled ray quotient, skeleton representatives) is built by `_copies`,
 and every union of parts by `_union`, from the parts' successor rows, shifted
-or renumbered.  A census certifies each hull shape it meets once: its memo is keyed by
-the hull's rows renumbered root first (`RootedGraph.shape`), so isomorphic
-copies share one certificate, and the first hull met with each certificate is
-its representative.  `detect modal` reads its census and expansion off the
-skeleton.
+or renumbered.  A hull is its host's rows in BFS order (`uext.hulls`).  A census
+certifies each hull shape it meets once: its memo is keyed by the hull's rows
+renumbered root first (`RootedGraph.shape`), so isomorphic copies share one
+certificate, and the first hull met with each certificate is its
+representative.  A representative's load-order subframe is built only where it
+is printed (`census_to_dict`) or placed in a skeleton.  `detect modal` reads
+its census and expansion off the skeleton.
 """
 
 from __future__ import annotations

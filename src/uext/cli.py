@@ -119,7 +119,7 @@ def cmd_fo_los_like(args) -> dict:
 def cmd_hull(args) -> dict:
     frame = _load_model(args.frame).frame
     h = hull(frame, args.at, args.depth)
-    doc = {"root": h.root, "depth": h.depth, "size": len(h.graph.vertices),
+    doc = {"root": h.root, "depth": h.depth, "size": len(h.order),
            "certificate": canonical_form(h).hex, "frame": frame_to_dict(h.graph)}
     if args.depth >= 1:
         doc["endpoints"] = sorted(endpoints(h))

@@ -1,5 +1,13 @@
-"""n-Hulls: rooted neighborhood subframes, exact rooted isomorphism, canonical
-certificates, and the first-order formulas pinning a hull's rooted type.
+"""n-Hulls: rooted neighborhoods read off their host frame's rows, exact rooted
+isomorphism, canonical certificates, and the first-order formulas pinning a
+hull's rooted type.
+
+A hull is its host's rows in BFS order: `hull` runs one undirected BFS from the
+root and keeps its rings, one bitmask per distance.  The BFS order (root first,
+then by distance, then load order) numbers the hull's points, and `shape`, the
+host rows masked to the hull and renumbered in that order, is what the
+labelling, a census's memo and `hull_formula` read.  The load-order subframe
+(`RootedGraph.graph`) is built only where it is printed.
 
 Certificates come from root-seeded color refinement (`frame.refine`, counting
 neighbours' colours both ways) with individualization backtracking: the least
@@ -12,12 +20,12 @@ refinements; other symmetry is still searched in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 from .errors import InputError, ResourceError
 from .fo import Eq, Exists, FOFormula, Forall, Rel
-from .frame import Frame, bits, refine, relabel
+from .frame import Frame, any_of, bits, refine, relabel, transpose
 from .syntax import MAX_DEPTH, And, Imp, Not, Or, depth, fold
 
 CERT_VERSION = b"HT1"
@@ -26,10 +34,15 @@ CERT_VERSION = b"HT1"
 def rings(g: Frame, root: int, n: int) -> list[int]:
     """Undirected BFS from vertex index root for at most n steps, as one bitmask per
     distance from 0 up; it stops as soon as a step reaches nothing new."""
+    succ, pred = g.succ_mask, g.pred_mask
+
+    def neighbours(j: int) -> int:
+        return succ[j] | pred[j]
+
     seen = frontier = 1 << root
     out = [frontier]
     for _ in range(n):
-        frontier = (g.image(frontier, True) | g.image(frontier, False)) & ~seen
+        frontier = any_of(neighbours, frontier) & ~seen
         if not frontier:
             break
         seen |= frontier
@@ -37,39 +50,82 @@ def rings(g: Frame, root: int, n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
 class RootedGraph:
-    """An induced subframe with a distinguished root and the radius it came from."""
+    """A rooted graph read off its host frame.  It holds the host, the root's name, the radius,
+    the BFS rings from the root (host bitmasks, one per distance from 0 up), the BFS order (the
+    host index of each point: the root first, then by distance, then load order), the mask of
+    its points in the host, and its shape: the host rows masked to those points and renumbered
+    in BFS order, so position 0 is the root.  Two rooted graphs of equal shape are
+    rooted-isomorphic through their positions, so their certificates are equal.
 
-    graph: Frame
+    ``RootedGraph(graph, root, depth)`` takes a whole frame as the graph: the host is the
+    graph, its rings run until a step reaches nothing new, and unreached points come last in
+    the order.  `hull` builds an n-hull from its one BFS, over the points its rings reach.
+    The load-order subframe, `graph`, is built only when read.  Rooted graphs are immutable,
+    and two are equal when their graphs, roots and depths are.
+    """
+
+    host: Frame
     root: str
     depth: int
+    rings: tuple[int, ...]
+    order: tuple[int, ...]
+    mask: int
+    shape: tuple[int, ...]
 
-    def __post_init__(self):
-        self.graph.check_vertices([self.root])
+    def __init__(self, graph: Frame, root: str, depth: int):
+        start = graph.position(root)
+        if depth < 0:
+            raise InputError("hull depth must be nonnegative")
+        self._fill(graph, root, depth, rings(graph, start, len(graph.vertices)), (1 << len(graph.vertices)) - 1)
+
+    @classmethod
+    def from_rings(cls, host: Frame, root: str, depth: int, by_distance: list[int], mask: int) -> RootedGraph:
+        """The rooted graph on mask's points of host, trusted: by_distance are the BFS rings from
+        the root, and mask holds them and any unreached point."""
+        h = object.__new__(cls)
+        h._fill(host, root, depth, by_distance, mask)
+        return h
+
+    def _fill(self, host: Frame, root: str, depth: int, by_distance: list[int], mask: int) -> None:
+        """Number the points in BFS order and renumber their host rows, masked to the graph, in one pass."""
+        order = [i for ring in by_distance for i in bits(ring)]
+        order += bits(mask & ~sum(by_distance))  # the points no ring reaches
+        place = {i: 1 << k for k, i in enumerate(order)}
+        succ = host.succ_mask
+        shape = tuple([relabel(succ[i] & mask, place) for i in order])
+        self.__dict__.update(host=host, root=root, depth=depth, rings=tuple(by_distance), order=tuple(order),
+                             mask=mask, shape=shape)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RootedGraph):
+            return NotImplemented
+        return (self.graph, self.root, self.depth) == (other.graph, other.root, other.depth)
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.root, self.depth))
+
+    def __repr__(self) -> str:
+        return f"RootedGraph(graph={self.graph!r}, root={self.root!r}, depth={self.depth!r})"
+
+    @cached_property
+    def graph(self) -> Frame:
+        """The subframe induced by the graph's points, in load order: the host itself when the
+        graph has all its points, built by `Frame.restrict` otherwise."""
+        host = self.host
+        return host if self.mask == (1 << len(host.vertices)) - 1 else host.restrict(self.mask)
 
     @cached_property
     def layers(self) -> dict[str, int]:
-        """Undirected BFS distance from the root within the hull."""
-        g = self.graph
-        by_distance = rings(g, g.index[self.root], len(g.vertices))
-        return {v: d for d, ring in enumerate(by_distance) for v in g.names(ring)}
-
-    @cached_property
-    def order(self) -> list[int]:
-        """Vertex indices by distance from the root, then load order; unreached vertices last."""
-        g = self.graph
-        by_distance = rings(g, g.index[self.root], len(g.vertices))
-        return [i for ring in by_distance + [(1 << len(g.vertices)) - 1 - sum(by_distance)] for i in bits(ring)]
-
-    @cached_property
-    def shape(self) -> tuple[int, ...]:
-        """The successor rows renumbered in `order`, the root first.  Two rooted graphs of equal
-        shape are rooted-isomorphic through their positions, so their certificates are equal."""
-        place = [0] * len(self.order)
-        for k, i in enumerate(self.order):
-            place[i] = 1 << k
-        return tuple(relabel(self.graph.succ_mask[i], place) for i in self.order)
+        """Undirected BFS distance from the root, for each point the rings reach."""
+        names = self.host.names
+        return {v: d for d, ring in enumerate(self.rings) for v in names(ring)}
 
 
 @dataclass(frozen=True)
@@ -88,21 +144,23 @@ def hull(frame: Frame, w: str, n: int) -> RootedGraph:
     root = frame.position(w)
     if n < 0:
         raise InputError("hull depth must be nonnegative")
-    return RootedGraph(frame.restrict(sum(rings(frame, root, n))), w, n)  # the rings are disjoint
+    by_distance = rings(frame, root, n)
+    return RootedGraph.from_rings(frame, w, n, by_distance, sum(by_distance))  # the rings are disjoint
 
 
 def endpoints(h: RootedGraph) -> frozenset[str]:
     """Vertices first reached at layer exactly depth; empty if the hull saturated."""
     if h.depth < 1:
         raise InputError("endpoints need depth >= 1")
-    return frozenset(v for v, d in h.layers.items() if d == h.depth)
+    return frozenset(h.host.names(h.rings[h.depth])) if h.depth < len(h.rings) else frozenset()
 
 
-def _canonical_bytes(h: RootedGraph, adj, twins, colors: list) -> tuple[bytes, list[int]]:
+def _canonical_bytes(adj, twins, colors: list) -> tuple[bytes, list[int]]:
     """The least leaf below this colouring, the first reached of equal ones: its certificate and
-    its labelling.  The search keeps its own stack, so a star of any size searches one path."""
+    its labelling.  The root is vertex 0.  The search keeps its own stack, so a star of any size
+    searches one path."""
     def counting(c: list) -> list:
-        return [(c[i], tuple(sorted([c[j] for j in s])), tuple(sorted([c[j] for j in p])))
+        return [(c[i], tuple(sorted(map(c.__getitem__, s))), tuple(sorted(map(c.__getitem__, p))))
                 for i, (s, p) in enumerate(zip(*adj))]
 
     best, todo = None, [colors]
@@ -115,7 +173,7 @@ def _canonical_bytes(h: RootedGraph, adj, twins, colors: list) -> tuple[bytes, l
         if target is None:
             # refined colours are ranks 0..n-1, so a discrete colouring is the vertex order
             edges = sorted((colors[a], colors[b]) for a, row in enumerate(adj[0]) for b in row)
-            body = f"n={len(colors)};root={colors[h.graph.index[h.root]]};edges={edges}"
+            body = f"n={len(colors)};root={colors[0]};edges={edges}"
             cert = CERT_VERSION + b"|" + body.encode()
             if best is None or cert < best[0]:
                 best = cert, colors
@@ -136,41 +194,40 @@ def _canonical_bytes(h: RootedGraph, adj, twins, colors: list) -> tuple[bytes, l
 
 
 def _labelling(h: RootedGraph) -> tuple[bytes, list[int]]:
-    """The certificate of h and the labelling (vertex index -> rank) of the leaf it was read off."""
-    g, root = h.graph, h.graph.index[h.root]
-    adj = [list(bits(row)) for row in g.succ_mask], [list(bits(row)) for row in g.pred_mask]
+    """The certificate of h and the labelling (BFS position -> rank) of the leaf it was read off.
+    It runs on `shape`, the root at position 0; the least leaf is an isomorphism invariant, so the
+    certificate does not depend on how the points are numbered."""
+    succ = h.shape
+    pred = transpose(succ)
+    adj = [list(bits(row)) for row in succ], [list(bits(row)) for row in pred]
     # two vertices share the first key when they are non-adjacent twins and the second when
     # they are adjacent ones (a key of one kind never equals one of the other); the loop bit
     # is kept apart because the own bit is overwritten
     twins = []
-    for i, (s, p) in enumerate(zip(g.succ_mask, g.pred_mask)):
+    for i, (s, p) in enumerate(zip(succ, pred)):
         own, loop = 1 << i, s >> i & 1
         twins.append(((s & ~own, p & ~own, loop), (s | own, p | own, loop)))
-    keys = [(i == root, len(s), len(p), i in s) for i, (s, p) in enumerate(zip(*adj))]
-    return _canonical_bytes(h, adj, twins, keys)
+    keys = [(i == 0, len(s), len(p), i in s) for i, (s, p) in enumerate(zip(*adj))]
+    return _canonical_bytes(adj, twins, keys)
 
 
 def canonical_form(h: RootedGraph) -> HullType:
     """Deterministic certificate; equal certificates iff rooted isomorphism."""
-    return HullType(_labelling(h)[0], len(h.graph.vertices), h.depth)
-
-
-def _size(g: Frame) -> int:
-    """The number of edges."""
-    return sum(map(int.bit_count, g.succ_mask))
+    return HullType(_labelling(h)[0], len(h.order), h.depth)
 
 
 def rooted_iso(h1: RootedGraph, h2: RootedGraph) -> tuple[bool, dict[str, str] | None]:
-    """Exact root-preserving digraph isomorphism; the witness maps each vertex of h1 to the
-    vertex of h2 with the same canonical label."""
-    g1, g2 = h1.graph, h2.graph
-    if len(g1.vertices) != len(g2.vertices) or _size(g1) != _size(g2):
+    """Exact root-preserving digraph isomorphism; the witness maps each vertex of h1, in load
+    order, to the vertex of h2 with the same canonical label."""
+    s1, s2 = h1.shape, h2.shape
+    if len(s1) != len(s2) or sum(map(int.bit_count, s1)) != sum(map(int.bit_count, s2)):
         return False, None
     (cert1, labels1), (cert2, labels2) = _labelling(h1), _labelling(h2)
     if cert1 != cert2:
         return False, None
-    by_label = {c: g2.vertices[b] for b, c in enumerate(labels2)}
-    return True, {v: by_label[c] for v, c in zip(g1.vertices, labels1)}
+    names1, names2 = h1.host.vertices, h2.host.vertices
+    by_label = {c: names2[i] for i, c in zip(h2.order, labels2)}
+    return True, {names1[i]: by_label[c] for i, c in sorted(zip(h1.order, labels1))}
 
 
 def hull_formula(h: RootedGraph) -> FOFormula:
@@ -180,47 +237,54 @@ def hull_formula(h: RootedGraph) -> FOFormula:
     One existential per non-root vertex (nested in BFS order so evaluation
     prunes early), pairwise distinctness, every edge, every non-edge, and a
     closure clause pinning all neighbors of sub-maximal-layer vertices inside
-    the quantified set; outside-neighbors of layer-n vertices stay free.  It
-    nests about five levels per vertex, past syntax.MAX_DEPTH from about 20
-    vertices on: such a hull raises ResourceError, so every formula returned
-    parses back.
+    the quantified set; outside-neighbors of layer-n vertices stay free.  The
+    variable of BFS position k is y_k (x for the root), and each literal reads
+    the shape rows by position.  A rooted graph that is not its root's
+    depth-hull (a point lies further than depth steps from the root, or is not
+    reached) has no such formula: it is refused as an InputError naming the
+    first such point in BFS order.  The formula nests about five levels per
+    vertex, past syntax.MAX_DEPTH from about 20 vertices on: such a hull raises
+    ResourceError, so every formula returned parses back.
     """
-    g = h.graph
-    ordered = [g.vertices[i] for i in h.order]  # the root first
-    too_deep = ResourceError(f"the formula of a {len(ordered)}-vertex hull would nest deeper than "
+    shape, size = h.shape, len(h.order)
+    within = sum(map(int.bit_count, h.rings[:h.depth + 1]))  # the points within depth steps come first
+    if within < size:
+        v = h.host.vertices[h.order[within]]
+        raise InputError(f"vertex {v!r} is not within {h.depth} undirected steps of the root {h.root!r}, "
+                         f"so the rooted graph is not its root's {h.depth}-hull and has no hull formula")
+    too_deep = ResourceError(f"the formula of a {size}-vertex hull would nest deeper than "
                              f"the {MAX_DEPTH} levels a formula may nest")
-    if 2 * (len(ordered) - 1) > MAX_DEPTH:  # an exists and a conjunction per non-root vertex
+    if 2 * (size - 1) > MAX_DEPTH:  # an exists and a conjunction per non-root vertex
         raise too_deep
-    names = {v: f"y{i}" if i else "x" for i, v in enumerate(ordered)}
+    names = ["x"] + [f"y{k}" for k in range(1, size)]
 
-    def literals_for(v: str, prior: list[str]) -> list[FOFormula]:
+    def literals_for(k: int) -> list[FOFormula]:
+        v, row = names[k], shape[k]
         lits: list[FOFormula] = []
         # connecting edge literals first: they prune the assignment search
-        for u in prior:
-            if g.has_edge(u, v):
-                lits.append(Rel(names[u], names[v]))
-            if g.has_edge(v, u):
-                lits.append(Rel(names[v], names[u]))
-        lits.append(Rel(names[v], names[v]) if g.has_edge(v, v) else Not(Rel(names[v], names[v])))
-        for u in prior:
-            lits.append(Not(Eq(names[u], names[v])))
-            if not g.has_edge(u, v):
-                lits.append(Not(Rel(names[u], names[v])))
-            if not g.has_edge(v, u):
-                lits.append(Not(Rel(names[v], names[u])))
+        for u in range(k):
+            if shape[u] >> k & 1:
+                lits.append(Rel(names[u], v))
+            if row >> u & 1:
+                lits.append(Rel(v, names[u]))
+        lits.append(Rel(v, v) if row >> k & 1 else Not(Rel(v, v)))
+        for u in range(k):
+            lits.append(Not(Eq(names[u], v)))
+            if not shape[u] >> k & 1:
+                lits.append(Not(Rel(names[u], v)))
+            if not row >> u & 1:
+                lits.append(Not(Rel(v, names[u])))
         return lits
 
-    inside = fold(Or, [Eq("z", names[v]) for v in ordered])
-    closure = [Forall("z", Imp(edge, inside)) for v in ordered if h.layers[v] < h.depth
-               for edge in (Rel(names[v], "z"), Rel("z", names[v]))]
+    inside = fold(Or, [Eq("z", y) for y in names])
+    inner = sum(map(int.bit_count, h.rings[:h.depth]))  # the points below the last layer come first
+    closure = [Forall("z", Imp(edge, inside)) for y in names[:inner] for edge in (Rel(y, "z"), Rel("z", y))]
     phi = fold(And, closure + [Eq("x", "x")])
-    for i in reversed(range(len(ordered))):  # innermost vertex first
-        v = ordered[i]
-        body = fold(And, literals_for(v, ordered[:i]) + [phi])
-        phi = body if v == h.root else Exists(names[v], body)
-    # vertex i adds an exists, a conjunction and 3i + 1 literals of depth <= 2, and the closure
+    for k in reversed(range(size)):  # innermost vertex first
+        body = fold(And, literals_for(k) + [phi])
+        phi = Exists(names[k], body) if k else body
+    # vertex k adds an exists, a conjunction and 3k + 1 literals of depth <= 2, and the closure
     # nests at most 3V + 2 deep, so only a hull of V >= 20 vertices needs the walk
-    if 5 * len(ordered) + 1 > MAX_DEPTH and depth(phi) > MAX_DEPTH:
+    if 5 * size + 1 > MAX_DEPTH and depth(phi) > MAX_DEPTH:
         raise too_deep
     return phi
-

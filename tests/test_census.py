@@ -318,6 +318,25 @@ def test_hulls_of_one_shape_are_certified_once(monkeypatch):
             assert len({h.shape for h in calls}) == len(calls) == len(census.certificates)
 
 
+def test_the_load_order_subframe_is_built_once_per_printed_type(monkeypatch):
+    # a base of 12 copies of a 3-point path: its 36 hulls are certified from their rows, and
+    # only the census document, which prints each type's representative, restricts the base
+    restricted = []
+    real = Frame.restrict
+    monkeypatch.setattr(Frame, "restrict", lambda frame, mask: restricted.append(mask) or real(frame, mask))
+    copies = [f"c{k}:{v}" for k in range(12) for v in "abc"]
+    base = {"vertices": copies, "edges": [[f"c{k}:a", f"c{k}:b"] for k in range(12)]
+                                        + [[f"c{k}:b", f"c{k}:c"] for k in range(12)]}
+    for fam in (family_from_dict({"base": base}), family_from_dict({"base": base, "omega_templates": [base]})):
+        restricted.clear()
+        census = hull_census(fam, 1)
+        assert restricted == []
+        types = census_to_dict(census)["types"]
+        assert len(types) == 3 and len(restricted) == 3
+        census_to_dict(census)  # a representative's subframe is built once
+        assert len(restricted) == 3
+
+
 def test_hulls_of_one_shape_have_one_certificate():
     for fam in _family_corpus(seed=323, size=30):
         frame = expand(fam, 3)

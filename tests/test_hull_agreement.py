@@ -1,0 +1,118 @@
+"""The hull path (one BFS, the host's rows in BFS order) agrees with the load-order path kept in
+`hull_oracle`: the subframe's vertices and edges, the layers, endpoints and shape, the
+certificate, the formula text and rooted_iso's witness, on seeded random frames, ray windows,
+stars and K_mm+root shapes."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import hull_oracle as O
+from uext import (Frame, InputError, ResourceError, RootedGraph, canonical_form, endpoints, format_fo, hull,
+                  hull_formula, rooted_iso)
+
+
+def random_frame(rng: random.Random) -> Frame:
+    """At most 10 points, named out of load order, with random edges and loops."""
+    n = rng.randint(1, 10)
+    names = [f"v{i}" for i in rng.sample(range(n), n)]
+    density = rng.choice([0.0, 0.1, 0.2, 0.35, 0.6])
+    edges = {(a, b) for a in names for b in names if a != b and rng.random() < density}
+    edges |= {(v, v) for v in names if rng.random() < 0.2}
+    return Frame(names, edges)
+
+
+def ray_window(rng: random.Random, copies: range) -> Frame:
+    """Copies of a random period of 1-3 points, each seam edge joining copy k to k + 1."""
+    period = "abc"[:rng.randint(1, 3)]
+    inner = [(a, b) for a in period for b in period if rng.random() < 0.3]
+    seam = [(rng.choice(period), rng.choice(period)) for _ in range(rng.randint(1, 2))]
+    name = "{}:{}".format
+    edges = {(name(k, a), name(k, b)) for k in copies for a, b in inner}
+    edges |= {(name(k, a), name(k + 1, b)) for k in copies if k + 1 in copies for a, b in seam}
+    return Frame([name(k, v) for k in copies for v in period], edges)
+
+
+def star(k: int) -> Frame:
+    return Frame(["c"] + [f"l{i}" for i in range(k)], [("c", f"l{i}") for i in range(k)])
+
+
+def kmm_root(m: int) -> Frame:
+    a, b = [f"a{i}" for i in range(m)], [f"b{i}" for i in range(m)]
+    return Frame(["r"] + a + b, [("r", x) for x in a] + [(x, y) for x in a for y in b])
+
+
+def oracle_formula(oh: O.Rooted) -> str | None:
+    phi = O.hull_formula(oh)
+    return None if phi is None else O.formula_text(phi)
+
+
+def formula(h: RootedGraph) -> str | None:
+    try:
+        return format_fo(hull_formula(h))
+    except ResourceError:
+        return None
+
+
+def check_agrees(h: RootedGraph, oh: O.Rooted) -> None:
+    assert (h.graph.vertices, h.graph.edges) == (oh.vertices, oh.edges)
+    assert list(h.layers.items()) == list(oh.layers.items())
+    if h.depth >= 1:
+        assert endpoints(h) == O.endpoints(oh)
+    assert h.shape == oh.shape
+    assert [h.host.vertices[i] for i in h.order] == [oh.vertices[i] for i in oh.order]
+    assert canonical_form(h).certificate == O.certificate(oh)
+
+
+def cases():
+    """(host, root, depth) triples: 500 seeded random frames at depths 0-3, then ray windows,
+    stars and K_mm+root shapes at every root."""
+    rng = random.Random(2718)
+    for _ in range(500):
+        f = random_frame(rng)
+        yield f, rng.choice(f.vertices), rng.randint(0, 3)
+    for n in (1, 2, 3):
+        window = ray_window(rng, range(2 * n + 1))
+        for w in window.vertices:
+            yield window, w, n
+    for shape, depths in [(star(k), (0, 1, 2)) for k in range(4, 8)] + [(kmm_root(m), (1, 2, 3)) for m in range(1, 5)]:
+        for w in shape.vertices:
+            for n in depths:
+                yield shape, w, n
+
+
+def test_hulls_agree_with_the_load_order_path():
+    met = set()
+    previous = None
+    for f, w, n in cases():
+        h, oh = hull(f, w, n), O.hull(f.vertices, f.succ_mask, w, n)
+        check_agrees(h, oh)
+        text = formula(h)
+        assert text == oracle_formula(oh)
+        met.add(("refused" if text is None else "formula", len(h.order) < len(f.vertices)))
+        if previous is not None:  # the witness is read back through the BFS order
+            assert rooted_iso(previous[0], h) == O.rooted_iso(previous[1], oh)
+        previous = h, oh
+    assert met >= {("formula", True), ("formula", False)}
+
+
+def test_rooted_graphs_agree_and_refuse_a_formula_when_not_a_hull():
+    rng = random.Random(3141)
+    refused = 0
+    for _ in range(300):
+        f = random_frame(rng)
+        w, n = rng.choice(f.vertices), rng.randint(0, 3)
+        h, oh = RootedGraph(f, w, n), O.Rooted(f.vertices, f.succ_mask, w, n)
+        check_agrees(h, oh)
+        assert h.graph is f
+        within = sum(d <= n for d in oh.layers.values())
+        if within == len(f.vertices):
+            assert formula(h) == oracle_formula(oh)
+        else:
+            refused += 1
+            first = oh.vertices[oh.order[within]]
+            with pytest.raises(InputError, match=f"vertex {first!r} is not within {n} undirected steps"):
+                hull_formula(h)
+    assert refused

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+import uext.hulls as hulls_mod
 from uext import (
     Frame,
     InputError,
     ResourceError,
+    RootedGraph,
     canonical_form,
     endpoints,
     eval_fo,
@@ -152,3 +154,35 @@ def test_hull_formula_nests_at_most_5v_plus_1_and_parses_back():
         assert depth(phi) <= min(5 * len(h.graph.vertices) + 1, MAX_DEPTH)
         assert parse_fo(format_fo(phi)) == phi
     assert returned >= 150 and refused >= 15
+
+
+def test_hull_formula_refuses_a_rooted_graph_that_is_not_its_roots_hull():
+    # a point the root never reaches, and a point past the depth: neither graph is hull(graph,
+    # root, depth), so no formula says "my hull is this graph"; the first such point is named
+    with pytest.raises(InputError, match="vertex 'b' is not within 1 undirected steps of the root 'a'"):
+        hull_formula(RootedGraph(Frame(("a", "b"), []), "a", 1))
+    path = Frame(("p0", "p1", "p2"), [("p0", "p1"), ("p1", "p2")])
+    assert len(hull(path, "p0", 1).order) == 2
+    with pytest.raises(InputError, match="vertex 'p2' is not within 1 undirected steps of the root 'p0'"):
+        hull_formula(RootedGraph(path, "p0", 1))
+    # at a depth that reaches every point the rooted graph is the hull, and its formula holds
+    assert eval_fo(path, hull_formula(RootedGraph(path, "p0", 2)), {"x": "p0"})
+    assert format_fo(hull_formula(RootedGraph(path, "p0", 2))) == format_fo(hull_formula(hull(path, "p0", 2)))
+    with pytest.raises(InputError, match="hull depth must be nonnegative"):
+        RootedGraph(path, "p0", -1)
+
+
+def test_each_hull_runs_one_bfs(monkeypatch):
+    calls = []
+    real = hulls_mod.rings
+    monkeypatch.setattr(hulls_mod, "rings", lambda *args: calls.append(args) or real(*args))
+    rng = random.Random(77)
+    for _ in range(40):
+        f = random_bounded_frame(rng, 9, 3)
+        calls.clear()
+        h = hull(f, rng.choice(f.vertices), rng.randint(0, 3))
+        # everything the hull layer reads off a hull comes from that one BFS
+        h.shape, h.layers, h.graph, canonical_form(h), format_fo(hull_formula(h)), rooted_iso(h, h)
+        if h.depth >= 1:
+            endpoints(h)
+        assert len(calls) == 1
