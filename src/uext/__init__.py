@@ -26,11 +26,9 @@ from .ultra import (
     Ultrafilter,
     build_ue,
     canonical_embedding,
-    distinguishing_elements,
     enumerate_ultrafilters,
     roads_between,
     ue_related,
-    ultrafilter_road_delta,
 )
 from .modal import (
     Model,

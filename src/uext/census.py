@@ -12,14 +12,16 @@ only ever yield lower bounds.
 
 Every renamed copy a presentation needs (template copies, ray unrollings, the
 period-doubled ray quotient, skeleton representatives) is built by `_copies`,
-and every union of parts by `_union`, from the parts' successor rows, shifted
-or renumbered.  A hull is its host's rows in BFS order (`uext.hulls`).  A census
-certifies each hull shape it meets once: its memo is keyed by the hull's rows
-renumbered root first (`RootedGraph.shape`), so isomorphic copies share one
-certificate, and the first hull met with each certificate is its
-representative.  A representative's load-order subframe is built only where it
-is printed (`census_to_dict`) or placed in a skeleton.  `detect modal` reads
-its census and expansion off the skeleton.
+and every presented frame (an expansion, a skeleton) by `_join`, which places
+disjoint parts' successor rows side by side.  A builtin generator's components
+overlap, so each builtin declares their union in closed form.  A hull is its
+host's rows in BFS order (`uext.hulls`).  A census certifies each hull shape it
+meets once: its memo is keyed by the hull's rows renumbered root first
+(`RootedGraph.shape`), so isomorphic copies share one certificate, and the
+first hull met with each certificate is its representative.  A representative's
+load-order subframe is built only where it is printed (`census_to_dict`) or
+placed in a skeleton.  `detect modal` reads its census and expansion off the
+skeleton.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, ResourceError
 from .frame import (FRAME_FIELDS, Frame, bits, distinct, frame_from_dict, frame_to_dict, json_array,
-                    json_pair, known_fields, read_json, relabel)
+                    json_pair, known_fields, read_json)
 from .hulls import RootedGraph, canonical_form, hull, rings
 
 OMEGA = "w"
-GENERATOR_BUDGET = 16  # generator components expanded for a census's lower bounds and a colouring
+CLASH = "vertex ids collide across family parts"  # the line refusing an id that two parts share
+GENERATOR_BUDGET = 16  # generator components in the expansion a census's lower bounds and a colouring read
 
 
 # ---------------------------------------------------------------------------
@@ -59,20 +62,27 @@ class Ray:
             self.period.check_vertices([a, b])
 
 
-# builtin name -> (component i's vertex names, the successor rows of a component of m points,
-# degree bound, chromatic number, out-degree witness).  A None bound or chromatic number is
-# unbounded; an unbounded chromatic number is shown by component i, whose vertices form an
-# (i + 1)-clique in the union of components 0..i.  The witness is a vertex whose out-degree
-# grows without bound, None when every out-degree is finite.
+# builtin name -> (component i's vertex names, the union of components 0..count-1 as its vertex
+# names in first-seen order and its successor rows, degree bound, chromatic number, out-degree
+# witness).  A None bound or chromatic number is unbounded; an unbounded chromatic number is shown
+# by component i, whose vertices form an (i + 1)-clique in the union of components 0..i.  The
+# witness is a vertex whose out-degree grows without bound, None when every out-degree is finite.
 GENERATORS = {
-    # disjoint finite chains; component i is K_{i+1}, each point below every later one
+    # disjoint finite chains; component i is K_{i+1}, each point below every later one, and it
+    # follows the i(i+1)/2 points of the components before it
     "chains_lt": (lambda i: tuple(f"c{i}:{j}" for j in range(i + 1)),
-                  lambda m: [(1 << m) - (2 << j) for j in range(m)], None, None, None),
-    # the order on the naturals; component i puts every smaller natural below i
-    "nat_lt": (lambda i: tuple(map(str, range(i + 1))), lambda m: [1 << m - 1] * (m - 1) + [0],
+                  lambda count: (tuple(f"c{i}:{j}" for i in range(count) for j in range(i + 1)),
+                                 [((2 << i) - (2 << j)) << i * (i + 1) // 2
+                                  for i in range(count) for j in range(i + 1)]),
+                  None, None, None),
+    # the order on the naturals; component i puts every smaller natural below i: a strict chain
+    "nat_lt": (lambda i: tuple(map(str, range(i + 1))),
+               lambda count: (tuple(map(str, range(count))), [(1 << count) - (2 << j) for j in range(count)]),
                None, None, "0"),
-    # the successor steps; component i is the step into i
-    "nat_succ": (lambda i: (str(i - 1), str(i)) if i else ("0",), lambda m: [2 << j for j in range(m - 1)] + [0],
+    # the successor steps; component i is the step into i: a path
+    "nat_succ": (lambda i: (str(i - 1), str(i)) if i else ("0",),
+                 lambda count: (tuple(map(str, range(count))),
+                                [(2 << j) & ((1 << count) - 1) for j in range(count)]),
                  2, 2, None),
 }
 
@@ -101,13 +111,9 @@ class Generator:
         """Component i's vertex names, in load order, without building its edges."""
         return GENERATORS[self.name][0](i)
 
-    def component(self, i: int) -> Frame:
-        verts = self.vertices(i)
-        return Frame.from_rows(verts, GENERATORS[self.name][1](len(verts)))
-
     def expansion(self, count: int) -> Frame:
-        """The union of components 0..count-1 (they may overlap)."""
-        return _union([self.component(i) for i in range(count)])
+        """The union of components 0..count-1 (they may overlap), as GENERATORS declares it."""
+        return Frame.from_rows(*GENERATORS[self.name][1](count))
 
 
 @dataclass(frozen=True)
@@ -159,18 +165,20 @@ def load_family(path: str) -> FamilyPresentation:
 # Expansion
 
 
-def _union(parts: list[Frame]) -> Frame:
-    """The parts' vertices in first-seen order and the union of their edges."""
-    index: dict[str, int] = {}
+def _join(parts: list[Frame], clash: str) -> Frame:
+    """The parts side by side: their vertices in order, each part's rows shifted past the parts
+    before it.  An id two parts share is refused with the clash line, naming the least id that
+    the first part repeating one shares with the parts before it."""
+    seen: set[str] = set()
     for p in parts:
-        for v in p.vertices:
-            index.setdefault(v, len(index))
-    rows = [0] * len(index)
+        if not seen.isdisjoint(p.vertices):
+            raise InputError(f"{clash}: {min(seen.intersection(p.vertices))!r}")
+        seen.update(p.vertices)
+    rows, start = [], 0
     for p in parts:
-        place = [1 << index[v] for v in p.vertices]
-        for v, row in zip(p.vertices, p.succ_mask):
-            rows[index[v]] |= relabel(row, place)
-    return Frame.from_rows(tuple(index), rows)
+        rows += [row << start for row in p.succ_mask]
+        start += len(p.vertices)
+    return Frame.from_rows(tuple(v for p in parts for v in p.vertices), rows)
 
 
 def _copies(frame: Frame, copies, name, seam=(), nxt=None) -> Frame:
@@ -201,27 +209,13 @@ def expand(fam: FamilyPresentation, budget: int) -> Frame:
     for ri, ray in enumerate(fam.rays):
         copies = range(budget) if ray.kind == "ray" else range(-budget, budget + 1)
         parts.append(_ray_unroll(ray, copies, f"r{ri}"))
-    seen = _disjoint(parts)
+    frame = _join(parts, CLASH)
     if fam.generator is not None:
-        # generator components may overlap each other (monotone union) but
-        # must stay clear of the rest of the family
+        # the generator's components may overlap each other, which its declared expansion
+        # resolves, but must stay clear of the rest of the family
         gen = fam.generator.expansion(budget)
-        dup = seen & set(gen.vertices)
-        if dup:
-            raise InputError(f"generator vertex ids collide with family parts: {sorted(dup)[0]!r}")
-        parts.append(gen)
-    return _union(parts)
-
-
-def _disjoint(parts: list[Frame]) -> set[str]:
-    """The parts' vertex ids, refusing an id that two parts share."""
-    seen: set[str] = set()
-    for p in parts:
-        dup = seen & set(p.vertices)
-        if dup:
-            raise InputError(f"vertex ids collide across family parts: {sorted(dup)[0]!r}")
-        seen |= set(p.vertices)
-    return seen
+        frame = _join([frame, gen], "generator vertex ids collide with family parts")
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +329,8 @@ def ue_skeleton(fam: FamilyPresentation, n: int, budget: int | None = None) -> U
     for idx, cert in enumerate(census.omega_types()):
         parts.append(_copies(census.representatives[cert].graph, (idx,), lambda k, v: f"rep{k}:{v}"))
         provenance.update(dict.fromkeys(parts[-1].vertices, f"type:{cert}"))
-    _disjoint(parts)  # a representative's name may not be an expansion vertex's
-    return UESkeleton(_union(parts), provenance, census, budget)
+    # a representative's name may not be an expansion vertex's
+    return UESkeleton(_join(parts, CLASH), provenance, census, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ which reads one of its own atoms or prefix operators.
 
 A formula is refused when its tree is more than MAX_DEPTH nodes deep or when
 its operands (prefix operators, quantifiers and parenthesised groups) nest
-more than MAX_DEPTH deep, so that parsing, formatting and evaluating it, all
-recursive, stay well inside Python's default recursion limit.
+more than MAX_DEPTH deep, so that parsing and evaluating it, both recursive,
+stay well inside Python's default recursion limit.  Formatting prints in a loop
+(`format_modal`, `format_fo`).
 """
 
 from __future__ import annotations

@@ -146,14 +146,6 @@ def canonical_embedding(frame: Frame) -> dict[str, Ultrafilter]:
     return {w: Ultrafilter(frame, w) for w in frame.vertices}
 
 
-def distinguishing_elements(ultrafilters: list[Ultrafilter]) -> list[frozenset[str]]:
-    """Pairwise-disjoint sets D_i with D_i in u_j iff i = j (singletons of the points)."""
-    points = [u.point for u in ultrafilters]
-    if len(set(points)) != len(points):
-        raise InputError("distinguishing_elements: duplicate ultrafilter in input")
-    return [frozenset([p]) for p in points]
-
-
 @dataclass(frozen=True)
 class Road:
     """A simple path with per-step directions drawn from {R, R^-1}.
@@ -207,32 +199,3 @@ def roads_between(frame: Frame, s: str, t: str, max_len: int) -> list[Road]:
     found.sort()
     return [Road(tuple(frame.vertices[i] for i in path), tuple(("R", "R-")[d] for d in dirs))
             for path, dirs in found]
-
-
-def ultrafilter_road_delta(
-    x: frozenset[str],
-    road: Road,
-    distinguishers: list[frozenset[str]],
-) -> frozenset[str]:
-    """The set chain Delta_n along an ultrafilter road, based at X.
-
-    Each step intersects the forward or backward image (per the step direction)
-    with the distinguishing element of the next waypoint.
-    """
-    first = road.waypoints[0]
-    if not isinstance(first, Ultrafilter):
-        raise InputError("ultrafilter_road_delta expects a road over ultrafilters")
-    if len(distinguishers) != len(road.waypoints):
-        raise InputError("one distinguishing element per waypoint is required")
-    if not first.member(x):
-        raise InputError("base set X must belong to the first waypoint ultrafilter")
-    frame = first.frame
-    delta = frame.mask(x)
-    for i, direction in enumerate(road.directions):
-        delta = frame.image(delta, direction == "R") & frame.mask(distinguishers[i + 1] & frame.index.keys())
-    return frozenset(frame.names(delta))
-
-
-def length_zero_delta(x: frozenset[str]) -> frozenset[str]:
-    """Delta_0 = X, the base case of the road recursion."""
-    return frozenset(x)

@@ -1,4 +1,5 @@
-"""The stabilisation scan that counted a ray's hull types, kept as the census's oracle.
+"""Two slow paths kept as oracles: the stabilisation scan that counted a ray's hull types,
+and the first-seen union by names that built expansions and skeletons.
 
 A ray's copies 0..n are hulled in an unrolling of 2n + 3 copies and certified row
 by row.  The first copy from which every row equals copy n's stands for every
@@ -8,24 +9,78 @@ template vertices omega.  `uext.census.hull_census` counts a ray's copies 0..n-1
 once and copy n as omega with no scan, so its document must equal the one read
 off the scan here.
 
-Families without a generator only.  Uses uext for `Frame`, `hull` and
-`canonical_form`, which tests/test_hull_symmetry.py checks against networkx.
+The scan takes families without a generator only.  Uses uext for `Frame`, `hull`
+and `canonical_form`, which tests/test_hull_symmetry.py checks against networkx.
+
+`expansion` and `skeleton` build `uext.census.expand(fam, budget)` and
+`ue_skeleton(fam, n).frame` from vertex names: each part is a list of names and
+a set of name pairs, a builtin generator is the union of its components
+(`evidence_oracle.builtin_union`), and `union` lists the parts' names in
+first-seen order and unions their edges.  uext places the parts' rows side by
+side, so the two must agree on the vertex order and the edges.  An id two parts
+share raises ValueError with the line uext refuses it with.
 """
 
 from __future__ import annotations
 
+from evidence_oracle import builtin_union
 from uext import Frame, canonical_form, hull
 
 OMEGA = "w"
+CLASH = "vertex ids collide across family parts"
+
+
+def _names(frame, copies, tag: str, seam=()) -> tuple[list[str], set[tuple[str, str]]]:
+    """Copies of a frame, v in copy k named tag.k:v, each seam edge joining copy k to k + 1."""
+    name = "{}.{}:{}".format
+    verts = [name(tag, k, v) for k in copies for v in frame.vertices]
+    edges = {(name(tag, k, a), name(tag, k, b)) for k in copies for a, b in frame.edges}
+    edges |= {(name(tag, k, a), name(tag, k + 1, b)) for k in copies if k + 1 in copies for a, b in seam}
+    return verts, edges
 
 
 def _unroll(ray, copies: range, tag: str) -> Frame:
-    """Copies of the period, v in copy k named tag.k:v, each seam edge joining copy k to k + 1."""
-    name = "{}.{}:{}".format
-    verts = tuple(name(tag, k, v) for k in copies for v in ray.period.vertices)
-    edges = {(name(tag, k, a), name(tag, k, b)) for k in copies for a, b in ray.period.edges}
-    edges |= {(name(tag, k, a), name(tag, k + 1, b)) for k in copies if k + 1 in copies for a, b in ray.seam}
-    return Frame(verts, frozenset(edges))
+    return Frame(*_names(ray.period, copies, tag, ray.seam))
+
+
+def union(parts, clash: str):
+    """The parts' names in first-seen order and the union of their edges; an id that a part
+    shares with the parts before it raises ValueError naming the least one, in the first such part."""
+    verts: dict[str, None] = {}
+    edges: set[tuple[str, str]] = set()
+    for pv, pe in parts:
+        shared = sorted(set(verts) & set(pv))
+        if shared:
+            raise ValueError(f"{clash}: {shared[0]!r}")
+        verts.update(dict.fromkeys(pv))
+        edges |= set(pe)
+    return list(verts), edges
+
+
+def expansion(fam, budget: int):
+    """The base, budget copies of each template, each ray's copies 0..budget-1 (a line's
+    -budget..budget), then the generator's first budget components."""
+    parts = [(fam.base.vertices, fam.base.edges)]
+    parts += [_names(tpl, range(budget), f"t{ti}") for ti, tpl in enumerate(fam.omega_templates)]
+    for ri, ray in enumerate(fam.rays):
+        copies = range(budget) if ray.kind == "ray" else range(-budget, budget + 1)
+        parts.append(_names(ray.period, copies, f"r{ri}", ray.seam))
+    frame = union(parts, CLASH)
+    if fam.generator is not None:
+        gen = builtin_union(fam.generator.name, budget)
+        frame = union([frame, gen], "generator vertex ids collide with family parts")
+    return frame
+
+
+def skeleton(fam, census, budget: int):
+    """The expansion, then each omega type's representative in the census, in certificate
+    order, v of the i-th named repi:v."""
+    omegas = sorted(cert for cert, m in census.entries.items() if m == OMEGA)
+    parts = [expansion(fam, budget)]
+    for i, cert in enumerate(omegas):
+        g = census.representatives[cert].graph
+        parts.append(([f"rep{i}:{v}" for v in g.vertices], {(f"rep{i}:{a}", f"rep{i}:{b}") for a, b in g.edges}))
+    return union(parts, CLASH)
 
 
 def census_doc(fam, n: int) -> dict:

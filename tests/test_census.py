@@ -23,9 +23,10 @@ from uext import (
     rooted_iso,
     ue_skeleton,
 )
-from uext.census import GENERATORS, OMEGA, census_to_dict, clique_lower_bound
+from uext.census import GENERATORS, OMEGA, census_to_dict, clique_lower_bound, default_budget
 
 import census_oracle
+import evidence_oracle
 from helpers import random_bounded_frame, successors
 
 SUCC_RAY = FamilyPresentation(
@@ -203,7 +204,7 @@ def test_greedy_coloring_proper_and_bounded():
 
 
 def test_clique_lower_bound_on_tournament():
-    size, clique = clique_lower_bound(Generator("chains_lt").component(4))
+    size, clique = clique_lower_bound(Generator("chains_lt").expansion(5))  # K_1 .. K_5
     assert size == 5 and len(clique) == 5
 
 
@@ -234,10 +235,10 @@ def test_reflexive_verdicts():
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_builtin_components_are_loop_free(name):
-    # the reflexive detector reads no generator component for loops: it relies on this
+    # the reflexive detector reads no generator expansion for loops: it relies on this
     gen = Generator(name)
-    for i in range(32):
-        assert not any(a == b for a, b in gen.component(i).edges), (name, i)
+    for count in range(33):
+        assert not any(a == b for a, b in gen.expansion(count).edges), (name, count)
 
 
 def test_reflexive_template_loop_wins():
@@ -349,17 +350,68 @@ def test_hulls_of_one_shape_have_one_certificate():
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_generator_expansion_is_the_first_seen_union(name):
+    # each builtin declares the union of its components in closed form; the oracle unions them by name
     gen = Generator(name)
-    for k in range(21):
-        verts: list[str] = []
-        edges: set[tuple[str, str]] = set()
-        for i in range(k):
-            part = gen.component(i)
-            verts += [v for v in part.vertices if v not in verts]
-            edges |= part.edges
-        expansion = gen.expansion(k)
-        assert expansion.vertices == tuple(verts)
-        assert expansion.edges == edges
+    for count in range(41):
+        verts, edges = evidence_oracle.builtin_union(name, count)
+        expansion = gen.expansion(count)
+        assert expansion.vertices == tuple(verts), (name, count)
+        assert expansion.edges == edges, (name, count)
+        assert gen.vertices(count) == tuple(evidence_oracle.builtin_component(name, count)[0])
+
+
+def _built(build, refused):
+    """What build returns as vertex names in order and edges, or the line it is refused with."""
+    try:
+        verts, edges = build()
+    except refused as e:
+        return str(e)
+    return list(verts), set(edges)
+
+
+def _names(frame: Frame):
+    return frame.vertices, frame.edges
+
+
+def test_expansions_and_skeletons_equal_the_first_seen_union():
+    # the parts are joined as row blocks side by side; the oracle unions them by name
+    skeletons = 0
+    for fam in _family_corpus(seed=324, size=40):
+        for b in range(5):
+            assert _built(lambda: _names(expand(fam, b)), InputError) == \
+                _built(lambda: census_oracle.expansion(fam, b), ValueError), (fam, b)
+        for n in (1, 2):
+            sk = ue_skeleton(fam, n)
+            assert _built(lambda: _names(sk.frame), InputError) == \
+                _built(lambda: census_oracle.skeleton(fam, sk.census, sk.budget), ValueError), (fam, n)
+            skeletons += len(sk.frame.vertices) > len(expand(fam, sk.budget).vertices)
+    assert skeletons > 20  # most skeletons hold representatives past the expansion
+
+
+def test_a_collision_names_the_least_id_the_first_repeating_part_shares():
+    tpl = Frame(("a", "b", "c"), frozenset([("a", "b")]))
+    ray = Ray(Frame(("z",), frozenset()), (("z", "z"),), "ray")
+    # the base shares three ids with template 0's copies and a lesser one with ray 0's unrolling
+    parts = FamilyPresentation(base=Frame(("t0.1:b", "r0.0:z", "t0.0:c", "t0.1:a"), frozenset()),
+                               omega_templates=(tpl,), rays=(ray,))
+    # the base shares three ids with the generator's first six components
+    gen = FamilyPresentation(base=Frame(("5", "x", "3", "4"), frozenset()), generator=Generator("nat_succ"))
+    for fam, line in ((parts, "vertex ids collide across family parts: 't0.0:c'"),
+                      (gen, "generator vertex ids collide with family parts: '3'")):
+        with pytest.raises(InputError) as refused:
+            expand(fam, 6)
+        assert str(refused.value) == line
+        assert _built(lambda: census_oracle.expansion(fam, 6), ValueError) == line
+    # a template whose two points have two hull types at depth 1, so two representatives, rep0 and
+    # rep1, each named after both points; the base shares two ids with rep0 and two with rep1
+    fam = FamilyPresentation(base=Frame(("rep1:s", "rep0:t", "rep1:t", "rep0:s"), frozenset()),
+                             omega_templates=(Frame(("s", "t"), frozenset([("s", "t")])),))
+    census = hull_census(fam, 1)
+    with pytest.raises(InputError) as refused:
+        ue_skeleton(fam, 1)
+    assert str(refused.value) == "vertex ids collide across family parts: 'rep0:s'"
+    assert _built(lambda: census_oracle.skeleton(fam, census, default_budget(fam, 1)), ValueError) == \
+        str(refused.value)
 
 
 def test_modal_logic_coincides_stops_once_every_omega_type_matches(monkeypatch):

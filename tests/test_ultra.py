@@ -11,13 +11,10 @@ from uext import (
     Ultrafilter,
     build_ue,
     canonical_embedding,
-    distinguishing_elements,
     enumerate_ultrafilters,
     roads_between,
     ue_related,
-    ultrafilter_road_delta,
 )
-from uext.ultra import length_zero_delta
 
 from helpers import random_frame
 from road_oracle import roads as road_oracle
@@ -64,23 +61,6 @@ def test_powerset_cap(monkeypatch):
     monkeypatch.setenv("UEXT_POWERSET_LIMIT", "2")
     with pytest.raises(ResourceError):
         build_ue(TRI)
-
-
-def test_distinguishing_elements_are_separating():
-    us = enumerate_ultrafilters(TRI)
-    ds = distinguishing_elements(us)
-    assert len(ds) == len(us)
-    for i, u in enumerate(us):
-        assert u.member(ds[i])
-        for j, v in enumerate(us):
-            if i != j:
-                assert not v.member(ds[i])
-
-
-def test_distinguishing_elements_reject_duplicates():
-    us = [Ultrafilter(TRI, "a"), Ultrafilter(TRI, "a")]
-    with pytest.raises(InputError):
-        distinguishing_elements(us)
 
 
 def test_road_validation():
@@ -135,47 +115,3 @@ def test_roads_between_long_path():
     roads = roads_between(path, "v0", "v1199", 1200)
     assert [(r.waypoints, r.directions) for r in roads] == [(verts, ("R",) * 1199)]
     assert roads_between(path, "v1199", "v0", 1198) == []
-
-
-def test_road_delta_recursion():
-    # along pi:a -R-> pi:b -R-> pi:c the chained image of {a} lands on {c}
-    path = Frame(("a", "b", "c"), frozenset([("a", "b"), ("b", "c")]))
-    ua, ub, uc = (Ultrafilter(path, w) for w in "abc")
-    road = Road((ua, ub, uc), ("R", "R"))
-    ds = distinguishing_elements([ua, ub, uc])
-    delta = ultrafilter_road_delta(frozenset({"a"}), road, ds)
-    assert delta == frozenset({"c"})
-    # the final delta is nonempty, so it belongs to the last (principal) waypoint
-    assert uc.member(delta)
-
-
-def test_road_delta_requires_start_membership():
-    path = Frame(("a", "b"), frozenset([("a", "b")]))
-    ua, ub = Ultrafilter(path, "a"), Ultrafilter(path, "b")
-    road = Road((ua, ub), ("R",))
-    ds = distinguishing_elements([ua, ub])
-    with pytest.raises(InputError):
-        ultrafilter_road_delta(frozenset({"b"}), road, ds)
-
-
-def test_length_zero_delta_identity():
-    assert length_zero_delta(frozenset({"a"})) == frozenset({"a"})
-
-
-def test_road_delta_matches_set_recursion():
-    # each step is the forward or backward image intersected with the next distinguishing element
-    rng = random.Random(17)
-    checked = 0
-    for _ in range(60):
-        f = random_frame(rng, 6, 0.5)
-        s, t = rng.sample(f.vertices, 2) if len(f.vertices) > 1 else (f.vertices[0], f.vertices[0])
-        for road in roads_between(f, s, t, 3):
-            ufs = [Ultrafilter(f, w) for w in road.waypoints]
-            ds = [frozenset(rng.sample(f.vertices, rng.randint(1, len(f.vertices)))) | {u.point} for u in ufs]
-            x = frozenset(v for v in f.vertices if rng.random() < 0.5) | {s}
-            want = x
-            for d, step in zip(ds[1:], road.directions):
-                want = frozenset(b if step == "R" else a for a, b in f.edges if (a if step == "R" else b) in want) & d
-            assert ultrafilter_road_delta(x, Road(tuple(ufs), road.directions), ds) == want
-            checked += 1
-    assert checked > 50
