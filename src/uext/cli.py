@@ -42,8 +42,8 @@ from .ultra import Ultrafilter, build_ue
 
 
 def _load_model(path: str) -> Model:
-    """A model file, or a frame file, read by the library's one reader."""
-    return Model.make(*read_model(path))
+    """A model file, or a frame file, read by the library's one reader, which checks the valuation."""
+    return Model(*read_model(path))
 
 
 def cmd_ue_build(args) -> dict | None:
@@ -70,12 +70,11 @@ def cmd_modal_valid(args) -> dict:
     frame = _load_model(args.frame).frame
     phi = parse_modal(args.formula)
     ok, counter = frame_valid(frame, phi)
-    doc = {"valid": ok}
-    if counter is not None:
-        cm, cw = counter
-        doc["counter_world"] = cw
-        doc["counter_valuation"] = {p: sorted(xs) for p, xs in cm.valuation}
-    return doc
+    if counter is None:
+        return {"valid": ok}
+    cm, cw = counter
+    return {"valid": ok, "counter_world": cw,
+            "counter_valuation": {p: sorted(frame.names(mask)) for p, mask in cm.masks.items()}}
 
 
 def cmd_bisim(args) -> dict:

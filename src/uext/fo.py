@@ -507,7 +507,7 @@ def los_like_check(frame: Frame, phi: FOFormula, u: Ultrafilter) -> tuple[bool, 
     the extension, so a broken extension shows as disagreement; on finite
     frames disagreement is a defect (eta: w -> pi_w is an isomorphism).  The
     set {w : phi holds at w} is one truth mask, with the free variable as its
-    column.
+    column, and it belongs to u iff it holds u's point.
     """
     fv = sorted(free_vars(phi))
     if len(fv) != 1:
@@ -516,7 +516,7 @@ def los_like_check(frame: Frame, phi: FOFormula, u: Ultrafilter) -> tuple[bool, 
         raise InputError("ultrafilter is not over the given frame")
     x = fv[0]
     lhs = eval_fo(build_ue(frame).frame, phi, {x: u.name})
-    rhs = u.member(frame.names(_evaluate(frame, phi, {}, column=x)))
+    rhs = bool(_evaluate(frame, phi, {}, column=x) >> frame.index[u.point] & 1)
     return lhs == rhs, lhs, rhs
 
 

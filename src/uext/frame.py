@@ -105,6 +105,8 @@ class Frame:
         rows = [0] * len(vertices)
         for a, b in edges:
             if a not in index or b not in index:
+                # the least stray edge, since a set has no order that could name the first
+                a, b = min(e for e in edges if e[0] not in index or e[1] not in index)
                 raise InputError(f"edge ({a!r}, {b!r}) has an endpoint outside the vertex set")
             rows[index[a]] |= 1 << index[b]
         self.__dict__.update(vertices=vertices, succ_mask=tuple(rows), index=index, edges=edges)
@@ -386,9 +388,9 @@ def read_json(path: str, what: str):
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
 
 
-def read_model(path: str) -> tuple[Frame, dict[str, frozenset[str]]]:
-    """The frame in a model file, or in a frame file, and its valuation, empty when it has none.
-    The valuation is checked all the same: an object from letters to lists of distinct vertices."""
+def read_model(path: str) -> tuple[Frame, dict[str, int]]:
+    """The frame in a model file, or a frame file, and each letter's bitmask in sorted letter order
+    (none without a valuation).  The valuation is checked once: letters to distinct vertices."""
     doc = read_json(path, "frame")
     frame = frame_from_dict(doc, MODEL_FIELDS)
     val = doc.get("valuation", {})
@@ -400,7 +402,7 @@ def read_model(path: str) -> tuple[Frame, dict[str, frozenset[str]]]:
     lists = {p: distinct((vertex_id(x) for x in json_array(xs, f"valuation of {p!r}")),
                          "vertex", f"valuation of {p!r}")
              for p, xs in val.items()}
-    return frame, {p: frame.check_vertices(lists[p]) for p in sorted(lists)}
+    return frame, {p: frame.mask(lists[p]) for p in sorted(lists)}
 
 
 def load_frame(path: str) -> Frame:

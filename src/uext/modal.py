@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import and_
+from typing import Iterable
 
 from .caps import Budget
 from .errors import InputError
@@ -127,25 +128,18 @@ def parse_modal(text: str) -> ModalFormula:
 
 @dataclass(frozen=True)
 class Model:
+    """A frame and each letter's extension as a bitmask over its load order, letters sorted and
+    trusted (``Model.make`` checks names).  Models compare by value but, holding a dict, are not hashable."""
+
     frame: Frame
-    valuation: tuple[tuple[str, frozenset[str]], ...]
+    masks: dict[str, int]
+
+    __hash__ = None
 
     @staticmethod
-    def make(frame: Frame, valuation: dict[str, frozenset[str]]) -> "Model":
-        items = []
-        for p in sorted(valuation):
-            items.append((p, frame.check_vertices(valuation[p])))
-        return Model(frame, tuple(items))
-
-    @cached_property
-    def val(self) -> dict[str, frozenset[str]]:
-        return dict(self.valuation)
-
-    @cached_property
-    def masks(self) -> dict[str, int]:
-        """Each letter's extension as a bitmask over the frame's load order."""
-        index = self.frame.index
-        return {p: sum(1 << index[w] for w in xs) for p, xs in self.valuation}
+    def make(frame: Frame, valuation: dict[str, Iterable[str]]) -> "Model":
+        """The model whose letter p holds at the names valuation[p]; an unknown name is an InputError."""
+        return Model(frame, {p: frame.mask(valuation[p]) for p in sorted(valuation)})
 
 
 def _compile(phi: ModalFormula, make):
@@ -278,9 +272,8 @@ def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", s
         if missed:
             c = (missed & -missed).bit_length() - 1
             code, full = block << width | c, (1 << n) - 1
-            val = {p: frame.names(code >> (j * n) & full) for j, p in enumerate(ls)}
             w = next(i for i, x in enumerate(root) if not x >> c & 1)
-            return False, (Model.make(frame, val), frame.vertices[w])
+            return False, (Model(frame, {p: code >> (j * n) & full for j, p in enumerate(ls)}), frame.vertices[w])
     return True, None
 
 
@@ -290,16 +283,14 @@ def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", s
 
 @dataclass(frozen=True)
 class UEModel:
-    """A model over an ultrafilter extension; V^ue(p) = {u : V(p) in u} is derived."""
+    """A model over an ultrafilter extension; V^ue(p) = {u : V(p) in u} has V(p)'s mask (see `UEFrame`)."""
 
     ue_frame: UEFrame
     base_model: Model
 
-    @cached_property
+    @property
     def model(self) -> Model:
-        names = {u.point: u.name for u in self.ue_frame.ultrafilters}
-        val = {p: frozenset(map(names.__getitem__, xs)) for p, xs in self.base_model.valuation}
-        return Model.make(self.ue_frame.frame, val)
+        return Model(self.ue_frame.frame, self.base_model.masks)
 
 
 def extend_model(model: Model) -> UEModel:
@@ -309,11 +300,14 @@ def extend_model(model: Model) -> UEModel:
 def truth_membership_check(ue_model: UEModel, phi: ModalFormula) -> bool:
     """Truth at u on the extension iff the base truth set belongs to u.
 
-    A false return is a defect detector, not an expected outcome.
+    Each side reads u's bit (its name's, its point's) in phi's truth mask on its
+    own frame.  A false return is a defect detector, not an expected outcome.
     """
-    base_truth = truth_set(ue_model.base_model, phi)
-    ue_truth = truth_set(ue_model.model, phi)
-    return all((u.name in ue_truth) == u.member(base_truth) for u in ue_model.ue_frame.ultrafilters)
+    base, ext = ue_model.base_model, ue_model.model
+    base_truth = truth_mask(base.frame, base.masks, phi)
+    ue_truth = truth_mask(ext.frame, ext.masks, phi)
+    return all(ue_truth >> ext.frame.index[u.name] & 1 == base_truth >> base.frame.index[u.point] & 1
+               for u in ue_model.ue_frame.ultrafilters)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +361,7 @@ class _BisimGame(Game):
 
 def n_bisimilar(m1: Model, w1: str, m2: Model, w2: str, n: int) -> bool:
     """Exact n-round back-and-forth between two pointed models, read by the scan of Game.least."""
-    game = _BisimGame(m1, m2, frozenset(m1.val) | frozenset(m2.val))
+    game = _BisimGame(m1, m2, m1.masks.keys() | m2.masks.keys())
     pos = m1.frame.position(w1), len(m1.frame.vertices) + m2.frame.position(w2)
     return game.least(pos, n) is None
 

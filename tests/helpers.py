@@ -76,7 +76,7 @@ def modal_truth_outcome(case: dict) -> dict:
     out.update(valid=ok, counter_world=None, counter_valuation=None)
     if counter is not None:
         cm, cw = counter
-        out.update(counter_world=cw, counter_valuation={p: sorted(xs) for p, xs in cm.valuation})
+        out.update(counter_world=cw, counter_valuation={p: sorted(xs) for p, xs in valuation(cm).items()})
     return out
 
 
@@ -86,6 +86,11 @@ def successors(frame: Frame) -> dict[str, frozenset[str]]:
     for a, b in frame.edges:
         out[a].add(b)
     return {v: frozenset(s) for v, s in out.items()}
+
+
+def valuation(model: Model) -> dict[str, frozenset[str]]:
+    """Each letter's extension as a set of names (the shape the oracles take)."""
+    return {p: frozenset(model.frame.names(mask)) for p, mask in model.masks.items()}
 
 
 def in_load_order(frame: Frame, xs) -> list[str]:
@@ -142,7 +147,8 @@ def hull_outcome(case: dict) -> dict:
 
 
 def model_doc(model: Model) -> dict:
-    return {**frame_to_dict(model.frame), "valuation": {p: in_load_order(model.frame, xs) for p, xs in model.valuation}}
+    return {**frame_to_dict(model.frame),
+            "valuation": {p: in_load_order(model.frame, xs) for p, xs in valuation(model).items()}}
 
 
 def random_frame(rng: random.Random, max_n: int = 6, edge_p: float = 0.35) -> Frame:

@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -223,6 +226,18 @@ def test_first_stray_endpoint_in_document_order_is_named():
     doc = {"vertices": ["a"], "edges": [["a", "zz"], ["yy", "a"], ["xx", "ww"]]}
     with pytest.raises(InputError, match=r"^edge \('a', 'zz'\) has an endpoint outside the vertex set$"):
         frame_from_dict(doc)
+
+
+def test_constructor_names_the_least_stray_edge():
+    # an edge set has no document order; the constructor once named the first stray edge in hash order
+    script = ("from uext import Frame\n"
+              "try:\n    Frame(('a',), [('a', 'x'), ('y', 'a'), ('a', 'z'), ('q', 'a')])\n"
+              "except Exception as exc:\n    print(exc)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for seed in range(6):
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src})
+        assert run.stdout == "edge ('a', 'x') has an endpoint outside the vertex set\n", seed
 
 
 def test_derived_frames_are_not_checked_again(monkeypatch):

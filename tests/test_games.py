@@ -11,7 +11,7 @@ import pytest
 import bisim_oracle
 import game_oracle as O
 import modal_oracle
-from helpers import linear_order, model_doc, random_frame, random_valuation, successors
+from helpers import linear_order, model_doc, random_frame, random_valuation, successors, valuation
 from uext import Frame, Model, frame_from_dict, frame_to_dict
 from uext.frame import MODEL_FIELDS
 from uext.fo import _EFGame, distinguishing_sentence, ef_equivalent, ef_min_rounds, format_fo, spoiler_line
@@ -100,7 +100,7 @@ def model_pair(rng: random.Random, i: int) -> tuple[Model, Model]:
     m1 = Model.make(f1, random_valuation(rng, f1, ["p0", "p1"][:rng.randint(0, 2)]))
     if kind == 1:
         f2, names = relabelled(rng, f1)
-        return m1, Model.make(f2, {p: [names[w] for w in ws] for p, ws in m1.val.items()})
+        return m1, Model.make(f2, {p: [names[w] for w in ws] for p, ws in valuation(m1).items()})
     f2 = edgeless(rng) if kind == 2 else random_frame(rng, 5)
     return m1, Model.make(f2, random_valuation(rng, f2, ["p0", "p1"][:rng.randint(0, 2)]))
 
@@ -111,7 +111,7 @@ def test_bisim_agrees_with_the_pair_position_search():
         m1, m2 = model_pair(rng, i)
         d1, d2 = model_doc(m1), model_doc(m2)
         w1, w2, n = rng.choice(m1.frame.vertices), rng.choice(m2.frame.vertices), rng.randint(0, 6)
-        letters, case = sorted(m1.val)[:rng.randint(0, 2)], (d1, w1, d2, w2, n)
+        letters, case = sorted(m1.masks)[:rng.randint(0, 2)], (d1, w1, d2, w2, n)
         phi = distinguishing_formula(m1, w1, m2, w2, n, letters)
         assert n_bisimilar(m1, w1, m2, w2, n) == O.n_bisimilar(*case), case
         assert (phi and O.tree(phi)) == O.distinguishing_formula(*case, letters), case
@@ -171,8 +171,9 @@ def test_bisim_verdict_is_stable_past_the_clip():
         m1, m2 = model_pair(rng, i)
         w1, w2 = rng.choice(m1.frame.vertices), rng.choice(m2.frame.vertices)
         clip, d1, d2 = len(m1.frame.vertices) + len(m2.frame.vertices), model_doc(m1), model_doc(m2)
-        truth = bisim_oracle.n_bisimilar((successors(m1.frame), m1.val), w1, (successors(m2.frame), m2.val), w2,
-                                         clip, sorted(m1.val.keys() | m2.val.keys()))
+        truth = bisim_oracle.n_bisimilar((successors(m1.frame), valuation(m1)), w1,
+                                         (successors(m2.frame), valuation(m2)), w2,
+                                         clip, sorted(m1.masks.keys() | m2.masks.keys()))
         assert n_bisimilar(m1, w1, m2, w2, 10**6) == n_bisimilar(m1, w1, m2, w2, clip) == truth, (d1, w1, d2, w2)
 
 
@@ -292,7 +293,7 @@ def test_bisim_typing_counters_are_pinned_on_random_models():
         m1, w1 = Model.make(f1, random_valuation(rng, f1, ["p0"])), rng.randrange(len(f1.vertices))
         if i % 3 == 1:
             f2, names = relabelled(rng, f1)
-            m2 = Model.make(f2, {p: [names[w] for w in ws] for p, ws in m1.val.items()})
+            m2 = Model.make(f2, {p: [names[w] for w in ws] for p, ws in valuation(m1).items()})
             w2 = f2.position(names[f1.vertices[w1]])
         else:
             f2 = random_frame(rng, 7, 0.25)
@@ -364,7 +365,7 @@ def test_deep_witness_with_several_parts_per_round(order):
     m1, m2 = (tip, plain) if order == "tip first" else (plain, tip)
     phi = distinguishing_formula(m1, "v0", m2, "v0", 200, ["p0", "p1"])
     assert phi is not None
-    d1, d2 = ((successors(m.frame), m.val) for m in (m1, m2))
+    d1, d2 = ((successors(m.frame), valuation(m)) for m in (m1, m2))
     assert modal_oracle.holds(*d1, "v0", phi) and not modal_oracle.holds(*d2, "v0", phi)
     depth = O.modal_depth(phi)  # the least separating depth: the models part there, not one before
     assert not bisim_oracle.n_bisimilar(d1, "v0", d2, "v0", depth, ["p0", "p1"])

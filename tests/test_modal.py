@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -18,11 +19,12 @@ from uext import (
     truth_membership_check,
     truth_set,
 )
+from uext.cli import main
 from uext.modal import TOP, And, Box, Dia, Falsum, Imp, Not, Or, Prop, distinguishing_formula, truth_mask
 
 import bisim_oracle
 import modal_oracle
-from helpers import all_3vertex_frames, random_frame, random_modal, random_valuation, successors
+from helpers import all_3vertex_frames, random_frame, random_modal, random_valuation, successors, valuation
 
 TRI = Frame(("a", "b", "c"), frozenset([("a", "b"), ("a", "c"), ("b", "c")]))
 
@@ -111,7 +113,7 @@ def test_truth_mask_matches_oracle():
         f = random_frame(rng, 7)
         m = Model.make(f, random_valuation(rng, f, ["p0", "p1"][:rng.randint(0, 2)]))
         phi = random_modal(rng, rng.randint(0, 5), ["p0", "p1", "p2"], rng.randint(1, 20))
-        want = modal_oracle.truth_set(f.vertices, successors(f), m.val, phi)
+        want = modal_oracle.truth_set(f.vertices, successors(f), valuation(m), phi)
         assert points(f, truth_mask(f, m.masks, phi)) == want
         assert truth_set(m, phi) == want
         w = rng.choice(f.vertices)
@@ -134,7 +136,7 @@ def test_frame_valid_matches_oracle_on_all_3_point_frames(text):
             assert want_counter is None
         else:
             model, w = counter
-            assert (model.val, w) == want_counter
+            assert (valuation(model), w) == want_counter
     assert verdicts == {True, False}
 
 
@@ -176,6 +178,32 @@ def test_corrupted_pred_mask_fails_truth_membership():
     assert not truth_membership_check(uem, phi)
 
 
+def test_a_valuation_is_checked_once(tmp_path, monkeypatch, capsys):
+    # the model reader checks each letter's list and hands on masks; the CLI once checked them again
+    calls = []
+    check = Frame.check_vertices
+    monkeypatch.setattr(Frame, "check_vertices", lambda self, xs: calls.append(xs) or check(self, xs))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["a", "c"], ["b", "c"]],
+                                "valuation": {"p1": ["a", "c"], "p0": ["b"]}}))
+    assert main(["modal", "eval", str(path), "<>p0 & p1", "--at", "a"]) == 0
+    assert capsys.readouterr() == ('{\n  "holds": true\n}\n', "")
+    assert sorted(map(sorted, calls)) == [["a", "c"], ["b"]]
+    # a counterexample and the extension's valuation are built from masks, unchecked
+    ok, (model, w) = frame_valid(TRI, parse_modal("<>p0 -> []p0"))
+    uem = extend_model(model)
+    calls.clear()
+    assert not ok and uem.model.masks == model.masks == {"p0": 0b010} and w == "a"
+    assert calls == []
+
+
+def test_a_model_is_not_hashable():
+    m = Model.make(TRI, {"p0": ["b"]})
+    assert m == Model(TRI, {"p0": 0b010}) and m.masks == {"p0": 0b010}
+    with pytest.raises(TypeError):
+        hash(m)
+
+
 def test_n_bisimilar_reflexive_vs_two_cycle():
     loop = Model.make(Frame(("x",), frozenset([("x", "x")])), {})
     two = Model.make(Frame(("a", "b"), frozenset([("a", "b"), ("b", "a")])), {})
@@ -210,7 +238,8 @@ def test_equivalent_upto_agrees_with_game():
         m2 = Model.make(f2, random_valuation(rng, f2, letters))
         w1, w2 = rng.choice(f1.vertices), rng.choice(f2.vertices)
         n = rng.randint(0, 3)
-        truth = bisim_oracle.n_bisimilar((successors(f1), m1.val), w1, (successors(f2), m2.val), w2, n, letters)
+        truth = bisim_oracle.n_bisimilar((successors(f1), valuation(m1)), w1,
+                                         (successors(f2), valuation(m2)), w2, n, letters)
         verdicts.add(truth)
         assert n_bisimilar(m1, w1, m2, w2, n) == truth
         eq, phi = modally_equivalent_upto(m1, w1, m2, w2, n, letters)
@@ -230,7 +259,8 @@ def test_n_bisimilar_past_the_clip_matches_oracle():
         m2 = Model.make(f2, random_valuation(rng, f2, ["p0"]))
         w1, w2 = rng.choice(f1.vertices), rng.choice(f2.vertices)
         for n in range(len(f1.vertices) + len(f2.vertices) + 4):
-            truth = bisim_oracle.n_bisimilar((successors(f1), m1.val), w1, (successors(f2), m2.val), w2, n, ["p0"])
+            truth = bisim_oracle.n_bisimilar((successors(f1), valuation(m1)), w1,
+                                             (successors(f2), valuation(m2)), w2, n, ["p0"])
             assert n_bisimilar(m1, w1, m2, w2, n) == truth
             phi = distinguishing_formula(m1, w1, m2, w2, n, ["p0"])
             assert (phi is None) == truth
@@ -248,7 +278,7 @@ def test_witness_has_the_least_separating_depth():
         m2 = Model.make(f2, random_valuation(rng, f2, letters))
         w1, w2, n = rng.choice(f1.vertices), rng.choice(f2.vertices), rng.randint(0, 4)
         least = next((d for d in range(n + 1) if not bisim_oracle.n_bisimilar(
-            (successors(f1), m1.val), w1, (successors(f2), m2.val), w2, d, letters)), None)
+            (successors(f1), valuation(m1)), w1, (successors(f2), valuation(m2)), w2, d, letters)), None)
         phi = distinguishing_formula(m1, w1, m2, w2, n, letters)
         assert (phi is None) == (least is None)
         if phi is not None:

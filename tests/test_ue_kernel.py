@@ -8,11 +8,11 @@ import tracemalloc
 import pytest
 
 import ue_oracle
-from uext import DefectError, Frame, build_ue, enumerate_ultrafilters, ue_related
+from uext import DefectError, Frame, Model, build_ue, enumerate_ultrafilters, extend_model, ue_related
 from uext.cli import main
 from uext.ultra import _mode_rows
 
-from helpers import all_3vertex_frames, random_frame
+from helpers import all_3vertex_frames, random_frame, random_valuation
 
 PATH = Frame(("a", "b", "c"), frozenset([("a", "b"), ("b", "c")]))
 
@@ -40,6 +40,21 @@ def test_kernel_matches_oracle():
         assert build_ue(f).frame.edges == want
         loops += any(a == b for a, b in f.edges)
     assert loops > 100
+
+
+def test_extension_keeps_the_base_load_order():
+    # UEModel.model reads V^ue(p) = {u : V(p) in u} as V(p)'s mask: ultrafilter k is principal at point k
+    rng = random.Random(2911)
+    for f in differential_corpus():
+        ue = build_ue(f)
+        assert ue.frame.vertices == tuple(u.name for u in ue.ultrafilters)
+        assert [u.point for u in ue.ultrafilters] == list(f.vertices)
+        m = Model.make(f, random_valuation(rng, f, ["p0", "p1"]))
+        ext = extend_model(m).model
+        assert ext.masks == m.masks
+        for p, mask in ext.masks.items():
+            want = {u.name for u in ue.ultrafilters if u.member(set(f.names(m.masks[p])))}
+            assert set(ext.frame.names(mask)) == want, (f, p)
 
 
 def sweep_corpus():
