@@ -1,7 +1,8 @@
 """uext: a workbench for ultrafilter extensions of Kripke frames.
 
 Exact extensions of finite frames, modal and first order evaluation,
-Ehrenfeucht-Fraisse games, rooted n-hulls, and hull-type censuses of
+Ehrenfeucht-Fraisse games, rooted n-hulls (certificates, and `hull_formula`,
+the text of the formula pinning a hull's type), and hull-type censuses of
 finitely presented infinite frames.
 """
 

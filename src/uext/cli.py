@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 
 from . import census as census_mod
 from .errors import DefectError, InputError, ResourceError
-from .fo import eval_fo, ef_min_rounds, format_fo, free_vars, is_variable, los_like_check, parse_fo
+from .fo import eval_fo, ef_min_rounds, free_vars, is_variable, los_like_check, parse_fo
 from .frame import frame_to_dict, frame_to_dot, read_model
 from .hulls import canonical_form, endpoints, hull, hull_formula
 from .modal import Model, eval_modal, frame_valid, n_bisimilar, parse_modal
@@ -123,7 +123,7 @@ def cmd_hull(args) -> dict:
     if args.depth >= 1:
         doc["endpoints"] = sorted(endpoints(h))
     if args.formula:
-        doc["formula"] = format_fo(hull_formula(h))
+        doc["formula"] = hull_formula(h)
     return doc
 
 

@@ -6,15 +6,16 @@ A hull is its host's rows in BFS order: `hull` runs one undirected BFS from the
 root and keeps its rings, one bitmask per distance.  The BFS order (root first,
 then by distance, then load order) numbers the hull's points, and `shape`, the
 host rows masked to the hull and renumbered in that order, is what the
-labelling, a census's memo and `hull_formula` read.  The load-order subframe
-(`RootedGraph.graph`) is built only where it is printed.
+labelling, a census's memo and `hull_formula` (which writes a formula's text
+from it) read.  The load-order subframe (`RootedGraph.graph`) is built only
+where it is printed.
 
 Certificates come from root-seeded color refinement (`frame.refine`, counting
 neighbours' colours both ways) with individualization backtracking: the least
 leaf of the search tree is the certificate, so certificate equality is exactly
 rooted isomorphism, and that leaf's labelling gives `rooted_iso` its witness.
 Each twin class (vertices with the same neighbours, adjacent or not) is
-branched on once, so stars and K_mm-like hulls cost a linear number of
+individualised in one step, so stars and K_mm-like hulls cost a few
 refinements; other symmetry is still searched in full.
 """
 
@@ -24,9 +25,8 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 from .errors import InputError, ResourceError
-from .fo import Eq, Exists, FOFormula, Forall, Rel
 from .frame import Frame, any_of, bits, refine, relabel, transpose
-from .syntax import MAX_DEPTH, And, Imp, Not, Or, depth, fold
+from .syntax import MAX_DEPTH
 
 CERT_VERSION = b"HT1"
 
@@ -178,8 +178,13 @@ def _canonical_bytes(adj, twins, colors: list) -> tuple[bytes, list[int]]:
             if best is None or cert < best[0]:
                 best = cert, colors
             continue
+        fresh, first = max(colors) + 1, twins[target[0]]
+        if any(all(twins[i][kind] == first[kind] for i in target) for kind in (0, 1)):
+            # one twin class: a chain of one-member branches, in index order, ends in this colouring
+            individualised = dict(zip(target[:-1], range(fresh, fresh + len(target))))
+            todo.append([individualised.get(i, c) for i, c in enumerate(colors)])
+            continue
         children, branched_keys = [], set()
-        fresh = max(colors) + 1
         for i in target:
             # swapping i with a twin already branched on fixes the root and every individualised
             # vertex, so that branch's subtree has the same least leaf
@@ -230,21 +235,20 @@ def rooted_iso(h1: RootedGraph, h2: RootedGraph) -> tuple[bool, dict[str, str] |
     return True, {names1[i]: by_label[c] for i, c in sorted(zip(h1.order, labels1))}
 
 
-def hull_formula(h: RootedGraph) -> FOFormula:
-    """The one-free-variable formula whose truth at v says hull(F, v, n) is
-    rooted-isomorphic to h.
+def hull_formula(h: RootedGraph) -> str:
+    """The text of the one-free-variable formula whose truth at v says hull(F, v, n) is
+    rooted-isomorphic to h, as `format_fo` would print it.
 
-    One existential per non-root vertex (nested in BFS order so evaluation
-    prunes early), pairwise distinctness, every edge, every non-edge, and a
-    closure clause pinning all neighbors of sub-maximal-layer vertices inside
-    the quantified set; outside-neighbors of layer-n vertices stay free.  The
-    variable of BFS position k is y_k (x for the root), and each literal reads
-    the shape rows by position.  A rooted graph that is not its root's
-    depth-hull (a point lies further than depth steps from the root, or is not
-    reached) has no such formula: it is refused as an InputError naming the
-    first such point in BFS order.  The formula nests about five levels per
-    vertex, past syntax.MAX_DEPTH from about 20 vertices on: such a hull raises
-    ResourceError, so every formula returned parses back.
+    One existential per non-root vertex (nested in BFS order so evaluation prunes early),
+    pairwise distinctness, every edge, every non-edge, and a closure clause pinning all neighbors
+    of sub-maximal-layer vertices inside the quantified set; outside-neighbors of layer-n vertices
+    stay free.  The variable of BFS position k is y_k (x for the root).  The text is written in one
+    pass over the shape rows, with no formula tree: per vertex its quantifier, a "(" per literal
+    and the literals, then the closure and a ")" per vertex.  A rooted graph that is not its
+    root's depth-hull (a point lies further than depth steps from the root, or is not reached)
+    has no such formula: it is refused as an InputError naming the first such point in BFS order.
+    The formula nests about five levels per vertex, past syntax.MAX_DEPTH from about 20 vertices
+    on: such a hull raises ResourceError, so every formula returned parses back.
     """
     shape, size = h.shape, len(h.order)
     within = sum(map(int.bit_count, h.rings[:h.depth + 1]))  # the points within depth steps come first
@@ -257,34 +261,41 @@ def hull_formula(h: RootedGraph) -> FOFormula:
     if 2 * (size - 1) > MAX_DEPTH:  # an exists and a conjunction per non-root vertex
         raise too_deep
     names = ["x"] + [f"y{k}" for k in range(1, size)]
-
-    def literals_for(k: int) -> list[FOFormula]:
-        v, row = names[k], shape[k]
-        lits: list[FOFormula] = []
-        # connecting edge literals first: they prune the assignment search
-        for u in range(k):
+    out, literals = [], []
+    for k, (v, row) in enumerate(zip(names, shape)):
+        lits = []
+        for u in range(k):  # connecting edge literals first: they prune the assignment search
             if shape[u] >> k & 1:
-                lits.append(Rel(names[u], v))
+                lits.append(f"R({names[u]},{v})")
             if row >> u & 1:
-                lits.append(Rel(v, names[u]))
-        lits.append(Rel(v, v) if row >> k & 1 else Not(Rel(v, v)))
+                lits.append(f"R({v},{names[u]})")
+        lits.append(f"R({v},{v})" if row >> k & 1 else f"~R({v},{v})")
         for u in range(k):
-            lits.append(Not(Eq(names[u], v)))
+            lits.append(f"~{names[u]}={v}")
             if not shape[u] >> k & 1:
-                lits.append(Not(Rel(names[u], v)))
+                lits.append(f"~R({names[u]},{v})")
             if not row >> u & 1:
-                lits.append(Not(Rel(v, names[u])))
-        return lits
-
-    inside = fold(Or, [Eq("z", y) for y in names])
+                lits.append(f"~R({v},{names[u]})")
+        literals.append(lits)
+        out += [f"exists {v}. (" if k else "(", *_chain(lits, " & "), " & "]  # the rest closes at the end
+    inside = "".join(_chain([f"z={y}" for y in names], " | "))
     inner = sum(map(int.bit_count, h.rings[:h.depth]))  # the points below the last layer come first
-    closure = [Forall("z", Imp(edge, inside)) for y in names[:inner] for edge in (Rel(y, "z"), Rel("z", y))]
-    phi = fold(And, closure + [Eq("x", "x")])
-    for k in reversed(range(size)):  # innermost vertex first
-        body = fold(And, literals_for(k) + [phi])
-        phi = Exists(names[k], body) if k else body
-    # vertex k adds an exists, a conjunction and 3k + 1 literals of depth <= 2, and the closure
-    # nests at most 3V + 2 deep, so only a hull of V >= 20 vertices needs the walk
-    if 5 * size + 1 > MAX_DEPTH and depth(phi) > MAX_DEPTH:
-        raise too_deep
-    return phi
+    closure = [f"forall z. ({edge} -> {inside})" for y in names[:inner] for edge in (f"R({y},z)", f"R(z,{y})")]
+    # the first clause is a quantifier left of a connective, so it is put in parentheses
+    out += [*_chain([f"({c})" for c in closure[:1]] + closure[1:] + ["x=x"], " & "), ")" * size]
+    # how deep the text's parse nests: a literal 1 deep (2 negated), a closure clause size + 2, and
+    # a left fold of m parts puts part i (from 0) under m - max(i, 1) connectives; vertex k adds an exists,
+    # a conjunction and 3k + 1 literals, so only a hull of V >= 20 vertices needs the count
+    if 5 * size + 1 > MAX_DEPTH:
+        nest = len(closure) + size + 2 if closure else 1
+        for k in reversed(range(size)):
+            parts = [1 + (lit[0] == "~") for lit in literals[k]] + [nest]
+            nest = max(len(parts) - max(i, 1) + d for i, d in enumerate(parts)) + (k > 0)
+        if nest > MAX_DEPTH:
+            raise too_deep
+    return "".join(out)
+
+
+def _chain(parts: list[str], symbol: str) -> list[str]:
+    """The text of the left fold of parts under a binary connective, in pieces: one "(" per later part."""
+    return ["(" * (len(parts) - 1), parts[0], *[f"{symbol}{p})" for p in parts[1:]]]

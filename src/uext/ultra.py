@@ -40,8 +40,11 @@ class Ultrafilter:
 
 
 def enumerate_ultrafilters(frame: Frame) -> list[Ultrafilter]:
-    """All ultrafilters over a finite carrier: one principal per vertex."""
-    return [Ultrafilter(frame, w) for w in frame.vertices]
+    """All ultrafilters over a finite carrier: one principal per vertex, its point not checked again."""
+    ufs = [object.__new__(Ultrafilter) for _ in frame.vertices]
+    for u, w in zip(ufs, frame.vertices):
+        u.__dict__.update(frame=frame, point=w)
+    return ufs
 
 
 def _mode_rows(frame: Frame) -> dict[str, list[int]]:
@@ -123,7 +126,7 @@ def build_ue(frame: Frame) -> UEFrame:
 
 def canonical_embedding(frame: Frame) -> dict[str, Ultrafilter]:
     """The embedding w -> pi_w; an isomorphism onto the extension for finite frames."""
-    return {w: Ultrafilter(frame, w) for w in frame.vertices}
+    return dict(zip(frame.vertices, enumerate_ultrafilters(frame)))
 
 
 @dataclass(frozen=True)

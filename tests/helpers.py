@@ -111,7 +111,7 @@ def hull_outcome(case: dict) -> dict:
         order = lambda xs: [v for v in h.graph.vertices if v in xs]  # noqa: E731
         out.update(certificate=canonical_form(h).hex, layers={v: h.layers[v] for v in order(h.layers)},
                    endpoints=order(endpoints(h)) if h.depth >= 1 else None,
-                   formula=format_fo(hull_formula(h)),
+                   formula=hull_formula(h),
                    images={mode: [v for v in f.vertices if v in relation_image(f, case["subset"], mode)]
                            for mode in ("forward", "backward", "both", "box")},
                    coloring=greedy_coloring(f), clique=list(clique_lower_bound(f)))

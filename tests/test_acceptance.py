@@ -280,7 +280,7 @@ def test_12_hull_cross_oracle():
         by_cert = canonical_form(h1).certificate == canonical_form(h2).certificate
         by_iso = rooted_iso(h1, h2)[0]
         by_oracle = iso_oracle.rooted_iso(*((h.graph.vertices, h.graph.edges, h.root) for h in (h1, h2)))[0]
-        by_formula = eval_fo(f2, hull_formula(h1), {"x": w2})
+        by_formula = eval_fo(f2, parse_fo(hull_formula(h1)), {"x": w2})
         assert by_cert == by_iso == by_oracle == by_formula
         checked += 1
     assert checked >= 300

@@ -165,7 +165,7 @@ def test_hull_formulas():
     for f in frames:
         for w in f.vertices:
             for depth in (0, 1, 2):
-                phi = hull_formula(hull(f, w, depth))
+                phi = parse_fo(hull_formula(hull(f, w, depth)))
                 for g in frames:
                     verdicts.update(agree(g, phi))
                     membership_agrees(g, phi)

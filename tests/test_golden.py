@@ -76,7 +76,8 @@ def test_hull_corpus(monkeypatch):
 
 def test_printed_fo_reads_back_as_itself():
     """parse_fo(format_fo(phi)) == phi on the parser corpus and on every pinned hull formula:
-    a quantifier's scope runs as far right as it can, so the printer must close it off."""
+    a quantifier's scope runs as far right as it can, so the printer must close it off.  A hull
+    formula's text, written without a tree, is what format_fo prints of its parse."""
     formulas = []
     for line in (GOLDEN / "fo_parse.jsonl").read_text().splitlines():
         try:
@@ -84,7 +85,35 @@ def test_printed_fo_reads_back_as_itself():
         except InputError:
             pass
     cases = [json.loads(line) for line in (GOLDEN / "hulls.jsonl").read_text().splitlines()]
-    formulas += [hull_formula(hull(frame_from_dict(c["frame"]), c["root"], c["depth"])) for c in cases if "frame" in c]
+    texts = [hull_formula(hull(frame_from_dict(c["frame"]), c["root"], c["depth"])) for c in cases if "frame" in c]
+    formulas += [parse_fo(text) for text in texts]
+    assert [format_fo(phi) for phi in formulas[-len(texts):]] == texts
     assert len(formulas) > 450
     for phi in formulas:
         assert parse_fo(format_fo(phi)) == phi, format_fo(phi)
+
+
+def test_hull_formula_is_printed_without_a_formula_tree(monkeypatch):
+    """`hull --formula` writes its text straight from the shape rows: with the parser, the tree
+    depth walk, the printer and every FO node's constructor made to fail, the pinned outputs
+    are still printed."""
+    import uext.cli
+    import uext.fo
+    import uext.syntax
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a formula tree was built, walked or printed")
+
+    for module, name in [(uext.fo, "parse_fo"), (uext.cli, "parse_fo"), (uext.fo, "format_fo"),
+                         (uext.syntax, "depth"), (uext.fo, "depth")]:
+        monkeypatch.setattr(module, name, fail)
+    for node in (uext.fo.Rel, uext.fo.Eq, uext.fo.Exists, uext.fo.Forall, uext.syntax.Not, uext.syntax.And,
+                 uext.syntax.Or, uext.syntax.Imp):
+        monkeypatch.setattr(node, "__init__", fail)
+    monkeypatch.chdir(ROOT)
+    for var in CAP_VARS:
+        monkeypatch.delenv(var, raising=False)
+    cases = [c for c in CLI_CASES if c["argv"][0] == "hull" and "--formula" in c["argv"]]
+    assert len(cases) >= 2
+    for case in cases:
+        assert cli_outcome(case["argv"]) == case

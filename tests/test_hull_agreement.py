@@ -1,7 +1,8 @@
 """The hull path (one BFS, the host's rows in BFS order) agrees with the load-order path kept in
 `hull_oracle`: the subframe's vertices and edges, the layers, endpoints and shape, the
 certificate, the formula text and rooted_iso's witness, on seeded random frames, ray windows,
-stars and K_mm+root shapes."""
+stars and K_mm+root shapes.  The formula text is `hull_formula`'s own, written from the shape rows,
+against the oracle's tree printed as `format_fo` prints it."""
 
 from __future__ import annotations
 
@@ -10,8 +11,7 @@ import random
 import pytest
 
 import hull_oracle as O
-from uext import (Frame, InputError, ResourceError, RootedGraph, canonical_form, endpoints, format_fo, hull,
-                  hull_formula, rooted_iso)
+from uext import Frame, InputError, ResourceError, RootedGraph, canonical_form, endpoints, hull, hull_formula, rooted_iso
 
 
 def random_frame(rng: random.Random) -> Frame:
@@ -51,7 +51,7 @@ def oracle_formula(oh: O.Rooted) -> str | None:
 
 def formula(h: RootedGraph) -> str | None:
     try:
-        return format_fo(hull_formula(h))
+        return hull_formula(h)
     except ResourceError:
         return None
 
@@ -116,3 +116,25 @@ def test_rooted_graphs_agree_and_refuse_a_formula_when_not_a_hull():
             with pytest.raises(InputError, match=f"vertex {first!r} is not within {n} undirected steps"):
                 hull_formula(h)
     assert refused
+
+
+def test_formula_text_agrees_where_the_depth_refusal_starts():
+    """Hulls of 18-27 points, where the formula's nesting crosses syntax.MAX_DEPTH: stars of 17-22
+    leaves, K_mm+root at depth 2 for m = 6-10 and seeded dense random frames.  The text, and
+    whether it is refused, agree with the oracle's tree and its recursive depth count."""
+    rng = random.Random(1618)
+    shapes = [(star(k), "c", d) for k in range(17, 23) for d in (1, 2)]
+    shapes += [(kmm_root(m), "r", 2) for m in range(6, 11)]
+    for _ in range(40):
+        n = rng.randint(18, 26)
+        names = [f"v{i}" for i in rng.sample(range(n), n)]
+        p = rng.choice([0.3, 0.5, 0.8])
+        f = Frame(names, {(a, b) for a in names for b in names if rng.random() < p})
+        shapes.append((f, rng.choice(names), rng.randint(1, 2)))
+    met = set()
+    for f, w, n in shapes:
+        h = hull(f, w, n)
+        text = formula(h)
+        assert text == oracle_formula(O.hull(f.vertices, f.succ_mask, w, n)), (f, w, n)
+        met.add(text is None)
+    assert met == {True, False}

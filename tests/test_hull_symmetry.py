@@ -13,6 +13,7 @@ import random
 import pytest
 
 import iso_oracle
+import uext.hulls as hulls_mod
 from uext import Frame, canonical_form, hull, rooted_iso
 
 from helpers import kmm_root, star
@@ -186,3 +187,23 @@ def test_points_sharing_one_neighbourhood_are_not_twins(reverse, joined):
             assert canonical_form(h).certificate == iso_oracle.certificate(as_tuple(h))
             checked += 1
     assert checked == 9 + 44
+
+
+def star_certificate(k: int) -> bytes:
+    """The certificate of a k-leaf star at its centre: the centre ranks 1 over the leaf left
+    uncoloured, and the other leaves take 2..k."""
+    edges = [(1, 0)] + [(1, j) for j in range(2, k + 1)]
+    return iso_oracle.CERT_VERSION + f"|n={k + 1};root=1;edges={edges}".encode()
+
+
+def test_a_twin_class_is_individualised_in_one_step(monkeypatch):
+    # the unpruned labeller gives star_certificate on the stars it can search; a 2000-leaf star,
+    # whose leaves are one twin class, refines from its seed colours and then once more with
+    # every leaf but the last individualised, and reaches the same certificate
+    for k in range(1, 7):
+        assert iso_oracle.certificate(as_tuple(hull(star(k), "c", 1))) == star_certificate(k)
+    calls = []
+    real = hulls_mod.refine
+    monkeypatch.setattr(hulls_mod, "refine", lambda *args: calls.append(args) or real(*args))
+    assert canonical_form(hull(star(2000), "c", 1)).certificate == star_certificate(2000)
+    assert len(calls) <= 2

@@ -111,7 +111,7 @@ def test_rooted_iso_rejects_different_shapes():
 
 def test_hull_formula_characterizes_type():
     h = hull(PATH4, "p1", 1)
-    phi = hull_formula(h)
+    phi = parse_fo(hull_formula(h))
     assert free_vars(phi) == {"x"}
     assert quantifier_rank(phi) >= 1
     # p2 has the same 1-hull type as p1; the ends do not
@@ -125,19 +125,19 @@ def test_hull_formula_closure_excludes_larger_neighborhoods():
     # a 1-hull of degree 1 must not match a vertex of degree 2
     two_star = Frame(("c", "l", "r"), frozenset([("c", "l"), ("c", "r")]))
     h = hull(Frame(("u", "v"), frozenset([("u", "v")])), "u", 1)
-    assert not eval_fo(two_star, hull_formula(h), {"x": "c"})
+    assert not eval_fo(two_star, parse_fo(hull_formula(h)), {"x": "c"})
 
 
 def test_singleton_hull_formula():
     lone = Frame(("z",), frozenset())
-    phi = hull_formula(hull(lone, "z", 1))
+    phi = parse_fo(hull_formula(hull(lone, "z", 1)))
     assert eval_fo(lone, phi, {"x": "z"})
     assert not eval_fo(PATH4, phi, {"x": "p0"})
 
 
 def test_hull_formula_nests_at_most_5v_plus_1_and_parses_back():
-    # hull_formula walks the formula only past V = 19, where 5V + 1 passes MAX_DEPTH; every
-    # formula it returns parses back, and it refuses only formulas that would not
+    # hull_formula counts the nesting only past V = 19, where 5V + 1 passes MAX_DEPTH; every
+    # formula it returns parses back and prints as itself, and it refuses only formulas that would not
     rng, returned, refused = random.Random(1203), 0, 0
     for _ in range(250):
         n = rng.randint(1, 25)
@@ -145,14 +145,15 @@ def test_hull_formula_nests_at_most_5v_plus_1_and_parses_back():
         p = rng.choice([0.05, 0.2, 0.5, 1.0])
         h = hull(Frame(v, frozenset((a, b) for a in v for b in v if rng.random() < p)), "v0", rng.randint(0, 3))
         try:
-            phi = hull_formula(h)
+            text = hull_formula(h)
         except ResourceError:
             refused += 1
             assert len(h.graph.vertices) >= 20
             continue
         returned += 1
+        phi = parse_fo(text)
         assert depth(phi) <= min(5 * len(h.graph.vertices) + 1, MAX_DEPTH)
-        assert parse_fo(format_fo(phi)) == phi
+        assert format_fo(phi) == text
     assert returned >= 150 and refused >= 15
 
 
@@ -166,8 +167,8 @@ def test_hull_formula_refuses_a_rooted_graph_that_is_not_its_roots_hull():
     with pytest.raises(InputError, match="vertex 'p2' is not within 1 undirected steps of the root 'p0'"):
         hull_formula(RootedGraph(path, "p0", 1))
     # at a depth that reaches every point the rooted graph is the hull, and its formula holds
-    assert eval_fo(path, hull_formula(RootedGraph(path, "p0", 2)), {"x": "p0"})
-    assert format_fo(hull_formula(RootedGraph(path, "p0", 2))) == format_fo(hull_formula(hull(path, "p0", 2)))
+    assert eval_fo(path, parse_fo(hull_formula(RootedGraph(path, "p0", 2))), {"x": "p0"})
+    assert hull_formula(RootedGraph(path, "p0", 2)) == hull_formula(hull(path, "p0", 2))
     with pytest.raises(InputError, match="hull depth must be nonnegative"):
         RootedGraph(path, "p0", -1)
 
@@ -182,7 +183,7 @@ def test_each_hull_runs_one_bfs(monkeypatch):
         calls.clear()
         h = hull(f, rng.choice(f.vertices), rng.randint(0, 3))
         # everything the hull layer reads off a hull comes from that one BFS
-        h.shape, h.layers, h.graph, canonical_form(h), format_fo(hull_formula(h)), rooted_iso(h, h)
+        h.shape, h.layers, h.graph, canonical_form(h), hull_formula(h), rooted_iso(h, h)
         if h.depth >= 1:
             endpoints(h)
         assert len(calls) == 1

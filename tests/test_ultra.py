@@ -6,12 +6,14 @@ from uext import (
     DefectError,
     Frame,
     InputError,
+    Model,
     ResourceError,
     Road,
     Ultrafilter,
     build_ue,
     canonical_embedding,
     enumerate_ultrafilters,
+    extend_model,
     roads_between,
     ue_related,
 )
@@ -55,6 +57,20 @@ def test_canonical_embedding_bijective():
     eta = canonical_embedding(TRI)
     assert sorted(eta) == ["a", "b", "c"]
     assert all(eta[w].point == w for w in eta)
+
+
+def test_principal_ultrafilters_read_off_the_frame_are_not_checked_again(monkeypatch):
+    f = Frame(tuple(f"w{i}" for i in range(10)), frozenset((f"w{i}", f"w{(i + 1) % 10}") for i in range(10)))
+    model = Model.make(f, {"p0": ["w0", "w3"]})
+    calls = []
+    real = Frame.check_vertices
+    monkeypatch.setattr(Frame, "check_vertices", lambda self, xs: calls.append(xs) or real(self, xs))
+    ue, ext, eta = build_ue(f), extend_model(model), canonical_embedding(f)
+    assert calls == []
+    assert list(ue.ultrafilters) == list(ext.ue_frame.ultrafilters) == [Ultrafilter(f, w) for w in f.vertices]
+    assert eta == {w: Ultrafilter(f, w) for w in f.vertices} and len(calls) == 20
+    with pytest.raises(InputError, match="unknown vertex 'zz'"):
+        Ultrafilter(f, "zz")
 
 
 def test_powerset_cap(monkeypatch):
