@@ -27,7 +27,7 @@ skeleton.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InputError, ResourceError
 from .frame import (FRAME_FIELDS, Frame, bits, distinct, frame_from_dict, frame_to_dict, json_array,
@@ -43,23 +43,21 @@ GENERATOR_BUDGET = 16  # generator components in the expansion a census's lower 
 # Presentations
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(NamedTuple("Ray", [("period", Frame), ("seam", tuple), ("kind", str)])):
     """A periodic one-way ('ray') or two-way ('line') infinite graph.
 
     Copies of the period are indexed by naturals (ray) or integers (line);
     each seam edge (u, v) runs from u in copy k to v in copy k+1.
     """
 
-    period: Frame
-    seam: tuple[tuple[str, str], ...]
-    kind: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("ray", "line"):
-            raise InputError(f"ray kind must be 'ray' or 'line', got {self.kind!r}")
-        for a, b in self.seam:
-            self.period.check_vertices([a, b])
+    def __new__(cls, period: Frame, seam: tuple[tuple[str, str], ...], kind: str):
+        if kind not in ("ray", "line"):
+            raise InputError(f"ray kind must be 'ray' or 'line', got {kind!r}")
+        for a, b in seam:
+            period.check_vertices([a, b])
+        return super().__new__(cls, period, seam, kind)
 
 
 # builtin name -> (component i's vertex names, the union of components 0..count-1 as its vertex
@@ -87,13 +85,13 @@ GENERATORS = {
 }
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
+class Generator(NamedTuple("Generator", [("name", str)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.name not in GENERATORS:
-            raise InputError(f"unknown generator builtin {self.name!r}")
+    def __new__(cls, name: str):
+        if name not in GENERATORS:
+            raise InputError(f"unknown generator builtin {name!r}")
+        return super().__new__(cls, name)
 
     @property
     def degree_bound(self) -> int | None:
@@ -116,8 +114,7 @@ class Generator:
         return Frame.from_rows(*GENERATORS[self.name][1](count))
 
 
-@dataclass(frozen=True)
-class FamilyPresentation:
+class FamilyPresentation(NamedTuple):
     base: Frame = Frame((), frozenset())
     omega_templates: tuple[Frame, ...] = ()
     rays: tuple[Ray, ...] = ()
@@ -222,15 +219,30 @@ def expand(fam: FamilyPresentation, budget: int) -> Frame:
 # Hull census
 
 
-@dataclass
 class HullCensus:
-    depth: int
-    entries: dict[str, object] = field(default_factory=dict)  # cert hex -> int | "w"
-    representatives: dict[str, RootedGraph] = field(default_factory=dict)
-    exact: bool = True
-    unbounded_suspected: set[str] = field(default_factory=set)
-    # each hull shape is certified once: shape (RootedGraph.shape) -> certificate hex
-    certificates: dict[tuple[int, ...], str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    """The multiplicity of each depth-n hull type, keyed by certificate hex, with the first hull met
+    of each type.  Censuses compare by value, their memo of certificates aside, and are not hashable."""
+
+    # the memo of certificates comes last: it is neither compared nor printed
+    __slots__ = ("depth", "entries", "representatives", "exact", "unbounded_suspected", "certificates")
+
+    def __init__(self, depth: int, entries: dict[str, object] | None = None,
+                 representatives: dict[str, RootedGraph] | None = None, exact: bool = True,
+                 unbounded_suspected: set[str] | None = None):
+        self.depth, self.exact = depth, exact
+        self.entries = {} if entries is None else entries  # cert hex -> int | "w"
+        self.representatives = {} if representatives is None else representatives
+        self.unbounded_suspected = set() if unbounded_suspected is None else unbounded_suspected
+        self.certificates: dict[tuple[int, ...], str] = {}  # each hull shape is certified once: shape -> cert hex
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HullCensus):
+            return NotImplemented
+        fields = self.__slots__[:-1]
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+
+    def __repr__(self) -> str:
+        return f"HullCensus({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__slots__[:-1])})"
 
     def certify(self, h: RootedGraph) -> str:
         cert = self.certificates.get(h.shape)
@@ -299,12 +311,13 @@ def _census_generator(census: HullCensus, gen: Generator, n: int, budget: int) -
 # Skeleton
 
 
-@dataclass
-class UESkeleton:
+class UESkeleton(NamedTuple):
     frame: Frame
     provenance: dict[str, str]
     census: HullCensus
     budget: int
+
+    __hash__ = None
 
 
 def _template_diameter(fam: FamilyPresentation) -> int:
@@ -371,11 +384,14 @@ def clique_lower_bound(frame: Frame) -> tuple[int, list[str]]:
 # Verdicts
 
 
-@dataclass
-class Verdict:
-    kind: str  # "yes" | "no"
-    evidence: str
-    data: dict = field(default_factory=dict)
+class Verdict(NamedTuple("Verdict", [("kind", str), ("evidence", str), ("data", dict)])):
+    """A detector's answer, "yes" or "no", its evidence and its data (none by default); not hashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __new__(cls, kind: str, evidence: str, data: dict | None = None):
+        return super().__new__(cls, kind, evidence, {} if data is None else data)
 
 
 INEQUIVALENCE_SENTENCES = ("forall x. ~R(x,x)", "exists x. R(x,x)")

@@ -14,13 +14,13 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .caps import Budget
 from .errors import DefectError, InputError
 from .frame import Frame
 from .games import Game
-from .syntax import SYMBOLS, And, Imp, Not, Or, Parser, depth, fold
+from .syntax import SYMBOLS, And, Imp, Node, Not, Or, Parser, depth, fold
 from .ultra import Ultrafilter, build_ue
 
 SENTENCE_LIMIT = 4000  # sentences_upto's hard count cap
@@ -31,28 +31,28 @@ KEYWORDS = ("exists", "forall", "R")  # the words that name no variable
 # Formula AST
 
 
-@dataclass(frozen=True)
-class Rel:
+class Rel(Node):
+    __slots__ = ()
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(Node):
+    __slots__ = ()
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(Node):
+    __slots__ = ()
     var: str
-    body: "FOFormula"
+    body: FOFormula
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(Node):
+    __slots__ = ()
     var: str
-    body: "FOFormula"
+    body: FOFormula
 
 
 FOFormula = Rel | Eq | Not | And | Or | Imp | Exists | Forall
@@ -524,8 +524,7 @@ def los_like_check(frame: Frame, phi: FOFormula, u: Ultrafilter) -> tuple[bool, 
 # Ultraproducts over finite index sets
 
 
-@dataclass(frozen=True)
-class Ultraproduct:
+class Ultraproduct(NamedTuple):
     """A literal finite-index ultraproduct: functions on the index set modulo d."""
 
     frame: Frame

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InputError
 
@@ -83,7 +82,20 @@ def refine(colors: list, signatures) -> Iterator[list[int]]:
         yield colors
 
 
-class Frame:
+class Frozen:
+    """A class whose instances refuse attribute assignment and deletion; each fills its own
+    fields through ``object.__setattr__`` or its ``__dict__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Frame(Frozen):
     """A finite directed graph ``<W, R>`` with ordered, uniquely named vertices, held as its
     successor rows: bit j of succ_mask[i] is set iff vertices[i] R vertices[j].
 
@@ -119,12 +131,6 @@ class Frame:
         frame.__dict__.update(vertices=vertices, succ_mask=tuple(succ))
         return frame
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Frame):
             return NotImplemented
@@ -134,7 +140,7 @@ class Frame:
         return hash((self.vertices, self.succ_mask))
 
     def __repr__(self) -> str:
-        return f"Frame(vertices={self.vertices!r}, edges={self.edges!r})"
+        return f"Frame(vertices={self.vertices!r}, edges={self.sorted_edges()!r})"
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
@@ -227,8 +233,7 @@ def _first_repeat(items):
         seen.add(x)
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     deg_plus: int
     deg_minus: int
 
@@ -237,8 +242,7 @@ class DegreeReport:
         return self.deg_plus + self.deg_minus
 
 
-@dataclass(frozen=True)
-class Boundedness:
+class Boundedness(NamedTuple):
     max_deg_plus: int
     max_deg_minus: int
     max_deg: int

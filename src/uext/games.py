@@ -86,12 +86,12 @@ class Game:
 
     def intern(self, phi):
         """The witness node equal to phi, phi itself if it is the first.  A node is keyed by its
-        class and fields, a subformula by the identity of its interned node, so keying walks only
+        kind tag and fields, a subformula by the identity of its interned node, so keying walks only
         the nodes built since (a literal, or a quantifier over a fold of parts), and neither
         de-duplicating parts nor interning ever hashes or compares a whole tree."""
         if id(phi) in self.interned:
             return phi
-        key = (type(phi), *(x if isinstance(x, str) else id(self.intern(x)) for x in vars(phi).values()))
+        key = tuple(x if isinstance(x, str) else id(self.intern(x)) for x in phi)
         node = self.nodes.setdefault(key, phi)
         self.interned.add(id(node))
         return node

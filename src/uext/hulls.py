@@ -21,11 +21,11 @@ refinements; other symmetry is still searched in full.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InputError, ResourceError
-from .frame import Frame, any_of, bits, refine, relabel, transpose
+from .frame import Frame, Frozen, any_of, bits, refine, relabel, transpose
 from .syntax import MAX_DEPTH
 
 CERT_VERSION = b"HT1"
@@ -50,7 +50,7 @@ def rings(g: Frame, root: int, n: int) -> list[int]:
     return out
 
 
-class RootedGraph:
+class RootedGraph(Frozen):
     """A rooted graph read off its host frame.  It holds the host, the root's name, the radius,
     the BFS rings from the root (host bitmasks, one per distance from 0 up), the BFS order (the
     host index of each point: the root first, then by distance, then load order), the mask of
@@ -97,12 +97,6 @@ class RootedGraph:
         self.__dict__.update(host=host, root=root, depth=depth, rings=tuple(by_distance), order=tuple(order),
                              mask=mask, shape=shape)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootedGraph):
             return NotImplemented
@@ -128,8 +122,7 @@ class RootedGraph:
         return {v: d for d, ring in enumerate(self.rings) for v in names(ring)}
 
 
-@dataclass(frozen=True)
-class HullType:
+class HullType(NamedTuple):
     certificate: bytes
     size: int
     depth: int

@@ -16,16 +16,15 @@ decides a whole block of 2^16 valuations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .caps import Budget
 from .errors import InputError
 from .frame import LETTER, Frame, all_of, any_of, bits, refine, table
 from .games import Game
-from .syntax import SYMBOLS, And, Imp, Not, Or, Parser, depth, fold
+from .syntax import SYMBOLS, And, Imp, Node, Not, Or, Parser, depth, fold
 from .ultra import UEFrame, build_ue
 
 BLOCK_BITS = 16  # frame_valid decides 2^16 valuations per pass: 8 KiB per truth table
@@ -35,24 +34,23 @@ BLOCK_BITS = 16  # frame_valid decides 2^16 valuations per pass: 8 KiB per truth
 # Formula AST
 
 
-@dataclass(frozen=True)
-class Prop:
+class Prop(Node):
+    __slots__ = ()
     name: str
 
 
-@dataclass(frozen=True)
-class Falsum:
-    pass
+class Falsum(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Dia:
-    sub: "ModalFormula"
+class Dia(Node):
+    __slots__ = ()
+    sub: ModalFormula
 
 
-@dataclass(frozen=True)
-class Box:
-    sub: "ModalFormula"
+class Box(Node):
+    __slots__ = ()
+    sub: ModalFormula
 
 
 ModalFormula = Prop | Falsum | Not | And | Or | Imp | Dia | Box
@@ -126,8 +124,7 @@ def parse_modal(text: str) -> ModalFormula:
 # Models and truth
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     """A frame and each letter's extension as a bitmask over its load order, letters sorted and
     trusted (``Model.make`` checks names).  Models compare by value but, holding a dict, are not hashable."""
 
@@ -281,8 +278,7 @@ def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", s
 # Ultrafilter-extension models
 
 
-@dataclass(frozen=True)
-class UEModel:
+class UEModel(NamedTuple):
     """A model over an ultrafilter extension; V^ue(p) = {u : V(p) in u} has V(p)'s mask (see `UEFrame`)."""
 
     ue_frame: UEFrame

@@ -2,7 +2,8 @@
 
 Under the standard translation the modal connectives are the first-order ones
 (Blackburn, de Rijke and Venema 2001, 2.4), so both logics build their formulas
-from the one set of nodes Not, And, Or and Imp defined here.  Both write the
+from the one set of nodes Not, And, Or and Imp defined here, and each logic's atoms
+and operators are nodes on the same base, `Node`.  Both write the
 connectives ~ & | -> with parentheses, bind unary operators tightest, then &,
 then |, then -> (right-associative), and report syntax errors by character
 position.  The parser reads the connectives and parentheses itself; a logic
@@ -19,33 +20,67 @@ stay well inside Python's default recursion limit.  Formatting prints in a loop
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import _tuplegetter  # the field descriptor of namedtuple: twice as fast as property(itemgetter)
 from functools import reduce
 
 from .errors import InputError
 
 MAX_DEPTH = 100  # deepest formula tree, and deepest operand nesting, that parse accepts
+_tuple_new, _tuple_hash = tuple.__new__, tuple.__hash__  # looked up once: every parse builds and hashes nodes
 
 
-@dataclass(frozen=True)
-class Not:
+class Node(tuple):
+    """A formula node: a tuple of its kind tag, the class name, then its fields, which are the
+    names annotated in its class body, in order, and are read by name.  The tag keeps nodes of
+    different kinds unequal; equality is tuple equality.  Hashing goes through Python, so
+    hashing a tree deeper than the stack raises RecursionError instead of overflowing it.
+    A node is built positionally or by field name, like ``And(left=p, right=q)``."""
+
+    __slots__ = ()
+    fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls.fields = tuple(cls.__dict__.get("__annotations__", ()))
+        for k, name in enumerate(cls.fields, 1):
+            setattr(cls, name, _tuplegetter(k, None))
+
+    def __new__(cls, *args, **named):
+        if named or len(args) != len(cls.fields):
+            given = cls.fields[len(args):]
+            if len(args) > len(cls.fields) or sorted(named) != sorted(given):
+                raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(cls.fields)})")
+            args += tuple(named[name] for name in given)
+        return _tuple_new(cls, (cls.__name__, *args))
+
+    def __hash__(self) -> int:
+        return _tuple_hash(self)
+
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(self.fields, self[1:]))})"
+
+
+class Not(Node):
+    __slots__ = ()
     sub: object
 
 
-@dataclass(frozen=True)
-class And:
+class And(Node):
+    __slots__ = ()
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Node):
+    __slots__ = ()
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Imp:
+class Imp(Node):
+    __slots__ = ()
     left: object
     right: object
 
@@ -149,7 +184,7 @@ def depth(phi, counted=object) -> int:
         node, d = todo.pop()
         d += isinstance(node, counted)
         deepest = max(deepest, d)
-        todo.extend((sub, d) for sub in vars(node).values() if not isinstance(sub, str))
+        todo.extend((sub, d) for sub in node[1:] if not isinstance(sub, str))
     return deepest
 
 

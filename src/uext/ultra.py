@@ -13,22 +13,22 @@ approximate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .caps import Budget
 from .errors import DefectError, InputError
-from .frame import Frame, all_of, any_of, bits, table, transpose
+from .frame import Frame, Frozen, all_of, any_of, bits, table, transpose
 
 
-@dataclass(frozen=True)
-class Ultrafilter:
-    """A (necessarily principal) ultrafilter over a finite frame's vertex set."""
+class Ultrafilter(NamedTuple("Ultrafilter", [("frame", Frame), ("point", str)])):
+    """A (necessarily principal) ultrafilter over a finite frame's vertex set; ``Ultrafilter(frame,
+    point)`` checks the point, and ``Ultrafilter._make((frame, point))`` trusts it."""
 
-    frame: Frame
-    point: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.frame.check_vertices([self.point])
+    def __new__(cls, frame: Frame, point: str):
+        frame.check_vertices([point])
+        return super().__new__(cls, frame, point)
 
     def member(self, xs) -> bool:
         """X is in the ultrafilter iff the principal point lies in X."""
@@ -41,10 +41,7 @@ class Ultrafilter:
 
 def enumerate_ultrafilters(frame: Frame) -> list[Ultrafilter]:
     """All ultrafilters over a finite carrier: one principal per vertex, its point not checked again."""
-    ufs = [object.__new__(Ultrafilter) for _ in frame.vertices]
-    for u, w in zip(ufs, frame.vertices):
-        u.__dict__.update(frame=frame, point=w)
-    return ufs
+    return [Ultrafilter._make((frame, w)) for w in frame.vertices]
 
 
 def _mode_rows(frame: Frame) -> dict[str, list[int]]:
@@ -94,8 +91,7 @@ def ue_related(u: Ultrafilter, v: Ultrafilter, mode: str) -> bool:
     return bool(_mode_rows(u.frame)[mode][index[u.point]] >> index[v.point] & 1)
 
 
-@dataclass(frozen=True)
-class UEFrame:
+class UEFrame(NamedTuple):
     """The ultrafilter extension of a finite frame, with its carrier of principals.  The one at
     position k, in ``ultrafilters`` and ``frame``, is principal at the base's point k: a set of
     base points and the set of ultrafilters it belongs to have one bitmask (`modal.UEModel`)."""
@@ -129,26 +125,42 @@ def canonical_embedding(frame: Frame) -> dict[str, Ultrafilter]:
     return dict(zip(frame.vertices, enumerate_ultrafilters(frame)))
 
 
-@dataclass(frozen=True)
-class Road:
-    """A simple path with per-step directions drawn from {R, R^-1}.
+class Road(Frozen):
+    """A simple path with per-step directions drawn from {R, R^-1}, each "R" or "R-".
 
-    Waypoints may be vertices or ultrafilters; a road has at least one step.
+    Waypoints may be vertices or ultrafilters; a road has at least one step, and its length
+    is its number of steps.  Roads are immutable, hashable and compare by value.
     """
 
-    waypoints: tuple
-    directions: tuple[str, ...]  # each "R" or "R-"
+    __slots__ = ("waypoints", "directions")
 
-    def __post_init__(self):
-        if len(self.waypoints) < 2:
+    def __init__(self, waypoints: tuple, directions: tuple[str, ...]):
+        if len(waypoints) < 2:
             raise InputError("a road has at least two waypoints")
-        if len(self.directions) != len(self.waypoints) - 1:
+        if len(directions) != len(waypoints) - 1:
             raise InputError("a road needs one direction per step")
-        if len(set(self.waypoints)) != len(self.waypoints):
+        if len(set(waypoints)) != len(waypoints):
             raise InputError("road waypoints must be pairwise distinct")
-        for d in self.directions:
+        for d in directions:
             if d not in ("R", "R-"):
                 raise InputError(f"unknown road direction {d!r}")
+        object.__setattr__(self, "waypoints", waypoints)
+        object.__setattr__(self, "directions", directions)
+
+    def __reduce__(self):
+        """Copies and unpickling go through the constructor, since the fields refuse assignment."""
+        return Road, (self.waypoints, self.directions)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Road):
+            return NotImplemented
+        return (self.waypoints, self.directions) == (other.waypoints, other.directions)
+
+    def __hash__(self) -> int:
+        return hash((self.waypoints, self.directions))
+
+    def __repr__(self) -> str:
+        return f"Road(waypoints={self.waypoints!r}, directions={self.directions!r})"
 
     def __len__(self) -> int:
         return len(self.directions)

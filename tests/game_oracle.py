@@ -200,14 +200,8 @@ def distinguishing_formula(doc1: dict, w1: str, doc2: dict, w2: str, n: int, let
 
 
 # ---------------------------------------------------------------------------
-# Evaluators for the formulas the games read off, by node class name
-
-
-def node(phi) -> tuple:
-    """A formula as (class name, fields...), from a nested tuple or a uext formula node."""
-    if isinstance(phi, tuple):
-        return phi
-    return (type(phi).__name__, *vars(phi).values())
+# Evaluators for the formulas the games read off, each a nested tuple (class name, fields...):
+# uext's formula nodes are such tuples, and so are the oracle's own
 
 
 def read_fo(text: str) -> tuple:
@@ -242,7 +236,7 @@ def read_fo(text: str) -> tuple:
 
 def tree(phi) -> tuple:
     """phi as nested tuples throughout."""
-    kind, *f = node(phi)
+    kind, *f = phi
     return (kind, *(x if isinstance(x, str) else tree(x) for x in f))
 
 
@@ -251,7 +245,7 @@ def fo_holds(doc: dict, phi, asg: dict[str, str] | None = None) -> bool:
     edges = {tuple(e) for e in doc["edges"]}
 
     def holds(phi, asg: dict[str, str]) -> bool:
-        kind, *f = node(phi)
+        kind, *f = phi
         if kind == "Rel":
             return (asg[f[0]], asg[f[1]]) in edges
         if kind == "Eq":
@@ -273,7 +267,7 @@ def fo_holds(doc: dict, phi, asg: dict[str, str] | None = None) -> bool:
 
 
 def quantifier_rank(phi) -> int:
-    kind, *f = node(phi)
+    kind, *f = phi
     if kind in ("Rel", "Eq"):
         return 0
     if kind == "Not":
@@ -284,7 +278,7 @@ def quantifier_rank(phi) -> int:
 
 
 def modal_depth(phi) -> int:
-    kind, *f = node(phi)
+    kind, *f = phi
     if kind in ("Prop", "Falsum"):
         return 0
     if kind == "Not":

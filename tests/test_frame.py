@@ -240,6 +240,26 @@ def test_constructor_names_the_least_stray_edge():
         assert run.stdout == "edge ('a', 'x') has an endpoint outside the vertex set\n", seed
 
 
+def test_reprs_print_edges_in_load_order_under_any_hash_seed():
+    # a frame's repr, and so the repr of all that holds one, once printed its edge set in hash order
+    triangle = "Frame(vertices=('a', 'b', 'c'), edges=[('a', 'b'), ('a', 'c'), ('b', 'c')])"
+    script = ("from uext import build_ue, hull, load_frame\n"
+              "f = load_frame('fixtures/triangle.json')\n"
+              "ue = build_ue(f)\n"
+              "for x in (f, hull(f, 'a', 1), ue, ue.ultrafilters[0]):\n"
+              "    print(repr(x))")
+    root = Path(__file__).resolve().parents[1]
+    outs = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, cwd=root,
+                           env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(root / "src")}).stdout
+            for seed in (0, 4242)}
+    assert len(outs) == 1
+    lines = outs.pop().splitlines()
+    assert lines[0] == repr(load_frame(str(root / "fixtures" / "triangle.json"))) == triangle
+    assert lines[1] == f"RootedGraph(graph={triangle}, root='a', depth=1)"
+    assert "edges=[('pi:a', 'pi:b'), ('pi:a', 'pi:c'), ('pi:b', 'pi:c')]" in lines[2]
+    assert lines[3] == f"Ultrafilter(frame={triangle}, point='a')"
+
+
 def test_derived_frames_are_not_checked_again(monkeypatch):
     # hulls, copies, unions, expansions and extensions are built from rows the loaded frame holds
     root = Path(__file__).resolve().parents[1]

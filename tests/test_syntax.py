@@ -1,18 +1,25 @@
 """The formula core shared by both logics: the connectives both parsers build, the one tree walk
 behind modal depth and quantifier rank, and the nesting bound, at the bound and one past it."""
 
+import copy
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import game_oracle as O
 from helpers import random_modal
 from test_fo_kernel import random_fo
-from uext import (Frame, InputError, Model, eval_fo, eval_modal, format_fo, format_modal, modal_depth, parse_fo,
-                  parse_modal, quantifier_rank, syntax)
-from uext.fo import Eq, Exists, Rel
-from uext.modal import Dia, Prop
-from uext.syntax import MAX_DEPTH, Not, depth
+from uext import (FamilyPresentation, Frame, InputError, Model, Ray, eval_fo, eval_modal, format_fo, format_modal,
+                  modal_depth, parse_fo, parse_modal, quantifier_rank, syntax)
+from uext.fo import Eq, Exists, Forall, Rel
+from uext.modal import Box, Dia, Falsum, Prop
+from uext.syntax import MAX_DEPTH, And, Imp, Not, Or, depth
 
 D = MAX_DEPTH
 MODAL_SHAPES = {
@@ -91,3 +98,103 @@ def test_printers_print_a_chain_past_the_stack():
     assert format_fo(not_r) == "~" * 10_000 + "R(x,y)"
     assert format_fo(exists_r) == "exists y. " * 10_000 + "R(x,y)"
     assert format_fo(Not(Exists("y", Rel("x", "y")))) == "~(exists y. R(x,y))"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_nodes_of_different_kinds_with_the_same_fields_are_unequal():
+    p = Prop("p0")
+    for group in ([Dia(p), Box(p), Not(p)], [And(p, p), Or(p, p), Imp(p, p)],
+                  [Exists("x", Eq("x", "x")), Forall("x", Eq("x", "x"))], [Rel("x", "y"), Eq("x", "y")]):
+        for i, a in enumerate(group):
+            for b in group[i + 1:]:
+                assert a != b and not a == b, (a, b)
+    assert len({Dia(p), Box(p), Not(p), Falsum(), Not(Falsum())}) == 5
+
+
+def test_equal_trees_are_equal_and_hash_equal():
+    rng = random.Random(31)
+    for _ in range(200):
+        seed = rng.random()
+        a = random_modal(random.Random(seed), 3, ["p0", "p1"], 12)
+        b = random_modal(random.Random(seed), 3, ["p0", "p1"], 12)
+        assert a is not b and a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+        seed = rng.random()
+        a, b = random_fo(random.Random(seed), 3, 12), random_fo(random.Random(seed), 3, 12)
+        assert a == b and hash(a) == hash(b)
+
+
+def test_nodes_are_immutable_and_built_by_position_or_field_name():
+    p, q = Prop("p0"), Prop("p1")
+    assert And(left=p, right=q) == And(p, right=q) == And(p, q) and Exists(var="x", body=Eq("x", "x")).var == "x"
+    assert (And(p, q).left, And(p, q).right, Not(p).sub, p.name) == (p, q, p, "p0")
+    assert repr(Imp(p, Falsum())) == "Imp(left=Prop(name='p0'), right=Falsum())"
+    for bad in (lambda: Not(), lambda: Not(p, q), lambda: And(p, left=q), lambda: Rel("x", other="y")):
+        with pytest.raises(TypeError):
+            bad()
+    phi = And(p, q)
+    with pytest.raises(AttributeError):
+        phi.left = q
+    with pytest.raises(AttributeError):
+        p.name = "p1"
+    with pytest.raises(AttributeError):
+        phi.extra = 1
+
+
+def test_nodes_pickle_and_deepcopy():
+    for phi, fmt in ((parse_modal("~(<>p0 & []p1) -> (p2 | ~<>p0)"), format_modal), (Not(Falsum()), format_modal),
+                     (parse_fo("forall x. exists y. (R(x,y) & ~x=y) | R(y,y)"), format_fo)):
+        for back in (pickle.loads(pickle.dumps(phi)), copy.deepcopy(phi)):
+            assert back == phi and type(back) is type(phi) and hash(back) == hash(phi) and fmt(back) == fmt(phi)
+
+
+@pytest.mark.parametrize("logic", ["modal", "fo"])
+def test_every_golden_formula_parses_formats_and_reparses_to_an_equal_tree(logic):
+    parse, fmt = (parse_modal, format_modal) if logic == "modal" else (parse_fo, format_fo)
+    count = 0
+    for line in (ROOT / "tests" / "golden" / f"{logic}_parse.jsonl").read_text().splitlines():
+        text, out = json.loads(line)
+        if out.startswith("error: "):
+            continue
+        phi = parse(text)
+        again = parse(fmt(phi))
+        assert fmt(phi) == out and again == phi and hash(again) == hash(phi), text
+        count += 1
+    assert count >= 100
+
+
+def test_records_keep_their_constructors_and_hashability():
+    period = Frame(("v",), frozenset())
+    ray = Ray(period=period, seam=(("v", "v"),), kind="ray")
+    fam = FamilyPresentation(rays=(ray,))
+    assert ray == Ray(period, (("v", "v"),), "ray") and fam.rays == (ray,) and fam.base == Frame((), ())
+    assert fam == FamilyPresentation(Frame((), ()), (), (ray,), None) and hash(fam) == hash(FamilyPresentation(rays=(ray,)))
+    with pytest.raises(InputError):
+        Ray(period=period, seam=(("v", "w"),), kind="ray")
+    with pytest.raises(TypeError):
+        hash(Model.make(period, {}))
+
+
+def test_a_tree_deeper_than_the_stack_raises_and_does_not_crash():
+    # a tuple subclass that hashes in C overflows the C stack on such a tree; nodes hash through Python
+    script = ("from uext.modal import Prop\n"
+              "from uext.syntax import Not\n"
+              "deep = short = Prop('p0')\n"
+              "for k in range(10 ** 6):\n"
+              "    deep = Not(deep)\n"
+              "    if k < 10 ** 4:\n"
+              "        short = Not(short)\n"
+              "for name, call in (('hash', lambda: hash(deep)), ('eq', lambda: deep == short),\n"
+              "                   ('repr', lambda: repr(deep))):\n"
+              "    try:\n"
+              "        call()\n"
+              "        print(name, 'value')\n"
+              "    except RecursionError:\n"
+              "        print(name, 'RecursionError')\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == 0, run.stderr[-2000:]
+    lines = [line.split() for line in run.stdout.splitlines()]
+    assert [name for name, _ in lines] == ["hash", "eq", "repr"]
+    assert all(outcome in ("value", "RecursionError") for _, outcome in lines), run.stdout
