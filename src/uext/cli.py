@@ -21,6 +21,10 @@ reports every usage error, so both read as they always have.  ``main`` builds
 that parser the first time a line needs it and reuses it for every later call
 in the process; it keeps no state between calls, and help reads the terminal
 width when it is printed.
+
+Each handler calls the library through its module objects (``hulls.hull``,
+``frame.load_frame``), which the package loads on first use, so a command
+loads only the layers it runs.
 """
 
 from __future__ import annotations
@@ -32,112 +36,103 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
-from . import census as census_mod
+from . import census, fo, frame, hulls, modal, ultra
 from .errors import DefectError, InputError, ResourceError
-from .fo import eval_fo, ef_min_rounds, free_vars, is_variable, los_like_check, parse_fo
-from .frame import frame_to_dict, frame_to_dot, read_model
-from .hulls import canonical_form, endpoints, hull, hull_formula
-from .modal import Model, eval_modal, frame_valid, n_bisimilar, parse_modal
-from .ultra import Ultrafilter, build_ue
 
 
-def _load_model(path: str) -> Model:
+def _load_model(path: str) -> modal.Model:
     """A model file, or a frame file, read by the library's one reader, which checks the valuation."""
-    return Model(*read_model(path))
+    return modal.Model(*frame.read_model(path))
 
 
 def cmd_ue_build(args) -> dict | None:
-    frame = _load_model(args.frame).frame
-    ue = build_ue(frame)
+    ue = ultra.build_ue(frame.load_frame(args.frame))
     if not args.dot:
-        return frame_to_dict(ue.frame)
-    sys.stdout.write(frame_to_dot(ue.frame))
+        return frame.frame_to_dict(ue.frame)
+    sys.stdout.write(frame.frame_to_dot(ue.frame))
 
 
 def cmd_ue_cross_check(args) -> dict:
-    frame = _load_model(args.frame).frame
-    build_ue(frame)  # raises DefectError if the three relation modes disagree
+    ultra.build_ue(frame.load_frame(args.frame))  # raises DefectError if the three relation modes disagree
     return {"frame": args.frame, "modes_agree": True}
 
 
 def cmd_modal_eval(args) -> dict:
     model = _load_model(args.model)
-    phi = parse_modal(args.formula)
-    return {"holds": eval_modal(model, args.at, phi)}
+    phi = modal.parse_modal(args.formula)
+    return {"holds": modal.eval_modal(model, args.at, phi)}
 
 
 def cmd_modal_valid(args) -> dict:
-    frame = _load_model(args.frame).frame
-    phi = parse_modal(args.formula)
-    ok, counter = frame_valid(frame, phi)
+    f = frame.load_frame(args.frame)
+    phi = modal.parse_modal(args.formula)
+    ok, counter = modal.frame_valid(f, phi)
     if counter is None:
         return {"valid": ok}
     cm, cw = counter
     return {"valid": ok, "counter_world": cw,
-            "counter_valuation": {p: sorted(frame.names(mask)) for p, mask in cm.masks.items()}}
+            "counter_valuation": {p: sorted(f.names(mask)) for p, mask in cm.masks.items()}}
 
 
 def cmd_bisim(args) -> dict:
     m1, m2 = _load_model(args.model1), _load_model(args.model2)
-    return {"bisimilar": n_bisimilar(m1, args.at1, m2, args.at2, args.depth), "depth": args.depth}
+    return {"bisimilar": modal.n_bisimilar(m1, args.at1, m2, args.at2, args.depth), "depth": args.depth}
 
 
 def cmd_fo_eval(args) -> dict:
-    frame = _load_model(args.frame).frame
-    phi = parse_fo(args.formula)
+    f = frame.load_frame(args.frame)
+    phi = fo.parse_fo(args.formula)
     assignment = {}
     for item in args.let or []:
         if "=" not in item:
             raise InputError(f"--let expects var=vertex, got {item!r}")
         var, vert = item.split("=", 1)
-        if not is_variable(var):
+        if not fo.is_variable(var):
             raise InputError(f"--let names {var!r}, which is not a variable")
-        if var not in free_vars(phi):
+        if var not in fo.free_vars(phi):
             raise InputError(f"--let binds {var!r}, which is not free in the formula")
         if var in assignment:
             raise InputError(f"--let binds {var!r} twice")
-        frame.check_vertices([vert])
+        f.check_vertices([vert])
         assignment[var] = vert
-    return {"holds": eval_fo(frame, phi, assignment)}
+    return {"holds": fo.eval_fo(f, phi, assignment)}
 
 
 def cmd_fo_ef(args) -> dict:
-    f1, f2 = _load_model(args.frame1).frame, _load_model(args.frame2).frame
-    k = ef_min_rounds(f1, f2, args.max_rounds)
+    f1, f2 = frame.load_frame(args.frame1), frame.load_frame(args.frame2)
+    k = fo.ef_min_rounds(f1, f2, args.max_rounds)
     return {"min_spoiler_rounds": k, "equivalent_up_to": args.max_rounds if k is None else k - 1}
 
 
 def cmd_fo_los_like(args) -> dict:
-    frame = _load_model(args.frame).frame
-    u = Ultrafilter(frame, args.at)  # checks --at before the formula is parsed
-    phi = parse_fo(args.formula)
-    ok, lhs, rhs = los_like_check(frame, phi, u)
+    f = frame.load_frame(args.frame)
+    u = ultra.Ultrafilter(f, args.at)  # checks --at before the formula is parsed
+    phi = fo.parse_fo(args.formula)
+    ok, lhs, rhs = fo.los_like_check(f, phi, u)
     return {"agrees": ok, "extension_side": lhs, "membership_side": rhs}
 
 
 def cmd_hull(args) -> dict:
-    frame = _load_model(args.frame).frame
-    h = hull(frame, args.at, args.depth)
+    h = hulls.hull(frame.load_frame(args.frame), args.at, args.depth)
     doc = {"root": h.root, "depth": h.depth, "size": len(h.order),
-           "certificate": canonical_form(h).hex, "frame": frame_to_dict(h.graph)}
+           "certificate": hulls.canonical_form(h).hex, "frame": frame.frame_to_dict(h.graph)}
     if args.depth >= 1:
-        doc["endpoints"] = sorted(endpoints(h))
+        doc["endpoints"] = sorted(hulls.endpoints(h))
     if args.formula:
-        doc["formula"] = hull_formula(h)
+        doc["formula"] = hulls.hull_formula(h)
     return doc
 
 
 def cmd_census(args) -> dict:
-    fam = census_mod.load_family(args.family)
-    c = census_mod.hull_census(fam, args.depth)
-    return census_mod.census_to_dict(c)
+    fam = census.load_family(args.family)
+    return census.census_to_dict(census.hull_census(fam, args.depth))
 
 
 def cmd_skeleton(args) -> dict:
-    fam = census_mod.load_family(args.family)
-    sk = census_mod.ue_skeleton(fam, args.depth, args.budget)
-    return {"frame": frame_to_dict(sk.frame), "provenance": sk.provenance,
-            "census": census_mod.census_to_dict(sk.census)}
+    fam = census.load_family(args.family)
+    sk = census.ue_skeleton(fam, args.depth, args.budget)
+    return {"frame": frame.frame_to_dict(sk.frame), "provenance": sk.provenance,
+            "census": census.census_to_dict(sk.census)}
 
 
 # each detect property's flags and their defaults; a flag of another property would do nothing
@@ -151,12 +146,12 @@ def cmd_detect(args) -> dict:
         if given is not None and name not in own:
             raise InputError(f"uext: detect {args.property} does not take --{name.replace('_', '-')}")
         setattr(args, name, own.get(name) if given is None else given)
-    fam = census_mod.load_family(args.family)
+    fam = census.load_family(args.family)
     if args.property == "modal":
-        ok, report = census_mod.modal_logic_coincides(fam, args.depth)
+        ok, report = census.modal_logic_coincides(fam, args.depth)
         return {"coincides": ok, "report": report}
-    v = (census_mod.reflexive_point_in_ue(fam, args.chi_threshold) if args.property == "reflexive"
-         else census_mod.generated_substructure_verdict(fam))
+    v = (census.reflexive_point_in_ue(fam, args.chi_threshold) if args.property == "reflexive"
+         else census.generated_substructure_verdict(fam))
     return {"verdict": v.kind, "evidence": v.evidence, "data": v.data}
 
 

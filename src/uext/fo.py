@@ -16,12 +16,12 @@ import operator
 import re
 from typing import NamedTuple
 
+from . import ultra
 from .caps import Budget
 from .errors import DefectError, InputError
 from .frame import Frame
 from .games import Game
 from .syntax import SYMBOLS, And, Imp, Node, Not, Or, Parser, depth, fold
-from .ultra import Ultrafilter, build_ue
 
 SENTENCE_LIMIT = 4000  # sentences_upto's hard count cap
 KEYWORDS = ("exists", "forall", "R")  # the words that name no variable
@@ -499,7 +499,7 @@ def sentences_upto(max_rank: int) -> list[FOFormula]:
 # Los-Lemma-like check on finite ultrafilter extensions
 
 
-def los_like_check(frame: Frame, phi: FOFormula, u: Ultrafilter) -> tuple[bool, bool, bool]:
+def los_like_check(frame: Frame, phi: FOFormula, u: ultra.Ultrafilter) -> tuple[bool, bool, bool]:
     """Truth of phi at pi_u on the extension iff {w : phi holds at w on the frame} belongs to u.
 
     phi must have exactly one free variable.  Returns (agree, extension side,
@@ -515,7 +515,7 @@ def los_like_check(frame: Frame, phi: FOFormula, u: Ultrafilter) -> tuple[bool, 
     if u.frame != frame:
         raise InputError("ultrafilter is not over the given frame")
     x = fv[0]
-    lhs = eval_fo(build_ue(frame).frame, phi, {x: u.name})
+    lhs = eval_fo(ultra.build_ue(frame).frame, phi, {x: u.name})
     rhs = bool(_evaluate(frame, phi, {}, column=x) >> frame.index[u.point] & 1)
     return lhs == rhs, lhs, rhs
 
@@ -545,13 +545,13 @@ class Ultraproduct(NamedTuple):
         return self.class_of(tuple(w for _ in self.factors))
 
 
-def index_ultrafilter(size: int, point: int) -> Ultrafilter:
+def index_ultrafilter(size: int, point: int) -> ultra.Ultrafilter:
     """A principal ultrafilter over the index set {0..size-1}."""
     idx = Frame(tuple(str(i) for i in range(size)), frozenset())
-    return Ultrafilter(idx, str(point))
+    return ultra.Ultrafilter(idx, str(point))
 
 
-def ultraproduct(structures: list[Frame], d: Ultrafilter) -> Ultraproduct:
+def ultraproduct(structures: list[Frame], d: ultra.Ultrafilter) -> Ultraproduct:
     """Quotient construction over a finite index set.
 
     Elements are choice functions; f ~ g iff {i : f(i) = g(i)} in d; the edge

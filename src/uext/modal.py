@@ -20,12 +20,12 @@ from functools import reduce
 from operator import and_
 from typing import Iterable, NamedTuple
 
+from . import ultra
 from .caps import Budget
 from .errors import InputError
 from .frame import LETTER, Frame, all_of, any_of, bits, refine, table
 from .games import Game
 from .syntax import SYMBOLS, And, Imp, Node, Not, Or, Parser, depth, fold
-from .ultra import UEFrame, build_ue
 
 BLOCK_BITS = 16  # frame_valid decides 2^16 valuations per pass: 8 KiB per truth table
 
@@ -150,8 +150,10 @@ def _compile(phi: ModalFormula, make):
     steps = []
 
     def visit(f: ModalFormula) -> int:  # recursion bounded by syntax.MAX_DEPTH
-        if f in slots:
-            return slots[f]
+        # a node's hash walks its subtree in Python, so f is hashed once to look up and once to store
+        slot = slots.get(f)
+        if slot is not None:
+            return slot
         if isinstance(f, (Prop, Falsum)):
             operands = ()
         elif isinstance(f, (Not, Dia, Box)):
@@ -160,9 +162,9 @@ def _compile(phi: ModalFormula, make):
             operands = (visit(f.left), visit(f.right))
         else:
             raise InputError(f"unknown formula node {f!r}")
-        slots[f] = len(steps)
+        slots[f] = slot = len(steps)
         steps.append(make(f, *operands))
-        return slots[f]
+        return slot
 
     visit(phi)
 
@@ -281,7 +283,7 @@ def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", s
 class UEModel(NamedTuple):
     """A model over an ultrafilter extension; V^ue(p) = {u : V(p) in u} has V(p)'s mask (see `UEFrame`)."""
 
-    ue_frame: UEFrame
+    ue_frame: ultra.UEFrame
     base_model: Model
 
     @property
@@ -290,7 +292,7 @@ class UEModel(NamedTuple):
 
 
 def extend_model(model: Model) -> UEModel:
-    return UEModel(build_ue(model.frame), model)
+    return UEModel(ultra.build_ue(model.frame), model)
 
 
 def truth_membership_check(ue_model: UEModel, phi: ModalFormula) -> bool:

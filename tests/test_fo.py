@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-import uext.fo
+import uext.ultra
 from uext import (
     Frame,
     InputError,
@@ -155,7 +155,7 @@ def test_los_like_catches_a_broken_extension(monkeypatch):
     chain = Frame(("a", "b", "c"), frozenset([("a", "b"), ("b", "c")]))
     ue = build_ue(chain).frame
     broken = Frame(ue.vertices, frozenset((x, y) for x, y in ue.edges if x != "pi:a"))
-    monkeypatch.setattr(uext.fo, "build_ue", lambda frame: SimpleNamespace(frame=broken))
+    monkeypatch.setattr(uext.ultra, "build_ue", lambda frame: SimpleNamespace(frame=broken))
     assert los_like_check(chain, parse_fo("exists y. R(x,y)"), Ultrafilter(chain, "a")) == (False, False, True)
 
 

@@ -6,6 +6,9 @@ A change that means to alter one of them re-records it with
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,16 @@ def test_cli_golden(case, monkeypatch):
     for var in CAP_VARS:
         monkeypatch.delenv(var, raising=False)
     assert cli_outcome(case["argv"]) == case
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=[" ".join(c["argv"]) for c in CLI_CASES])
+def test_cli_golden_in_a_fresh_process(case):
+    """Each case as its own `python -m uext.cli` run: in-process runs load every layer early,
+    which would hide a layer that a command fails to load on its own."""
+    env = {var: value for var, value in os.environ.items() if var not in CAP_VARS}
+    run = subprocess.run([sys.executable, "-m", "uext.cli", *case["argv"]], capture_output=True, text=True,
+                         cwd=ROOT, env={**env, "PYTHONPATH": str(ROOT / "src")})
+    assert {"argv": case["argv"], "exit": run.returncode, "stdout": run.stdout, "stderr": run.stderr} == case
 
 
 @pytest.mark.parametrize("case", HELP["cases"], ids=[" ".join(c["argv"]) for c in HELP["cases"]])
@@ -97,14 +110,13 @@ def test_hull_formula_is_printed_without_a_formula_tree(monkeypatch):
     """`hull --formula` writes its text straight from the shape rows: with the parser, the tree
     depth walk, the printer and every FO node's constructor made to fail, the pinned outputs
     are still printed."""
-    import uext.cli
     import uext.fo
     import uext.syntax
 
     def fail(*args, **kwargs):
         raise AssertionError("a formula tree was built, walked or printed")
 
-    for module, name in [(uext.fo, "parse_fo"), (uext.cli, "parse_fo"), (uext.fo, "format_fo"),
+    for module, name in [(uext.fo, "parse_fo"), (uext.fo, "format_fo"),
                          (uext.syntax, "depth"), (uext.fo, "depth")]:
         monkeypatch.setattr(module, name, fail)
     for node in (uext.fo.Rel, uext.fo.Eq, uext.fo.Exists, uext.fo.Forall, uext.syntax.Not, uext.syntax.And,

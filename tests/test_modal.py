@@ -19,6 +19,7 @@ from uext import (
     truth_membership_check,
     truth_set,
 )
+from uext import syntax
 from uext.cli import main
 from uext.modal import TOP, And, Box, Dia, Falsum, Imp, Not, Or, Prop, distinguishing_formula, truth_mask
 
@@ -155,6 +156,22 @@ def test_truth_mask_edge_cases():
     assert truth_mask(TRI, {}, Dia(TOP)) == 0b011
     # b's one successor is c; a sees b and c
     assert truth_mask(TRI, {"p0": 0b100}, Box(Prop("p0"))) == 0b110
+
+
+def test_labelling_hashes_each_subformula_at_most_twice(monkeypatch):
+    # a node's hash walks its whole subtree in Python, one Node.__hash__ call per node, so
+    # labelling a 90-deep <> chain once should cost at most two walks of each of its 91 subtrees
+    phi = parse_modal("<>" * 90 + "p0")
+    loop = Frame(("a",), frozenset([("a", "a")]))
+    calls = []
+
+    def counted(node):
+        calls.append(None)
+        return tuple.__hash__(node)
+
+    monkeypatch.setattr(syntax.Node, "__hash__", counted)
+    assert truth_mask(loop, {"p0": 1}, phi) == 1
+    assert len(calls) <= 2 * sum(range(1, 92))
 
 
 def test_preimage_over_several_tables():
