@@ -21,7 +21,7 @@ from .caps import Budget
 from .errors import DefectError, InputError
 from .frame import Frame
 from .games import Game
-from .syntax import SYMBOLS, And, Imp, Node, Not, Or, Parser, depth, fold
+from .syntax import And, Imp, Node, Not, Or, Parser, depth, fold, format_formula
 
 SENTENCE_LIMIT = 4000  # sentences_upto's hard count cap
 KEYWORDS = ("exists", "forall", "R")  # the words that name no variable
@@ -33,30 +33,34 @@ KEYWORDS = ("exists", "forall", "R")  # the words that name no variable
 
 class Rel(Node):
     __slots__ = ()
+    template = "R({},{})"
     left: str
     right: str
 
 
 class Eq(Node):
     __slots__ = ()
+    template = "{}={}"
     left: str
     right: str
 
 
 class Exists(Node):
     __slots__ = ()
+    head, scoped = "exists {}. ", True
     var: str
     body: FOFormula
 
 
 class Forall(Node):
     __slots__ = ()
+    head, scoped = "forall {}. ", True
     var: str
     body: FOFormula
 
 
 FOFormula = Rel | Eq | Not | And | Or | Imp | Exists | Forall
-QUANTIFIERS = {Exists: "exists", Forall: "forall"}  # each quantifier's keyword
+format_fo = format_formula
 
 
 def free_vars(phi: FOFormula) -> frozenset[str]:
@@ -77,33 +81,6 @@ def is_variable(name: str) -> bool:
 def quantifier_rank(phi: FOFormula) -> int:
     """Nesting depth of exists and forall."""
     return depth(phi, (Exists, Forall))
-
-
-def format_fo(phi: FOFormula) -> str:
-    """phi's text, printed in a loop: the stack holds the text still to print, as strings and
-    subformulas, the next on top.  A quantifier under ~ or left of a connective is put in
-    parentheses, since its scope would run on past them."""
-    out, todo = [], [phi]
-    while todo:
-        node = todo.pop()
-        kind = type(node)
-        if kind is str:
-            out.append(node)
-        elif kind in SYMBOLS:
-            out.append("(")
-            todo += (")", node.right, SYMBOLS[kind])
-            todo += (")", node.left, "(") if type(node.left) in QUANTIFIERS else (node.left,)
-        elif kind is Rel:
-            out.append(f"R({node.left},{node.right})")
-        elif kind is Not:
-            out.append("~")
-            todo += (")", node.sub, "(") if type(node.sub) in QUANTIFIERS else (node.sub,)
-        elif kind is Eq:
-            out.append(f"{node.left}={node.right}")
-        else:
-            out.append(f"{QUANTIFIERS[kind]} {node.var}. ")
-            todo.append(node.body)
-    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -186,10 +186,10 @@ class Frame(Frozen):
         """The vertices in a bitmask, in load order."""
         return [self.vertices[i] for i in bits(mask)]
 
-    def sorted_edges(self, mask: int = -1) -> list[Edge]:
-        """The edges between the vertices in a bitmask (all by default), in load order."""
-        verts, succ, full = self.vertices, self.succ_mask, (1 << len(self.vertices)) - 1
-        return [(verts[i], verts[j]) for i in bits(mask & full) for j in bits(succ[i] & mask)]
+    def sorted_edges(self) -> list[Edge]:
+        """The edges, in load order."""
+        verts = self.vertices
+        return [(verts[i], verts[j]) for i, row in enumerate(self.succ_mask) for j in bits(row)]
 
     def restrict(self, mask: int) -> Frame:
         """The subframe induced by a bitmask, its vertices in load order."""

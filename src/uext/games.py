@@ -13,7 +13,8 @@ check; and the game's budget of its cap (see `caps`), which each game charges
 for the states it types.  The scan asks from 0 rounds up, so a verdict
 decided early costs little.  Neither game's typing recurses, so no verdict is
 refused for the stack; a witness nests one call per round and refuses a count
-only when it is about to recurse past the stack.
+only when it is about to recurse past the stack.  Each game numbers its
+witnesses in one `syntax.Table`, so a witness is a tree of shared subformulas.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import sys
 
 from .caps import Budget
 from .errors import InputError, ResourceError
+from .syntax import Table
 
 # A witness recurses distinguish -> its dict comprehension -> its generator -> distinguish, three
 # frames per round, and reads types at each step through spoiler_move -> any()'s generator ->
@@ -35,8 +37,7 @@ class Game:
 
     def __init__(self, cap: str, bound: int):
         self.budget = Budget(cap)  # charged for the states typed
-        self.nodes: dict = {}  # (class, fields with subformulas by identity) -> witness node
-        self.interned: set[int] = set()  # identities of the nodes in self.nodes
+        self.witnesses = Table()  # the witnesses' subformulas, one node per number
         self.bound = bound  # the round count from which no verdict changes
 
     @property
@@ -74,24 +75,14 @@ class Game:
         return None
 
     def distinguish(self, pos, k: int):
-        """A formula true on board 1 and false on board 2 at pos, lost within k rounds."""
+        """A formula true on board 1 and false on board 2 at pos, lost within k rounds, held in the
+        witness table; numbering walks only the nodes built since (a literal or a quantifier)."""
         self.rounds(k)
+        table = self.witnesses
         if not self.wins(pos, 0):  # the atoms disagree at the last step
-            return self.intern(self.literal(pos))
+            return table.nodes[table.number(self.literal(pos))]
         board, move = self.spoiler_move(pos, k)
         replies = self.moves(pos, 3 - board)
         found = (self.distinguish(self.play(pos, board, move, r), k - 1) for r in replies)
-        parts = {id(phi): phi for phi in found}  # interned, so equal parts are one object
-        return self.intern(self.quantify(board, pos, list(parts.values())))
-
-    def intern(self, phi):
-        """The witness node equal to phi, phi itself if it is the first.  A node is keyed by its
-        kind tag and fields, a subformula by the identity of its interned node, so keying walks only
-        the nodes built since (a literal, or a quantifier over a fold of parts), and neither
-        de-duplicating parts nor interning ever hashes or compares a whole tree."""
-        if id(phi) in self.interned:
-            return phi
-        key = tuple(x if isinstance(x, str) else id(self.intern(x)) for x in phi)
-        node = self.nodes.setdefault(key, phi)
-        self.interned.add(id(node))
-        return node
+        parts = {id(phi): phi for phi in found}  # equal parts are one object
+        return table.nodes[table.number(self.quantify(board, pos, list(parts.values())))]

@@ -22,10 +22,9 @@ from typing import Iterable, NamedTuple
 
 from . import ultra
 from .caps import Budget
-from .errors import InputError
 from .frame import LETTER, Frame, all_of, any_of, bits, refine, table
 from .games import Game
-from .syntax import SYMBOLS, And, Imp, Node, Not, Or, Parser, depth, fold
+from .syntax import And, Imp, Node, Not, Or, Parser, Table, depth, fold, format_formula
 
 BLOCK_BITS = 16  # frame_valid decides 2^16 valuations per pass: 8 KiB per truth table
 
@@ -36,64 +35,41 @@ BLOCK_BITS = 16  # frame_valid decides 2^16 valuations per pass: 8 KiB per truth
 
 class Prop(Node):
     __slots__ = ()
+    template = "{}"
     name: str
 
 
 class Falsum(Node):
     __slots__ = ()
+    template = "(p0 & ~p0)"  # falsum has no surface token in the grammar
 
 
 class Dia(Node):
     __slots__ = ()
+    head = "<>"
     sub: ModalFormula
 
 
 class Box(Node):
     __slots__ = ()
+    head = "[]"
     sub: ModalFormula
 
 
 ModalFormula = Prop | Falsum | Not | And | Or | Imp | Dia | Box
-PREFIXES = {Not: "~", Dia: "<>", Box: "[]"}  # each unary operator's token
+MODAL = ModalFormula.__args__  # the node classes a modal formula is built from
 
 TOP: ModalFormula = Not(Falsum())
+format_modal = format_formula
 
 
 def letters(phi: ModalFormula) -> frozenset[str]:
-    if isinstance(phi, Prop):
-        return frozenset([phi.name])
-    if isinstance(phi, Falsum):
-        return frozenset()
-    if isinstance(phi, (Not, Dia, Box)):
-        return letters(phi.sub)
-    return letters(phi.left) | letters(phi.right)
+    return frozenset(f.name for f in Table(MODAL, phi).nodes if type(f) is Prop)
 
 
 def modal_depth(phi: ModalFormula) -> int:
     """Nesting depth of <> and []."""
     return depth(phi, (Dia, Box))
-
-
-def format_modal(phi: ModalFormula) -> str:
-    """phi's text, printed in a loop: the stack holds the text still to print, as strings and
-    subformulas, the next on top."""
-    out, todo = [], [phi]
-    while todo:
-        node = todo.pop()
-        kind = type(node)
-        if kind is Prop:
-            out.append(node.name)
-        elif kind is str:
-            out.append(node)
-        elif kind in SYMBOLS:
-            out.append("(")
-            todo += (")", node.right, SYMBOLS[kind], node.left)
-        elif kind is Falsum:
-            out.append("(p0 & ~p0)")  # falsum has no surface token in the grammar
-        else:
-            out.append(PREFIXES[kind])
-            todo.append(node.sub)
-    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -139,34 +115,13 @@ class Model(NamedTuple):
         return Model(frame, {p: frame.mask(valuation[p]) for p in sorted(valuation)})
 
 
-def _compile(phi: ModalFormula, make):
-    """phi's labelling as a function of its letters' input.
+def _compile(table: Table, make):
+    """The labelling of the formula table numbered last as a function of its letters' input.
 
-    Bottom-up labelling (Clarke, Emerson and Sistla 1986): each distinct
-    subformula gets one step, in post-order, that make(f, *operand slots)
-    builds once; running the steps on an input yields phi's value.
+    Bottom-up labelling (Clarke, Emerson and Sistla 1986): each number gets one step,
+    make(node, *its operands' numbers), and operands are numbered lower.
     """
-    slots: dict[ModalFormula, int] = {}
-    steps = []
-
-    def visit(f: ModalFormula) -> int:  # recursion bounded by syntax.MAX_DEPTH
-        # a node's hash walks its subtree in Python, so f is hashed once to look up and once to store
-        slot = slots.get(f)
-        if slot is not None:
-            return slot
-        if isinstance(f, (Prop, Falsum)):
-            operands = ()
-        elif isinstance(f, (Not, Dia, Box)):
-            operands = (visit(f.sub),)
-        elif isinstance(f, (And, Or, Imp)):
-            operands = (visit(f.left), visit(f.right))
-        else:
-            raise InputError(f"unknown formula node {f!r}")
-        slots[f] = slot = len(steps)
-        steps.append(make(f, *operands))
-        return slot
-
-    visit(phi)
+    steps = [make(f, *operands) for f, operands in zip(table.nodes, table.operands)]
 
     def label(given):
         v: list = []
@@ -177,8 +132,8 @@ def _compile(phi: ModalFormula, make):
     return label
 
 
-def _labeller(frame: Frame, phi: ModalFormula):
-    """phi's truth mask on frame as a function of the letters' masks.
+def truth_mask(frame: Frame, letter_masks: dict[str, int], phi: ModalFormula) -> int:
+    """The set of worlds where phi holds, as a bitmask over load order.
 
     <>X is R-(X) and []X is W - R-(W - X); a letter missing from the masks,
     like falsum, is false everywhere.
@@ -198,12 +153,7 @@ def _labeller(frame: Frame, phi: ModalFormula):
                 Or: lambda v, m: v[a] | v[b],
                 Imp: lambda v, m: (full ^ v[a]) | v[b]}[type(f)]
 
-    return _compile(phi, make)
-
-
-def truth_mask(frame: Frame, letter_masks: dict[str, int], phi: ModalFormula) -> int:
-    """The set of worlds where phi holds, as a bitmask over load order."""
-    return _labeller(frame, phi)(letter_masks)
+    return _compile(Table(MODAL, phi), make)(letter_masks)
 
 
 def eval_modal(model: Model, w: str, phi: ModalFormula) -> bool:
@@ -215,8 +165,9 @@ def truth_set(model: Model, phi: ModalFormula) -> frozenset[str]:
     return frozenset(model.frame.names(truth_mask(model.frame, model.masks, phi)))
 
 
-def _slicer(frame: Frame, phi: ModalFormula, offsets: dict[str, int], ones: int):
-    """phi's truth tables, one per world in load order, as a function of the valuation bits' tables.
+def _slicer(frame: Frame, table: Table, offsets: dict[str, int], ones: int):
+    """The truth tables of the formula table numbered last, one per world in load order, as a
+    function of the valuation bits' tables.
 
     Every table is an int over a block of valuations, `ones` when all of them
     hold.  Letter p at world i reads the table of valuation bit offsets[p] + i;
@@ -237,7 +188,7 @@ def _slicer(frame: Frame, phi: ModalFormula, offsets: dict[str, int], ones: int)
                 Or: lambda v, t: [x | y for x, y in zip(v[a], v[b])],
                 Imp: lambda v, t: [(ones ^ x) | y for x, y in zip(v[a], v[b])]}[type(f)]
 
-    return _compile(phi, make)
+    return _compile(table, make)
 
 
 def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", str] | None]:
@@ -257,13 +208,14 @@ def frame_valid(frame: Frame, phi: ModalFormula) -> tuple[bool, tuple["Model", s
     is checked before any table exists, and a block holds at most
     n * |subformulas| tables of 8 KiB.
     """
-    ls = sorted(letters(phi))
+    numbered = Table(MODAL, phi)
+    ls = sorted(f.name for f in numbered.nodes if type(f) is Prop)
     n = len(frame.vertices)
     total = 2 ** (len(ls) * n)
     Budget("valuations").charge(total)
     width = min(len(ls) * n, BLOCK_BITS)
     ones = (1 << (1 << width)) - 1
-    label = _slicer(frame, phi, {p: j * n for j, p in enumerate(ls)}, ones)
+    label = _slicer(frame, numbered, {p: j * n for j, p in enumerate(ls)}, ones)
     low = [table(k, width) for k in range(width)]
     for block in range(total >> width):
         root = label(low + [ones if block >> k & 1 else 0 for k in range(len(ls) * n - width)])

@@ -8,13 +8,14 @@ connectives ~ & | -> with parentheses, bind unary operators tightest, then &,
 then |, then -> (right-associative), and report syntax errors by character
 position.  The parser reads the connectives and parentheses itself; a logic
 supplies only its token pattern, its error label and its ``operand`` method,
-which reads one of its own atoms or prefix operators.
+which reads one of its own atoms or prefix operators.  One loop,
+`format_formula`, prints both logics, and one `Table` numbers subformulas.
 
 A formula is refused when its tree is more than MAX_DEPTH nodes deep or when
 its operands (prefix operators, quantifiers and parenthesised groups) nest
-more than MAX_DEPTH deep, so that parsing and evaluating it, both recursive,
-stay well inside Python's default recursion limit.  Formatting prints in a loop
-(`format_modal`, `format_fo`).
+more than MAX_DEPTH deep, so that parsing it and evaluating it as a
+first-order formula, both recursive, stay well inside Python's default
+recursion limit.
 """
 
 from __future__ import annotations
@@ -26,30 +27,32 @@ from functools import reduce
 from .errors import InputError
 
 MAX_DEPTH = 100  # deepest formula tree, and deepest operand nesting, that parse accepts
-_tuple_new, _tuple_hash = tuple.__new__, tuple.__hash__  # looked up once: every parse builds and hashes nodes
+_tuple_new, _tuple_hash = tuple.__new__, tuple.__hash__  # looked up once: every node built or hashed calls one
+ARITY: dict[type, int] = {}  # each node class -> how many of its last fields are subformulas
 
 
 class Node(tuple):
-    """A formula node: a tuple of its kind tag, the class name, then its fields, which are the
-    names annotated in its class body, in order, and are read by name.  The tag keeps nodes of
-    different kinds unequal; equality is tuple equality.  Hashing goes through Python, so
-    hashing a tree deeper than the stack raises RecursionError instead of overflowing it.
-    A node is built positionally or by field name, like ``And(left=p, right=q)``."""
+    """A formula node: a tuple of its kind tag, the class name, then its fields, the names annotated
+    in its class body, given by position and read by name.  The tag keeps nodes of different kinds
+    unequal.  Hashing goes through Python, so hashing a tree deeper than the stack raises
+    RecursionError instead of overflowing it.  A class declares its text: an atom a ``template``
+    filled with its fields, a prefix operator a ``head`` filled with its fields but the last (its
+    subformula), a connective a ``symbol``.  A ``scoped`` operator's scope runs on to the right."""
 
     __slots__ = ()
     fields: tuple[str, ...] = ()
+    template = head = symbol = ""
+    scoped = False
 
     def __init_subclass__(cls):
         cls.fields = tuple(cls.__dict__.get("__annotations__", ()))
         for k, name in enumerate(cls.fields, 1):
             setattr(cls, name, _tuplegetter(k, None))
+        ARITY[cls] = 2 if cls.symbol else 1 if cls.head else 0
 
-    def __new__(cls, *args, **named):
-        if named or len(args) != len(cls.fields):
-            given = cls.fields[len(args):]
-            if len(args) > len(cls.fields) or sorted(named) != sorted(given):
-                raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(cls.fields)})")
-            args += tuple(named[name] for name in given)
+    def __new__(cls, *args):
+        if len(args) != len(cls.fields):
+            raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(cls.fields)})")
         return _tuple_new(cls, (cls.__name__, *args))
 
     def __hash__(self) -> int:
@@ -64,28 +67,53 @@ class Node(tuple):
 
 class Not(Node):
     __slots__ = ()
+    head = "~"
     sub: object
 
 
 class And(Node):
     __slots__ = ()
+    symbol = " & "
     left: object
     right: object
 
 
 class Or(Node):
     __slots__ = ()
+    symbol = " | "
     left: object
     right: object
 
 
 class Imp(Node):
     __slots__ = ()
+    symbol = " -> "
     left: object
     right: object
 
 
-SYMBOLS = {And: " & ", Or: " | ", Imp: " -> "}  # each binary connective's token, as printed between its operands
+def format_formula(phi: Node) -> str:
+    """phi's text, printed in a loop: the stack holds the text still to print, as strings and
+    subformulas, the next on top.  A scoped operator under ~ or left of a connective is put in
+    parentheses, since its scope would run on past them."""
+    out, todo = [], [phi]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is str:
+            out.append(node)
+        elif kind.symbol:
+            left = node[1]
+            out.append("(")
+            todo += (")", node[2], kind.symbol)
+            todo += (")", left, "(") if left.scoped else (left,)
+        elif kind.head:
+            sub = node[-1]
+            out.append(kind.head.format(*node[1:-1]))
+            todo += (")", sub, "(") if kind is Not and sub.scoped else (sub,)
+        else:
+            out.append(kind.template.format(*node[1:]))
+    return "".join(out)
 
 
 class Parser:
@@ -191,3 +219,53 @@ def depth(phi, counted=object) -> int:
 def fold(op, parts: list, empty=None):
     """Left fold of parts under the binary constructor op; empty when there are none."""
     return reduce(op, parts) if parts else empty
+
+
+class Table:
+    """A formula's distinct subformulas, numbered in post-order without recursion.  A node's key
+    is its kind tag, string fields and subformulas' numbers, so equal subformulas share a number
+    and no key hashes more than one node.  nodes[i] is the first node numbered i and operands[i]
+    its subformulas' numbers, each below i.  Only the identities of the nodes held outlive a
+    call.  The first node, in pre-order, of a class outside kinds (default: all) is refused."""
+
+    def __init__(self, kinds=ARITY, *formulas):
+        self.nodes, self.operands = [], []
+        self.keys, self.ids = {}, {}  # key -> number; id -> number, of the nodes held only
+        self.arity = {kind: ARITY[kind] for kind in kinds}
+        for phi in formulas:
+            self.number(phi)
+
+    def number(self, phi: Node) -> int:
+        """phi's number, numbering first those of its subformulas the table lacks."""
+        ids, keys, nodes, arity = self.ids, self.keys, self.nodes, self.arity
+        dups, todo = [], [phi]  # identities to forget on return; nodes to number, the next on top
+        try:
+            while todo:
+                node = todo.pop()
+                if id(node) in ids:
+                    continue
+                if (k := arity.get(type(node))) is None:
+                    raise InputError(f"unknown formula node {node!r}")
+                if not k:
+                    key, operands = node[:], ()
+                elif k == 1:
+                    if (a := ids.get(id(node[-1]))) is None:  # number the subformula first
+                        todo += (node, node[-1])
+                        continue
+                    key, operands = node[:-1] + (a,), (a,)
+                elif None in (operands := (ids.get(id(node[1])), ids.get(id(node[2])))):
+                    todo += (node, node[2], node[1])  # the subformulas first, the left one next
+                    continue
+                else:
+                    key = (node[0], *operands)
+                i = keys.setdefault(key, len(nodes))
+                if i == len(nodes):
+                    nodes.append(node)
+                    self.operands.append(operands)
+                else:
+                    dups.append(id(node))
+                ids[id(node)] = i
+            return ids[id(phi)]
+        finally:
+            for i in dups:
+                del ids[i]

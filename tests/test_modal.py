@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,13 +20,15 @@ from uext import (
     truth_membership_check,
     truth_set,
 )
-from uext import syntax
+from uext import modal, syntax
 from uext.cli import main
-from uext.modal import TOP, And, Box, Dia, Falsum, Imp, Not, Or, Prop, distinguishing_formula, truth_mask
+from uext.modal import TOP, And, Box, Dia, Falsum, Imp, Not, Or, Prop, distinguishing_formula, letters, truth_mask
+from uext.syntax import fold
 
 import bisim_oracle
 import modal_oracle
-from helpers import all_3vertex_frames, random_frame, random_modal, random_valuation, successors, valuation
+from helpers import (CAP_VARS, all_3vertex_frames, game_outcome, modal_truth_outcome, random_frame, random_modal,
+                     random_valuation, successors, valuation)
 
 TRI = Frame(("a", "b", "c"), frozenset([("a", "b"), ("a", "c"), ("b", "c")]))
 
@@ -172,6 +175,62 @@ def test_labelling_hashes_each_subformula_at_most_twice(monkeypatch):
     monkeypatch.setattr(syntax.Node, "__hash__", counted)
     assert truth_mask(loop, {"p0": 1}, phi) == 1
     assert len(calls) <= 2 * sum(range(1, 92))
+
+
+def test_no_whole_tree_is_hashed(monkeypatch):
+    # subformulas are numbered by their kind, strings and operands' numbers, never by a node's hash
+    golden = Path(__file__).resolve().parent / "golden"
+    truth = [json.loads(line) for line in (golden / "modal_truth.jsonl").read_text().splitlines()]
+    games = [json.loads(line) for line in (golden / "games.jsonl").read_text().splitlines()]
+    assert any("frame" in case for case in truth) and any("frames" in case for case in games)
+    assert any(case.get("witness") for case in games) and any(case.get("sentence") for case in games)
+    for var in CAP_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+    def refuse(node):
+        raise AssertionError(f"hashed {node!r}")
+
+    monkeypatch.setattr(syntax.Node, "__hash__", refuse)
+    for case in truth:
+        assert modal_truth_outcome(case) == case
+    for case in games:
+        assert game_outcome(case) == case
+
+
+def test_each_distinct_subformula_is_one_step():
+    numbered = syntax.Table(modal.MODAL, parse_modal("[]p0 & []p0"))
+    assert numbered.nodes == [Prop("p0"), Box(Prop("p0")), And(Box(Prop("p0")), Box(Prop("p0")))]
+    assert numbered.operands == [(), (0,), (1, 1)]
+
+
+DEEP = 10_000
+CYCLE = Frame(("a", "b", "c"), frozenset([("a", "b"), ("b", "c"), ("c", "a")]))
+
+
+def test_deep_formulas_built_in_code_are_labelled_without_recursion():
+    p = Prop("p0")
+    nots, dias, boxes = p, p, p
+    for _ in range(DEEP):
+        nots, dias, boxes = Not(nots), Dia(dias), Box(boxes)
+    conj = fold(And, [Prop(f"p{k % 3}") for k in range(DEEP)])
+    masks = {"p0": 0b001, "p1": 0b011, "p2": 0b101}
+    # on the cycle a -> b -> c -> a, <>X and []X are both X's predecessors, one step back round
+    back = [0b001, 0b100, 0b010][DEEP % 3]
+    assert [truth_mask(CYCLE, masks, phi) for phi in (nots, dias, boxes, conj)] == [0b001, back, back, 0b001]
+    assert [letters(phi) for phi in (nots, dias, boxes)] == [{"p0"}] * 3
+    assert letters(conj) == {"p0", "p1", "p2"}
+
+
+def test_frame_valid_decides_a_deep_chain_on_one_point():
+    loop, dead = Frame(("a",), frozenset([("a", "a")])), Frame(("a",), frozenset())
+    boxes, dias = Prop("p0"), Prop("p0")
+    for _ in range(DEEP):
+        boxes, dias = Box(boxes), Dia(dias)
+    assert frame_valid(loop, Imp(boxes, dias)) == (True, None)
+    assert frame_valid(dead, boxes) == (True, None)
+    assert frame_valid(dead, Not(dias)) == (True, None)
+    ok, (model, w) = frame_valid(loop, dias)
+    assert not ok and model.masks == {"p0": 0} and w == "a"
 
 
 def test_preimage_over_several_tables():

@@ -86,7 +86,10 @@ def test_every_public_name_is_its_modules_object():
     assert len(uext.__all__) == len(set(uext.__all__)) > 60
     for name in uext.__all__:
         obj = getattr(uext, name)
-        assert obj.__module__.startswith("uext.") and getattr(sys.modules[obj.__module__], name) is obj, name
+        home = sys.modules[f"uext.{uext._HOME.get(name, 'errors')}"]
+        assert obj.__module__.startswith("uext.") and getattr(home, name) is obj, name
+    # both logics print through the one loop in syntax
+    assert uext.format_modal is uext.format_fo is uext.syntax.format_formula
 
 
 def test_star_import_binds_every_public_name():

@@ -6,6 +6,7 @@ import json
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -100,6 +101,28 @@ def test_printers_print_a_chain_past_the_stack():
     assert format_fo(Not(Exists("y", Rel("x", "y")))) == "~(exists y. R(x,y))"
 
 
+def test_a_table_numbers_equal_subformulas_once_in_post_order():
+    p, q = Prop("p0"), Prop("p1")
+    phi = Imp(And(p, Dia(q)), And(Prop("p0"), Dia(Prop("p1"))))
+    table = syntax.Table()
+    assert table.number(phi) == 4
+    assert table.nodes == [p, q, Dia(q), And(p, Dia(q)), phi] and table.nodes[0] is p
+    assert table.operands == [(), (), (1,), (0, 2), (3, 3)]
+    # the copy's nodes were numbered by value, and only the held nodes are known by identity
+    assert set(table.ids) == set(map(id, table.nodes))
+    assert table.number(And(Prop("p0"), Dia(q))) == 3 and table.number(Exists("x", Eq("x", "x"))) == 6
+    assert len(table.nodes) == 7 and set(table.ids) == set(map(id, table.nodes))
+
+
+def test_a_table_refuses_an_unknown_node_first_in_pre_order():
+    modal_only = syntax.Table((Prop, Not, And, Dia))
+    for phi, unknown in ((And(Rel("x", "y"), Eq("x", "x")), "Rel(left='x', right='y')"),
+                         (Not(Exists("x", Rel("x", "x"))), "Exists(var='x', body=Rel(left='x', right='x'))"),
+                         (Dia(Not("p0")), "'p0'"), (And(Prop("p0"), None), "None")):
+        with pytest.raises(InputError, match=f"^unknown formula node {re.escape(unknown)}$"):
+            modal_only.number(phi)
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -125,12 +148,13 @@ def test_equal_trees_are_equal_and_hash_equal():
         assert a == b and hash(a) == hash(b)
 
 
-def test_nodes_are_immutable_and_built_by_position_or_field_name():
+def test_nodes_are_immutable_and_built_by_position():
     p, q = Prop("p0"), Prop("p1")
-    assert And(left=p, right=q) == And(p, right=q) == And(p, q) and Exists(var="x", body=Eq("x", "x")).var == "x"
+    assert And(p, q) == ("And", p, q) and Exists("x", Eq("x", "x")).var == "x"
     assert (And(p, q).left, And(p, q).right, Not(p).sub, p.name) == (p, q, p, "p0")
     assert repr(Imp(p, Falsum())) == "Imp(left=Prop(name='p0'), right=Falsum())"
-    for bad in (lambda: Not(), lambda: Not(p, q), lambda: And(p, left=q), lambda: Rel("x", other="y")):
+    for bad in (lambda: Not(), lambda: Not(p, q), lambda: And(p, left=q), lambda: Rel("x", other="y"),
+                lambda: And(left=p, right=q)):
         with pytest.raises(TypeError):
             bad()
     phi = And(p, q)
