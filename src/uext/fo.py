@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import ultra
 from .caps import Budget
-from .errors import DefectError, InputError
+from .errors import DefectError, InputError, ResourceError
 from .frame import Frame
 from .games import Game
 from .syntax import And, Imp, Node, Not, Or, Parser, depth, fold, format_formula
@@ -247,10 +247,19 @@ def eval_fo(frame: Frame, phi: FOFormula, asg: dict[str, str] | None = None) -> 
     ResourceError.  Short-circuited work is never done and never counts.
     """
     asg = asg or {}
-    missing = free_vars(phi) - set(asg)
-    if missing:
-        raise InputError(f"unbound free variable {min(missing)!r}")
-    return bool(_evaluate(frame, phi, {var: frame.position(v) for var, v in asg.items()}))
+    try:
+        missing = free_vars(phi) - set(asg)
+        if missing:
+            raise InputError(f"unbound free variable {min(missing)!r}")
+        return bool(_evaluate(frame, phi, {var: frame.position(v) for var, v in asg.items()}))
+    except RecursionError:
+        raise _too_deep(phi) from None
+
+
+def _too_deep(phi: FOFormula) -> ResourceError:
+    """The error for a formula, built in code, too deep for the recursive evaluator; it names the
+    formula's depth, which `syntax.depth` reads in a loop."""
+    return ResourceError(f"FO evaluation ran out of interpreter stack on a formula {depth(phi)} levels deep")
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +495,17 @@ def los_like_check(frame: Frame, phi: FOFormula, u: ultra.Ultrafilter) -> tuple[
     set {w : phi holds at w} is one truth mask, with the free variable as its
     column, and it belongs to u iff it holds u's point.
     """
-    fv = sorted(free_vars(phi))
-    if len(fv) != 1:
-        raise InputError(f"los_like_check needs exactly one free variable, got {fv}")
-    if u.frame != frame:
-        raise InputError("ultrafilter is not over the given frame")
-    x = fv[0]
-    lhs = eval_fo(ultra.build_ue(frame).frame, phi, {x: u.name})
-    rhs = bool(_evaluate(frame, phi, {}, column=x) >> frame.index[u.point] & 1)
+    try:
+        fv = sorted(free_vars(phi))
+        if len(fv) != 1:
+            raise InputError(f"los_like_check needs exactly one free variable, got {fv}")
+        if u.frame != frame:
+            raise InputError("ultrafilter is not over the given frame")
+        x = fv[0]
+        lhs = eval_fo(ultra.build_ue(frame).frame, phi, {x: u.name})
+        rhs = bool(_evaluate(frame, phi, {}, column=x) >> frame.index[u.point] & 1)
+    except RecursionError:
+        raise _too_deep(phi) from None
     return lhs == rhs, lhs, rhs
 
 

@@ -8,28 +8,21 @@ wins (whether Duplicator survives k more rounds from a position), moves, step,
 literal and quantify, and the round count from which no verdict changes.
 This base holds what both games share: the scan, `Game.least`, that reads
 every answer at the least losing round count, the least rank or depth of a
-separating formula; Spoiler's move and the witness read off it; the stack
-check; and the game's budget of its cap (see `caps`), which each game charges
-for the states it types.  The scan asks from 0 rounds up, so a verdict
-decided early costs little.  Neither game's typing recurses, so no verdict is
-refused for the stack; a witness nests one call per round and refuses a count
-only when it is about to recurse past the stack.  Each game numbers its
-witnesses in one `syntax.Table`, so a witness is a tree of shared subformulas.
+separating formula; Spoiler's move and the witness read off it; and the game's
+budget of its cap (see `caps`), which each game charges for the states it
+types.  The scan asks from 0 rounds up, so a verdict decided early costs
+little.  Nothing here recurses: neither game's typing, nor the witness, which
+is built in a loop over a stack of subgames (position, rounds), each solved
+once, so no verdict and no witness is refused for the stack.  Each game
+numbers its witnesses in one `syntax.Table`, so a witness is a tree of shared
+subformulas.
 """
 
 from __future__ import annotations
 
-import sys
-
 from .caps import Budget
-from .errors import InputError, ResourceError
+from .errors import InputError
 from .syntax import Table
-
-# A witness recurses distinguish -> its dict comprehension -> its generator -> distinguish, three
-# frames per round, and reads types at each step through spoiler_move -> any()'s generator ->
-# wins, which never recurses.  One frame per round is spare.
-FRAMES_PER_ROUND = 4
-STACK_RESERVE = 200  # interpreter frames left to the callers below a game
 
 
 class Game:
@@ -44,14 +37,6 @@ class Game:
     def typed(self) -> int:
         """States typed so far, the work the cap bounds."""
         return self.budget.spent
-
-    def rounds(self, k: int) -> int:
-        """k, refused if a k-round witness would recurse past the stack."""
-        limit = sys.getrecursionlimit()
-        if FRAMES_PER_ROUND * k + STACK_RESERVE > limit:
-            raise ResourceError(f"a {k}-round game would recurse past the interpreter's stack "
-                                f"(recursion limit {limit})")
-        return k
 
     def play(self, pos, board: int, move, reply):
         """The position after Spoiler plays move on board and Duplicator answers reply."""
@@ -76,13 +61,24 @@ class Game:
 
     def distinguish(self, pos, k: int):
         """A formula true on board 1 and false on board 2 at pos, lost within k rounds, held in the
-        witness table; numbering walks only the nodes built since (a literal or a quantifier)."""
-        self.rounds(k)
-        table = self.witnesses
-        if not self.wins(pos, 0):  # the atoms disagree at the last step
-            return table.nodes[table.number(self.literal(pos))]
-        board, move = self.spoiler_move(pos, k)
-        replies = self.moves(pos, 3 - board)
-        found = (self.distinguish(self.play(pos, board, move, r), k - 1) for r in replies)
-        parts = {id(phi): phi for phi in found}  # equal parts are one object
-        return table.nodes[table.number(self.quantify(board, pos, list(parts.values())))]
+        witness table.  Subgames (position, rounds) are solved in a loop over a stack, each once: a
+        subgame whose atoms disagree is a literal, and any other is numbered, once all its replies
+        are, as Spoiler's quantifier over their distinct witnesses in first-seen order."""
+        table, numbers, plans, todo = self.witnesses, {}, {}, [(pos, k)]
+        while todo:
+            game = todo.pop()
+            if game in numbers:
+                continue
+            at, rounds = game
+            if game in plans:  # every reply is numbered
+                board, replies = plans.pop(game)
+                parts = [table.nodes[i] for i in dict.fromkeys(numbers[r] for r in replies)]
+                numbers[game] = table.number(self.quantify(board, at, parts))
+            elif not self.wins(at, 0):  # the atoms disagree at the last step
+                numbers[game] = table.number(self.literal(at))
+            else:
+                board, move = self.spoiler_move(at, rounds)
+                replies = [(self.play(at, board, move, r), rounds - 1) for r in self.moves(at, 3 - board)]
+                plans[game] = board, replies
+                todo += [game, *reversed(replies)]
+        return table.nodes[numbers[pos, k]]

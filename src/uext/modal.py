@@ -115,13 +115,13 @@ class Model(NamedTuple):
         return Model(frame, {p: frame.mask(valuation[p]) for p in sorted(valuation)})
 
 
-def _compile(table: Table, make):
+def _compile(table: Table, make: dict):
     """The labelling of the formula table numbered last as a function of its letters' input.
 
     Bottom-up labelling (Clarke, Emerson and Sistla 1986): each number gets one step,
-    make(node, *its operands' numbers), and operands are numbered lower.
+    make[its node's class](node, *its operands' numbers), and operands are numbered lower.
     """
-    steps = [make(f, *operands) for f, operands in zip(table.nodes, table.operands)]
+    steps = [make[type(f)](f, *operands) for f, operands in zip(table.nodes, table.operands)]
 
     def label(given):
         v: list = []
@@ -140,19 +140,14 @@ def truth_mask(frame: Frame, letter_masks: dict[str, int], phi: ModalFormula) ->
     """
     full = (1 << len(frame.vertices)) - 1
     image = frame.image
-
-    def make(f: ModalFormula, a: int = 0, b: int = 0):
-        if isinstance(f, Prop):
-            name = f.name
-            return lambda v, m: m.get(name, 0)
-        return {Falsum: lambda v, m: 0,
-                Not: lambda v, m: full ^ v[a],
-                Dia: lambda v, m: image(v[a], False),
-                Box: lambda v, m: full ^ image(full ^ v[a], False),
-                And: lambda v, m: v[a] & v[b],
-                Or: lambda v, m: v[a] | v[b],
-                Imp: lambda v, m: (full ^ v[a]) | v[b]}[type(f)]
-
+    make = {Prop: lambda f: lambda v, m: m.get(f.name, 0),
+            Falsum: lambda f: lambda v, m: 0,
+            Not: lambda f, a: lambda v, m: full ^ v[a],
+            Dia: lambda f, a: lambda v, m: image(v[a], False),
+            Box: lambda f, a: lambda v, m: full ^ image(full ^ v[a], False),
+            And: lambda f, a, b: lambda v, m: v[a] & v[b],
+            Or: lambda f, a, b: lambda v, m: v[a] | v[b],
+            Imp: lambda f, a, b: lambda v, m: (full ^ v[a]) | v[b]}
     return _compile(Table(MODAL, phi), make)(letter_masks)
 
 
@@ -175,19 +170,14 @@ def _slicer(frame: Frame, table: Table, offsets: dict[str, int], ones: int):
     X's tables over u's successors, so []X holds everywhere at a dead end.
     """
     n, succ = len(frame.vertices), frame.succ_mask
-
-    def make(f: ModalFormula, a: int = 0, b: int = 0):
-        if isinstance(f, Prop):
-            lo = offsets[f.name]
-            return lambda v, t: t[lo:lo + n]
-        return {Falsum: lambda v, t: [0] * n,
-                Not: lambda v, t: [ones ^ x for x in v[a]],
-                Dia: lambda v, t: [any_of(v[a].__getitem__, row) for row in succ],
-                Box: lambda v, t: [all_of(v[a].__getitem__, row, ones) for row in succ],
-                And: lambda v, t: [x & y for x, y in zip(v[a], v[b])],
-                Or: lambda v, t: [x | y for x, y in zip(v[a], v[b])],
-                Imp: lambda v, t: [(ones ^ x) | y for x, y in zip(v[a], v[b])]}[type(f)]
-
+    make = {Prop: lambda f: lambda v, t, lo=offsets[f.name]: t[lo:lo + n],
+            Falsum: lambda f: lambda v, t: [0] * n,
+            Not: lambda f, a: lambda v, t: [ones ^ x for x in v[a]],
+            Dia: lambda f, a: lambda v, t: [any_of(v[a].__getitem__, row) for row in succ],
+            Box: lambda f, a: lambda v, t: [all_of(v[a].__getitem__, row, ones) for row in succ],
+            And: lambda f, a, b: lambda v, t: [x & y for x, y in zip(v[a], v[b])],
+            Or: lambda f, a, b: lambda v, t: [x | y for x, y in zip(v[a], v[b])],
+            Imp: lambda f, a, b: lambda v, t: [(ones ^ x) | y for x, y in zip(v[a], v[b])]}
     return _compile(table, make)
 
 

@@ -19,6 +19,9 @@ from uext.modal import (And, Box, Dia, Falsum, Imp, Not, Or, Prop, eval_modal, f
 
 CAP_VARS = ("UEXT_POWERSET_LIMIT", "UEXT_VALUATION_LIMIT", "UEXT_GAME_LIMIT", "UEXT_EF_MEMO_LIMIT",
             "UEXT_ASSIGNMENT_LIMIT")
+# a recursion limit about 70 frames above a test's own stack: a game's scan and witness, which
+# never recurse, run within it at any round count
+LOW_LIMIT = 100
 PARSERS = {"modal": (parse_modal, format_modal), "fo": (parse_fo, format_fo)}
 
 

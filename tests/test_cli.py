@@ -3,6 +3,9 @@ import time
 
 import pytest
 
+import game_oracle
+import modal_oracle
+from helpers import successors, valuation
 from uext import ResourceError, census
 from uext.caps import CAPS, Budget
 from uext.cli import _load_model as load_model, main
@@ -240,14 +243,14 @@ def test_bisim_at_the_stack_bound(capsys, tmp_path):
         p = cycle_model(tmp_path, n)
         assert main(["bisim", p, p, "--at1", "v0", "--at2", "v0", "--depth", "3000"]) == 0
         assert json.loads(capsys.readouterr().out) == {"bisimilar": True, "depth": 3000}
-    # a witness still nests a call per round: 300- and 301-cycles with one marked world each are
-    # told apart first at depth 300, and that witness would recurse past the stack
+    # a witness is built in a loop over its subgames: 300- and 301-cycles with one marked world
+    # each are told apart first at depth 300, and the oracle reads the witness true at m1's v0 only
     m1, m2 = (load_model(cycle_model(tmp_path, n, ["v0"])) for n in (300, 301))
     assert not n_bisimilar(m1, "v0", m2, "v0", 10**6)
-    with pytest.raises(ResourceError) as refused:
-        distinguishing_formula(m1, "v0", m2, "v0", 10**6, ["p0"])
-    assert str(refused.value) == ("a 300-round game would recurse past the interpreter's stack "
-                                  "(recursion limit 1000)")
+    phi = distinguishing_formula(m1, "v0", m2, "v0", 10**6, ["p0"])
+    assert game_oracle.modal_depth(phi) == 300
+    assert modal_oracle.holds(successors(m1.frame), valuation(m1), "v0", phi)
+    assert not modal_oracle.holds(successors(m2.frame), valuation(m2), "v0", phi)
 
 
 def test_fo_eval_assignment_cap(capsys, monkeypatch):

@@ -18,6 +18,7 @@ from uext import (
     ef_min_rounds,
     eval_fo,
     format_fo,
+    frame_to_dict,
     index_ultrafilter,
     los_like_check,
     parse_fo,
@@ -27,10 +28,10 @@ from uext import (
     ultraproduct,
 )
 from uext.fo import Eq, Exists, Forall, Rel, _EFGame, free_vars
-from uext.games import FRAMES_PER_ROUND, STACK_RESERVE
 from uext.syntax import Imp, Not, Or
 
-from helpers import linear_order, random_frame
+import game_oracle as O
+from helpers import LOW_LIMIT, linear_order, random_frame
 from product_oracle import ultraproduct as product_oracle
 
 TRI = Frame(("a", "b", "c"), frozenset([("a", "b"), ("a", "c"), ("b", "c")]))
@@ -290,19 +291,40 @@ def test_ef_clip_past_the_stack_is_refused_when_reached(monkeypatch):
     with pytest.raises(ResourceError, match=r"^EF memo table exceeded cap 1000 \(set UEXT_EF_MEMO_LIMIT\)$"):
         ef_equivalent(edgeless, edgeless, 300)
     monkeypatch.delenv("UEXT_EF_MEMO_LIMIT")
-    # the scan never recurses, so it answers to the clip on a stack too short for 3 rounds of
-    # witness; the witness is refused when it would recurse past the stack, naming its count
+    # neither the scan nor the witness recurses, so on a stack a few dozen frames above the test's
+    # own the scan answers to the clip and the witness is the one built at the default limit
     small, limit = Frame(edgeless.vertices[:5], frozenset()), sys.getrecursionlimit()
-    sys.setrecursionlimit(STACK_RESERVE + 2 * FRAMES_PER_ROUND)
+    witness = distinguishing_sentence(linear_order(3), linear_order(4, "w"), 300)
+    sys.setrecursionlimit(LOW_LIMIT)
     try:
         assert ef_equivalent(small, small, 300) is True
-        with pytest.raises(ResourceError, match=r"^a 3-round game would recurse past the interpreter's stack "
-                                                rf"\(recursion limit {STACK_RESERVE + 2 * FRAMES_PER_ROUND}\)$"):
-            distinguishing_sentence(linear_order(3), linear_order(4, "w"), 300)
+        assert distinguishing_sentence(linear_order(3), linear_order(4, "w"), 300) == witness
     finally:
         sys.setrecursionlimit(limit)
+    assert O.quantifier_rank(witness) == 3
+    assert O.fo_holds(frame_to_dict(linear_order(3)), witness)
+    assert not O.fo_holds(frame_to_dict(linear_order(4, "w")), witness)
     # ef_min_rounds plays, and so checks, only the rounds it needs: a loop settles it in one
     assert ef_min_rounds(edgeless, Frame(edgeless.vertices, frozenset([("v0", "v0")])), 300) == 1
+
+
+def test_fo_evaluation_too_deep_for_the_stack_is_one_resource_error():
+    # evaluation recurses once per level: a 2,000-deep ~ chain built in code ends in one
+    # resource error naming its depth, from eval_fo and los_like_check alike, while a 150-deep
+    # chain, past the parser's bound, evaluates
+    loop = Frame(("a", "b"), frozenset([("a", "a")]))
+    deep, shallow = Rel("x", "x"), Rel("x", "x")
+    for _ in range(2000):
+        deep = Not(deep)
+    for _ in range(150):
+        shallow = Not(shallow)
+    message = r"^FO evaluation ran out of interpreter stack on a formula 2001 levels deep$"
+    with pytest.raises(ResourceError, match=message):
+        eval_fo(loop, deep, {"x": "a"})
+    with pytest.raises(ResourceError, match=message):
+        los_like_check(loop, deep, Ultrafilter(loop, "a"))
+    assert eval_fo(loop, shallow, {"x": "a"}) is True and eval_fo(loop, shallow, {"x": "b"}) is False
+    assert los_like_check(loop, shallow, Ultrafilter(loop, "b")) == (True, False, False)
 
 
 def test_ef_cap_is_checked_before_a_diagonal_is_typed(monkeypatch):

@@ -1,4 +1,4 @@
-"""Both games against the pair-position search in tests/game_oracle.py, at the stack bound, and
+"""Both games against the pair-position search in tests/game_oracle.py, deep witnesses included, and
 the pinned witnesses of tests/golden/games.jsonl read by the oracle's own evaluators."""
 
 import json
@@ -11,11 +11,10 @@ import pytest
 import bisim_oracle
 import game_oracle as O
 import modal_oracle
-from helpers import linear_order, model_doc, random_frame, random_valuation, successors, valuation
+from helpers import LOW_LIMIT, linear_order, model_doc, random_frame, random_valuation, successors, valuation
 from uext import Frame, Model, frame_from_dict, frame_to_dict
 from uext.frame import MODEL_FIELDS
 from uext.fo import _EFGame, distinguishing_sentence, ef_equivalent, ef_min_rounds, format_fo, spoiler_line
-from uext.games import FRAMES_PER_ROUND, STACK_RESERVE
 from uext.modal import Prop, _BisimGame, distinguishing_formula, modally_equivalent_upto, n_bisimilar, parse_modal
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -125,9 +124,7 @@ def chain(n: int, prefix: str, cycle: bool = False) -> Frame:
 
 
 def test_bisim_at_the_largest_admitted_depth_runs():
-    # two 100-point models clip every depth to 200, the deepest witness the guard admits at the
-    # default limit; the chains' witness has depth 99
-    assert (sys.getrecursionlimit() - STACK_RESERVE) // FRAMES_PER_ROUND == 200
+    # two 100-point models clip every depth to 200; the chains' witness has depth 99
     cycle = Model.make(chain(100, "c", cycle=True), {"p0": ["c0"]})
     assert n_bisimilar(cycle, "c0", cycle, "c0", 3000)
     assert distinguishing_formula(cycle, "c0", cycle, "c1", 3000, ["p0"]) is not None
@@ -136,6 +133,32 @@ def test_bisim_at_the_largest_admitted_depth_runs():
     phi, succ = distinguishing_formula(line, "v0", line, "v1", 200, []), successors(line.frame)
     assert O.modal_depth(phi) == 99 and modal_oracle.holds(succ, {}, "v0", phi)
     assert not modal_oracle.holds(succ, {}, "v1", phi)
+
+
+def ladder(rungs: int) -> Model:
+    """rungs + 1 levels of two worlds a_i, b_i, each seeing both worlds of the level above."""
+    levels = [(f"a{i}", f"b{i}") for i in range(rungs + 1)]
+    edges = frozenset((x, y) for low, high in zip(levels, levels[1:]) for x in low for y in high)
+    return Model.make(Frame(sum(levels, ()), edges), {})
+
+
+def test_each_subgame_of_a_witness_is_solved_once(monkeypatch):
+    # from the foot of a 12-rung ladder against an 11-rung one, Spoiler climbs on board 1 and
+    # both of Duplicator's answers lead to the same subgames a rung up: 2^12 branches of play
+    # but 24 distinct (position, rounds) pairs, and Spoiler's move is sought once in each
+    asked, spoiler_move = [], _BisimGame.spoiler_move
+
+    def counted(self, pos, k):
+        asked.append((pos, k))
+        return spoiler_move(self, pos, k)
+
+    monkeypatch.setattr(_BisimGame, "spoiler_move", counted)
+    high, low = ladder(12), ladder(11)
+    phi = distinguishing_formula(high, "a0", low, "a0", 100, [])
+    assert len(asked) == len(set(asked)) <= 24
+    assert O.tree(phi) == O.distinguishing_formula(model_doc(high), "a0", model_doc(low), "a0", 100, [])
+    assert O.modal_depth(phi) == 12 and modal_oracle.holds(successors(high.frame), {}, "a0", phi)
+    assert not modal_oracle.holds(successors(low.frame), {}, "a0", phi)
 
 
 def marked_cycle(n: int, marked: int) -> Model:
@@ -178,11 +201,11 @@ def test_bisim_verdict_is_stable_past_the_clip():
 
 
 def test_ef_at_the_largest_admitted_rounds_runs():
-    # typing a 200-element tuple is out of reach, so the limit is lowered until the guard
-    # admits 6 rounds; edgeless frames of 5 and 6 points are told apart only at 6
+    # typing a 200-element tuple is out of reach, so the game runs under a low fixed limit
+    # instead; edgeless frames of 5 and 6 points are told apart only at 6
     f1, f2 = (Frame(tuple(f"{p}{i}" for i in range(n)), frozenset()) for p, n in (("a", 5), ("b", 6)))
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(STACK_RESERVE + 6 * FRAMES_PER_ROUND)
+    sys.setrecursionlimit(LOW_LIMIT)
     try:
         assert ef_min_rounds(f1, f2, 6) == 6 and len(spoiler_line(f1, f2, 6)) == 12
         phi = distinguishing_sentence(f1, f2, 6)
@@ -206,8 +229,8 @@ def test_ef_pair_told_apart_at_rank_1_costs_rank_1(monkeypatch):
 
 
 def test_pairs_told_apart_at_round_0_or_1_answer_every_question_at_3000_rounds():
-    # the clips, 300 and 301 rounds, would recurse past the stack, but the scan stops at the
-    # first count where the states' types differ, long before it reaches a count past the stack
+    # the clips are 300 and 301 rounds, but the scan stops at the first count where the states'
+    # types differ, so these cost what round 0 or 1 costs
     cycle = chain(150, "c", cycle=True)
     m1, m2 = Model.make(cycle, {"p0": ["c0"]}), Model.make(cycle, {"p0": ["c1"]})
     assert not n_bisimilar(m1, "c0", m2, "c0", 3000)
