@@ -70,6 +70,8 @@ def free_vars(phi: FOFormula) -> frozenset[str]:
         return free_vars(phi.sub)
     if isinstance(phi, (And, Or, Imp)):
         return free_vars(phi.left) | free_vars(phi.right)
+    if not isinstance(phi, (Exists, Forall)):  # the first foreign node in pre-order is met first
+        raise InputError(f"unknown formula node {phi!r}")
     return free_vars(phi.body) - {phi.var}
 
 
@@ -140,101 +142,88 @@ def _flat(phi: FOFormula, var: str) -> bool:
 
 
 def _evaluate(frame: Frame, phi: FOFormula, values: dict[str, int], column: str | None = None):
-    """phi's truth when each variable in values is bound to the vertex of that index, or with
-    column set, the mask of column's values where phi holds; phi is compiled once per call.
+    """phi's truth, 1 or 0, when each variable in values is bound to the vertex of that index, or
+    with column set, the mask of column's values where phi holds; phi is compiled once per call.
 
-    A quantified variable v whose body is flat in v (see _flat) is the column
-    of its body: under the outer variables' values, R(v,y) is pred_mask[y],
-    R(y,v) is succ_mask[y], R(v,v) the loop mask and v=y is 1 << y; a
-    subformula without v free is a truth value, read as the full mask or 0;
-    ~ & | -> are bitwise.  So exists v holds iff the mask is nonzero and
-    forall v iff it is full, in one mask step.  Any other quantified variable
-    is enumerated, its values tried in order until one decides the
-    quantifier.  Each mask step and each value tried counts toward
-    UEXT_ASSIGNMENT_LIMIT before it is taken; one past the cap raises
-    ResourceError.  Short-circuited work is never done, so it never counts.
+    Every subformula compiles to a mask over its column v: the quantified
+    variable whose body is flat in v (see _flat), or None for a truth value,
+    whose mask is 1 or 0.  Under the other variables' values, R(v,y) is
+    pred_mask[y], R(y,v) is succ_mask[y], R(v,v) the loop mask and v=y is
+    1 << y; an atom without v is all ones or 0, and so is a quantifier, v
+    being free in none; ~ & | -> are bitwise.  So exists v holds iff the mask
+    is nonzero and forall v iff it is full, in one mask step.  Any other
+    quantified variable is enumerated, its values tried in order until one
+    decides the quantifier; variables are bound by name, and an enumerated
+    one's binding shadows an outer one only inside its body.  Each mask step
+    and each value tried counts toward UEXT_ASSIGNMENT_LIMIT before it is
+    taken; one past the cap raises ResourceError.  Short-circuited work is
+    never done, so it never counts: over a column of no points all ones is 0,
+    so a conjunction stops after its left part.
     """
     n = len(frame.vertices)
     full = (1 << n) - 1
     succ = frame.succ_mask
-    charge, size = Budget("assignments").charge, len(values)
+    charge = Budget("assignments").charge
 
-    def over(var: str, body: FOFormula, scope: dict[str, int]):
+    def over(var: str, body: FOFormula):
         """var's values where body holds, as (mask step, None) if body is flat in var, else
         (None, a generator of body's truth at each value in turn)."""
-        nonlocal size
-        slot, size = size, size + 1
-        scope = {**scope, var: slot}
         if _flat(body, var):
-            m = mask(body, var, scope)
+            m = mask(body, var)
 
             def step(env):
                 charge(1)
                 return m(env)
             return step, None
-        t = truth(body, scope)
+        t = mask(body, None)
 
         def each(env):
+            env = dict(env)
             for w in range(n):
                 charge(1)
-                env[slot] = w
+                env[var] = w
                 yield t(env)
         return None, each
 
-    def truth(f: FOFormula, scope: dict[str, int]):  # recursion bounded by syntax.MAX_DEPTH
+    def mask(f: FOFormula, v: str | None):  # recursion bounded by syntax.MAX_DEPTH
+        ones = 1 if v is None else full
         if isinstance(f, Rel):
-            a, b = scope[f.left], scope[f.right]
-            return lambda env: succ[env[a]] >> env[b] & 1
-        if isinstance(f, Eq):
-            a, b = scope[f.left], scope[f.right]
-            return lambda env: env[a] == env[b]
-        if isinstance(f, Not):
-            s = truth(f.sub, scope)
-            return lambda env: not s(env)
-        if isinstance(f, (Exists, Forall)):
-            step, each = over(f.var, f.body, scope)
-            if isinstance(f, Exists):
-                return (lambda env: step(env) != 0) if step else (lambda env: any(each(env)))
-            return (lambda env: step(env) == full) if step else (lambda env: all(each(env)))
-        if not isinstance(f, (And, Or, Imp)):
-            raise InputError(f"unknown formula node {f!r}")
-        l, r = truth(f.left, scope), truth(f.right, scope)
-        return {And: lambda env: l(env) and r(env),
-                Or: lambda env: l(env) or r(env),
-                Imp: lambda env: not l(env) or r(env)}[type(f)]
-
-    def mask(f: FOFormula, v: str, scope: dict[str, int]):
-        if v not in free_vars(f):
-            t = truth(f, scope)  # a truth value, so a closed formula stays one on the empty frame
-            return lambda env: full if t(env) else 0
-        if isinstance(f, Rel):
-            if f.left == f.right:
+            a, b = f.left, f.right
+            if v not in (a, b):
+                return lambda env: ones if succ[env[a]] >> env[b] & 1 else 0
+            if a == b:
                 loops = sum(1 << i for i, row in enumerate(succ) if row >> i & 1)
                 return lambda env: loops
-            rows, y = (frame.pred_mask, scope[f.right]) if f.left == v else (succ, scope[f.left])
+            rows, y = (frame.pred_mask, b) if a == v else (succ, a)
             return lambda env: rows[env[y]]
         if isinstance(f, Eq):
-            if f.left == f.right:
+            a, b = f.left, f.right
+            if v not in (a, b):
+                return lambda env: ones if env[a] == env[b] else 0
+            if a == b:
                 return lambda env: full
-            y = scope[f.right if f.left == v else f.left]
+            y = b if a == v else a
             return lambda env: 1 << env[y]
         if isinstance(f, Not):
-            s = mask(f.sub, v, scope)
-            return lambda env: full ^ s(env)
-        l, r = mask(f.left, v, scope), mask(f.right, v, scope)  # f is a connective: v is flat in it
+            s = mask(f.sub, v)
+            return lambda env: ones ^ s(env)
+        if isinstance(f, (Exists, Forall)):
+            step, each = over(f.var, f.body)
+            if isinstance(f, Exists):
+                return (lambda env: ones if step(env) else 0) if step else (lambda env: ones if any(each(env)) else 0)
+            return ((lambda env: ones if step(env) == full else 0) if step
+                    else (lambda env: ones if all(each(env)) else 0))
+        l, r = mask(f.left, v), mask(f.right, v)
         if isinstance(f, And):
             return lambda env: (x := l(env)) and x & r(env)
         if isinstance(f, Or):
-            return lambda env: x if (x := l(env)) == full else x | r(env)
-        return lambda env: (full ^ x) | r(env) if (x := l(env)) else full
+            return lambda env: x if (x := l(env)) == ones else x | r(env)
+        return lambda env: (ones ^ x) | r(env) if (x := l(env)) else ones
 
-    scope = dict(zip(values, range(size)))
     if column is None:
-        top = truth(phi, scope)
-    else:
-        step, each = over(column, phi, scope)
-        top = step or (lambda env: sum(1 << w for w, h in enumerate(each(env)) if h))
-    return top([*values.values()] + [0] * (size - len(values)))
+        return mask(phi, None)(values)
+    step, each = over(column, phi)
+    return step(values) if step else sum(1 << w for w, h in enumerate(each(values)) if h)
 
 
 def eval_fo(frame: Frame, phi: FOFormula, asg: dict[str, str] | None = None) -> bool:

@@ -12,7 +12,11 @@ invalid, each with its formatted parse or its error line; games.jsonl holds
 seeded EF frame pairs and pointed model pairs with their game outputs;
 modal_truth.jsonl holds seeded models with a formula's truth set and its truth
 at one world, and seeded frames with a formula's validity verdict and
-counterexample; hulls.jsonl holds seeded frames, stars and K_mm+root shapes
+counterexample; fo_truth.jsonl holds seeded frames of 1-5 points, each with
+an FO formula of rank at most 3 over x, y, z and an assignment of its free
+variables, eval_fo's answer and the assignments it charged, and for a formula
+with one free variable, that variable's column mask from fo._evaluate and its
+charge; hulls.jsonl holds seeded frames, stars and K_mm+root shapes
 with a hull's certificate, layers, endpoints and formula, the four relation
 images of a subset, a colouring and a clique, then pairs of hulls (relabelled
 copies among them) with their rooted isomorphism, then seeded families with
@@ -31,16 +35,18 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from helpers import (CAP_VARS, cli_outcome, game_outcome, hull_outcome, modal_truth_outcome,  # noqa: E402
-                     kmm_root, model_doc, parse_outcome, random_bounded_frame, random_frame, random_modal,
-                     random_valuation, star)
-from uext import Frame, Model, format_modal, frame_to_dict  # noqa: E402
+from helpers import (CAP_VARS, cli_outcome, fo_truth_outcome, game_outcome, hull_outcome,  # noqa: E402
+                     modal_truth_outcome, kmm_root, model_doc, parse_outcome, random_bounded_frame, random_fo,
+                     random_frame, random_modal, random_valuation, star)
+from uext import Frame, Model, format_fo, format_modal, frame_to_dict  # noqa: E402
+from uext.fo import free_vars  # noqa: E402
 from uext.cli import COMMANDS  # noqa: E402
 
 CORPUS_SEED = 20240527
 CORPUS_SIZE = 1000
 GAME_EF_PAIRS, GAME_MODAL_PAIRS = 200, 400
 TRUTH_MODELS, VALIDITY_FRAMES = 400, 200
+FO_TRUTH_CASES = 300
 HULL_FRAMES, HULL_PAIRS, HULL_FAMILIES = 150, 100, 60
 
 T, M = "fixtures/triangle.json", "fixtures/triangle_model.json"
@@ -197,6 +203,19 @@ def modal_truth_cases(seed: int, models: int, frames: int) -> list[dict]:
     return cases
 
 
+def fo_truth_cases(seed: int, size: int) -> list[dict]:
+    """Frames of 1-5 points with formulas over x, y, z of rank at most 3, shadowed quantifiers
+    among them, each with an assignment of its free variables."""
+    rng = random.Random(f"fo_truth:{seed}")
+    cases = []
+    for _ in range(size):
+        f = random_frame(rng, 5)
+        phi = random_fo(rng, rng.randint(0, 3), rng.randint(1, 14))
+        cases.append({"frame": frame_to_dict(f), "formula": format_fo(phi),
+                      "assignment": {x: rng.choice(f.vertices) for x in sorted(free_vars(phi))}})
+    return cases
+
+
 def relabelled(rng: random.Random, f: Frame) -> tuple[Frame, dict[str, str]]:
     """f under fresh names in a shuffled load order, and the renaming."""
     names = dict(zip(f.vertices, rng.sample([f"u{i}" for i in range(len(f.vertices))], len(f.vertices))))
@@ -274,6 +293,8 @@ def main() -> None:
     lines = [json.dumps(modal_truth_outcome(case))
              for case in modal_truth_cases(CORPUS_SEED, TRUTH_MODELS, VALIDITY_FRAMES)]
     (HERE / "modal_truth.jsonl").write_text("\n".join(lines) + "\n")
+    lines = [json.dumps(fo_truth_outcome(case)) for case in fo_truth_cases(CORPUS_SEED, FO_TRUTH_CASES)]
+    (HERE / "fo_truth.jsonl").write_text("\n".join(lines) + "\n")
     lines = [json.dumps(hull_outcome(case)) for case in hull_cases(CORPUS_SEED, HULL_FRAMES, HULL_PAIRS, HULL_FAMILIES)]
     (HERE / "hulls.jsonl").write_text("\n".join(lines) + "\n")
 

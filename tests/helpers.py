@@ -13,7 +13,9 @@ from uext import (Frame, InputError, Model, ResourceError, canonical_form, endpo
 from uext.census import census_to_dict, clique_lower_bound
 from uext.frame import MODEL_FIELDS
 from uext.cli import main
-from uext.fo import distinguishing_sentence, ef_min_rounds, format_fo, parse_fo, spoiler_line
+import uext.fo
+from uext.fo import (Eq, Exists, Forall, Rel, distinguishing_sentence, ef_min_rounds, eval_fo, format_fo, free_vars,
+                     parse_fo, spoiler_line)
 from uext.modal import (And, Box, Dia, Falsum, Imp, Not, Or, Prop, eval_modal, format_modal, frame_valid,
                         modally_equivalent_upto, n_bisimilar, parse_modal, truth_set)
 
@@ -80,6 +82,40 @@ def modal_truth_outcome(case: dict) -> dict:
     if counter is not None:
         cm, cw = counter
         out.update(counter_world=cw, counter_valuation={p: sorted(xs) for p, xs in valuation(cm).items()})
+    return out
+
+
+class RecordingBudget(uext.fo.Budget):
+    """An FO evaluation's Budget that adds what it spends to the class's running total."""
+
+    total = 0
+
+    def charge(self, n: int) -> None:
+        super().charge(n)
+        RecordingBudget.total += n
+
+
+def charged(fn):
+    """fn()'s value and the assignments charged by the FO evaluations it ran."""
+    RecordingBudget.total = 0
+    saved, uext.fo.Budget = uext.fo.Budget, RecordingBudget
+    try:
+        return fn(), RecordingBudget.total
+    finally:
+        uext.fo.Budget = saved
+
+
+def fo_truth_outcome(case: dict) -> dict:
+    """The case with eval_fo's answer under its assignment and the assignments charged, and for a
+    formula with one free variable, that variable's column mask and its charge."""
+    out = dict(case)
+    f, phi = frame_from_dict(case["frame"]), parse_fo(case["formula"])
+    holds, spent = charged(lambda: eval_fo(f, phi, case["assignment"]))
+    out.update(holds=holds, charged=spent)
+    if len(free_vars(phi)) == 1:
+        (x,) = free_vars(phi)
+        mask, spent = charged(lambda: uext.fo._evaluate(f, phi, {}, column=x))
+        out.update(column=x, mask=mask, column_charged=spent)
     return out
 
 
@@ -200,6 +236,27 @@ def random_modal(rng: random.Random, depth: int, letters: list[str], size: int =
     l = random_modal(rng, depth, letters, half)
     r = random_modal(rng, depth, letters, half)
     return {"and": And, "or": Or, "imp": Imp}[kind](l, r)
+
+
+FO_VARS = ("x", "y", "z")
+
+
+def random_fo(rng: random.Random, rank: int, size: int):
+    """A random formula over x, y, z of quantifier rank at most `rank` and about `size` nodes."""
+    kinds = ["atom"]
+    if size > 1:
+        kinds += ["neg", "and", "or", "imp"]
+        if rank > 0:
+            kinds += ["exists", "forall"] * 2
+    kind = rng.choice(kinds)
+    if kind == "atom":
+        return (Rel if rng.random() < 0.6 else Eq)(rng.choice(FO_VARS), rng.choice(FO_VARS))
+    if kind == "neg":
+        return Not(random_fo(rng, rank, size - 1))
+    if kind in ("exists", "forall"):
+        return (Exists if kind == "exists" else Forall)(rng.choice(FO_VARS), random_fo(rng, rank - 1, size - 1))
+    half = (size - 1) // 2
+    return {"and": And, "or": Or, "imp": Imp}[kind](random_fo(rng, rank, half), random_fo(rng, rank, half))
 
 
 def random_valuation(rng: random.Random, frame: Frame, letters: list[str]):

@@ -5,41 +5,26 @@ the pinned CLI cases and hull formulas, and what UEXT_ASSIGNMENT_LIMIT counts.""
 import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 import fo_oracle
-from uext import Frame, ResourceError, Ultrafilter, eval_fo, hull, hull_formula, load_frame, los_like_check, parse_fo
-from uext.fo import Eq, Exists, Forall, Rel, format_fo, free_vars, quantifier_rank
-from uext.syntax import And, Imp, Not, Or
+import uext.fo
+from uext import (Frame, InputError, ResourceError, Ultrafilter, eval_fo, hull, hull_formula, load_frame,
+                  los_like_check, parse_fo)
+from uext.fo import Exists, Rel, _evaluate, _flat, format_fo, free_vars, quantifier_rank
+from uext.modal import Dia, Prop
+from uext.syntax import And, Not
 
-from helpers import all_3vertex_frames, successors
+from helpers import all_3vertex_frames, charged, random_fo, successors
 from test_hulls import PATH4, TRI
 
 ROOT = Path(__file__).resolve().parents[1]
-VARS = ("x", "y", "z")
 EMPTY = Frame((), frozenset())
 TRANSITIVE = parse_fo("forall x. forall y. forall z. ((R(x,y) & R(y,z)) -> R(x,z))")
 CONNECTED = parse_fo("forall x. forall y. forall z. ((R(x,y) & R(x,z)) -> (y=z | (R(y,z) | R(z,y))))")
-
-
-def random_fo(rng: random.Random, rank: int, size: int):
-    """A random formula over x, y, z of quantifier rank at most `rank` and about `size` nodes."""
-    kinds = ["atom"]
-    if size > 1:
-        kinds += ["neg", "and", "or", "imp"]
-        if rank > 0:
-            kinds += ["exists", "forall"] * 2
-    kind = rng.choice(kinds)
-    if kind == "atom":
-        return (Rel if rng.random() < 0.6 else Eq)(rng.choice(VARS), rng.choice(VARS))
-    if kind == "neg":
-        return Not(random_fo(rng, rank, size - 1))
-    if kind in ("exists", "forall"):
-        return (Exists if kind == "exists" else Forall)(rng.choice(VARS), random_fo(rng, rank - 1, size - 1))
-    half = (size - 1) // 2
-    return {"and": And, "or": Or, "imp": Imp}[kind](random_fo(rng, rank, half), random_fo(rng, rank, half))
 
 
 def random_frame(rng: random.Random) -> Frame:
@@ -135,6 +120,14 @@ def test_the_empty_frame(text, holds):
     # formula must stay a truth value: forall is true and exists false
     phi = parse_fo(text)
     assert eval_fo(EMPTY, phi) is holds is fo_oracle.holds((), {}, phi, {})
+
+
+def test_charges_on_the_empty_frame_can_only_drop(monkeypatch):
+    # over a column of no points all ones is 0, so the conjunction stops after its left part:
+    # a mask step for v and one for y, none for z
+    phi = parse_fo("exists v. ((forall y. R(y,y)) & (exists z. R(z,z)))")
+    monkeypatch.setenv("UEXT_ASSIGNMENT_LIMIT", "2")
+    assert charged(lambda: eval_fo(EMPTY, phi)) == (False, 2)
 
 
 CLI_CASES = [c for c in json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())
@@ -233,3 +226,33 @@ def test_los_like_membership_is_one_mask_on_the_frame(monkeypatch):
     monkeypatch.setenv("UEXT_ASSIGNMENT_LIMIT", "1")
     with pytest.raises(ResourceError):
         los_like_check(f, phi, Ultrafilter(f, "v3"))
+
+
+@pytest.mark.parametrize("phi, unknown", [
+    (Prop("p0"), "Prop(name='p0')"),
+    (And(Rel("x", "x"), Prop("p0")), "Prop(name='p0')"),
+    (Exists("x", Dia(Prop("p0"))), "Dia(sub=Prop(name='p0'))"),
+])
+def test_a_node_of_another_logic_is_refused_in_one_line(phi, unknown):
+    # the first foreign node in pre-order is named, as syntax.Table names it
+    f = Frame(("a",), frozenset())
+    for call in (lambda: eval_fo(f, phi), lambda: los_like_check(f, phi, Ultrafilter(f, "a")),
+                 lambda: free_vars(phi), lambda: _flat(phi, "x")):
+        with pytest.raises(InputError, match=f"^unknown formula node {re.escape(unknown)}$"):
+            call()
+
+
+def test_the_column_path_compiles_without_a_free_variable_walk(monkeypatch):
+    # a subformula's column is read off its atoms, so a 200-deep chain compiles in linear time
+    calls = []
+
+    def counted(phi):
+        calls.append(None)
+        return free_vars(phi)
+
+    phi = Rel("x", "x")
+    for _ in range(200):
+        phi = Not(phi)
+    monkeypatch.setattr(uext.fo, "free_vars", counted)
+    assert _evaluate(Frame(("a", "b"), frozenset([("a", "a")])), phi, {}, column="x") == 0b01
+    assert len(calls) == 0

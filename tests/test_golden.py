@@ -1,4 +1,4 @@
-"""Golden outputs: the CLI on fixtures/, both parsers, both games, modal truth and hulls on seeded corpora.
+"""Golden outputs: the CLI on fixtures/, both parsers, both games, modal and FO truth and hulls on seeded corpora.
 
 The files under tests/golden/ pin stdout, stderr and exit code byte for byte.
 A change that means to alter one of them re-records it with
@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import CAP_VARS, PARSERS, cli_outcome, game_outcome, hull_outcome, modal_truth_outcome, parse_outcome
+from helpers import (CAP_VARS, PARSERS, cli_outcome, fo_truth_outcome, game_outcome, hull_outcome, modal_truth_outcome,
+                     parse_outcome)
 from uext import InputError, format_fo, frame_from_dict, hull, hull_formula, parse_fo
 from uext.cli import COMMANDS
 
@@ -76,6 +77,16 @@ def test_modal_truth_corpus(monkeypatch):
     assert sum("model" in case for case in cases) == 400 and sum("frame" in case for case in cases) == 200
     for case in cases:
         assert modal_truth_outcome(case) == case
+
+
+def test_fo_truth_corpus(monkeypatch):
+    """eval_fo's answers and charges, and the column masks and their charges, on the pinned corpus."""
+    for var in CAP_VARS:
+        monkeypatch.delenv(var, raising=False)
+    cases = [json.loads(line) for line in (GOLDEN / "fo_truth.jsonl").read_text().splitlines()]
+    assert len(cases) == 300 and sum("column" in case for case in cases) > 50
+    for case in cases:
+        assert fo_truth_outcome(case) == case
 
 
 def test_hull_corpus(monkeypatch):

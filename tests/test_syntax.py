@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 
 import game_oracle as O
-from helpers import random_modal
-from test_fo_kernel import random_fo
+from helpers import random_fo, random_modal
 from uext import (FamilyPresentation, Frame, InputError, Model, Ray, eval_fo, eval_modal, format_fo, format_modal,
                   modal_depth, parse_fo, parse_modal, quantifier_rank, syntax)
 from uext.fo import Eq, Exists, Forall, Rel
