@@ -13,8 +13,8 @@ attributes is first read, and then in place, so the module object stays the
 same.  A package name such as ``uext.build_ue`` is read from its module by
 ``__getattr__`` each time, so it loads that module (and what it imports) and
 no other.  ``uext.cli`` calls each layer through its module object, so a
-command loads only the layers it runs: ``uext hull`` loads `frame`, `hulls`
-and `syntax`; ``uext ue build`` loads `caps`, `frame` and `ultra`.
+command loads only the layers it runs: ``uext hull`` loads `frame` and
+`hulls`; ``uext ue build`` loads `caps`, `frame` and `ultra`.
 """
 
 import importlib.util

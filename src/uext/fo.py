@@ -14,6 +14,7 @@ import itertools
 import math
 import operator
 import re
+from functools import partial
 from typing import NamedTuple
 
 from . import ultra
@@ -64,15 +65,42 @@ format_fo = format_formula
 
 
 def free_vars(phi: FOFormula) -> frozenset[str]:
-    if isinstance(phi, (Rel, Eq)):
-        return frozenset([phi.left, phi.right])
-    if isinstance(phi, Not):
-        return free_vars(phi.sub)
-    if isinstance(phi, (And, Or, Imp)):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if not isinstance(phi, (Exists, Forall)):  # the first foreign node in pre-order is met first
-        raise InputError(f"unknown formula node {phi!r}")
-    return free_vars(phi.body) - {phi.var}
+    return _scopes(phi)[id(phi)][0]
+
+
+def _scopes(phi: FOFormula) -> dict[int, tuple[frozenset[str], frozenset[str]]]:
+    """Per node of phi, by identity, from one post-order pass without recursion: its free
+    variables, and those of the quantifiers reached from it through connectives only (itself, if
+    it is one).  So a variable free in a node but not in the second set occurs free there only in
+    atoms outside every quantifier.  A node is first met in pre-order, so the first node of
+    another kind in pre-order is the one refused."""
+    out, todo = {}, [phi]
+    while todo:
+        node = todo[-1]
+        kind = type(node)
+        if kind is Rel or kind is Eq:
+            out[id(node)] = frozenset(node[1:]), frozenset()
+        elif kind is Not:
+            if (sub := out.get(id(node[1]))) is None:
+                todo.append(node[1])
+                continue
+            out[id(node)] = sub
+        elif kind is And or kind is Or or kind is Imp:
+            left, right = out.get(id(node[1])), out.get(id(node[2]))
+            if left is None or right is None:
+                todo += [sub for sub, done in ((node[2], right), (node[1], left)) if done is None]
+                continue
+            out[id(node)] = left[0] | right[0], left[1] | right[1]
+        elif kind is Exists or kind is Forall:
+            if (body := out.get(id(node[2]))) is None:
+                todo.append(node[2])
+                continue
+            free = body[0] - {node[1]}
+            out[id(node)] = free, free
+        else:
+            raise InputError(f"unknown formula node {node!r}")
+        todo.pop()
+    return out
 
 
 def is_variable(name: str) -> bool:
@@ -99,15 +127,15 @@ class _FOParser(Parser):
             self.fail("a variable name")
         return self.take()
 
-    def operand(self) -> FOFormula:
+    def operand(self):
+        """An atom, or a quantifier and its variable as a (precedence, constructor) pair."""
         tok = self.peek()
         if tok in ("exists", "forall"):
-            # the body is a whole implication, so the scope runs maximally right
+            # precedence 0: no connective closes the scope, so it runs maximally right
             self.take()
             var = self.variable()
             self.expect(".")
-            body = self.imp()
-            return Exists(var, body) if tok == "exists" else Forall(var, body)
+            return 0, partial(Exists if tok == "exists" else Forall, var)
         if tok == "R":
             self.take()
             self.expect("(")
@@ -130,23 +158,14 @@ def parse_fo(text: str) -> FOFormula:
 # Evaluation
 
 
-def _flat(phi: FOFormula, var: str) -> bool:
-    """Whether var occurs free in phi only in atoms outside every quantifier."""
-    if isinstance(phi, (Rel, Eq)):
-        return True
-    if isinstance(phi, Not):
-        return _flat(phi.sub, var)
-    if isinstance(phi, (And, Or, Imp)):
-        return _flat(phi.left, var) and _flat(phi.right, var)
-    return var not in free_vars(phi)
-
-
-def _evaluate(frame: Frame, phi: FOFormula, values: dict[str, int], column: str | None = None):
-    """phi's truth, 1 or 0, when each variable in values is bound to the vertex of that index, or
-    with column set, the mask of column's values where phi holds; phi is compiled once per call.
+def _evaluate(frame: Frame, phi: FOFormula, asg: dict[str, str], column: str | None = None):
+    """phi's truth, 1 or 0, under asg (variable -> vertex), or with column set, the mask of
+    column's values where phi holds; a free variable outside asg and column is an InputError.
+    One pass, `_scopes`, reads phi's free variables, and phi is compiled once per call.
 
     Every subformula compiles to a mask over its column v: the quantified
-    variable whose body is flat in v (see _flat), or None for a truth value,
+    variable whose body is flat in v (free in no quantifier reached from the
+    body through connectives only), or None for a truth value,
     whose mask is 1 or 0.  Under the other variables' values, R(v,y) is
     pred_mask[y], R(y,v) is succ_mask[y], R(v,v) the loop mask and v=y is
     1 << y; an atom without v is all ones or 0, and so is a quantifier, v
@@ -158,8 +177,14 @@ def _evaluate(frame: Frame, phi: FOFormula, values: dict[str, int], column: str 
     and each value tried counts toward UEXT_ASSIGNMENT_LIMIT before it is
     taken; one past the cap raises ResourceError.  Short-circuited work is
     never done, so it never counts: over a column of no points all ones is 0,
-    so a conjunction stops after its left part.
+    so a conjunction stops after its left part.  Compiling and running recurse
+    once per level or so; the callers turn a RecursionError into `_too_deep`'s.
     """
+    scopes = _scopes(phi)
+    missing = scopes[id(phi)][0] - set(asg) - {column}
+    if missing:
+        raise InputError(f"unbound free variable {min(missing)!r}")
+    values = {var: frame.position(v) for var, v in asg.items()}
     n = len(frame.vertices)
     full = (1 << n) - 1
     succ = frame.succ_mask
@@ -168,7 +193,7 @@ def _evaluate(frame: Frame, phi: FOFormula, values: dict[str, int], column: str 
     def over(var: str, body: FOFormula):
         """var's values where body holds, as (mask step, None) if body is flat in var, else
         (None, a generator of body's truth at each value in turn)."""
-        if _flat(body, var):
+        if var not in scopes[id(body)][1]:
             m = mask(body, var)
 
             def step(env):
@@ -185,7 +210,7 @@ def _evaluate(frame: Frame, phi: FOFormula, values: dict[str, int], column: str 
                 yield t(env)
         return None, each
 
-    def mask(f: FOFormula, v: str | None):  # recursion bounded by syntax.MAX_DEPTH
+    def mask(f: FOFormula, v: str | None):
         ones = 1 if v is None else full
         if isinstance(f, Rel):
             a, b = f.left, f.right
@@ -235,12 +260,8 @@ def eval_fo(frame: Frame, phi: FOFormula, asg: dict[str, str] | None = None) -> 
     UEXT_ASSIGNMENT_LIMIT, checked before each; one past it raises
     ResourceError.  Short-circuited work is never done and never counts.
     """
-    asg = asg or {}
     try:
-        missing = free_vars(phi) - set(asg)
-        if missing:
-            raise InputError(f"unbound free variable {min(missing)!r}")
-        return bool(_evaluate(frame, phi, {var: frame.position(v) for var, v in asg.items()}))
+        return bool(_evaluate(frame, phi, asg or {}))
     except RecursionError:
         raise _too_deep(phi) from None
 

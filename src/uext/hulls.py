@@ -24,9 +24,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import InputError, ResourceError
+from .errors import InputError
 from .frame import Frame, Frozen, any_of, bits, refine, relabel, transpose
-from .syntax import MAX_DEPTH
 
 CERT_VERSION = b"HT1"
 
@@ -240,8 +239,7 @@ def hull_formula(h: RootedGraph) -> str:
     and the literals, then the closure and a ")" per vertex.  A rooted graph that is not its
     root's depth-hull (a point lies further than depth steps from the root, or is not reached)
     has no such formula: it is refused as an InputError naming the first such point in BFS order.
-    The formula nests about five levels per vertex, past syntax.MAX_DEPTH from about 20 vertices
-    on: such a hull raises ResourceError, so every formula returned parses back.
+    The formula nests about five levels per vertex, and `parse_fo` reads it back at any size.
     """
     shape, size = h.shape, len(h.order)
     within = sum(map(int.bit_count, h.rings[:h.depth + 1]))  # the points within depth steps come first
@@ -249,12 +247,8 @@ def hull_formula(h: RootedGraph) -> str:
         v = h.host.vertices[h.order[within]]
         raise InputError(f"vertex {v!r} is not within {h.depth} undirected steps of the root {h.root!r}, "
                          f"so the rooted graph is not its root's {h.depth}-hull and has no hull formula")
-    too_deep = ResourceError(f"the formula of a {size}-vertex hull would nest deeper than "
-                             f"the {MAX_DEPTH} levels a formula may nest")
-    if 2 * (size - 1) > MAX_DEPTH:  # an exists and a conjunction per non-root vertex
-        raise too_deep
     names = ["x"] + [f"y{k}" for k in range(1, size)]
-    out, literals = [], []
+    out = []
     for k, (v, row) in enumerate(zip(names, shape)):
         lits = []
         for u in range(k):  # connecting edge literals first: they prune the assignment search
@@ -269,23 +263,12 @@ def hull_formula(h: RootedGraph) -> str:
                 lits.append(f"~R({names[u]},{v})")
             if not row >> u & 1:
                 lits.append(f"~R({v},{names[u]})")
-        literals.append(lits)
         out += [f"exists {v}. (" if k else "(", *_chain(lits, " & "), " & "]  # the rest closes at the end
     inside = "".join(_chain([f"z={y}" for y in names], " | "))
     inner = sum(map(int.bit_count, h.rings[:h.depth]))  # the points below the last layer come first
     closure = [f"forall z. ({edge} -> {inside})" for y in names[:inner] for edge in (f"R({y},z)", f"R(z,{y})")]
     # the first clause is a quantifier left of a connective, so it is put in parentheses
     out += [*_chain([f"({c})" for c in closure[:1]] + closure[1:] + ["x=x"], " & "), ")" * size]
-    # how deep the text's parse nests: a literal 1 deep (2 negated), a closure clause size + 2, and
-    # a left fold of m parts puts part i (from 0) under m - max(i, 1) connectives; vertex k adds an exists,
-    # a conjunction and 3k + 1 literals, so only a hull of V >= 20 vertices needs the count
-    if 5 * size + 1 > MAX_DEPTH:
-        nest = len(closure) + size + 2 if closure else 1
-        for k in reversed(range(size)):
-            parts = [1 + (lit[0] == "~") for lit in literals[k]] + [nest]
-            nest = max(len(parts) - max(i, 1) + d for i, d in enumerate(parts)) + (k > 0)
-        if nest > MAX_DEPTH:
-            raise too_deep
     return "".join(out)
 
 

@@ -24,7 +24,7 @@ from . import ultra
 from .caps import Budget
 from .frame import LETTER, Frame, all_of, any_of, bits, refine, table
 from .games import Game
-from .syntax import And, Imp, Node, Not, Or, Parser, Table, depth, fold, format_formula
+from .syntax import PREFIX, And, Imp, Node, Not, Or, Parser, Table, depth, fold, format_formula
 
 BLOCK_BITS = 16  # frame_valid decides 2^16 valuations per pass: 8 KiB per truth table
 
@@ -81,11 +81,12 @@ class _ModalParser(Parser):
     LABEL = "modal"
     UNARY = {"<>": Dia, "[]": Box}
 
-    def operand(self) -> ModalFormula:
+    def operand(self):
+        """A letter, or <> or [] as its (precedence, constructor) pair."""
         tok = self.peek()
         if tok in self.UNARY:
             self.take()
-            return self.UNARY[tok](self.unary())
+            return PREFIX, self.UNARY[tok]
         if tok is not None and tok.startswith("p"):
             return Prop(self.take())
         self.fail("a formula")

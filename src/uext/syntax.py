@@ -6,16 +6,12 @@ from the one set of nodes Not, And, Or and Imp defined here, and each logic's at
 and operators are nodes on the same base, `Node`.  Both write the
 connectives ~ & | -> with parentheses, bind unary operators tightest, then &,
 then |, then -> (right-associative), and report syntax errors by character
-position.  The parser reads the connectives and parentheses itself; a logic
-supplies only its token pattern, its error label and its ``operand`` method,
-which reads one of its own atoms or prefix operators.  One loop,
-`format_formula`, prints both logics, and one `Table` numbers subformulas.
-
-A formula is refused when its tree is more than MAX_DEPTH nodes deep or when
-its operands (prefix operators, quantifiers and parenthesised groups) nest
-more than MAX_DEPTH deep, so that parsing it and evaluating it as a
-first-order formula, both recursive, stay well inside Python's default
-recursion limit.
+position.  The parser reads the connectives and parentheses itself, in one
+operator-precedence loop over explicit stacks (Dijkstra's shunting-yard), so
+a formula of any depth parses; a logic supplies only its token pattern, its
+error label and its ``operand`` method, which reads one of its own atoms or
+prefix operators.  One loop, `format_formula`, prints both logics, and one
+`Table` numbers subformulas.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from functools import reduce
 
 from .errors import InputError
 
-MAX_DEPTH = 100  # deepest formula tree, and deepest operand nesting, that parse accepts
+PREFIX = 4  # the precedence of ~ and of a logic's prefix operators, above every connective
 _tuple_new, _tuple_hash = tuple.__new__, tuple.__hash__  # looked up once: every node built or hashed calls one
 ARITY: dict[type, int] = {}  # each node class -> how many of its last fields are subformulas
 
@@ -92,6 +88,9 @@ class Imp(Node):
     right: object
 
 
+CONNECTIVES = {"&": (3, And), "|": (2, Or), "->": (1, Imp)}  # token -> (precedence, constructor)
+
+
 def format_formula(phi: Node) -> str:
     """phi's text, printed in a loop: the stack holds the text still to print, as strings and
     subformulas, the next on top.  A scoped operator under ~ or left of a connective is put in
@@ -132,7 +131,6 @@ class Parser:
             self.toks.append((m.group(1), m.start(1)))
             pos = m.end()
         self.i = 0
-        self.level = 0  # operands open on the parse stack
 
     def peek(self) -> str | None:
         return self.toks[self.i][0] if self.i < len(self.toks) else None
@@ -152,56 +150,47 @@ class Parser:
             raise InputError(f"{self.LABEL} syntax error at position {pos}: expected {expected}, got {tok!r}")
         raise InputError(f"{self.LABEL} syntax error at end of input: expected {expected}")
 
-    def too_deep(self):
-        raise InputError(f"{self.LABEL} formula nested deeper than {MAX_DEPTH} levels")
-
-    def parse(self):
-        phi = self.imp()
-        if self.i < len(self.toks):
-            self.fail("end of input")
-        if depth(phi) > MAX_DEPTH:
-            self.too_deep()
-        return phi
-
-    def imp(self):
-        parts = [self.disj()]
-        while self.peek() == "->":
-            self.take()
-            parts.append(self.disj())
-        return reduce(lambda right, left: Imp(left, right), reversed(parts))
-
-    def disj(self):
-        left = self.conj()
-        while self.peek() == "|":
-            self.take()
-            left = Or(left, self.conj())
-        return left
-
-    def conj(self):
-        left = self.unary()
-        while self.peek() == "&":
-            self.take()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self):
-        """A negation, a parenthesised formula or one operand of the logic, refused once
-        operands nest past MAX_DEPTH."""
-        self.level += 1
-        if self.level > MAX_DEPTH:
-            self.too_deep()
-        tok = self.peek()
-        if tok == "~":
-            self.take()
-            phi = Not(self.unary())
-        elif tok == "(":
-            self.take()
-            phi = self.imp()
-            self.expect(")")
-        else:
-            phi = self.operand()
-        self.level -= 1
-        return phi
+    def parse(self) -> Node:
+        """The formula the tokens spell, read in one loop over two stacks: the formulas read, and the
+        operators still open as (precedence, constructor) pairs, "(" as (0, None).  A connective
+        first applies the open operators that bind at least as tightly (more tightly for the
+        right-associative ->); "(" and a scoped operator have precedence 0, so only a ")" or the
+        end of input closes them."""
+        out, ops = [], []
+        while True:
+            tok = self.peek()  # an operand is next
+            if tok == "~" or tok == "(":
+                self.take()
+                ops.append((PREFIX, Not) if tok == "~" else (0, None))
+                continue
+            got = self.operand()
+            if type(got) is tuple:  # a prefix operator, as its (precedence, constructor) pair
+                ops.append(got)
+                continue
+            out.append(got)
+            while True:  # a connective, a ")" or the end is next
+                tok = self.peek()
+                prec, op = CONNECTIVES.get(tok, (0, None))
+                bound = prec + (op is Imp)  # -> is right-associative
+                while ops and ops[-1][1] is not None and ops[-1][0] >= bound:
+                    make = ops.pop()[1]
+                    if ARITY.get(make) == 2:
+                        right = out.pop()
+                        out[-1] = make(out[-1], right)
+                    else:
+                        out[-1] = make(out[-1])
+                if op is not None:
+                    self.take()
+                    ops.append((prec, op))
+                    break
+                if not ops:
+                    if tok is None:
+                        return out[0]
+                    self.fail("end of input")
+                if tok != ")":
+                    self.fail("')'")
+                self.take()
+                ops.pop()
 
 
 def depth(phi, counted=object) -> int:

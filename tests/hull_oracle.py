@@ -19,7 +19,6 @@ syntax, so an agreement test compares uext's output with this module's.
 from __future__ import annotations
 
 CERT_VERSION = b"HT1"
-MAX_DEPTH = 100  # the deepest a formula may nest
 
 
 def bits(mask: int):
@@ -166,11 +165,8 @@ def _fold(kind: str, parts: list):
 
 
 def hull_formula(h: Rooted):
-    """The old formula builder: vertex names in BFS order, each edge asked of the subframe by name.
-    Returns None where uext refuses the formula as nesting too deep."""
+    """The old formula builder: vertex names in BFS order, each edge asked of the subframe by name."""
     ordered = [h.vertices[i] for i in h.order]
-    if 2 * (len(ordered) - 1) > MAX_DEPTH:
-        return None
     names = {v: f"y{i}" if i else "x" for i, v in enumerate(ordered)}
 
     def literals_for(v, prior):
@@ -198,16 +194,7 @@ def hull_formula(h: Rooted):
         v = ordered[i]
         body = _fold("and", literals_for(v, ordered[:i]) + [phi])
         phi = body if v == h.root else ("exists", names[v], body)
-    if nesting(phi) > MAX_DEPTH:
-        return None
     return phi
-
-
-def nesting(phi) -> int:
-    """The most nodes on one root-to-leaf path, as `uext.syntax.depth` counts them."""
-    if phi[0] in ("rel", "eq"):
-        return 1
-    return 1 + max(nesting(sub) for sub in phi[1:] if isinstance(sub, tuple))
 
 
 SYMBOLS = {"and": " & ", "or": " | ", "imp": " -> "}

@@ -14,7 +14,7 @@ import fo_oracle
 import uext.fo
 from uext import (Frame, InputError, ResourceError, Ultrafilter, eval_fo, hull, hull_formula, load_frame,
                   los_like_check, parse_fo)
-from uext.fo import Exists, Rel, _evaluate, _flat, format_fo, free_vars, quantifier_rank
+from uext.fo import Exists, Forall, Rel, _evaluate, format_fo, free_vars, quantifier_rank
 from uext.modal import Dia, Prop
 from uext.syntax import And, Not
 
@@ -237,7 +237,7 @@ def test_a_node_of_another_logic_is_refused_in_one_line(phi, unknown):
     # the first foreign node in pre-order is named, as syntax.Table names it
     f = Frame(("a",), frozenset())
     for call in (lambda: eval_fo(f, phi), lambda: los_like_check(f, phi, Ultrafilter(f, "a")),
-                 lambda: free_vars(phi), lambda: _flat(phi, "x")):
+                 lambda: free_vars(phi)):
         with pytest.raises(InputError, match=f"^unknown formula node {re.escape(unknown)}$"):
             call()
 
@@ -256,3 +256,28 @@ def test_the_column_path_compiles_without_a_free_variable_walk(monkeypatch):
     monkeypatch.setattr(uext.fo, "free_vars", counted)
     assert _evaluate(Frame(("a", "b"), frozenset([("a", "a")])), phi, {}, column="x") == 0b01
     assert len(calls) == 0
+
+
+def test_nested_quantifiers_compile_from_one_pass_over_their_nodes(monkeypatch):
+    # forall y. 400 deep over R(y,y): every quantifier's flatness is read off one post-order pass,
+    # run once per evaluation over the 401 nodes, where a free-variable walk per quantifier made
+    # 80,199 free_vars calls
+    passes, walks = [], []
+    scopes, free = uext.fo._scopes, uext.fo.free_vars
+
+    def counted_scopes(phi):
+        passes.append(scopes(phi))
+        return passes[-1]
+
+    def counted_free(phi):
+        walks.append(None)
+        return free(phi)
+
+    phi = Rel("y", "y")
+    for _ in range(400):
+        phi = Forall("y", phi)
+    monkeypatch.setattr(uext.fo, "_scopes", counted_scopes)
+    monkeypatch.setattr(uext.fo, "free_vars", counted_free)
+    assert eval_fo(Frame(("a", "b"), frozenset([("a", "a")])), phi) is False
+    assert eval_fo(Frame(("a",), frozenset([("a", "a")])), phi) is True
+    assert len(passes) == 2 and [len(table) for table in passes] == [401, 401] and not walks

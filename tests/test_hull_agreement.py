@@ -11,7 +11,7 @@ import random
 import pytest
 
 import hull_oracle as O
-from uext import Frame, InputError, ResourceError, RootedGraph, canonical_form, endpoints, hull, hull_formula, rooted_iso
+from uext import Frame, InputError, RootedGraph, canonical_form, endpoints, hull, hull_formula, rooted_iso
 
 
 def random_frame(rng: random.Random) -> Frame:
@@ -44,16 +44,8 @@ def kmm_root(m: int) -> Frame:
     return Frame(["r"] + a + b, [("r", x) for x in a] + [(x, y) for x in a for y in b])
 
 
-def oracle_formula(oh: O.Rooted) -> str | None:
-    phi = O.hull_formula(oh)
-    return None if phi is None else O.formula_text(phi)
-
-
-def formula(h: RootedGraph) -> str | None:
-    try:
-        return hull_formula(h)
-    except ResourceError:
-        return None
+def oracle_formula(oh: O.Rooted) -> str:
+    return O.formula_text(O.hull_formula(oh))
 
 
 def check_agrees(h: RootedGraph, oh: O.Rooted) -> None:
@@ -89,13 +81,12 @@ def test_hulls_agree_with_the_load_order_path():
     for f, w, n in cases():
         h, oh = hull(f, w, n), O.hull(f.vertices, f.succ_mask, w, n)
         check_agrees(h, oh)
-        text = formula(h)
-        assert text == oracle_formula(oh)
-        met.add(("refused" if text is None else "formula", len(h.order) < len(f.vertices)))
+        assert hull_formula(h) == oracle_formula(oh)
+        met.add(len(h.order) < len(f.vertices))
         if previous is not None:  # the witness is read back through the BFS order
             assert rooted_iso(previous[0], h) == O.rooted_iso(previous[1], oh)
         previous = h, oh
-    assert met >= {("formula", True), ("formula", False)}
+    assert met == {True, False}
 
 
 def test_rooted_graphs_agree_and_refuse_a_formula_when_not_a_hull():
@@ -109,7 +100,7 @@ def test_rooted_graphs_agree_and_refuse_a_formula_when_not_a_hull():
         assert h.graph is f
         within = sum(d <= n for d in oh.layers.values())
         if within == len(f.vertices):
-            assert formula(h) == oracle_formula(oh)
+            assert hull_formula(h) == oracle_formula(oh)
         else:
             refused += 1
             first = oh.vertices[oh.order[within]]
@@ -119,9 +110,9 @@ def test_rooted_graphs_agree_and_refuse_a_formula_when_not_a_hull():
 
 
 def test_formula_text_agrees_where_the_depth_refusal_starts():
-    """Hulls of 18-27 points, where the formula's nesting crosses syntax.MAX_DEPTH: stars of 17-22
-    leaves, K_mm+root at depth 2 for m = 6-10 and seeded dense random frames.  The text, and
-    whether it is refused, agree with the oracle's tree and its recursive depth count."""
+    """Hulls of 18-27 points, where the formula's nesting once crossed the parser's depth cap of 100
+    and was refused: stars of 17-22 leaves, K_mm+root at depth 2 for m = 6-10 and seeded dense
+    random frames.  The text agrees with the oracle's tree, and none is refused."""
     rng = random.Random(1618)
     shapes = [(star(k), "c", d) for k in range(17, 23) for d in (1, 2)]
     shapes += [(kmm_root(m), "r", 2) for m in range(6, 11)]
@@ -131,10 +122,6 @@ def test_formula_text_agrees_where_the_depth_refusal_starts():
         p = rng.choice([0.3, 0.5, 0.8])
         f = Frame(names, {(a, b) for a in names for b in names if rng.random() < p})
         shapes.append((f, rng.choice(names), rng.randint(1, 2)))
-    met = set()
     for f, w, n in shapes:
         h = hull(f, w, n)
-        text = formula(h)
-        assert text == oracle_formula(O.hull(f.vertices, f.succ_mask, w, n)), (f, w, n)
-        met.add(text is None)
-    assert met == {True, False}
+        assert hull_formula(h) == oracle_formula(O.hull(f.vertices, f.succ_mask, w, n)), (f, w, n)

@@ -6,7 +6,6 @@ import uext.hulls as hulls_mod
 from uext import (
     Frame,
     InputError,
-    ResourceError,
     RootedGraph,
     canonical_form,
     endpoints,
@@ -18,7 +17,7 @@ from uext import (
     rooted_iso,
 )
 from uext.fo import free_vars, quantifier_rank
-from uext.syntax import MAX_DEPTH, depth
+from uext.syntax import depth
 
 from helpers import random_bounded_frame
 
@@ -136,25 +135,20 @@ def test_singleton_hull_formula():
 
 
 def test_hull_formula_nests_at_most_5v_plus_1_and_parses_back():
-    # hull_formula counts the nesting only past V = 19, where 5V + 1 passes MAX_DEPTH; every
-    # formula it returns parses back and prints as itself, and it refuses only formulas that would not
-    rng, returned, refused = random.Random(1203), 0, 0
+    # every formula parses back and prints as itself, those of 20 or more vertices (once refused
+    # as nesting past the parser's cap of 100) included
+    rng, large = random.Random(1203), 0
     for _ in range(250):
         n = rng.randint(1, 25)
         v = tuple(f"v{i}" for i in range(n))
         p = rng.choice([0.05, 0.2, 0.5, 1.0])
         h = hull(Frame(v, frozenset((a, b) for a in v for b in v if rng.random() < p)), "v0", rng.randint(0, 3))
-        try:
-            text = hull_formula(h)
-        except ResourceError:
-            refused += 1
-            assert len(h.graph.vertices) >= 20
-            continue
-        returned += 1
+        text = hull_formula(h)
+        large += len(h.graph.vertices) >= 20
         phi = parse_fo(text)
-        assert depth(phi) <= min(5 * len(h.graph.vertices) + 1, MAX_DEPTH)
+        assert depth(phi) <= 5 * len(h.graph.vertices) + 1
         assert format_fo(phi) == text
-    assert returned >= 150 and refused >= 15
+    assert large >= 15
 
 
 def test_hull_formula_refuses_a_rooted_graph_that_is_not_its_roots_hull():

@@ -19,7 +19,7 @@ ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 # the loaded uext modules, as a script run by run() reads them
 LOADED = "sorted(name[5:] for name, m in sys.modules.items() if name.startswith('uext.') and type(m) is types.ModuleType)"
 
-CENSUS = {"census", "cli", "errors", "frame", "hulls", "syntax"}
+CENSUS = {"census", "cli", "errors", "frame", "hulls"}
 MODAL = {"caps", "cli", "errors", "frame", "games", "modal", "syntax"}
 FO = {"caps", "cli", "errors", "fo", "frame", "games", "syntax"}
 UE = {"caps", "cli", "errors", "frame", "ultra"}

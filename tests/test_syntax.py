@@ -1,5 +1,6 @@
 """The formula core shared by both logics: the connectives both parsers build, the one tree walk
-behind modal depth and quantifier rank, and the nesting bound, at the bound and one past it."""
+behind modal depth and quantifier rank, formulas of any depth, and the precedence loop against the
+recursive-descent parser it replaced."""
 
 import copy
 import json
@@ -14,14 +15,16 @@ from pathlib import Path
 import pytest
 
 import game_oracle as O
+import parse_oracle
+from golden.record import corpus
 from helpers import random_fo, random_modal
-from uext import (FamilyPresentation, Frame, InputError, Model, Ray, eval_fo, eval_modal, format_fo, format_modal,
-                  modal_depth, parse_fo, parse_modal, quantifier_rank, syntax)
+from uext import (FamilyPresentation, Frame, InputError, Model, Ray, ResourceError, eval_fo, eval_modal, format_fo,
+                  format_modal, modal_depth, parse_fo, parse_modal, quantifier_rank, syntax)
 from uext.fo import Eq, Exists, Forall, Rel
 from uext.modal import Box, Dia, Falsum, Prop
-from uext.syntax import MAX_DEPTH, And, Imp, Not, Or, depth
+from uext.syntax import And, Imp, Not, Or, depth
 
-D = MAX_DEPTH
+DEPTHS = (101, 5001)  # the once-refused depth past a cap of 100, and one past the interpreter's stack
 MODAL_SHAPES = {
     "prefix": lambda d: "[]" * (d - 1) + "p0",
     "and": lambda d: " & ".join(["p0"] * d),
@@ -71,21 +74,49 @@ def test_rank_and_depth_of_a_chain_past_the_stack():
 
 @pytest.mark.parametrize("shape", sorted(MODAL_SHAPES))
 def test_modal_nesting_bound(shape):
-    text = MODAL_SHAPES[shape](D)
-    phi = parse_modal(text)
-    assert parse_modal(format_modal(phi)) == phi
-    assert eval_modal(Model.make(LOOP, {"p0": ["a"]}), "a", phi) in (True, False)
-    with pytest.raises(InputError, match=f"^modal formula nested deeper than {D} levels$"):
-        parse_modal(MODAL_SHAPES[shape](D + 1))
+    # no nesting bound: each shape parses at any depth, prints as text that reads back as the same
+    # text (compared as text, since == recurses on a tree this deep), and is labelled
+    for d in DEPTHS:
+        phi = parse_modal(MODAL_SHAPES[shape](d))
+        text = format_modal(phi)
+        levels = {"parens": 1, "mixed": d + 1}.get(shape, d)  # mixed's last <>p0 is one level below its p0
+        assert depth(phi) == levels and format_modal(parse_modal(text)) == text
+        assert eval_modal(Model.make(LOOP, {"p0": ["a"]}), "a", phi) in (True, False)
 
 
 @pytest.mark.parametrize("shape", sorted(FO_SHAPES))
 def test_fo_nesting_bound(shape):
-    phi = parse_fo(FO_SHAPES[shape](D))
-    assert parse_fo(format_fo(phi)) == phi
-    assert eval_fo(LOOP, phi, {"x": "a"}) in (True, False)
-    with pytest.raises(InputError, match=f"^FO formula nested deeper than {D} levels$"):
-        parse_fo(FO_SHAPES[shape](D + 1))
+    # each shape parses and prints back at any depth; evaluation, which recurses once per level,
+    # answers or ends in one resource error naming the depth
+    for d in DEPTHS:
+        phi = parse_fo(FO_SHAPES[shape](d))
+        text, levels = format_fo(phi), 1 if shape == "parens" else d
+        assert depth(phi) == levels and format_fo(parse_fo(text)) == text
+        if levels == DEPTHS[-1]:
+            with pytest.raises(ResourceError, match=f"^FO evaluation ran out of interpreter stack on a formula "
+                                                    f"{levels} levels deep$"):
+                eval_fo(LOOP, phi, {"x": "a"})
+        else:
+            assert eval_fo(LOOP, phi, {"x": "a"}) in (True, False)
+
+
+@pytest.mark.parametrize("logic", ["modal", "fo"])
+def test_the_precedence_loop_agrees_with_the_recursive_descent_oracle(logic):
+    # 20,000 seeded strings in the golden corpora's alphabet, shallow enough for the oracle's
+    # recursion: the same tree (a node equals the tuple of its values) or the same error line
+    parse = parse_modal if logic == "modal" else parse_fo
+    errors = 0
+    for text in corpus(logic, 36, 20_000):
+        try:
+            expected = parse_oracle.parse(logic, text)
+        except parse_oracle.SyntaxFault as exc:
+            expected, errors = f"error: {exc}", errors + 1
+        try:
+            got = parse(text)
+        except InputError as exc:
+            got = f"error: {exc}"
+        assert got == expected, text
+    assert 5_000 < errors < 15_000
 
 
 def test_printers_print_a_chain_past_the_stack():
