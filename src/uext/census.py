@@ -115,7 +115,7 @@ class Generator(NamedTuple("Generator", [("name", str)])):
 
 
 class FamilyPresentation(NamedTuple):
-    base: Frame = Frame((), frozenset())
+    base: Frame = Frame.from_rows((), ())
     omega_templates: tuple[Frame, ...] = ()
     rays: tuple[Ray, ...] = ()
     generator: Generator | None = None
@@ -130,7 +130,7 @@ def family_from_dict(doc: dict) -> FamilyPresentation:
     if not isinstance(doc, dict):
         raise InputError("family document must be a JSON object")
     known_fields(doc, ("base", "omega_templates", "rays", "generator"), "family document")
-    base = frame_from_dict(doc["base"], FRAME_FIELDS) if "base" in doc else Frame((), frozenset())
+    base = frame_from_dict(doc["base"], FRAME_FIELDS) if "base" in doc else Frame.from_rows((), ())
     templates = json_array(doc.get("omega_templates", []), '"omega_templates"')
     templates = tuple(frame_from_dict(t, FRAME_FIELDS) for t in templates)
     rays = tuple(_ray_from_dict(r) for r in json_array(doc.get("rays", []), '"rays"'))

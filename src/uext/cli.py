@@ -82,14 +82,14 @@ def cmd_bisim(args) -> dict:
 def cmd_fo_eval(args) -> dict:
     f = frame.load_frame(args.frame)
     phi = fo.parse_fo(args.formula)
-    assignment = {}
+    assignment, free = {}, fo.free_vars(phi) if args.let else ()
     for item in args.let or []:
         if "=" not in item:
             raise InputError(f"--let expects var=vertex, got {item!r}")
         var, vert = item.split("=", 1)
         if not fo.is_variable(var):
             raise InputError(f"--let names {var!r}, which is not a variable")
-        if var not in fo.free_vars(phi):
+        if var not in free:
             raise InputError(f"--let binds {var!r}, which is not free in the formula")
         if var in assignment:
             raise InputError(f"--let binds {var!r} twice")

@@ -546,7 +546,7 @@ class Ultraproduct(NamedTuple):
 
 def index_ultrafilter(size: int, point: int) -> ultra.Ultrafilter:
     """A principal ultrafilter over the index set {0..size-1}."""
-    idx = Frame(tuple(str(i) for i in range(size)), frozenset())
+    idx = Frame.from_rows(tuple(str(i) for i in range(size)), [0] * size)
     return ultra.Ultrafilter(idx, str(point))
 
 
@@ -569,16 +569,14 @@ def ultraproduct(structures: list[Frame], d: ultra.Ultrafilter) -> Ultraproduct:
         raise InputError(f"index ultrafilter is principal at {d.point!r}, not at an index below {len(structures)}")
     i0 = int(d.point)
 
-    # class order follows the principal factor's vertex order
-    order = list(structures[i0].vertices) if all(s.vertices for s in structures) else []
-    reps = tuple(tuple(w if i == i0 else s.vertices[0] for i, s in enumerate(structures)) for w in order)
-
-    def d_large(pred) -> bool:
-        return d.member(frozenset(str(i) for i in indices if pred(i)))
-
-    edges = set()
-    for fa in reps:
-        for fb in reps:
-            if d_large(lambda i: structures[i].has_edge(fa[i], fb[i])):
-                edges.add((fa[i0], fb[i0]))
-    return Ultraproduct(Frame(tuple(order), frozenset(edges)), tuple(structures), i0, reps)
+    # class order follows the principal factor's vertex order; a class picks each factor's vertex by index
+    order = structures[i0].vertices if all(s.vertices for s in structures) else ()
+    picks = [tuple(a if i == i0 else 0 for i in indices) for a in range(len(order))]
+    reps = tuple(tuple(s.vertices[p] for s, p in zip(structures, pick)) for pick in picks)
+    succ = [s.succ_mask for s in structures]
+    rows = [0] * len(order)
+    for a, fa in enumerate(picks):
+        for b, fb in enumerate(picks):
+            if d.member(frozenset(str(i) for i in indices if succ[i][fa[i]] >> fb[i] & 1)):
+                rows[a] |= 1 << b
+    return Ultraproduct(Frame.from_rows(order, rows), tuple(structures), i0, reps)

@@ -99,10 +99,11 @@ class Frame(Frozen):
     """A finite directed graph ``<W, R>`` with ordered, uniquely named vertices, held as its
     successor rows: bit j of succ_mask[i] is set iff vertices[i] R vertices[j].
 
-    ``Frame(vertices, edges)`` checks its input and is the public way in.  A frame uext derives
-    itself (a hull, a copy, a union, an extension) is built by ``Frame.from_rows`` from rows it
-    already holds, and checked no second time.  The edge set of name pairs, the name index and
-    the predecessor rows are derived from the rows when first read.  Frames are immutable and
+    ``Frame(vertices, edges)`` is the public way in: it checks its edges in sorted order by the
+    reader's one pass, `_rows`, so the faults it names are the reader's.  A frame uext derives
+    itself (a hull, a copy, a union, an extension, an ultraproduct) is built by ``Frame.from_rows``
+    from rows, and checked no second time.  The edge set of name pairs, the name index and the
+    predecessor rows are derived from the rows when first read.  Frames are immutable and
     hashable, and two are equal exactly when their vertices and edges are.
     """
 
@@ -110,18 +111,9 @@ class Frame(Frozen):
     succ_mask: tuple[int, ...]  # successor sets as int bitmasks over load order (bit i is vertices[i])
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]):
-        vertices, edges = tuple(vertices), frozenset(edges)
-        index = dict(zip(vertices, range(len(vertices))))
-        if len(index) < len(vertices):
-            raise InputError(f"duplicate vertex id {_first_repeat(vertices)!r}")
-        rows = [0] * len(vertices)
-        for a, b in edges:
-            if a not in index or b not in index:
-                # the least stray edge, since a set has no order that could name the first
-                a, b = min(e for e in edges if e[0] not in index or e[1] not in index)
-                raise InputError(f"edge ({a!r}, {b!r}) has an endpoint outside the vertex set")
-            rows[index[a]] |= 1 << index[b]
-        self.__dict__.update(vertices=vertices, succ_mask=tuple(rows), index=index, edges=edges)
+        vertices = tuple(vertices)
+        # sorted, so the stray edge named is the least: an edge set has no order that could name the first
+        self.__dict__.update(vertices=vertices, succ_mask=_rows(vertices, sorted(set(edges))))
 
     @classmethod
     def from_rows(cls, vertices: tuple[str, ...], succ) -> Frame:
@@ -310,14 +302,20 @@ def frame_from_dict(doc: dict, fields: tuple[str, ...] = FRAME_FIELDS) -> Frame:
         raise InputError('frame document must have "vertices" and "edges" fields')
     known_fields(doc, fields, "frame document")
     vertices = tuple(vertex_id(v) for v in json_array(doc["vertices"], '"vertices"'))
+    pairs = (entry if type(entry) is list and len(entry) == 2 and type(entry[0]) is str and type(entry[1]) is str
+             else json_pair(entry, "edge") for entry in json_array(doc["edges"], '"edges"'))
+    return Frame.from_rows(vertices, _rows(vertices, pairs))
+
+
+def _rows(vertices: tuple[str, ...], pairs: Iterable[Edge]) -> tuple[int, ...]:
+    """The successor rows of the edges in pairs over vertices, checked in one pass over pairs in
+    their order.  The first fault is reported in this order: within the pairs, a malformed one (the
+    iterable raises as it is read) or a repeated edge, then a repeated vertex, then the first edge
+    with an endpoint outside the vertex set."""
     index = dict(zip(vertices, range(len(vertices))))  # a repeated id keeps one position
     rows = [0] * len(vertices)
     outside: dict[Edge, None] = {}  # the edges with an endpoint outside the vertex set, in order
-    for entry in json_array(doc["edges"], '"edges"'):
-        if type(entry) is list and len(entry) == 2 and type(entry[0]) is str and type(entry[1]) is str:
-            a, b = entry
-        else:
-            a, b = json_pair(entry, "edge")
+    for a, b in pairs:
         i, j = index.get(a), index.get(b)
         if i is None or j is None:
             seen = (a, b) in outside
@@ -332,7 +330,7 @@ def frame_from_dict(doc: dict, fields: tuple[str, ...] = FRAME_FIELDS) -> Frame:
     if outside:
         a, b = next(iter(outside))
         raise InputError(f"edge ({a!r}, {b!r}) has an endpoint outside the vertex set")
-    return Frame.from_rows(vertices, rows)
+    return tuple(rows)
 
 
 def frame_to_dict(frame: Frame) -> dict:

@@ -2,7 +2,8 @@
 isomorphism, canonical certificates, and the first-order formulas pinning a
 hull's rooted type.
 
-A hull is its host's rows in BFS order: `hull` runs one undirected BFS from the
+A hull is its host's rows in BFS order, and every rooted graph is its root's
+hull: `RootedGraph` (which `hull` returns) runs one undirected BFS from the
 root and keeps its rings, one bitmask per distance.  The BFS order (root first,
 then by distance, then load order) numbers the hull's points, and `shape`, the
 host rows masked to the hull and renumbered in that order, is what the
@@ -50,18 +51,17 @@ def rings(g: Frame, root: int, n: int) -> list[int]:
 
 
 class RootedGraph(Frozen):
-    """A rooted graph read off its host frame.  It holds the host, the root's name, the radius,
+    """A root's hull read off its host frame.  It holds the host, the root's name, the radius,
     the BFS rings from the root (host bitmasks, one per distance from 0 up), the BFS order (the
     host index of each point: the root first, then by distance, then load order), the mask of
     its points in the host, and its shape: the host rows masked to those points and renumbered
     in BFS order, so position 0 is the root.  Two rooted graphs of equal shape are
     rooted-isomorphic through their positions, so their certificates are equal.
 
-    ``RootedGraph(graph, root, depth)`` takes a whole frame as the graph: the host is the
-    graph, its rings run until a step reaches nothing new, and unreached points come last in
-    the order.  `hull` builds an n-hull from its one BFS, over the points its rings reach.
-    The load-order subframe, `graph`, is built only when read.  Rooted graphs are immutable,
-    and two are equal when their graphs, roots and depths are.
+    ``RootedGraph(graph, root, depth)`` is the root's depth-hull in the frame graph, its host: one
+    BFS gives the rings, and the host rows of the points they reach are renumbered in BFS order.
+    The load-order subframe, `graph`, is built only when read.  Rooted graphs are immutable, and
+    two are equal when their graphs, roots and depths are.
     """
 
     host: Frame
@@ -76,24 +76,13 @@ class RootedGraph(Frozen):
         start = graph.position(root)
         if depth < 0:
             raise InputError("hull depth must be nonnegative")
-        self._fill(graph, root, depth, rings(graph, start, len(graph.vertices)), (1 << len(graph.vertices)) - 1)
-
-    @classmethod
-    def from_rings(cls, host: Frame, root: str, depth: int, by_distance: list[int], mask: int) -> RootedGraph:
-        """The rooted graph on mask's points of host, trusted: by_distance are the BFS rings from
-        the root, and mask holds them and any unreached point."""
-        h = object.__new__(cls)
-        h._fill(host, root, depth, by_distance, mask)
-        return h
-
-    def _fill(self, host: Frame, root: str, depth: int, by_distance: list[int], mask: int) -> None:
-        """Number the points in BFS order and renumber their host rows, masked to the graph, in one pass."""
+        by_distance = rings(graph, start, depth)
         order = [i for ring in by_distance for i in bits(ring)]
-        order += bits(mask & ~sum(by_distance))  # the points no ring reaches
+        mask = sum(by_distance)  # the rings are disjoint
         place = {i: 1 << k for k, i in enumerate(order)}
-        succ = host.succ_mask
+        succ = graph.succ_mask
         shape = tuple([relabel(succ[i] & mask, place) for i in order])
-        self.__dict__.update(host=host, root=root, depth=depth, rings=tuple(by_distance), order=tuple(order),
+        self.__dict__.update(host=graph, root=root, depth=depth, rings=tuple(by_distance), order=tuple(order),
                              mask=mask, shape=shape)
 
     def __eq__(self, other) -> bool:
@@ -116,7 +105,7 @@ class RootedGraph(Frozen):
 
     @cached_property
     def layers(self) -> dict[str, int]:
-        """Undirected BFS distance from the root, for each point the rings reach."""
+        """Undirected BFS distance from the root, for each point."""
         names = self.host.names
         return {v: d for d, ring in enumerate(self.rings) for v in names(ring)}
 
@@ -133,11 +122,7 @@ class HullType(NamedTuple):
 
 def hull(frame: Frame, w: str, n: int) -> RootedGraph:
     """The n-Hull of w: the points within n undirected steps of w, and the edges among them."""
-    root = frame.position(w)
-    if n < 0:
-        raise InputError("hull depth must be nonnegative")
-    by_distance = rings(frame, root, n)
-    return RootedGraph.from_rings(frame, w, n, by_distance, sum(by_distance))  # the rings are disjoint
+    return RootedGraph(frame, w, n)
 
 
 def endpoints(h: RootedGraph) -> frozenset[str]:
@@ -236,17 +221,10 @@ def hull_formula(h: RootedGraph) -> str:
     of sub-maximal-layer vertices inside the quantified set; outside-neighbors of layer-n vertices
     stay free.  The variable of BFS position k is y_k (x for the root).  The text is written in one
     pass over the shape rows, with no formula tree: per vertex its quantifier, a "(" per literal
-    and the literals, then the closure and a ")" per vertex.  A rooted graph that is not its
-    root's depth-hull (a point lies further than depth steps from the root, or is not reached)
-    has no such formula: it is refused as an InputError naming the first such point in BFS order.
-    The formula nests about five levels per vertex, and `parse_fo` reads it back at any size.
+    and the literals, then the closure and a ")" per vertex; each vertex's text is joined as it is
+    written.  The formula nests about five levels per vertex, and `parse_fo` reads it back at any size.
     """
     shape, size = h.shape, len(h.order)
-    within = sum(map(int.bit_count, h.rings[:h.depth + 1]))  # the points within depth steps come first
-    if within < size:
-        v = h.host.vertices[h.order[within]]
-        raise InputError(f"vertex {v!r} is not within {h.depth} undirected steps of the root {h.root!r}, "
-                         f"so the rooted graph is not its root's {h.depth}-hull and has no hull formula")
     names = ["x"] + [f"y{k}" for k in range(1, size)]
     out = []
     for k, (v, row) in enumerate(zip(names, shape)):
@@ -263,15 +241,16 @@ def hull_formula(h: RootedGraph) -> str:
                 lits.append(f"~R({names[u]},{v})")
             if not row >> u & 1:
                 lits.append(f"~R({v},{names[u]})")
-        out += [f"exists {v}. (" if k else "(", *_chain(lits, " & "), " & "]  # the rest closes at the end
-    inside = "".join(_chain([f"z={y}" for y in names], " | "))
+        head = f"exists {v}. (" if k else "("
+        out.append(head + _chain(lits, " & ") + " & ")  # the rest closes at the end
+    inside = _chain([f"z={y}" for y in names], " | ")
     inner = sum(map(int.bit_count, h.rings[:h.depth]))  # the points below the last layer come first
     closure = [f"forall z. ({edge} -> {inside})" for y in names[:inner] for edge in (f"R({y},z)", f"R(z,{y})")]
     # the first clause is a quantifier left of a connective, so it is put in parentheses
-    out += [*_chain([f"({c})" for c in closure[:1]] + closure[1:] + ["x=x"], " & "), ")" * size]
+    out += [_chain([f"({c})" for c in closure[:1]] + closure[1:] + ["x=x"], " & "), ")" * size]
     return "".join(out)
 
 
-def _chain(parts: list[str], symbol: str) -> list[str]:
-    """The text of the left fold of parts under a binary connective, in pieces: one "(" per later part."""
-    return ["(" * (len(parts) - 1), parts[0], *[f"{symbol}{p})" for p in parts[1:]]]
+def _chain(parts: list[str], symbol: str) -> str:
+    """The text of the left fold of parts under a binary connective: one "(" per later part."""
+    return "(" * (len(parts) - 1) + parts[0] + "".join([f"{symbol}{p})" for p in parts[1:]])

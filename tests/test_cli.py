@@ -7,6 +7,7 @@ import game_oracle
 import modal_oracle
 from helpers import successors, valuation
 from uext import ResourceError, census
+from uext import fo as fo_module
 from uext.caps import CAPS, Budget
 from uext.cli import _load_model as load_model, main
 from uext.fo import format_fo, parse_fo
@@ -78,6 +79,16 @@ def test_bisim(capsys, tri_model):
 def test_fo_eval_with_assignment(capsys, tri):
     code, out = run(capsys, "fo", "eval", tri, "R(x,y)", "--let", "x=a", "--let", "y=b")
     assert code == 0 and json.loads(out)["holds"]
+
+
+def test_fo_eval_reads_free_variables_once_for_all_lets(capsys, monkeypatch, tri):
+    # one free-variable pass serves every --let, and eval_fo runs its own: once a pass per --let
+    passes = []
+    real = fo_module._scopes
+    monkeypatch.setattr(fo_module, "_scopes", lambda phi: passes.append(None) or real(phi))
+    code, out = run(capsys, "fo", "eval", tri, "R(x,y) & R(y,z)", "--let", "x=a", "--let", "y=b", "--let", "z=c")
+    assert code == 0 and json.loads(out)["holds"]
+    assert len(passes) <= 2
 
 
 def test_fo_eval_refuses_a_variable_bound_twice(capsys, tri):

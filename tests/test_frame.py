@@ -240,6 +240,29 @@ def test_constructor_names_the_least_stray_edge():
         assert run.stdout == "edge ('a', 'x') has an endpoint outside the vertex set\n", seed
 
 
+def test_constructor_and_reader_name_the_same_fault():
+    # both check edges by the reader's one pass: the constructor's in sorted order
+    rng, kinds = random.Random(37), set()
+    for _ in range(2000):
+        names = [f"v{i}" for i in range(rng.randint(0, 5))]
+        vertices = names + (rng.sample(names, min(2, len(names))) if rng.random() < 0.3 else [])
+        ends = names + (["x", "y"] if rng.random() < 0.3 else [])
+        edges = {(rng.choice(ends), rng.choice(ends)) for _ in range(rng.randint(0, 6))} if ends else set()
+        doc = {"vertices": vertices, "edges": [list(e) for e in sorted(edges)]}
+        try:
+            want = frame_from_dict(doc)
+        except InputError as exc:
+            with pytest.raises(InputError) as refused:
+                Frame(vertices, edges)
+            assert str(refused.value) == str(exc), doc
+            kinds.add(next(kind for kind, pattern in LINES.items() if re.search(pattern, str(exc))))
+            continue
+        got = Frame(vertices, edges)
+        assert got == want and (got.edges, got.pred_mask) == (want.edges, want.pred_mask), doc
+        kinds.add("ok")
+    assert kinds == {"ok", "duplicate vertex", "endpoint"}
+
+
 def test_reprs_print_edges_in_load_order_under_any_hash_seed():
     # a frame's repr, and so the repr of all that holds one, once printed its edge set in hash order
     triangle = "Frame(vertices=('a', 'b', 'c'), edges=[('a', 'b'), ('a', 'c'), ('b', 'c')])"

@@ -8,10 +8,8 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 import hull_oracle as O
-from uext import Frame, InputError, RootedGraph, canonical_form, endpoints, hull, hull_formula, rooted_iso
+from uext import Frame, RootedGraph, canonical_form, endpoints, hull, hull_formula, rooted_iso
 
 
 def random_frame(rng: random.Random) -> Frame:
@@ -89,24 +87,15 @@ def test_hulls_agree_with_the_load_order_path():
     assert met == {True, False}
 
 
-def test_rooted_graphs_agree_and_refuse_a_formula_when_not_a_hull():
+def test_rooted_graphs_are_their_roots_hulls():
     rng = random.Random(3141)
-    refused = 0
     for _ in range(300):
         f = random_frame(rng)
         w, n = rng.choice(f.vertices), rng.randint(0, 3)
-        h, oh = RootedGraph(f, w, n), O.Rooted(f.vertices, f.succ_mask, w, n)
+        h, oh = RootedGraph(f, w, n), O.hull(f.vertices, f.succ_mask, w, n)
+        assert h == hull(f, w, n)
         check_agrees(h, oh)
-        assert h.graph is f
-        within = sum(d <= n for d in oh.layers.values())
-        if within == len(f.vertices):
-            assert hull_formula(h) == oracle_formula(oh)
-        else:
-            refused += 1
-            first = oh.vertices[oh.order[within]]
-            with pytest.raises(InputError, match=f"vertex {first!r} is not within {n} undirected steps"):
-                hull_formula(h)
-    assert refused
+        assert hull_formula(h) == oracle_formula(oh)
 
 
 def test_formula_text_agrees_where_the_depth_refusal_starts():

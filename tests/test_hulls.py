@@ -151,16 +151,11 @@ def test_hull_formula_nests_at_most_5v_plus_1_and_parses_back():
     assert large >= 15
 
 
-def test_hull_formula_refuses_a_rooted_graph_that_is_not_its_roots_hull():
-    # a point the root never reaches, and a point past the depth: neither graph is hull(graph,
-    # root, depth), so no formula says "my hull is this graph"; the first such point is named
-    with pytest.raises(InputError, match="vertex 'b' is not within 1 undirected steps of the root 'a'"):
-        hull_formula(RootedGraph(Frame(("a", "b"), []), "a", 1))
+def test_hull_formula_of_a_rooted_graph_reads_its_roots_hull():
     path = Frame(("p0", "p1", "p2"), [("p0", "p1"), ("p1", "p2")])
     assert len(hull(path, "p0", 1).order) == 2
-    with pytest.raises(InputError, match="vertex 'p2' is not within 1 undirected steps of the root 'p0'"):
-        hull_formula(RootedGraph(path, "p0", 1))
-    # at a depth that reaches every point the rooted graph is the hull, and its formula holds
+    # a rooted graph is its root's depth-hull, so its formula is that hull's
+    assert hull_formula(RootedGraph(path, "p0", 1)) == hull_formula(hull(path, "p0", 1))
     assert eval_fo(path, parse_fo(hull_formula(RootedGraph(path, "p0", 2))), {"x": "p0"})
     assert hull_formula(RootedGraph(path, "p0", 2)) == hull_formula(hull(path, "p0", 2))
     with pytest.raises(InputError, match="hull depth must be nonnegative"):
