@@ -20,8 +20,8 @@ meets once: its memo is keyed by the hull's rows renumbered root first
 (`RootedGraph.shape`), so isomorphic copies share one certificate, and the
 first hull met with each certificate is its representative.  A representative's
 load-order subframe is built only where it is printed (`census_to_dict`) or
-placed in a skeleton.  `detect modal` reads its census and expansion off the
-skeleton.
+placed in a skeleton.  `detect modal` reads the census and the expansion at the
+skeleton's default budget, and builds no representative.
 """
 
 from __future__ import annotations
@@ -479,31 +479,31 @@ def generated_substructure_verdict(fam: FamilyPresentation) -> Verdict:
 
 
 def modal_logic_coincides(fam: FamilyPresentation, n: int) -> tuple[bool, dict]:
-    """Check every omega-type of the depth-n skeleton's census, at the default budget, is
-    realized in its expansion.
+    """Check every omega-type of the depth-n census is realized in the expansion at the
+    default budget.
 
     Rooted hull isomorphism implies n-bisimilarity of the roots, which is what
     equality of the modal logics needs at depth n.  An unmatched type would
     falsify the census, so a False return is a defect detector.  A generator's
     census gives lower bounds with no omega types, so a family with one is
     refused, as over a limit, rather than answered with nothing checked; bad
-    input is refused first, by the skeleton.
+    input is refused first, by the census and the expansion.
     """
-    sk = ue_skeleton(fam, n)
+    budget = default_budget(fam, n)
+    census = hull_census(fam, n)
+    expansion = expand(fam, budget)
     if fam.generator is not None:
         raise ResourceError(f"modal coincidence is read off a census's omega types, and the census of "
                             f"generator {fam.generator.name!r} gives only lower bounds, with no omega type")
-    omegas = sk.census.omega_types()
+    omegas = census.omega_types()
     first: dict[str, str] = {}  # each hull type's first expansion vertex in load order
-    for v, origin in sk.provenance.items():
+    for v in expansion.vertices:
         if all(cert in first for cert in omegas):
             break  # only the first vertex of each omega-type is reported
-        if origin == "expansion":
-            first.setdefault(sk.census.certify(hull(sk.frame, v, n)), v)
+        first.setdefault(census.certify(hull(expansion, v, n)), v)
     matches = {cert: first[cert] for cert in omegas if cert in first}
     unmatched = [cert for cert in omegas if cert not in first]
-    report = {"depth": n, "budget": sk.budget, "matches": matches, "unmatched": unmatched}
-    return not unmatched, report
+    return not unmatched, {"depth": n, "budget": budget, "matches": matches, "unmatched": unmatched}
 
 
 # ---------------------------------------------------------------------------

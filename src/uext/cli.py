@@ -5,13 +5,13 @@ Exit codes: 0 answer computed (a detector's verdict is yes or no), 1 bad input
 cross-check defect.
 
 ``COMMANDS`` declares every command path once: a group's help line, or a
-leaf's handler, positionals (with their choices) and options (action, type,
-default, whether required, help).  ``match`` reads a plain command line
-straight from that table into the namespace argparse would return: the
-command words, exactly the leaf's positionals in order, each option by its full
-name as its own token followed, unless it is a flag, by a value token that does
-not start with "-", every required option present, ``int`` values that
-``integer`` reads and choices kept.
+leaf's handler, positionals and options (action, type, default, whether
+required), so each detector is a leaf with its own options and defaults.
+``match`` reads a plain command line straight from that table into the
+namespace argparse would return: the command words, exactly the leaf's
+positionals in order, each option by its full name as its own token followed,
+unless it is a flag, by a value token that does not start with "-", every
+required option present and ``int`` values that ``integer`` reads.
 
 Anything else goes to the argparse parser that ``build_parser`` builds from
 the same table: -h, an abbreviated option, --opt=value, a value or positional
@@ -135,24 +135,21 @@ def cmd_skeleton(args) -> dict:
             "census": census.census_to_dict(sk.census)}
 
 
-# each detect property's flags and their defaults; a flag of another property would do nothing
-DETECT_FLAGS = {"reflexive": {"chi_threshold": 10}, "generated": {}, "modal": {"depth": 2}}
-
-
-def cmd_detect(args) -> dict:
-    own = DETECT_FLAGS[args.property]
-    for name in ("chi_threshold", "depth"):
-        given = getattr(args, name)
-        if given is not None and name not in own:
-            raise InputError(f"uext: detect {args.property} does not take --{name.replace('_', '-')}")
-        setattr(args, name, own.get(name) if given is None else given)
-    fam = census.load_family(args.family)
-    if args.property == "modal":
-        ok, report = census.modal_logic_coincides(fam, args.depth)
-        return {"coincides": ok, "report": report}
-    v = (census.reflexive_point_in_ue(fam, args.chi_threshold) if args.property == "reflexive"
-         else census.generated_substructure_verdict(fam))
+def _verdict(v: census.Verdict) -> dict:
     return {"verdict": v.kind, "evidence": v.evidence, "data": v.data}
+
+
+def cmd_detect_reflexive(args) -> dict:
+    return _verdict(census.reflexive_point_in_ue(census.load_family(args.family), args.chi_threshold))
+
+
+def cmd_detect_generated(args) -> dict:
+    return _verdict(census.generated_substructure_verdict(census.load_family(args.family)))
+
+
+def cmd_detect_modal(args) -> dict:
+    ok, report = census.modal_logic_coincides(census.load_family(args.family), args.depth)
+    return {"coincides": ok, "report": report}
 
 
 def integer(text: str) -> int:
@@ -168,28 +165,25 @@ def integer(text: str) -> int:
 class Option(NamedTuple):
     """One option of a command: argparse's action (store, store_true or append), the type its value
     is read as (integer, or None for the string as given), its default, whether it is required, and
-    the help text and metavar printed by -h."""
+    the metavar printed by -h."""
     action: str = "store"
     type: Callable | None = None
     default: object = None
     required: bool = False
-    help: str | None = None
     metavar: str | None = None
 
     def kwargs(self) -> dict:
         """add_argument's keywords; a store_true action takes no type or metavar."""
-        return {"action": self.action, "default": self.default, "required": self.required, "help": self.help,
+        return {"action": self.action, "default": self.default, "required": self.required,
                 **{k: v for k, v in (("type", self.type), ("metavar", self.metavar)) if v is not None}}
 
 
 class Command(NamedTuple):
-    """One command path: its handler (None for a group of subcommands), its positionals in order
-    with the choices of those that have them, its options by full name, and its help line in its
-    parent's listing."""
+    """One command path: its handler (None for a group of subcommands), its positionals in order,
+    its options by full name, and its help line in its parent's listing."""
     func: Callable | None = None
     positionals: tuple[str, ...] = ()
     options: dict[str, Option] = {}  # read only, so one empty default serves every command
-    choices: dict[str, list[str]] = {}
     help: str | None = None
 
 
@@ -218,10 +212,11 @@ COMMANDS = {
                          help="hull-type census of a presented family"),
     ("skeleton",): Command(cmd_skeleton, ("family",), {"--depth": DEPTH, "--budget": Option(type=integer)},
                            help="truncated extension skeleton of a family"),
-    ("detect",): Command(cmd_detect, ("property", "family"),
-                         {"--chi-threshold": Option(type=integer, help="reflexive only (default 10)"),
-                          "--depth": Option(type=integer, help="modal only (default 2)")},
-                         choices={"property": list(DETECT_FLAGS)}, help="verdicts about a family's extension"),
+    ("detect",): Command(help="verdicts about a family's extension"),
+    ("detect", "reflexive"): Command(cmd_detect_reflexive, ("family",),
+                                     {"--chi-threshold": Option(type=integer, default=10)}),
+    ("detect", "generated"): Command(cmd_detect_generated, ("family",)),
+    ("detect", "modal"): Command(cmd_detect_modal, ("family",), {"--depth": Option(type=integer, default=2)}),
 }
 
 
@@ -253,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
             subs[path] = p.add_subparsers(dest=_word_dest(path), required=True)
             continue
         for name in cmd.positionals:
-            p.add_argument(name, **({"choices": cmd.choices[name]} if name in cmd.choices else {}))
+            p.add_argument(name)
         for name, opt in cmd.options.items():
             p.add_argument(name, **opt.kwargs())
         p.set_defaults(func=cmd.func)
@@ -267,7 +262,7 @@ def match(argv: list[str]) -> argparse.Namespace | None:
     """The namespace build_parser's parse_args returns for argv when argv is a plain command
     line, else None.  Plain is: the command words, then the leaf's positionals in order, with
     each option by its full name and, unless it is a flag, a value token that does not start
-    with "-"; every required option present, every int value read by integer, every choice kept."""
+    with "-"; every required option present, and every int value read by integer."""
     path, i = (), 0
     while i < len(argv) and path + (argv[i],) in COMMANDS:
         path, i = path + (argv[i],), i + 1
@@ -302,8 +297,6 @@ def match(argv: list[str]) -> argparse.Namespace | None:
             opt.required and name not in given for name, opt in cmd.options.items()):
         return None
     values.update(zip(cmd.positionals, positionals))
-    if any(values[name] not in choices for name, choices in cmd.choices.items()):
-        return None
     words = {_word_dest(path[:k]): word for k, word in enumerate(path)}
     return argparse.Namespace(**words, **values, func=cmd.func)
 

@@ -300,8 +300,11 @@ class _EFGame(Game):
         # points up to isomorphism, so no verdict changes past it
         super().__init__("ef", max(len(f1.vertices), len(f2.vertices)) + 1)
         self.frames, self.rows = (f1, f2), (f1.succ_mask, f2.succ_mask)
+        # per board, meets[x][a]: how a meets x, in three bits: a = x, a -> x, x -> a
+        self.meets = tuple([[(a == x) << 2 | (p >> a & 1) << 1 | s >> a & 1 for a in range(len(f.vertices))]
+                            for x, (s, p) in enumerate(zip(f.succ_mask, f.pred_mask))] for f in (f1, f2))
         # per board and length L, the atoms of the length-L tuples in order, from () and (a,) on
-        self.atoms = tuple([[-1], [~self.meet(b, a, a) for a in range(len(self.rows[b]))]] for b in (0, 1))
+        self.atoms = tuple([[-1], [~row[a] for a, row in enumerate(meets)]] for meets in self.meets)
         self.profiles = [(0, [[-1] * len(rows)]) for rows in self.rows]  # per board, (L, length-L profiles)
         self.types: dict = {}  # (atom, extensions' types) -> type, for both boards
         self.diagonals: dict = {}  # d -> per board and length L < d, the rank-(d - L) types
@@ -313,13 +316,10 @@ class _EFGame(Game):
         """The tuples played, a pair played again left out: Duplicator's copy of it adds nothing."""
         return tuple(zip(*dict.fromkeys(pos))) or ((), ())
 
-    def meet(self, b: int, x: int, a: int) -> int:
-        """How a meets x on board b, in three bits: a = x, a -> x, x -> a."""
-        return (a == x) << 2 | (self.frames[b].pred_mask[x] >> a & 1) << 1 | self.rows[b][x] >> a & 1
-
     def atom(self, board: int, t: tuple[int, ...]) -> int:
         """~code of how t's last element meets each element of t, the first in the lowest bits."""
-        return ~sum(self.meet(board - 1, x, t[-1]) << 3 * j for j, x in enumerate(t))
+        meets = self.meets[board - 1]
+        return ~sum(meets[x][t[-1]] << 3 * j for j, x in enumerate(t))
 
     def index(self, b: int, t: tuple[int, ...]) -> int:
         """t's place among board b's tuples of its length."""
@@ -371,7 +371,7 @@ class _EFGame(Game):
     def extensions(self, b: int, length: int):
         """Per tuple of board b of the given length, at least 1, in order: its extensions' atoms,
         in order, read off its parent's profile."""
-        own = [self.meet(b, a, a) << 3 * length for a in range(len(self.rows[b]))]
+        own = [row[a] << 3 * length for a, row in enumerate(self.meets[b])]
         return (filter(None, q) for q in self.extended(b, length - 1, self.profiled(b, length - 1), own))
 
     def profiled(self, b: int, length: int) -> list[list[int]]:
@@ -388,7 +388,8 @@ class _EFGame(Game):
         """Per tuple t + (c,) of board b, in order, t of the given length with the given profiles:
         t's profile ANDed, lazily, with how each a meets c, a's own place from own, and 0 at c."""
         points = range(len(self.rows[b]))
-        rows = [[~(self.meet(b, c, a) << 3 * length | own[a]) if a != c else 0 for a in points] for c in points]
+        rows = [[~(meet << 3 * length | own[a]) if a != c else 0 for a, meet in enumerate(row)]
+                for c, row in enumerate(self.meets[b])]
         return (map(operator.and_, q, rows[c]) for q in profiles for c in itertools.compress(points, q))
 
     def step(self, pos, a: int, b: int):

@@ -1,5 +1,6 @@
-"""Two slow paths kept as oracles: the stabilisation scan that counted a ray's hull types,
-and the first-seen union by names that built expansions and skeletons.
+"""Three slow paths kept as oracles: the stabilisation scan that counted a ray's hull types,
+the first-seen union by names that built expansions and skeletons, and the skeleton walk
+that checked modal-logic coincidence.
 
 A ray's copies 0..n are hulled in an unrolling of 2n + 3 copies and certified row
 by row.  The first copy from which every row equals copy n's stands for every
@@ -19,12 +20,18 @@ a set of name pairs, a builtin generator is the union of its components
 first-seen order and unions their edges.  uext places the parts' rows side by
 side, so the two must agree on the vertex order and the edges.  An id two parts
 share raises ValueError with the line uext refuses it with.
+
+`modal_logic_coincides` builds the whole skeleton, representatives and provenance
+included, and walks its expansion vertices in load order, hulling each in the
+skeleton's frame.  `uext.census.modal_logic_coincides` hulls the expansion alone
+and builds no representative, so its answer and report, or its refusal, must
+equal this one's on families whose ids do not collide with a representative's.
 """
 
 from __future__ import annotations
 
 from evidence_oracle import builtin_union
-from uext import Frame, canonical_form, hull
+from uext import Frame, ResourceError, canonical_form, hull, ue_skeleton
 
 OMEGA = "w"
 CLASH = "vertex ids collide across family parts"
@@ -119,3 +126,22 @@ def census_doc(fam, n: int) -> dict:
         m = entry["multiplicity"]
         entry["multiplicity"] = OMEGA if OMEGA in (count, m) else m + count
     return {"depth": n, "exact": True, "types": types}
+
+
+def modal_logic_coincides(fam, n: int) -> tuple[bool, dict]:
+    """Each omega type of the depth-n skeleton's census matched to the first expansion vertex of
+    its type, hulled in the skeleton; a generator family is refused after the skeleton is built."""
+    sk = ue_skeleton(fam, n)
+    if fam.generator is not None:
+        raise ResourceError(f"modal coincidence is read off a census's omega types, and the census of "
+                            f"generator {fam.generator.name!r} gives only lower bounds, with no omega type")
+    omegas = sk.census.omega_types()
+    first: dict[str, str] = {}
+    for v, origin in sk.provenance.items():
+        if all(cert in first for cert in omegas):
+            break
+        if origin == "expansion":
+            first.setdefault(sk.census.certify(hull(sk.frame, v, n)), v)
+    matches = {cert: first[cert] for cert in omegas if cert in first}
+    unmatched = [cert for cert in omegas if cert not in first]
+    return not unmatched, {"depth": n, "budget": sk.budget, "matches": matches, "unmatched": unmatched}

@@ -93,8 +93,9 @@ def test_skeleton_rejects_representative_id_collisions():
                             "omega_templates": [{"vertices": ["t"], "edges": [["t", "t"]]}]})
     with pytest.raises(InputError, match="^vertex ids collide across family parts: 'rep0:t'$"):
         ue_skeleton(fam, 1)
-    with pytest.raises(InputError, match="^vertex ids collide across family parts: 'rep0:t'$"):
-        modal_logic_coincides(fam, 1)
+    # detect modal builds no representative, so the base's name clashes with nothing
+    ok, report = modal_logic_coincides(fam, 1)
+    assert ok and list(report["matches"].values()) == ["t0.0:t"] and report["unmatched"] == []
 
 
 def test_census_ray_depths_1_to_3():
@@ -412,6 +413,26 @@ def test_a_collision_names_the_least_id_the_first_repeating_part_shares():
     assert str(refused.value) == "vertex ids collide across family parts: 'rep0:s'"
     assert _built(lambda: census_oracle.skeleton(fam, census, default_budget(fam, 1)), ValueError) == \
         str(refused.value)
+
+
+def _outcome(run, fam, n):
+    """What run(fam, n) returns, or the type and line of its refusal."""
+    try:
+        return run(fam, n)
+    except (InputError, ResourceError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_modal_logic_coincides_equals_the_skeleton_walk():
+    # the expansion is hulled alone, where the oracle hulls it inside the whole skeleton
+    cases = refused = 0
+    for seed in (321, 322, 5):
+        for fam in _family_corpus(seed=seed, size=40):
+            for n in (1, 2, 3):
+                got = _outcome(modal_logic_coincides, fam, n)
+                assert got == _outcome(census_oracle.modal_logic_coincides, fam, n), (fam, n)
+                cases, refused = cases + 1, refused + isinstance(got[0], str)
+    assert (cases, refused) == (369, 111)
 
 
 def test_modal_logic_coincides_stops_once_every_omega_type_matches(monkeypatch):

@@ -60,10 +60,10 @@ def test_parser_built_once_per_process():
     # a plain command line is read without argparse, so it builds no parser; the first line left
     # to argparse (a usage error) builds the whole tree, and no later call builds another, whatever
     # its subcommand or exit code: a usage error, a ResourceError (2) and a DefectError (3) among them
-    firsts = {}  # the first pinned case of each command, all twelve that run
+    firsts = {}  # the first pinned case of each command, all fourteen that run
     for case in CLI_CASES:
         firsts.setdefault(max((" ".join(c) for c in COMMANDS if case["argv"][:len(c)] == c), key=len), case)
-    assert len(firsts) == 12
+    assert len(firsts) == 14
     calls = [case["argv"] for case in firsts.values()] + [["ue"], ["ue"]]
     env = {k: v for k, v in os.environ.items() if k not in CAP_VARS} | {"PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", COUNTER, json.dumps(calls)], cwd=ROOT, env=env,
