@@ -11,13 +11,14 @@ labelling, a census's memo and `hull_formula` (which writes a formula's text
 from it) read.  The load-order subframe (`RootedGraph.graph`) is built only
 where it is printed.
 
-Certificates come from root-seeded color refinement (`frame.refine`, counting
-neighbours' colours both ways) with individualization backtracking: the least
+Certificates (HT2) come from color refinement (`frame.refine`, counting
+neighbours' colours both ways, read only until the colouring is discrete)
+seeded by each point's BFS ring, with individualization backtracking: the least
 leaf of the search tree is the certificate, so certificate equality is exactly
 rooted isomorphism, and that leaf's labelling gives `rooted_iso` its witness.
-Each twin class (vertices with the same neighbours, adjacent or not) is
-individualised in one step, so stars and K_mm-like hulls cost a few
-refinements; other symmetry is still searched in full.
+Each twin class (vertices with the same neighbours, adjacent or not; keyed only
+once a cell of two or more is left) is individualised in one step, so stars and
+K_mm-like hulls cost a few refinements; other symmetry is still searched in full.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 from .errors import InputError
 from .frame import Frame, Frozen, any_of, bits, refine, relabel, transpose
 
-CERT_VERSION = b"HT1"
+CERT_VERSION = b"HT2"
 
 
 def rings(g: Frame, root: int, n: int) -> list[int]:
@@ -132,17 +133,22 @@ def endpoints(h: RootedGraph) -> frozenset[str]:
     return frozenset(h.host.names(h.rings[h.depth])) if h.depth < len(h.rings) else frozenset()
 
 
-def _canonical_bytes(adj, twins, colors: list) -> tuple[bytes, list[int]]:
-    """The least leaf below this colouring, the first reached of equal ones: its certificate and
-    its labelling.  The root is vertex 0.  The search keeps its own stack, so a star of any size
-    searches one path."""
+def _canonical_bytes(succ, pred, colors: list) -> tuple[bytes, list[int]]:
+    """The least leaf below this colouring of the rows succ (pred their transpose), the first
+    reached of equal ones: its certificate and its labelling.  The root is vertex 0.  Refinement
+    is read only until the colouring is discrete: a discrete colouring cannot split, and the next
+    round's ranks equal it.  The search keeps its own stack, so a star of any size searches one path."""
+    adj, twins = ([list(bits(row)) for row in succ], [list(bits(row)) for row in pred]), None
+
     def counting(c: list) -> list:
         return [(c[i], tuple(sorted(map(c.__getitem__, s))), tuple(sorted(map(c.__getitem__, p))))
                 for i, (s, p) in enumerate(zip(*adj))]
 
     best, todo = None, [colors]
     while todo:
-        *_, colors = refine(todo.pop(), counting)
+        for colors in refine(todo.pop(), counting):
+            if len(set(colors)) == len(colors):
+                break
         cells: dict[int, list[int]] = {}
         for i, c in enumerate(colors):
             cells.setdefault(c, []).append(i)
@@ -155,6 +161,12 @@ def _canonical_bytes(adj, twins, colors: list) -> tuple[bytes, list[int]]:
             if best is None or cert < best[0]:
                 best = cert, colors
             continue
+        if twins is None:
+            # two vertices share the first key when they are non-adjacent twins and the second when
+            # they are adjacent ones (a key of one kind never equals one of the other); the loop bit
+            # is kept apart because the own bit is overwritten
+            twins = [((s & ~(1 << i), p & ~(1 << i), s >> i & 1), (s | 1 << i, p | 1 << i, s >> i & 1))
+                     for i, (s, p) in enumerate(zip(succ, pred))]
         fresh, first = max(colors) + 1, twins[target[0]]
         if any(all(twins[i][kind] == first[kind] for i in target) for kind in (0, 1)):
             # one twin class: a chain of one-member branches, in index order, ends in this colouring
@@ -177,20 +189,15 @@ def _canonical_bytes(adj, twins, colors: list) -> tuple[bytes, list[int]]:
 
 def _labelling(h: RootedGraph) -> tuple[bytes, list[int]]:
     """The certificate of h and the labelling (BFS position -> rank) of the leaf it was read off.
-    It runs on `shape`, the root at position 0; the least leaf is an isomorphism invariant, so the
-    certificate does not depend on how the points are numbered."""
+    It runs on `shape`, the root at position 0, seeded by (BFS ring, out-degree, in-degree, loop):
+    distance from the root is a rooted-isomorphism invariant that refinement from the root alone
+    finds one ring per round, and ring 0 is the root alone.  The least leaf is an isomorphism
+    invariant, so the certificate does not depend on how the points are numbered."""
     succ = h.shape
     pred = transpose(succ)
-    adj = [list(bits(row)) for row in succ], [list(bits(row)) for row in pred]
-    # two vertices share the first key when they are non-adjacent twins and the second when
-    # they are adjacent ones (a key of one kind never equals one of the other); the loop bit
-    # is kept apart because the own bit is overwritten
-    twins = []
-    for i, (s, p) in enumerate(zip(succ, pred)):
-        own, loop = 1 << i, s >> i & 1
-        twins.append(((s & ~own, p & ~own, loop), (s | own, p | own, loop)))
-    keys = [(i == 0, len(s), len(p), i in s) for i, (s, p) in enumerate(zip(*adj))]
-    return _canonical_bytes(adj, twins, keys)
+    ring = [d for d, r in enumerate(h.rings) for _ in range(r.bit_count())]  # shape is in BFS order
+    seed = [(ring[i], s.bit_count(), p.bit_count(), s >> i & 1) for i, (s, p) in enumerate(zip(succ, pred))]
+    return _canonical_bytes(succ, pred, seed)
 
 
 def canonical_form(h: RootedGraph) -> HullType:

@@ -48,7 +48,9 @@ def _mode_rows(frame: Frame) -> dict[str, list[int]]:
     """R^ue under each definitional mode, as one target bitmask per source point.
 
     Every subset X of W is one bit of a 2^n-bit int, and T_j (`frame.table`) sets
-    the bits of the subsets that contain j.  Each mode tests every pair:
+    the bits of the subsets that contain j.  Each mode tests every pair through its
+    own view of R, so a corrupted view shows as a disagreement: A and B in one pass
+    over the tables per source point, C in one pass per target:
 
     mode A: u R v iff R-(X) in u for every X in v, i.e. every X containing v
             meets R(u): T_v within D_u, the OR of T_j over every j whose
@@ -67,18 +69,21 @@ def _mode_rows(frame: Frame) -> dict[str, list[int]]:
     tables = [table(j, n) for j in range(n)]
     t_j = tables.__getitem__
     ones = (1 << (1 << n)) - 1
-    rows = {"A": [0] * n, "B": [0] * n, "C": [0] * n}
+    a_rows, b_rows, c_rows = [0] * n, [0] * n, [0] * n
     for u in range(n):
-        d_u, b_u = any_of(t_j, pred_holders[u]), all_of(t_j, succ[u], ones)
-        rows["A"][u] = sum(1 << v for v, t_v in enumerate(tables) if t_v & d_u == t_v)  # T_v within D_u
-        rows["B"][u] = sum(1 << v for v, t_v in enumerate(tables) if b_u & t_v == b_u)  # B_u within T_v
-    c_rows = rows["C"]
+        d_u, b_u, a, b = any_of(t_j, pred_holders[u]), all_of(t_j, succ[u], ones), 0, 0
+        for v, t_v in enumerate(tables):
+            if t_v & d_u == t_v:  # T_v within D_u
+                a |= 1 << v
+            if b_u & t_v == b_u:  # B_u within T_v
+                b |= 1 << v
+        a_rows[u], b_rows[u] = a, b
     for v in range(n):
         p_v, bit = any_of(t_j, succ_holders[v]), 1 << v
         for u, t_u in enumerate(tables):
             if t_u & p_v == t_u:  # T_u within P_v
                 c_rows[u] |= bit
-    return rows
+    return {"A": a_rows, "B": b_rows, "C": c_rows}
 
 
 def ue_related(u: Ultrafilter, v: Ultrafilter, mode: str) -> bool:

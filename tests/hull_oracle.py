@@ -18,7 +18,7 @@ syntax, so an agreement test compares uext's output with this module's.
 
 from __future__ import annotations
 
-CERT_VERSION = b"HT1"
+CERT_VERSION = b"HT2"
 
 
 def bits(mask: int):
@@ -116,7 +116,8 @@ def labelling(h: Rooted) -> tuple[bytes, list[int]]:
                 for i, (s, p) in enumerate(zip(*adj))]
 
     best = None
-    todo = [[(i == root, len(s), len(p), i in s) for i, (s, p) in enumerate(zip(*adj))]]
+    ring = [h.layers[v] for v in h.vertices]
+    todo = [[(ring[i], len(s), len(p), i in s) for i, (s, p) in enumerate(zip(*adj))]]
     while todo:
         colors = _refine(todo.pop(), counting)
         cells: dict[int, list[int]] = {}

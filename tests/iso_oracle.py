@@ -10,7 +10,7 @@ index lists and import nothing from uext, so they stay independent of the
 labelling they check.
 """
 
-CERT_VERSION = b"HT1"
+CERT_VERSION = b"HT2"
 
 
 def _adjacency(vertices, edges):
@@ -27,10 +27,24 @@ def _ranks(signatures):
     return [table[s] for s in signatures]
 
 
+def _distances(succ, pred, root):
+    """Undirected BFS distance from root, len(succ) for a vertex it does not reach."""
+    dist = [len(succ)] * len(succ)
+    dist[root], queue = 0, [root]
+    for i in queue:
+        for j in succ[i] + pred[i]:
+            if dist[j] == len(succ):
+                dist[j] = dist[i] + 1
+                queue.append(j)
+    return dist
+
+
 def _refined(succ, pred, root, colors=None):
-    """Equitable colours, seeded by (is root, out-degree, in-degree, loop) unless colors is given."""
+    """Equitable colours, seeded by (distance from root, out-degree, in-degree, loop) unless colors
+    is given."""
     if colors is None:
-        colors = _ranks([(i == root, len(succ[i]), len(pred[i]), i in succ[i]) for i in range(len(succ))])
+        ring = _distances(succ, pred, root)
+        colors = _ranks([(ring[i], len(succ[i]), len(pred[i]), i in succ[i]) for i in range(len(succ))])
     while True:
         new = _ranks([(colors[i], tuple(sorted(colors[j] for j in succ[i])),
                        tuple(sorted(colors[j] for j in pred[i]))) for i in range(len(succ))])

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from uext import (
     greedy_coloring,
     hull,
     hull_census,
+    load_family,
     modal_logic_coincides,
     reflexive_point_in_ue,
     rooted_iso,
@@ -98,13 +100,17 @@ def test_skeleton_rejects_representative_id_collisions():
     assert ok and list(report["matches"].values()) == ["t0.0:t"] and report["unmatched"] == []
 
 
-def test_census_ray_depths_1_to_3():
-    for n in (1, 2, 3):
+def test_census_ray_depths_0_to_60():
+    # fixtures/nat_succ.json is the one-point ray; a census of depth n certifies n + 1 path hulls
+    # of up to 2n + 1 points, each discrete after one refinement round from its BFS rings
+    assert load_family(str(Path(__file__).resolve().parents[1] / "fixtures" / "nat_succ.json")) == SUCC_RAY
+    for n in range(61):
         c = hull_census(SUCC_RAY, n)
         omegas = c.omega_types()
         assert len(omegas) == 1
         finite = [m for m in c.entries.values() if m != OMEGA]
         assert finite == [1] * n  # one origin type per copy that still sees the end
+        assert [t["multiplicity"] for t in census_to_dict(c)["types"].values()].count("w") == 1
         rep = c.representatives[omegas[0]]
         assert len(rep.graph.vertices) == 2 * n + 1  # integer-line window
 

@@ -190,10 +190,10 @@ def test_points_sharing_one_neighbourhood_are_not_twins(reverse, joined):
 
 
 def star_certificate(k: int) -> bytes:
-    """The certificate of a k-leaf star at its centre: the centre ranks 1 over the leaf left
-    uncoloured, and the other leaves take 2..k."""
-    edges = [(1, 0)] + [(1, j) for j in range(2, k + 1)]
-    return iso_oracle.CERT_VERSION + f"|n={k + 1};root=1;edges={edges}".encode()
+    """The certificate of a k-leaf star at its centre: the centre, alone in ring 0, ranks 0, the
+    leaf left uncoloured 1, and the other leaves take 2..k."""
+    edges = [(0, j) for j in range(1, k + 1)]
+    return iso_oracle.CERT_VERSION + f"|n={k + 1};root=0;edges={edges}".encode()
 
 
 def test_a_twin_class_is_individualised_in_one_step(monkeypatch):

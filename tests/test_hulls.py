@@ -176,3 +176,27 @@ def test_each_hull_runs_one_bfs(monkeypatch):
         if h.depth >= 1:
             endpoints(h)
         assert len(calls) == 1
+
+
+def test_each_ray_hull_is_labelled_in_one_refinement_round(monkeypatch):
+    # the one-point ray's depth-40 window, as a census unrolls it: copy k's hull is a path with k
+    # at its root, and the BFS rings its labelling is seeded with leave only pairs of points that
+    # one round of neighbour counts tells apart (refinement seeded by the root alone took one
+    # round per ring, up to 21 per hull)
+    vs = tuple(f"r0.{k}:v" for k in range(81))
+    window = Frame(vs, frozenset(zip(vs, vs[1:])))
+    rounds = []
+    real = hulls_mod.refine
+
+    def counted(*args):
+        for colors in real(*args):
+            rounds[-1] += 1
+            yield colors
+
+    monkeypatch.setattr(hulls_mod, "refine", counted)
+    certificates = set()
+    for k in range(41):
+        rounds.append(0)
+        certificates.add(canonical_form(hull(window, vs[k], 40)).certificate)
+    assert len(certificates) == 41
+    assert 1 <= max(rounds) <= 2
