@@ -22,7 +22,7 @@ from .caps import Budget
 from .errors import DefectError, InputError, ResourceError
 from .frame import Frame
 from .games import Game
-from .syntax import And, Imp, Node, Not, Or, Parser, depth, fold, format_formula
+from .syntax import And, Imp, Node, Not, Or, Parser, Table, depth, fold, format_formula
 
 SENTENCE_LIMIT = 4000  # sentences_upto's hard count cap
 KEYWORDS = ("exists", "forall", "R")  # the words that name no variable
@@ -61,46 +61,33 @@ class Forall(Node):
 
 
 FOFormula = Rel | Eq | Not | And | Or | Imp | Exists | Forall
+FO = FOFormula.__args__  # the node classes a first-order formula is built from
 format_fo = format_formula
 
 
 def free_vars(phi: FOFormula) -> frozenset[str]:
-    return _scopes(phi)[id(phi)][0]
+    return _scopes(phi)[1][-1][0]
 
 
-def _scopes(phi: FOFormula) -> dict[int, tuple[frozenset[str], frozenset[str]]]:
-    """Per node of phi, by identity, from one post-order pass without recursion: its free
-    variables, and those of the quantifiers reached from it through connectives only (itself, if
-    it is one).  So a variable free in a node but not in the second set occurs free there only in
-    atoms outside every quantifier.  A node is first met in pre-order, so the first node of
-    another kind in pre-order is the one refused."""
-    out, todo = {}, [phi]
-    while todo:
-        node = todo[-1]
-        kind = type(node)
-        if kind is Rel or kind is Eq:
-            out[id(node)] = frozenset(node[1:]), frozenset()
-        elif kind is Not:
-            if (sub := out.get(id(node[1]))) is None:
-                todo.append(node[1])
-                continue
-            out[id(node)] = sub
-        elif kind is And or kind is Or or kind is Imp:
-            left, right = out.get(id(node[1])), out.get(id(node[2]))
-            if left is None or right is None:
-                todo += [sub for sub, done in ((node[2], right), (node[1], left)) if done is None]
-                continue
-            out[id(node)] = left[0] | right[0], left[1] | right[1]
-        elif kind is Exists or kind is Forall:
-            if (body := out.get(id(node[2]))) is None:
-                todo.append(node[2])
-                continue
-            free = body[0] - {node[1]}
-            out[id(node)] = free, free
+def _scopes(phi: FOFormula) -> tuple[Table, list[tuple[frozenset[str], frozenset[str]]]]:
+    """phi's Table, and per number, in one forward loop: the subformula's free variables, and
+    those of the quantifiers reached from it through connectives only (itself, if it is one).  So
+    a variable free in a subformula but not in the second set occurs free there only in atoms
+    outside every quantifier.  phi's number is the last; the Table refuses the first node, in
+    pre-order, of another logic."""
+    table, out = Table(FO, phi), []
+    for node, operands in zip(table.nodes, table.operands):
+        if not operands:
+            out.append((frozenset(node[1:]), frozenset()))
+        elif len(operands) == 2:
+            (lf, lq), (rf, rq) = out[operands[0]], out[operands[1]]
+            out.append((lf | rf, lq | rq))
+        elif type(node) is Not:
+            out.append(out[operands[0]])
         else:
-            raise InputError(f"unknown formula node {node!r}")
-        todo.pop()
-    return out
+            free = out[operands[0]][0] - {node[1]}
+            out.append((free, free))
+    return table, out
 
 
 def is_variable(name: str) -> bool:
@@ -110,7 +97,7 @@ def is_variable(name: str) -> bool:
 
 def quantifier_rank(phi: FOFormula) -> int:
     """Nesting depth of exists and forall."""
-    return depth(phi, (Exists, Forall))
+    return depth(Table(FO, phi), (Exists, Forall))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +148,8 @@ def parse_fo(text: str) -> FOFormula:
 def _evaluate(frame: Frame, phi: FOFormula, asg: dict[str, str], column: str | None = None):
     """phi's truth, 1 or 0, under asg (variable -> vertex), or with column set, the mask of
     column's values where phi holds; a free variable outside asg and column is an InputError.
-    One pass, `_scopes`, reads phi's free variables, and phi is compiled once per call.
+    phi's subformulas are numbered once, by `_scopes`, which reads their free variables, and
+    phi is compiled once per call from that numbering.
 
     Every subformula compiles to a mask over its column v: the quantified
     variable whose body is flat in v (free in no quantifier reached from the
@@ -180,8 +168,8 @@ def _evaluate(frame: Frame, phi: FOFormula, asg: dict[str, str], column: str | N
     so a conjunction stops after its left part.  Compiling and running recurse
     once per level or so; the callers turn a RecursionError into `_too_deep`'s.
     """
-    scopes = _scopes(phi)
-    missing = scopes[id(phi)][0] - set(asg) - {column}
+    table, scopes = _scopes(phi)
+    missing = scopes[-1][0] - set(asg) - {column}
     if missing:
         raise InputError(f"unbound free variable {min(missing)!r}")
     values = {var: frame.position(v) for var, v in asg.items()}
@@ -189,11 +177,12 @@ def _evaluate(frame: Frame, phi: FOFormula, asg: dict[str, str], column: str | N
     full = (1 << n) - 1
     succ = frame.succ_mask
     charge = Budget("assignments").charge
+    nodes, operands = table.nodes, table.operands
 
-    def over(var: str, body: FOFormula):
-        """var's values where body holds, as (mask step, None) if body is flat in var, else
-        (None, a generator of body's truth at each value in turn)."""
-        if var not in scopes[id(body)][1]:
+    def over(var: str, body: int):
+        """var's values where subformula body holds, as (mask step, None) if body is flat in var,
+        else (None, a generator of body's truth at each value in turn)."""
+        if var not in scopes[body][1]:
             m = mask(body, var)
 
             def step(env):
@@ -210,8 +199,8 @@ def _evaluate(frame: Frame, phi: FOFormula, asg: dict[str, str], column: str | N
                 yield t(env)
         return None, each
 
-    def mask(f: FOFormula, v: str | None):
-        ones = 1 if v is None else full
+    def mask(i: int, v: str | None):
+        f, ones = nodes[i], 1 if v is None else full
         if isinstance(f, Rel):
             a, b = f.left, f.right
             if v not in (a, b):
@@ -230,15 +219,15 @@ def _evaluate(frame: Frame, phi: FOFormula, asg: dict[str, str], column: str | N
             y = b if a == v else a
             return lambda env: 1 << env[y]
         if isinstance(f, Not):
-            s = mask(f.sub, v)
+            s = mask(operands[i][0], v)
             return lambda env: ones ^ s(env)
         if isinstance(f, (Exists, Forall)):
-            step, each = over(f.var, f.body)
+            step, each = over(f.var, operands[i][0])
             if isinstance(f, Exists):
                 return (lambda env: ones if step(env) else 0) if step else (lambda env: ones if any(each(env)) else 0)
             return ((lambda env: ones if step(env) == full else 0) if step
                     else (lambda env: ones if all(each(env)) else 0))
-        l, r = mask(f.left, v), mask(f.right, v)
+        l, r = mask(operands[i][0], v), mask(operands[i][1], v)
         if isinstance(f, And):
             return lambda env: (x := l(env)) and x & r(env)
         if isinstance(f, Or):
@@ -246,8 +235,8 @@ def _evaluate(frame: Frame, phi: FOFormula, asg: dict[str, str], column: str | N
         return lambda env: (ones ^ x) | r(env) if (x := l(env)) else ones
 
     if column is None:
-        return mask(phi, None)(values)
-    step, each = over(column, phi)
+        return mask(len(nodes) - 1, None)(values)
+    step, each = over(column, len(nodes) - 1)
     return step(values) if step else sum(1 << w for w, h in enumerate(each(values)) if h)
 
 
@@ -269,7 +258,7 @@ def eval_fo(frame: Frame, phi: FOFormula, asg: dict[str, str] | None = None) -> 
 def _too_deep(phi: FOFormula) -> ResourceError:
     """The error for a formula, built in code, too deep for the recursive evaluator; it names the
     formula's depth, which `syntax.depth` reads in a loop."""
-    return ResourceError(f"FO evaluation ran out of interpreter stack on a formula {depth(phi)} levels deep")
+    return ResourceError(f"FO evaluation ran out of interpreter stack on a formula {depth(Table(FO, phi))} levels deep")
 
 
 # ---------------------------------------------------------------------------

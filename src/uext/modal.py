@@ -69,7 +69,7 @@ def letters(phi: ModalFormula) -> frozenset[str]:
 
 def modal_depth(phi: ModalFormula) -> int:
     """Nesting depth of <> and []."""
-    return depth(phi, (Dia, Box))
+    return depth(Table(MODAL, phi), (Dia, Box))
 
 
 # ---------------------------------------------------------------------------

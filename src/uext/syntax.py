@@ -10,8 +10,9 @@ position.  The parser reads the connectives and parentheses itself, in one
 operator-precedence loop over explicit stacks (Dijkstra's shunting-yard), so
 a formula of any depth parses; a logic supplies only its token pattern, its
 error label and its ``operand`` method, which reads one of its own atoms or
-prefix operators.  One loop, `format_formula`, prints both logics, and one
-`Table` numbers subformulas.
+prefix operators.  One loop, `format_formula`, prints both logics; every other
+pass over a formula (depth, rank, free variables, labelling, compilation) reads
+the one numbering of its distinct subformulas, `Table`.
 """
 
 from __future__ import annotations
@@ -193,18 +194,6 @@ class Parser:
                 ops.pop()
 
 
-def depth(phi, counted=object) -> int:
-    """The most nodes of the counted classes, every node by default, on one root-to-leaf path
-    of a formula tree, found without recursion."""
-    deepest, todo = 0, [(phi, 0)]
-    while todo:
-        node, d = todo.pop()
-        d += isinstance(node, counted)
-        deepest = max(deepest, d)
-        todo.extend((sub, d) for sub in node[1:] if not isinstance(sub, str))
-    return deepest
-
-
 def fold(op, parts: list, empty=None):
     """Left fold of parts under the binary constructor op; empty when there are none."""
     return reduce(op, parts) if parts else empty
@@ -258,3 +247,12 @@ class Table:
         finally:
             for i in dups:
                 del ids[i]
+
+
+def depth(table: Table, counted=object) -> int:
+    """The most nodes of the counted classes, every node by default, on one path down from the
+    node the table numbers last, in one forward loop: a node's operands are numbered below it."""
+    deepest = []
+    for node, operands in zip(table.nodes, table.operands):
+        deepest.append(isinstance(node, counted) + max([deepest[j] for j in operands], default=0))
+    return deepest[-1]

@@ -82,13 +82,14 @@ def test_fo_eval_with_assignment(capsys, tri):
 
 
 def test_fo_eval_reads_free_variables_once_for_all_lets(capsys, monkeypatch, tri):
-    # one free-variable pass serves every --let, and eval_fo runs its own: once a pass per --let
+    # one numbering of the formula's subformulas serves every --let, and eval_fo makes its own:
+    # once a numbering per --let
     passes = []
     real = fo_module._scopes
-    monkeypatch.setattr(fo_module, "_scopes", lambda phi: passes.append(None) or real(phi))
+    monkeypatch.setattr(fo_module, "_scopes", lambda phi: passes.append(real(phi)) or passes[-1])
     code, out = run(capsys, "fo", "eval", tri, "R(x,y) & R(y,z)", "--let", "x=a", "--let", "y=b", "--let", "z=c")
     assert code == 0 and json.loads(out)["holds"]
-    assert len(passes) <= 2
+    assert len(passes) <= 2 and all(len(scopes) == 3 for _, scopes in passes)
 
 
 def test_fo_eval_refuses_a_variable_bound_twice(capsys, tri):

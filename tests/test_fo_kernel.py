@@ -232,12 +232,15 @@ def test_los_like_membership_is_one_mask_on_the_frame(monkeypatch):
     (Prop("p0"), "Prop(name='p0')"),
     (And(Rel("x", "x"), Prop("p0")), "Prop(name='p0')"),
     (Exists("x", Dia(Prop("p0"))), "Dia(sub=Prop(name='p0'))"),
+    (Dia(Prop("p0")), "Dia(sub=Prop(name='p0'))"),
+    (Exists("x", None), "None"),
 ])
 def test_a_node_of_another_logic_is_refused_in_one_line(phi, unknown):
-    # the first foreign node in pre-order is named, as syntax.Table names it
+    # the first foreign node in pre-order is named, as syntax.Table names it; quantifier_rank
+    # once answered 0 for a modal formula and raised TypeError on a missing body
     f = Frame(("a",), frozenset())
     for call in (lambda: eval_fo(f, phi), lambda: los_like_check(f, phi, Ultrafilter(f, "a")),
-                 lambda: free_vars(phi)):
+                 lambda: free_vars(phi), lambda: quantifier_rank(phi)):
         with pytest.raises(InputError, match=f"^unknown formula node {re.escape(unknown)}$"):
             call()
 
@@ -259,8 +262,8 @@ def test_the_column_path_compiles_without_a_free_variable_walk(monkeypatch):
 
 
 def test_nested_quantifiers_compile_from_one_pass_over_their_nodes(monkeypatch):
-    # forall y. 400 deep over R(y,y): every quantifier's flatness is read off one post-order pass,
-    # run once per evaluation over the 401 nodes, where a free-variable walk per quantifier made
+    # forall y. 400 deep over R(y,y): every quantifier's flatness is read off one numbering, made
+    # once per evaluation over the 401 subformulas, where a free-variable walk per quantifier made
     # 80,199 free_vars calls
     passes, walks = [], []
     scopes, free = uext.fo._scopes, uext.fo.free_vars
@@ -280,4 +283,5 @@ def test_nested_quantifiers_compile_from_one_pass_over_their_nodes(monkeypatch):
     monkeypatch.setattr(uext.fo, "free_vars", counted_free)
     assert eval_fo(Frame(("a", "b"), frozenset([("a", "a")])), phi) is False
     assert eval_fo(Frame(("a",), frozenset([("a", "a")])), phi) is True
-    assert len(passes) == 2 and [len(table) for table in passes] == [401, 401] and not walks
+    assert len(passes) == 2 and not walks
+    assert [(len(table.nodes), len(scopes)) for table, scopes in passes] == [(401, 401)] * 2

@@ -17,7 +17,7 @@ from uext import (
     rooted_iso,
 )
 from uext.fo import free_vars, quantifier_rank
-from uext.syntax import depth
+from uext.syntax import ARITY, Table, depth
 
 from helpers import random_bounded_frame
 
@@ -146,7 +146,7 @@ def test_hull_formula_nests_at_most_5v_plus_1_and_parses_back():
         text = hull_formula(h)
         large += len(h.graph.vertices) >= 20
         phi = parse_fo(text)
-        assert depth(phi) <= 5 * len(h.graph.vertices) + 1
+        assert depth(Table(ARITY, phi)) <= 5 * len(h.graph.vertices) + 1
         assert format_fo(phi) == text
     assert large >= 15
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from uext import (
 )
 from uext import modal, syntax
 from uext.cli import main
+from uext.fo import Exists, Rel
 from uext.modal import TOP, And, Box, Dia, Falsum, Imp, Not, Or, Prop, distinguishing_formula, letters, truth_mask
 from uext.syntax import fold
 
@@ -61,6 +63,22 @@ def test_parse_errors_carry_position():
 def test_modal_depth():
     assert modal_depth(parse_modal("p0")) == 0
     assert modal_depth(parse_modal("<>[]p0 & <>p1")) == 2
+
+
+@pytest.mark.parametrize("phi, unknown", [
+    (Exists("x", Rel("x", "x")), "Exists(var='x', body=Rel(left='x', right='x'))"),
+    (And(Prop("p0"), Rel("x", "x")), "Rel(left='x', right='x')"),
+    (Dia("p0"), "'p0'"),
+    (Box(None), "None"),
+])
+def test_a_node_of_another_logic_is_refused_in_one_line(phi, unknown):
+    # the first foreign node in pre-order is named, as syntax.Table names it; modal_depth once
+    # answered 0 for an FO formula and 1 for <> over a bare string
+    m = Model.make(Frame(("a",), frozenset()), {})
+    for call in (lambda: modal_depth(phi), lambda: letters(phi), lambda: eval_modal(m, "a", phi),
+                 lambda: truth_mask(m.frame, {}, phi), lambda: frame_valid(m.frame, phi)):
+        with pytest.raises(InputError, match=f"^unknown formula node {re.escape(unknown)}$"):
+            call()
 
 
 def test_eval_and_truth_set():

@@ -22,7 +22,7 @@ from uext import (FamilyPresentation, Frame, InputError, Model, Ray, ResourceErr
                   format_modal, modal_depth, parse_fo, parse_modal, quantifier_rank, syntax)
 from uext.fo import Eq, Exists, Forall, Rel
 from uext.modal import Box, Dia, Falsum, Prop
-from uext.syntax import And, Imp, Not, Or, depth
+from uext.syntax import ARITY, And, Imp, Not, Or, Table, depth
 
 DEPTHS = (101, 5001)  # the once-refused depth past a cap of 100, and one past the interpreter's stack
 MODAL_SHAPES = {
@@ -44,9 +44,9 @@ LOOP = Frame(("a",), frozenset([("a", "a")]))
 
 
 def test_depth_counts_nodes_on_the_longest_path():
-    assert depth(parse_modal("p0")) == 1
-    assert depth(parse_modal("~<>p0 & p1")) == 4
-    assert depth(parse_fo("exists x. R(x,x) | x=x")) == 3
+    assert depth(Table(ARITY, parse_modal("p0"))) == 1
+    assert depth(Table(ARITY, parse_modal("~<>p0 & p1"))) == 4
+    assert depth(Table(ARITY, parse_fo("exists x. R(x,x) | x=x"))) == 3
 
 
 def test_both_parsers_build_the_shared_connectives():
@@ -56,12 +56,31 @@ def test_both_parsers_build_the_shared_connectives():
         assert type(phi.left.left.left) is syntax.Not
 
 
+def shared(rng: random.Random, pool: list, prefix):
+    """The last of eight nodes put one by one on a pool of formulas, each over members of the pool
+    picked with repetition, so its equal parts are one object."""
+    pool = list(pool)
+    for _ in range(8):
+        if rng.random() < 0.4:
+            pool.append(prefix(rng.choice(pool)))
+        else:
+            pool.append(rng.choice((And, Or, Imp))(rng.choice(pool), rng.choice(pool)))
+    return pool[-1]
+
+
 def test_rank_and_depth_agree_with_the_recursive_oracle():
     rng = random.Random(24)
     for _ in range(400):
         phi = random_modal(rng, rng.randint(0, 5), ["p0", "p1"], rng.randint(1, 16))
         assert modal_depth(phi) == O.modal_depth(phi), phi
         phi = random_fo(rng, rng.randint(0, 4), rng.randint(1, 16))
+        assert quantifier_rank(phi) == O.quantifier_rank(phi), phi
+    for _ in range(200):  # shared formulas, which the oracle reads as trees
+        phi = shared(rng, [random_modal(rng, 2, ["p0"], 4) for _ in range(3)],
+                     lambda s: rng.choice((Not, Dia, Box))(s))
+        assert modal_depth(phi) == O.modal_depth(phi), phi
+        phi = shared(rng, [random_fo(rng, 1, 4) for _ in range(3)],
+                     lambda s: Not(s) if rng.random() < 0.3 else rng.choice((Exists, Forall))(rng.choice("xyz"), s))
         assert quantifier_rank(phi) == O.quantifier_rank(phi), phi
 
 
@@ -72,6 +91,24 @@ def test_rank_and_depth_of_a_chain_past_the_stack():
     assert modal_depth(modal) == 5000 and quantifier_rank(fo) == 5000
 
 
+def test_shared_chains_are_read_once_per_distinct_subformula():
+    # And(<>phi, phi) and And(exists x. psi, psi), 60 levels deep, are 2^60-node trees of 121
+    # distinct subformulas: a walk over the tree would not end, a loop over the numbering does
+    script = ("from uext import modal_depth, quantifier_rank\n"
+              "from uext.fo import Exists, Rel, free_vars\n"
+              "from uext.modal import Dia, Prop\n"
+              "from uext.syntax import ARITY, And, Table, depth\n"
+              "phi, psi = Prop('p0'), Rel('x', 'y')\n"
+              "for _ in range(60):\n"
+              "    phi, psi = And(Dia(phi), phi), And(Exists('x', psi), psi)\n"
+              "print(modal_depth(phi), quantifier_rank(psi), depth(Table(ARITY, phi)), depth(Table(ARITY, psi)),\n"
+              "      *sorted(free_vars(psi)))\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=20,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.split() == ["60", "60", "121", "121", "x", "y"]
+
+
 @pytest.mark.parametrize("shape", sorted(MODAL_SHAPES))
 def test_modal_nesting_bound(shape):
     # no nesting bound: each shape parses at any depth, prints as text that reads back as the same
@@ -80,7 +117,7 @@ def test_modal_nesting_bound(shape):
         phi = parse_modal(MODAL_SHAPES[shape](d))
         text = format_modal(phi)
         levels = {"parens": 1, "mixed": d + 1}.get(shape, d)  # mixed's last <>p0 is one level below its p0
-        assert depth(phi) == levels and format_modal(parse_modal(text)) == text
+        assert depth(Table(ARITY, phi)) == levels and format_modal(parse_modal(text)) == text
         assert eval_modal(Model.make(LOOP, {"p0": ["a"]}), "a", phi) in (True, False)
 
 
@@ -91,7 +128,7 @@ def test_fo_nesting_bound(shape):
     for d in DEPTHS:
         phi = parse_fo(FO_SHAPES[shape](d))
         text, levels = format_fo(phi), 1 if shape == "parens" else d
-        assert depth(phi) == levels and format_fo(parse_fo(text)) == text
+        assert depth(Table(ARITY, phi)) == levels and format_fo(parse_fo(text)) == text
         if levels == DEPTHS[-1]:
             with pytest.raises(ResourceError, match=f"^FO evaluation ran out of interpreter stack on a formula "
                                                     f"{levels} levels deep$"):
