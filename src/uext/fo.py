@@ -22,7 +22,7 @@ from .caps import Budget
 from .errors import DefectError, InputError, ResourceError
 from .frame import Frame
 from .games import Game
-from .syntax import And, Imp, Node, Not, Or, Parser, Table, depth, fold, format_formula
+from .syntax import ARITY, And, Imp, Node, Not, Or, Parser, Table, depth, fold, format_formula
 
 SENTENCE_LIMIT = 4000  # sentences_upto's hard count cap
 KEYWORDS = ("exists", "forall", "R")  # the words that name no variable
@@ -61,7 +61,7 @@ class Forall(Node):
 
 
 FOFormula = Rel | Eq | Not | And | Or | Imp | Exists | Forall
-FO = FOFormula.__args__  # the node classes a first-order formula is built from
+FO = {kind: ARITY[kind] for kind in FOFormula.__args__}  # the classes a first-order formula is built from -> arity
 format_fo = format_formula
 
 
@@ -145,11 +145,11 @@ def parse_fo(text: str) -> FOFormula:
 # Evaluation
 
 
-def _evaluate(frame: Frame, phi: FOFormula, asg: dict[str, str], column: str | None = None):
+def _evaluate(frame: Frame, numbered: tuple[Table, list], asg: dict[str, str], column: str | None = None):
     """phi's truth, 1 or 0, under asg (variable -> vertex), or with column set, the mask of
     column's values where phi holds; a free variable outside asg and column is an InputError.
-    phi's subformulas are numbered once, by `_scopes`, which reads their free variables, and
-    phi is compiled once per call from that numbering.
+    numbered is the caller's `_scopes(phi)`, phi's one numbering with its free variables, so a
+    caller evaluating phi twice numbers it once; phi is compiled once per call from it.
 
     Every subformula compiles to a mask over its column v: the quantified
     variable whose body is flat in v (free in no quantifier reached from the
@@ -166,9 +166,10 @@ def _evaluate(frame: Frame, phi: FOFormula, asg: dict[str, str], column: str | N
     taken; one past the cap raises ResourceError.  Short-circuited work is
     never done, so it never counts: over a column of no points all ones is 0,
     so a conjunction stops after its left part.  Compiling and running recurse
-    once per level or so; the callers turn a RecursionError into `_too_deep`'s.
+    once per level or so; a RecursionError ends in one ResourceError naming
+    phi's depth, which `syntax.depth` reads off the numbering in a loop.
     """
-    table, scopes = _scopes(phi)
+    table, scopes = numbered
     missing = scopes[-1][0] - set(asg) - {column}
     if missing:
         raise InputError(f"unbound free variable {min(missing)!r}")
@@ -234,10 +235,14 @@ def _evaluate(frame: Frame, phi: FOFormula, asg: dict[str, str], column: str | N
             return lambda env: x if (x := l(env)) == ones else x | r(env)
         return lambda env: (ones ^ x) | r(env) if (x := l(env)) else ones
 
-    if column is None:
-        return mask(len(nodes) - 1, None)(values)
-    step, each = over(column, len(nodes) - 1)
-    return step(values) if step else sum(1 << w for w, h in enumerate(each(values)) if h)
+    try:
+        if column is None:
+            return mask(len(nodes) - 1, None)(values)
+        step, each = over(column, len(nodes) - 1)
+        return step(values) if step else sum(1 << w for w, h in enumerate(each(values)) if h)
+    except RecursionError:
+        raise ResourceError("FO evaluation ran out of interpreter stack on a formula "
+                            f"{depth(table)} levels deep") from None
 
 
 def eval_fo(frame: Frame, phi: FOFormula, asg: dict[str, str] | None = None) -> bool:
@@ -246,19 +251,10 @@ def eval_fo(frame: Frame, phi: FOFormula, asg: dict[str, str] | None = None) -> 
     Variables are bound to vertex indices; an innermost quantified variable is
     a bitmask column and only the outer ones are enumerated, so rank k takes
     about n^(k-1) mask steps.  Mask steps and enumerated values count toward
-    UEXT_ASSIGNMENT_LIMIT, checked before each; one past it raises
-    ResourceError.  Short-circuited work is never done and never counts.
+    UEXT_ASSIGNMENT_LIMIT, checked before each; one past it raises ResourceError.
+    Short-circuited work is never done and never counts.  phi is numbered once.
     """
-    try:
-        return bool(_evaluate(frame, phi, asg or {}))
-    except RecursionError:
-        raise _too_deep(phi) from None
-
-
-def _too_deep(phi: FOFormula) -> ResourceError:
-    """The error for a formula, built in code, too deep for the recursive evaluator; it names the
-    formula's depth, which `syntax.depth` reads in a loop."""
-    return ResourceError(f"FO evaluation ran out of interpreter stack on a formula {depth(Table(FO, phi))} levels deep")
+    return bool(_evaluate(frame, _scopes(phi), asg or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -493,19 +489,18 @@ def los_like_check(frame: Frame, phi: FOFormula, u: ultra.Ultrafilter) -> tuple[
     the extension, so a broken extension shows as disagreement; on finite
     frames disagreement is a defect (eta: w -> pi_w is an isomorphism).  The
     set {w : phi holds at w} is one truth mask, with the free variable as its
-    column, and it belongs to u iff it holds u's point.
+    column, and it belongs to u iff it holds u's point.  Both sides and the
+    free-variable check read phi's one numbering.
     """
-    try:
-        fv = sorted(free_vars(phi))
-        if len(fv) != 1:
-            raise InputError(f"los_like_check needs exactly one free variable, got {fv}")
-        if u.frame != frame:
-            raise InputError("ultrafilter is not over the given frame")
-        x = fv[0]
-        lhs = eval_fo(ultra.build_ue(frame).frame, phi, {x: u.name})
-        rhs = bool(_evaluate(frame, phi, {}, column=x) >> frame.index[u.point] & 1)
-    except RecursionError:
-        raise _too_deep(phi) from None
+    numbered = _scopes(phi)
+    fv = sorted(numbered[1][-1][0])
+    if len(fv) != 1:
+        raise InputError(f"los_like_check needs exactly one free variable, got {fv}")
+    if u.frame != frame:
+        raise InputError("ultrafilter is not over the given frame")
+    x = fv[0]
+    lhs = bool(_evaluate(ultra.build_ue(frame).frame, numbered, {x: u.name}))
+    rhs = bool(_evaluate(frame, numbered, {}, column=x) >> frame.index[u.point] & 1)
     return lhs == rhs, lhs, rhs
 
 

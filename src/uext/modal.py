@@ -24,7 +24,7 @@ from . import ultra
 from .caps import Budget
 from .frame import LETTER, Frame, all_of, any_of, bits, refine, table
 from .games import Game
-from .syntax import PREFIX, And, Imp, Node, Not, Or, Parser, Table, depth, fold, format_formula
+from .syntax import ARITY, PREFIX, And, Imp, Node, Not, Or, Parser, Table, depth, fold, format_formula
 
 BLOCK_BITS = 16  # frame_valid decides 2^16 valuations per pass: 8 KiB per truth table
 
@@ -57,7 +57,7 @@ class Box(Node):
 
 
 ModalFormula = Prop | Falsum | Not | And | Or | Imp | Dia | Box
-MODAL = ModalFormula.__args__  # the node classes a modal formula is built from
+MODAL = {kind: ARITY[kind] for kind in ModalFormula.__args__}  # the classes a modal formula is built from -> arity
 
 TOP: ModalFormula = Not(Falsum())
 format_modal = format_formula
@@ -133,15 +133,11 @@ def _compile(table: Table, make: dict):
     return label
 
 
-def truth_mask(frame: Frame, letter_masks: dict[str, int], phi: ModalFormula) -> int:
-    """The set of worlds where phi holds, as a bitmask over load order.
-
-    <>X is R-(X) and []X is W - R-(W - X); a letter missing from the masks,
-    like falsum, is false everywhere.
-    """
+def _masker(frame: Frame) -> dict:
+    """The steps, for `_compile`, of truth masks over frame as a function of the letters' masks."""
     full = (1 << len(frame.vertices)) - 1
     image = frame.image
-    make = {Prop: lambda f: lambda v, m: m.get(f.name, 0),
+    return {Prop: lambda f: lambda v, m: m.get(f.name, 0),
             Falsum: lambda f: lambda v, m: 0,
             Not: lambda f, a: lambda v, m: full ^ v[a],
             Dia: lambda f, a: lambda v, m: image(v[a], False),
@@ -149,7 +145,12 @@ def truth_mask(frame: Frame, letter_masks: dict[str, int], phi: ModalFormula) ->
             And: lambda f, a, b: lambda v, m: v[a] & v[b],
             Or: lambda f, a, b: lambda v, m: v[a] | v[b],
             Imp: lambda f, a, b: lambda v, m: (full ^ v[a]) | v[b]}
-    return _compile(Table(MODAL, phi), make)(letter_masks)
+
+
+def truth_mask(frame: Frame, letter_masks: dict[str, int], phi: ModalFormula) -> int:
+    """The set of worlds where phi holds, as a bitmask over load order: <>X is R-(X) and []X is
+    W - R-(W - X), and a letter missing from the masks, like falsum, is false everywhere."""
+    return _compile(Table(MODAL, phi), _masker(frame))(letter_masks)
 
 
 def eval_modal(model: Model, w: str, phi: ModalFormula) -> bool:
@@ -241,12 +242,12 @@ def extend_model(model: Model) -> UEModel:
 def truth_membership_check(ue_model: UEModel, phi: ModalFormula) -> bool:
     """Truth at u on the extension iff the base truth set belongs to u.
 
-    Each side reads u's bit (its name's, its point's) in phi's truth mask on its
-    own frame.  A false return is a defect detector, not an expected outcome.
+    Each side reads u's bit (its name's, its point's) in phi's truth mask on its own frame, both
+    labelled from one numbering of phi.  A false return is a defect detector, not an expected outcome.
     """
-    base, ext = ue_model.base_model, ue_model.model
-    base_truth = truth_mask(base.frame, base.masks, phi)
-    ue_truth = truth_mask(ext.frame, ext.masks, phi)
+    base, ext, numbered = ue_model.base_model, ue_model.model, Table(MODAL, phi)
+    base_truth = _compile(numbered, _masker(base.frame))(base.masks)
+    ue_truth = _compile(numbered, _masker(ext.frame))(ext.masks)
     return all(ue_truth >> ext.frame.index[u.name] & 1 == base_truth >> base.frame.index[u.point] & 1
                for u in ue_model.ue_frame.ultrafilters)
 

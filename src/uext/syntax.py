@@ -204,12 +204,13 @@ class Table:
     is its kind tag, string fields and subformulas' numbers, so equal subformulas share a number
     and no key hashes more than one node.  nodes[i] is the first node numbered i and operands[i]
     its subformulas' numbers, each below i.  Only the identities of the nodes held outlive a
-    call.  The first node, in pre-order, of a class outside kinds (default: all) is refused."""
+    call.  kinds maps the classes a logic admits to their arities (default: ARITY, all of them);
+    the first node, in pre-order, of a class outside it is refused."""
 
     def __init__(self, kinds=ARITY, *formulas):
         self.nodes, self.operands = [], []
         self.keys, self.ids = {}, {}  # key -> number; id -> number, of the nodes held only
-        self.arity = {kind: ARITY[kind] for kind in kinds}
+        self.arity = kinds
         for phi in formulas:
             self.number(phi)
 

@@ -114,7 +114,7 @@ def fo_truth_outcome(case: dict) -> dict:
     out.update(holds=holds, charged=spent)
     if len(free_vars(phi)) == 1:
         (x,) = free_vars(phi)
-        mask, spent = charged(lambda: uext.fo._evaluate(f, phi, {}, column=x))
+        mask, spent = charged(lambda: uext.fo._evaluate(f, uext.fo._scopes(phi), {}, column=x))
         out.update(column=x, mask=mask, column_charged=spent)
     return out
 

@@ -14,7 +14,7 @@ import fo_oracle
 import uext.fo
 from uext import (Frame, InputError, ResourceError, Ultrafilter, eval_fo, hull, hull_formula, load_frame,
                   los_like_check, parse_fo)
-from uext.fo import Exists, Forall, Rel, _evaluate, format_fo, free_vars, quantifier_rank
+from uext.fo import Exists, Forall, Rel, _evaluate, _scopes, format_fo, free_vars, quantifier_rank
 from uext.modal import Dia, Prop
 from uext.syntax import And, Not
 
@@ -257,7 +257,7 @@ def test_the_column_path_compiles_without_a_free_variable_walk(monkeypatch):
     for _ in range(200):
         phi = Not(phi)
     monkeypatch.setattr(uext.fo, "free_vars", counted)
-    assert _evaluate(Frame(("a", "b"), frozenset([("a", "a")])), phi, {}, column="x") == 0b01
+    assert _evaluate(Frame(("a", "b"), frozenset([("a", "a")])), _scopes(phi), {}, column="x") == 0b01
     assert len(calls) == 0
 
 

@@ -18,8 +18,9 @@ import game_oracle as O
 import parse_oracle
 from golden.record import corpus
 from helpers import random_fo, random_modal
-from uext import (FamilyPresentation, Frame, InputError, Model, Ray, ResourceError, eval_fo, eval_modal, format_fo,
-                  format_modal, modal_depth, parse_fo, parse_modal, quantifier_rank, syntax)
+from uext import (FamilyPresentation, Frame, InputError, Model, Ray, ResourceError, Ultrafilter, eval_fo, eval_modal,
+                  extend_model, format_fo, format_modal, los_like_check, modal_depth, parse_fo, parse_modal,
+                  quantifier_rank, syntax, truth_membership_check)
 from uext.fo import Eq, Exists, Forall, Rel
 from uext.modal import Box, Dia, Falsum, Prop
 from uext.syntax import ARITY, And, Imp, Not, Or, Table, depth
@@ -182,12 +183,46 @@ def test_a_table_numbers_equal_subformulas_once_in_post_order():
 
 
 def test_a_table_refuses_an_unknown_node_first_in_pre_order():
-    modal_only = syntax.Table((Prop, Not, And, Dia))
+    modal_only = syntax.Table({kind: ARITY[kind] for kind in (Prop, Not, And, Dia)})
     for phi, unknown in ((And(Rel("x", "y"), Eq("x", "x")), "Rel(left='x', right='y')"),
                          (Not(Exists("x", Rel("x", "x"))), "Exists(var='x', body=Rel(left='x', right='x'))"),
                          (Dia(Not("p0")), "'p0'"), (And(Prop("p0"), None), "None")):
         with pytest.raises(InputError, match=f"^unknown formula node {re.escape(unknown)}$"):
             modal_only.number(phi)
+
+
+def test_each_call_numbers_its_formula_once(monkeypatch):
+    # los_like_check's two sides and its free-variable check read one numbering (three before),
+    # eval_fo refuses a formula past the stack from the numbering it holds (two before), and
+    # truth_membership_check labels the base and the extension from one (two before)
+    built, init = [], Table.__init__
+
+    def counted(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    def tables(call):
+        built.clear()
+        result = call()
+        return result, len(built)
+
+    monkeypatch.setattr(Table, "__init__", counted)
+    loop = Frame(("a", "b"), frozenset([("a", "a"), ("a", "b")]))
+    for text in ("exists y. R(x,y)", "R(x,x)", "exists y. (R(x,y) & R(y,x))", "forall y. (R(x,y) -> exists z. R(y,z))"):
+        phi = parse_fo(text)
+        assert tables(lambda: los_like_check(loop, phi, Ultrafilter(loop, "b")))[1] == 1
+        assert tables(lambda: eval_fo(loop, phi, {"x": "a"}))[1] == 1
+    deep = Rel("x", "x")
+    for _ in range(2000):
+        deep = Not(deep)
+    message = r"^FO evaluation ran out of interpreter stack on a formula 2001 levels deep$"
+    for call in (lambda: eval_fo(loop, deep, {"x": "a"}), lambda: los_like_check(loop, deep, Ultrafilter(loop, "a"))):
+        with pytest.raises(ResourceError, match=message):
+            tables(call)
+        assert len(built) == 1
+    ue_model = extend_model(Model.make(loop, {"p0": ["b"]}))
+    for text in ("<>p0", "[]<>p0 -> p0", "~p0 & <>(p0 | []p0)"):
+        assert tables(lambda: truth_membership_check(ue_model, parse_modal(text))) == (True, 1)
 
 
 ROOT = Path(__file__).resolve().parents[1]
